@@ -37,6 +37,11 @@ _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     """Maximized objective value, the maximizing q, and how many evaluations it took."""
@@ -68,8 +73,7 @@ def maximize_scalar_on_unit_interval(f: Callable[[float], float], tol: float = 1
     only replaces the grid argmax when it is genuinely better, so exact grid
     maxima (like q = 0.5 for symmetric channels) are reported exactly.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    _check_tolerance(tol)
     evals = 0
 
     def evaluate(q: float) -> float:
@@ -129,10 +133,6 @@ def maximize_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _refine(state: PureState, dims: tuple[int, ...]) -> PureState:
-    return PureState(state.amplitudes, dims)
-
-
 def inequality_slacks(
     ch1: DilationChannel, ch2: DilationChannel, rho_single: DensityMatrix, rho_pair: DensityMatrix
 ) -> dict[str, float]:
@@ -166,7 +166,7 @@ def inequality_slacks(
     slacks["code_fano"] = quantum_fano_bound(t12.fidelity, rho_single.dim ** 2) - t12.loss
 
     d = rho_single.dim
-    fine = _refine(state12, (d, d, ch1.env_dim, ch2.env_dim))  # (Q2', R, E1', E2')
+    fine = PureState(state12.amplitudes, (d, d, ch1.env_dim, ch2.env_dim))  # (Q2', R, E1', E2')
     s_re1 = pure_subsystem_entropy(fine, (1, 2))
     s_e2 = pure_subsystem_entropy(fine, (3,))  # = S(R E1' Q2') by purity
     mutual_re1_q2 = s_re1 + t12.s_out - s_e2
@@ -178,8 +178,8 @@ def inequality_slacks(
     for key, value in transcript_slacks(tpar, rho_pair.dim, rho_pair.dim).items():
         slacks[f"parallel:{key}"] = value
     d1, d2 = ch1.input_dim, ch2.input_dim
-    finep = _refine(
-        state_par, (d1, d2, rho_pair.dim, ch1.env_dim, ch2.env_dim)
+    finep = PureState(
+        state_par.amplitudes, (d1, d2, rho_pair.dim, ch1.env_dim, ch2.env_dim)
     )  # (Q1', Q2', R, E1', E2')
     i_1 = (
         pure_subsystem_entropy(finep, (0, 3))
@@ -228,6 +228,7 @@ def audit_inequalities(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     violations = []
     worst = 0.0
@@ -290,6 +291,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     violations = []
     worst = 0.0
@@ -314,6 +316,7 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     ``audit_axioms`` and returns the witnesses found (possibly none), each as
     (trial index, weight, slack).  Deterministic per seed.
     """
+    _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     found = []
     for i in range(trials):
@@ -389,8 +392,8 @@ def hamming_holds(query: HammingQuery) -> tuple[bool, float]:
     syndromes = 1 if query.mode == "classical" else 3
     volume = _sphere_volume(query.n, query.t, syndromes)
     exponent = _space_exponent(query.n, query.mode)
-    used = (1 << query.k) * volume
-    holds = used <= (1 << exponent)
+    # k > exponent can never fit, and 2^k for a huge k would not fit in memory
+    holds = query.k <= exponent and volume << query.k <= 1 << exponent
     slack = float(exponent - query.k) - math.log2(volume)
     return holds, slack
 

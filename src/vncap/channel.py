@@ -26,17 +26,18 @@ import numpy as np
 
 from .entropy import binary_entropy, pure_subsystem_entropy
 from .qmat import (
+    PURITY_ATOL,
     UNITARY_ATOL,
     DensityMatrix,
     PureState,
     apply_unitary,
     basis_state,
+    _check_residual,
+    _check_unitary,
     clamp_spectrum,
-    promote_unitary,
     tensor,
+    _unit_interval,
 )
-
-COMPLETENESS_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,8 @@ class KrausChannel:
                 raise ValueError(f"Kraus operators must all be {d}x{d}, got {k.shape}")
             k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
-        resid = float(np.max(np.abs(total - np.eye(d))))
-        if resid > COMPLETENESS_ATOL:
-            raise ValueError(f"Kraus operators are not trace preserving (residual {resid:.3e})")
+        resid = np.max(np.abs(total - np.eye(d)))
+        _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -74,12 +74,7 @@ class DilationChannel:
     env_initial: PureState
 
     def __post_init__(self):
-        u = np.array(self.u_qe, dtype=np.complex128, copy=True)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"dilation unitary must be square, got {u.shape}")
-        resid = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-        if resid > UNITARY_ATOL:
-            raise ValueError(f"dilation matrix is not unitary (max residual {resid:.3e})")
+        u = _check_unitary(np.array(self.u_qe, dtype=np.complex128, copy=True))
         if self.env_dim < 1 or u.shape[0] % self.env_dim:
             raise ValueError(
                 f"environment dimension {self.env_dim} does not divide {u.shape[0]}"
@@ -248,11 +243,9 @@ def run_channel(ch: Channel, rho_q: DensityMatrix, return_state: bool = False):
 
 def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -> float:
     """Overlap <QR| rho_out |QR> of a pure joint input with the evolved joint state."""
-    vals = np.linalg.eigvalsh(rho_qr_in.matrix)
-    if abs(float(vals[-1]) - 1.0) > 1e-9:
-        raise ValueError(
-            f"input is not a pure-state projector (largest eigenvalue {float(vals[-1])!r})"
-        )
+    _check_residual(
+        abs(rho_qr_in.spectrum[0] - 1.0), PURITY_ATOL, "input is not a pure-state projector"
+    )
     if rho_qr_in.dim != rho_qr_out.dim:
         raise ValueError("dimension mismatch between input and output")
     return float(np.real(np.trace(rho_qr_in.matrix @ rho_qr_out.matrix)))
@@ -269,14 +262,12 @@ def chain(ch1: Channel, ch2: Channel) -> DilationChannel:
         raise ValueError(
             f"dimension mismatch: {d1.input_dim}-dim output into {d2.input_dim}-dim channel"
         )
-    dims = (d1.input_dim, d1.env_dim, d2.env_dim)
-    u1 = promote_unitary(d1.u_qe, dims, (0, 1))
-    u2 = promote_unitary(d2.u_qe, dims, (0, 2))
-    env = PureState(
-        tensor(d1.env_initial.amplitudes, d2.env_initial.amplitudes),
-        (d1.env_dim * d2.env_dim,),
-    )
-    return DilationChannel(u2 @ u1, d1.env_dim * d2.env_dim, env)
+    d, m1, m2 = d1.input_dim, d1.env_dim, d2.env_dim
+    u1 = d1.u_qe.reshape(d, m1, d, m1)
+    u2 = d2.u_qe.reshape(d, m2, d, m2)
+    # U[c e g, b f h] = sum_a U2[c g, a h] U1[a e, b f] over (Q, E1, E2)
+    u = np.einsum("cgah,aebf->cegbfh", u2, u1).reshape(d * m1 * m2, d * m1 * m2)
+    return DilationChannel(u, m1 * m2, _joint_environment(d1, d2))
 
 
 def parallel(ch1: Channel, ch2: Channel) -> DilationChannel:
@@ -286,23 +277,26 @@ def parallel(ch1: Channel, ch2: Channel) -> DilationChannel:
     (Q1 Q2) x (E1 E2) for the dilation.
     """
     d1, d2 = as_dilation(ch1), as_dilation(ch2)
-    dims = (d1.input_dim, d2.input_dim, d1.env_dim, d2.env_dim)
-    u1 = promote_unitary(d1.u_qe, dims, (0, 2))
-    u2 = promote_unitary(d2.u_qe, dims, (1, 3))
-    env = PureState(
+    n1, m1, n2, m2 = d1.input_dim, d1.env_dim, d2.input_dim, d2.env_dim
+    u1 = d1.u_qe.reshape(n1, m1, n1, m1)
+    u2 = d2.u_qe.reshape(n2, m2, n2, m2)
+    full = n1 * n2 * m1 * m2
+    u = np.einsum("aebf,cgdh->acegbdfh", u1, u2).reshape(full, full)
+    return DilationChannel(u, m1 * m2, _joint_environment(d1, d2))
+
+
+def _joint_environment(d1: DilationChannel, d2: DilationChannel) -> PureState:
+    return PureState(
         tensor(d1.env_initial.amplitudes, d2.env_initial.amplitudes),
         (d1.env_dim * d2.env_dim,),
     )
-    return DilationChannel(u1 @ u2, d1.env_dim * d2.env_dim, env)
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
     """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space."""
-    if int(code_dim) != code_dim or code_dim < 2:
+    if not (float(code_dim).is_integer() and code_dim >= 2):
         raise ValueError(f"code dimension must be an integer >= 2, got {code_dim!r}")
-    if fidelity < -1e-12 or fidelity > 1.0 + 1e-12:
-        raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
-    f = min(1.0, max(0.0, float(fidelity)))
+    f = _unit_interval(fidelity, "fidelity")
     return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(int(code_dim) - 1))
 
 
@@ -319,10 +313,10 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     """Inequality slacks (nonnegative iff satisfied) for one transcript.
 
     Covers the triangle bounds 0 <= L <= 2 min(S, S_e) and the exchange-entropy
-    Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1).
+    Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1), half the
+    quantum-code Fano bound at code dimension d_Q d_R.
     """
-    fano = binary_entropy(min(1.0, max(0.0, t.fidelity)))
-    fano += (1.0 - min(1.0, max(0.0, t.fidelity))) * math.log2(d_q * d_r - 1)
+    fano = 0.5 * quantum_fano_bound(t.fidelity, d_q * d_r)
     return {
         "loss_nonneg": t.loss,
         "loss_le_2s_in": 2.0 * t.s_in - t.loss,

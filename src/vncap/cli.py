@@ -20,26 +20,32 @@ import numpy as np
 from . import analysis, depolarizing
 from .channel import run_channel
 from .depolarizing import DepolParams
-from .qmat import DensityMatrix
+from .qmat import DensityMatrix, _unit_interval
 
 DEFAULT_SEED = 42
 DEFAULT_P_RANGE = "0:0.75:0.05"
 DEFAULT_Q_RANGE = "0:1:0.02"
 DEFAULT_N_LIST = "25,50,100,200"
 
+# Work caps, well above every default and benchmark request (16 x 51 grids,
+# blocks up to 4001, 200 trials).  At a cap a request runs under a minute on
+# one x86-64 core (a 5000-long block at p = 0.99 alone: 2.6 s).
+MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one sweep
+MAX_BLOCK_LENGTH = 5_000  # --n and each --n-list entry; --k up to twice that
+MAX_N_LIST = 16  # entries of --n-list
+MAX_TRIALS = 10_000  # --trials
 
-class UsageError(ValueError):
-    pass
+QUANTUM_HEADER = "p,q,S,S_prime,S_env,loss,I_Q,fidelity"
+CLASSICAL_HEADER = "p,q,mutual,loss"
 
 
 def _fmt(x: float) -> str:
     return "%.12g" % (0.0 if x == 0 else float(x))
 
 
-def _unit_flag(value: float, flag: str) -> float:
-    if value is None or value < 0.0 or value > 1.0:
-        raise UsageError(f"{flag} must lie in [0, 1], got {value!r}")
-    return float(value)
+def _cap(value: int, cap: int, flag: str) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
 
 def _diag_qubit(q: float) -> DensityMatrix:
@@ -49,48 +55,67 @@ def _diag_qubit(q: float) -> DensityMatrix:
 def _parse_range(text: str, flag: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"{flag} must look like start:stop:step, got {text!r}")
+        raise ValueError(f"{flag} must look like start:stop:step, got {text!r}")
     try:
         start, stop, step = (float(v) for v in parts)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-    if step <= 0.0:
-        raise UsageError(f"{flag}: step must be positive, got {step!r}")
-    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
-        raise UsageError(f"{flag}: endpoints must lie in [0, 1]")
+        raise ValueError(f"{flag}: {exc}") from None
+    start = _unit_interval(start, f"{flag} start", slack=0.0)
+    stop = _unit_interval(stop, f"{flag} stop", slack=0.0)
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{flag}: step must be positive and finite, got {step!r}")
     if start > stop:
-        raise UsageError(f"{flag}: empty range {text!r}")
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    return [min(1.0, max(0.0, start + i * step)) for i in range(count)]
+        raise ValueError(f"{flag}: empty range {text!r}")
+    steps = (stop - start) / step + 1e-9  # +inf when the step is too small for a float
+    if not steps < MAX_SWEEP_ROWS:
+        raise ValueError(f"{flag}: more than the cap of {MAX_SWEEP_ROWS} points")
+    # start >= 0 and step > 0, so only the top can overshoot, by rounding
+    return [min(1.0, start + i * step) for i in range(math.floor(steps) + 1)]
+
+
+# Channel families: (channel, use) -> (row, closed_form).  row(p) returns the
+# function q -> (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for
+# classical use; capacity maximizes I_Q or mutual, the closed form's quantity.
+
+
+def _quantum_columns(t) -> tuple[float, ...]:
+    return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
+
+
+def _depolarizing_quantum(p: float):
+    return lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q)))
+
+
+def _depolarizing_classical(p: float):
+    return lambda q: depolarizing.classical_use_transcript(DepolParams(p, q))
+
+
+def _dephasing_quantum(p: float):
+    kraus = depolarizing.dephasing_kraus(p)
+    return lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q)))
+
+
+def _dephasing_classical(p: float):
+    kraus = depolarizing.dephasing_kraus(p)
+    return lambda q: depolarizing.classical_use_channel_simulation(kraus, q)
+
+
+FAMILIES = {
+    ("depolarizing", "quantum"): (_depolarizing_quantum, depolarizing.quantum_capacity),
+    ("depolarizing", "classical"): (_depolarizing_classical, depolarizing.classical_capacity),
+    ("dephasing", "quantum"): (_dephasing_quantum, depolarizing.dephasing_mutual),
+    # dephasing is lossless for classical bits
+    ("dephasing", "classical"): (_dephasing_classical, lambda p: 1.0),
+}
+OBJECTIVE_COLUMN = {"quantum": 4, "classical": 0}
 
 
 def cmd_capacity(args) -> int:
-    p = _unit_flag(args.p, "--p")
-    if args.channel == "depolarizing":
-        if args.use == "quantum":
-            result = analysis.maximize_capacity(
-                lambda q: depolarizing.analytic_transcript(DepolParams(p, q)), args.tol
-            )
-            closed = depolarizing.quantum_capacity(p)
-        else:
-            result = analysis.maximize_scalar_on_unit_interval(
-                lambda q: depolarizing.classical_use_transcript(DepolParams(p, q))[0],
-                args.tol,
-            )
-            closed = depolarizing.classical_capacity(p)
-    else:
-        kraus = depolarizing.dephasing_kraus(p)
-        if args.use == "quantum":
-            result = analysis.maximize_capacity(
-                lambda q: run_channel(kraus, _diag_qubit(q)), args.tol
-            )
-            closed = depolarizing.dephasing_mutual(p)
-        else:
-            result = analysis.maximize_scalar_on_unit_interval(
-                lambda q: depolarizing.classical_use_channel_simulation(kraus, q)[0],
-                args.tol,
-            )
-            closed = 1.0  # dephasing is lossless for classical bits
+    p = _unit_interval(args.p, "--p", slack=0.0)
+    row, closed_form = FAMILIES[args.channel, args.use]
+    at_q, column = row(p), OBJECTIVE_COLUMN[args.use]
+    result = analysis.maximize_scalar_on_unit_interval(lambda q: at_q(q)[column], args.tol)
+    closed = closed_form(p)
     print(f"channel: {args.channel}")
     print(f"use: {args.use}")
     print(f"p: {_fmt(p)}")
@@ -106,34 +131,13 @@ def cmd_capacity(args) -> int:
 def cmd_sweep(args) -> int:
     p_values = _parse_range(args.p_range, "--p-range")
     q_values = _parse_range(args.q_range, "--q-range")
-    if args.use == "quantum":
-        print("p,q,S,S_prime,S_env,loss,I_Q,fidelity")
-        for p in p_values:
-            dephasing = (
-                depolarizing.dephasing_kraus(p) if args.channel == "dephasing" else None
-            )
-            for q in q_values:
-                if dephasing is None:
-                    t = depolarizing.analytic_transcript(DepolParams(p, q))
-                else:
-                    t = run_channel(dephasing, _diag_qubit(q))
-                row = (
-                    p, q, t.s_in, t.s_out, t.s_env,
-                    t.loss, t.mutual_entanglement, t.fidelity,
-                )
-                print(",".join(_fmt(v) for v in row))
-    else:
-        print("p,q,mutual,loss")
-        for p in p_values:
-            dephasing = (
-                depolarizing.dephasing_kraus(p) if args.channel == "dephasing" else None
-            )
-            for q in q_values:
-                if dephasing is None:
-                    mutual, loss = depolarizing.classical_use_transcript(DepolParams(p, q))
-                else:
-                    mutual, loss = depolarizing.classical_use_channel_simulation(dephasing, q)
-                print(",".join(_fmt(v) for v in (p, q, mutual, loss)))
+    _cap(len(p_values) * len(q_values), MAX_SWEEP_ROWS, "sweep row count")
+    row, _ = FAMILIES[args.channel, args.use]
+    print(QUANTUM_HEADER if args.use == "quantum" else CLASSICAL_HEADER)
+    for p in p_values:
+        at_q = row(p)
+        for q in q_values:
+            print(",".join(_fmt(v) for v in (p, q, *at_q(q))))
     return 0
 
 
@@ -145,15 +149,12 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"VN_SEED must be an integer, got {env!r}") from None
+            raise ValueError(f"VN_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
 def cmd_audit(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.tol <= 0.0:
-        raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    _cap(args.trials, MAX_TRIALS, "--trials")
     report = analysis.audit_inequalities(_resolve_seed(args), args.trials, args.tol)
     payload = {
         "trials": report.trials,
@@ -170,39 +171,37 @@ def cmd_hamming(args) -> int:
     finite_flags = (args.n, args.k, args.t)
     have_finite = any(v is not None for v in finite_flags)
     if have_finite and any(v is None for v in finite_flags):
-        raise UsageError("--n, --k and --t must be given together")
+        raise ValueError("--n, --k and --t must be given together")
     if not have_finite and args.p is None:
-        raise UsageError("provide --p for rates and/or --n/--k/--t for a finite check")
-    print(f"mode: {args.mode}")
+        raise ValueError("provide --p for rates and/or --n/--k/--t for a finite check")
+    lines = [f"mode: {args.mode}"]
     if have_finite:
-        try:
-            query = analysis.HammingQuery(args.n, args.k, args.t, args.mode)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        _cap(args.n, MAX_BLOCK_LENGTH, "--n")
+        _cap(args.k, 2 * MAX_BLOCK_LENGTH, "--k")  # k > 2n never fits
+        query = analysis.HammingQuery(args.n, args.k, args.t, args.mode)
         holds, slack = analysis.hamming_holds(query)
         verdict = "yes" if holds else "no"
-        print(f"n={args.n} k={args.k} t={args.t} holds={verdict} slack={_fmt(slack)}")
+        lines.append(f"n={args.n} k={args.k} t={args.t} holds={verdict} slack={_fmt(slack)}")
     if args.p is not None:
-        p = _unit_flag(args.p, "--p")
-        print(f"rate_bound: {_fmt(analysis.rate_bound(p, args.mode))}")
+        p = _unit_interval(args.p, "--p", slack=0.0)
         try:
             n_list = [int(v) for v in args.n_list.split(",") if v]
         except ValueError as exc:
-            raise UsageError(f"--n-list: {exc}") from None
-        try:
-            rows = analysis.asymptotic_consistency(p, n_list, args.mode)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for row in rows:
-            print(f"n={row.n} t={row.t} k={row.k_max} rate={_fmt(row.rate)}")
+            raise ValueError(f"--n-list: {exc}") from None
+        _cap(len(n_list), MAX_N_LIST, "--n-list length")
+        _cap(max(n_list, default=0), MAX_BLOCK_LENGTH, "--n-list entry")
+        rows = analysis.asymptotic_consistency(p, n_list, args.mode)
+        lines.append(f"rate_bound: {_fmt(analysis.rate_bound(p, args.mode))}")
+        lines += [f"n={row.n} t={row.t} k={row.k_max} rate={_fmt(row.rate)}" for row in rows]
+    print("\n".join(lines))
     return 0
 
 
 def cmd_superdense(args) -> int:
     if args.p is None and not args.threshold:
-        raise UsageError("provide --p and/or --threshold")
+        raise ValueError("provide --p and/or --threshold")
     if args.p is not None:
-        p = _unit_flag(args.p, "--p")
+        p = _unit_interval(args.p, "--p", slack=0.0)
         report = depolarizing.superdense_scenario(p)
         print(f"p: {_fmt(p)}")
         print(f"conditional_mutual: {_fmt(report.conditional_mutual)}")
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # every refused input, before anything reaches stdout
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

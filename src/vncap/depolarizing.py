@@ -51,6 +51,7 @@ from .qmat import (
     basis_state,
     pure_marginal,
     tensor,
+    _unit_interval,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -62,13 +63,6 @@ for _m in (BIT_FLIP, PHASE_FLIP, BIT_PHASE_FLIP):
     _m.setflags(write=False)
 
 
-def _unit(x: float, name: str) -> float:
-    x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"{name} {x!r} outside [0, 1]")
-    return min(1.0, max(0.0, x))
-
-
 @dataclass(frozen=True)
 class DepolParams:
     """Error probability p and input-mixing parameter q, both in [0, 1]."""
@@ -77,8 +71,8 @@ class DepolParams:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _unit(self.p, "error probability"))
-        object.__setattr__(self, "q", _unit(self.q, "mixing parameter"))
+        object.__setattr__(self, "p", _unit_interval(self.p, "error probability"))
+        object.__setattr__(self, "q", _unit_interval(self.q, "mixing parameter"))
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class SuperdenseReport:
 
 def q_basis(q: float) -> tuple[PureState, PureState, PureState, PureState]:
     """The orthonormal two-qubit family (phi_minus, phi_plus, psi_minus, psi_plus)."""
-    q = _unit(q, "mixing parameter")
+    q = _unit_interval(q, "mixing parameter")
     a, b = math.sqrt(1.0 - q), math.sqrt(q)
     dims = (2, 2)
     phi_minus = PureState([a, 0.0, 0.0, -b], dims)
@@ -104,7 +98,7 @@ def q_basis(q: float) -> tuple[PureState, PureState, PureState, PureState]:
 
 def depolarizing_kraus(p: float) -> KrausChannel:
     """Kraus form {1-p: identity, p/3 each: bit / bit-phase / phase flip}."""
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     return KrausChannel(
         (
             math.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
@@ -117,7 +111,7 @@ def depolarizing_kraus(p: float) -> KrausChannel:
 
 def dephasing_kraus(p: float) -> KrausChannel:
     """Kraus form {sqrt(1-p) identity, sqrt(p) phase flip}."""
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     return KrausChannel(
         (
             math.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
@@ -186,13 +180,13 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
 
 def quantum_capacity(p: float) -> float:
     """Peak mutual entanglement 2 - H2(p) - p log2(3), reached at q = 1/2."""
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     return 2.0 - binary_entropy(p) - p * LOG2_3
 
 
 def classical_capacity(p: float) -> float:
     """Classical-use capacity 1 - H2(2p/3): a symmetric bit-flip channel at 2p/3."""
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     return 1.0 - binary_entropy(2.0 * p / 3.0)
 
 
@@ -225,7 +219,7 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
     channel acts on Q alone, and (mutual, loss) are read off the (Q', R)
     marginal as S(Q':R) and S(R|Q'); mutual + loss = H2[q] exactly.
     """
-    q = _unit(q, "mixing parameter")
+    q = _unit_interval(q, "mixing parameter")
     dil = as_dilation(ch)
     if dil.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
@@ -267,7 +261,7 @@ def classical_use_ensemble(params: DepolParams):
 
 def dephasing_mutual(p: float) -> float:
     """Mutual entanglement 2 - H2(p) of the dephasing channel at q = 1/2."""
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     return 2.0 - binary_entropy(p)
 
 
@@ -278,7 +272,7 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     reports S(R:Q'|C) and the Kholevo quantity S(RQ':C); the two coincide, and
     both equal the q = 1/2 mutual entanglement of the channel.
     """
-    p = _unit(p, "error probability")
+    p = _unit_interval(p, "error probability")
     lifted = KrausChannel(
         tuple(tensor(k, np.eye(2)) for k in depolarizing_kraus(p).operators)
     )

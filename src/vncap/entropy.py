@@ -15,23 +15,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .qmat import (
+    PROB_SUM_ATOL,
     DensityMatrix,
     PureState,
+    _check_residual,
     clamp_spectrum,
-    hermitian_eigenvalues,
     partial_trace,
     pure_subsystem_spectrum,
+    _unit_interval,
 )
-
-_PROB_ATOL = 1e-12
-_SUM_ATOL = 1e-10
-
-
-def _check_probability(p: float, name: str = "probability") -> float:
-    p = float(p)
-    if p < -_PROB_ATOL or p > 1.0 + _PROB_ATOL:
-        raise ValueError(f"{name} {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
 
 
 def _plog2p(p: float) -> float:
@@ -44,7 +36,7 @@ def _shannon(probs) -> float:
 
 def binary_entropy(p: float) -> float:
     """H2[p] = -p log2 p - (1-p) log2(1-p), symmetric about p = 1/2."""
-    p = _check_probability(p)
+    p = _unit_interval(p, "probability")
     return -_plog2p(p) - _plog2p(1.0 - p)
 
 
@@ -53,11 +45,9 @@ def check_prob_vector(probs) -> np.ndarray:
     vec = np.asarray(probs, dtype=np.float64).ravel()
     if vec.size == 0:
         raise ValueError("empty probability vector")
-    if float(vec.min()) < -_PROB_ATOL or float(vec.max()) > 1.0 + _PROB_ATOL:
-        raise ValueError("probability vector entries outside [0, 1]")
-    total = float(vec.sum())
-    if abs(total - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probability vector sums to {total!r}, not 1")
+    for extreme in (vec.min(), vec.max()):
+        _unit_interval(extreme, "probability vector entry")
+    _check_residual(abs(vec.sum() - 1.0), PROB_SUM_ATOL, "probability vector does not sum to 1")
     return np.clip(vec, 0.0, 1.0)
 
 
@@ -72,9 +62,9 @@ def relative_entropy_binary(p: float, r: float) -> float:
     The reference must be strictly inside (0, 1); a degenerate reference makes
     the quantity infinite whenever p differs from it.
     """
-    p = _check_probability(p)
+    p = _unit_interval(p, "probability")
     r = float(r)
-    if r <= 0.0 or r >= 1.0:
+    if not 0.0 < r < 1.0:
         raise ValueError(f"degenerate reference {r!r}: need 0 < r < 1")
     out = 0.0
     if p > 0.0:
@@ -86,7 +76,7 @@ def relative_entropy_binary(p: float, r: float) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the clamped eigenvalue spectrum of a density matrix, in bits."""
-    return _shannon(clamp_spectrum(hermitian_eigenvalues(rho.matrix)))
+    return _shannon(clamp_spectrum(rho.spectrum))
 
 
 def pure_subsystem_entropy(psi: PureState, keep: Iterable[int]) -> float:
@@ -250,7 +240,7 @@ def classical_mutual_information(joint) -> float:
 
 def classical_fano_bound(p_error: float, s: int) -> float:
     """Fano bound H2[p_err] + p_err log2(s - 1) on equivocation for s codewords."""
-    if int(s) != s or s < 2:
+    if not (float(s).is_integer() and s >= 2):
         raise ValueError(f"codeword count must be an integer >= 2, got {s!r}")
-    p_error = _check_probability(p_error, "error probability")
+    p_error = _unit_interval(p_error, "error probability")
     return binary_entropy(p_error) + p_error * math.log2(int(s) - 1)

@@ -16,11 +16,37 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-NORM_ATOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
+# The package's validation tolerances, all of them.  Every check below passes
+# when ``residual <= atol``, so a NaN residual always fails.
+HERMITIAN_ATOL = 1e-10  # max |M - M^dag| entry
+UNITARY_ATOL = 1e-10  # max |U U^dag - I| entry; also Kraus completeness |sum K^dag K - I|
+TRACE_ATOL = 1e-10  # |tr rho - 1|
+NORM_ATOL = 1e-12  # ||psi| - 1|
+EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) are jitter; below the floor, an error
+PROB_SUM_ATOL = 1e-10  # |sum_i p_i - 1| of a probability vector
+PURITY_ATOL = 1e-9  # |1 - largest eigenvalue| of a pure-state projector
+UNIT_SLACK = 1e-12  # unit-interval values this far outside [0, 1] are rounding dust
+
+
+def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
+    """``x`` as a float in [0, 1].
+
+    Values at most ``slack`` outside the interval are clamped into it; values
+    further out, NaN and +-inf raise ValueError "<name> <x> outside [0, 1]".
+    """
+    x = float(x)
+    if 0.0 < x < 1.0:  # the common case, kept cheap: it runs on every probability
+        return x
+    if not -slack <= x <= 1.0 + slack:
+        raise ValueError(f"{name} {x!r} outside [0, 1]")
+    return 0.0 if x <= 0.0 else 1.0
+
+
+def _check_residual(resid, atol: float, what: str) -> None:
+    """Raise ValueError("<what> (residual ...)") unless ``resid <= atol``; NaN fails."""
+    resid = float(resid)
+    if not resid <= atol:
+        raise ValueError(f"{what} (residual {resid:.3e}, tolerance {atol:.0e})")
 
 
 def _as_complex_array(values, ndim: int) -> np.ndarray:
@@ -61,9 +87,8 @@ class PureState:
         dims = self.dims if self.dims is not None else (amps.size,)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(dims, amps.size))
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state vector is not normalized: |psi| = {norm!r}")
+        resid = abs(np.linalg.norm(amps) - 1.0)
+        _check_residual(resid, NORM_ATOL, "state vector is not normalized")
 
     @property
     def dim(self) -> int:
@@ -81,27 +106,24 @@ class DensityMatrix:
 
     Construction validates Hermiticity (entrywise 1e-10), unit trace (1e-10)
     and eigenvalue positivity (floor -1e-10), so any DensityMatrix in
-    circulation is a genuine quantum state up to numerical jitter.
+    circulation is a genuine quantum state up to numerical jitter.  The
+    spectrum computed on the way is kept, descending, as ``spectrum``.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_complex_array(self.matrix, 2)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got {mat.shape}")
+        spectrum = hermitian_eigenvalues(mat)  # also checks that mat is square
         dims = self.dims if self.dims is not None else (mat.shape[0],)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _check_dims(dims, mat.shape[0]))
-        if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, not 1")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
+        _check_residual(abs(np.trace(mat) - 1.0), TRACE_ATOL, "density matrix trace is not 1")
+        _check_residual(-spectrum[-1], -EIGENVALUE_FLOOR, "density matrix has negative eigenvalue")
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -113,12 +135,11 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def hermitian_eigenvalues(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in descending order.
 
     Args:
-        m: square complex matrix, Hermitian within ``atol`` entrywise.
-        atol: Hermiticity tolerance.
+        m: square complex matrix, Hermitian within ``HERMITIAN_ATOL`` entrywise.
 
     Returns:
         Real eigenvalues, largest first.
@@ -129,25 +150,23 @@ def hermitian_eigenvalues(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.nda
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if float(np.max(np.abs(m - m.conj().T))) > atol:
-        raise ValueError("matrix is not Hermitian")
+    _check_residual(np.max(np.abs(m - m.conj().T)), HERMITIAN_ATOL, "matrix is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
-def clamp_spectrum(values: np.ndarray, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     """Condition an eigenvalue vector for use as a probability spectrum.
 
-    Values in ``[floor, 0)`` are numerical jitter and are clamped to 0, after
-    which the spectrum is renormalized to sum to 1.  Values below ``floor``
-    indicate genuine non-positivity and raise.
+    Values in ``[EIGENVALUE_FLOOR, 0)`` are numerical jitter and are clamped to
+    0, after which the spectrum is renormalized to sum to 1.  Values below the
+    floor indicate genuine non-positivity and raise.
     """
     vals = np.asarray(values, dtype=np.float64)
-    smallest = float(vals.min()) if vals.size else 0.0
-    if smallest < floor:
-        raise ValueError(f"negative eigenvalue {smallest!r} below clamp floor {floor!r}")
+    if vals.size:
+        _check_residual(-vals.min(), -EIGENVALUE_FLOOR, "negative eigenvalue below the clamp floor")
     clamped = np.where(vals < 0.0, 0.0, vals)
     total = float(clamped.sum())
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError("spectrum sums to zero after clamping")
     return clamped / total
 
@@ -221,13 +240,13 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
     return np.linalg.eigvalsh(gram)[::-1].copy()
 
 
-def _check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex array, checked square and unitary within UNITARY_ATOL."""
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    resid = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if resid > atol:
-        raise ValueError(f"matrix is not unitary (max residual {resid:.3e})")
+    resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u
 
 

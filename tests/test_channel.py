@@ -8,6 +8,7 @@ from vncap.qmat import (
     PureState,
     basis_state,
     partial_trace,
+    promote_unitary,
     random_unitary,
     tensor,
 )
@@ -17,6 +18,7 @@ from vncap.channel import (
     DilationChannel,
     KrausChannel,
     apply_channel,
+    as_dilation,
     chain,
     dilation_from_kraus,
     entanglement_fidelity,
@@ -288,6 +290,32 @@ class TestParallel:
         assert t12.mutual_entanglement == pytest.approx(
             t1.mutual_entanglement + t2.mutual_entanglement, abs=1e-9
         )
+
+
+class TestCompositeUnitaries:
+    """chain/parallel contract the dilation tensors; promote_unitary products are the reference."""
+
+    PAIRS = [
+        (random_channel(91), random_channel(92)),
+        (random_channel(93, env_dim=2), random_channel(94, env_dim=3)),
+        (depolarizing_kraus(0.2), dephasing_kraus(0.3)),
+    ]
+
+    @pytest.mark.parametrize("ch1, ch2", PAIRS)
+    def test_chain_matches_promoted_product(self, ch1, ch2):
+        d1, d2 = as_dilation(ch1), as_dilation(ch2)
+        dims = (d1.input_dim, d1.env_dim, d2.env_dim)
+        reference = promote_unitary(d2.u_qe, dims, (0, 2)) @ promote_unitary(d1.u_qe, dims, (0, 1))
+        assert np.abs(chain(ch1, ch2).u_qe - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "ch1, ch2", PAIRS + [(random_channel(95, dim=3, env_dim=2), random_channel(96))]
+    )
+    def test_parallel_matches_promoted_product(self, ch1, ch2):
+        d1, d2 = as_dilation(ch1), as_dilation(ch2)
+        dims = (d1.input_dim, d2.input_dim, d1.env_dim, d2.env_dim)
+        reference = promote_unitary(d1.u_qe, dims, (0, 2)) @ promote_unitary(d2.u_qe, dims, (1, 3))
+        assert np.abs(parallel(ch1, ch2).u_qe - reference).max() <= 1e-12
 
 
 class TestQuantumFanoBound:

@@ -5,10 +5,13 @@ import sys
 
 import pytest
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("VN_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
