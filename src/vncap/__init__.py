@@ -1,13 +1,13 @@
 """Entropy transcripts, capacities, and coding bounds for noisy qubit channels.
 
-The package tracks how much of an initially pure entanglement survives a
-noisy channel.  Inputs are purified against a reference, the noise is dilated
-to a unitary on system plus environment, and every quantity of interest (the
-loss surrendered to the environment, the surviving mutual entanglement, the
-coherent information, the entanglement fidelity) is read off the final
-tripartite pure state.  The depolarizing channel is worked out in closed form
-as the canonical example, alongside classical use, superdense coding,
-randomized inequality audits, and exact sphere-packing bounds.
+The package tracks how much of an initially pure entanglement survives a noisy
+channel.  Inputs are purified against a reference, the system is sent through
+the channel's Kraus branches into an environment register, and every quantity
+of interest (the loss surrendered to the environment, the surviving mutual
+entanglement, the coherent information, the entanglement fidelity) is read off
+the final tripartite pure state.  The depolarizing channel is worked out in
+closed form as the canonical example, alongside classical use, superdense
+coding, randomized inequality audits, and exact sphere-packing bounds.
 """
 
 from .analysis import (

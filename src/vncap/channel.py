@@ -1,8 +1,9 @@
 """CPTP channels in Kraus and unitary-dilation form, and channel transcripts.
 
-A channel run purifies its input against a reference R, dilates the noise as
-a unitary on Q (tensor) E with the environment starting pure, and reads all
-entropic quantities off the final tripartite pure state |Q'R'E'>:
+A channel run purifies its input against a reference R, sends Q through the
+isometry |q> -> sum_k K_k|q> |k>_E' into the branch register E' (a dilation's
+branches are K_k = <k| U (. tensor |env_initial>)), and reads all entropic
+quantities off the final tripartite pure state |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -12,15 +13,15 @@ entropic quantities off the final tripartite pure state |Q'R'E'>:
     coherent I_e  S - L
     fidelity F_e  <QR| rho_{Q'R} |QR>
 
-The factor order of the retained pure state is (Q, R, E), leftmost slowest.
+The factor order of the retained pure state is (Q', R, E'), leftmost slowest.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .qmat import (
     UNITARY_ATOL,
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
+    _as_complex_array,
     _check_residual,
     _check_unitary,
     clamp_spectrum,
@@ -47,14 +48,13 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=np.complex128, copy=True) for k in self.operators)
+        ops = tuple(_as_complex_array(k, 2) for k in self.operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         d = ops[0].shape[0]
         for k in ops:
-            if k.ndim != 2 or k.shape != (d, d):
+            if k.shape != (d, d):
                 raise ValueError(f"Kraus operators must all be {d}x{d}, got {k.shape}")
-            k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
         resid = np.max(np.abs(total - np.eye(d)))
         _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
@@ -74,7 +74,7 @@ class DilationChannel:
     env_initial: PureState
 
     def __post_init__(self):
-        u = _check_unitary(np.array(self.u_qe, dtype=np.complex128, copy=True))
+        u = _check_unitary(self.u_qe)
         if self.env_dim < 1 or u.shape[0] % self.env_dim:
             raise ValueError(
                 f"environment dimension {self.env_dim} does not divide {u.shape[0]}"
@@ -83,7 +83,6 @@ class DilationChannel:
             raise ValueError(
                 f"environment state is {self.env_initial.dim}-dim, expected {self.env_dim}"
             )
-        u.setflags(write=False)
         object.__setattr__(self, "u_qe", u)
 
     @property
@@ -127,6 +126,15 @@ def purify(rho_q: DensityMatrix) -> PureState:
     return PureState(amps, (rho_q.dim, rho_q.dim))
 
 
+def _branches(ch: Channel) -> np.ndarray:
+    """The branch tensor B[q_out, k, q_in]: B_k is the k-th Kraus operator."""
+    if isinstance(ch, KrausChannel):
+        return np.stack(ch.operators, axis=1)
+    d, m = ch.input_dim, ch.env_dim
+    # B[qout, k, qin] = sum_e U[qout k, qin e] env[e]
+    return np.einsum("akbe,e->akb", ch.u_qe.reshape(d, m, d, m), ch.env_initial.amplitudes)
+
+
 def as_dilation(ch: Channel) -> DilationChannel:
     """The channel itself if already dilated, else a minimal isometry completion."""
     if isinstance(ch, DilationChannel):
@@ -141,20 +149,14 @@ def dilation_from_kraus(ch: KrausChannel) -> DilationChannel:
     environment in its initial basis state; the remaining columns are an
     orthonormal completion, so U(|q> |0>_E) reproduces the channel exactly.
     """
-    ops = ch.operators
-    d = ch.input_dim
-    m = len(ops)
+    d, m = ch.input_dim, len(ch.operators)
     full = d * m
-    isometry = np.zeros((full, d), dtype=np.complex128)
-    for k, op in enumerate(ops):
-        isometry[k::m, :] += op  # rows (q', k) in (Q, E) order, E fastest
+    isometry = _branches(ch).reshape(full, d)  # rows (q', k) in (Q, E) order, E fastest
     q_full, _ = np.linalg.qr(isometry, mode="complete")
-    u = np.zeros((full, full), dtype=np.complex128)
-    init_cols = [q * m for q in range(d)]
-    u[:, init_cols] = isometry
-    other_cols = [c for c in range(full) if c % m != 0]
-    u[:, other_cols] = q_full[:, d:]
-    return DilationChannel(u, m, basis_state(m, 0))
+    u = np.empty((full, d, m), dtype=np.complex128)  # columns (q, e) in (Q, E) order
+    u[:, :, 0] = isometry
+    u[:, :, 1:] = q_full[:, d:].reshape(full, d, m - 1)
+    return DilationChannel(u.reshape(full, full), m, basis_state(m, 0))
 
 
 def kraus_from_dilation(ch: DilationChannel, env_basis: np.ndarray | None = None) -> KrausChannel:
@@ -166,10 +168,7 @@ def kraus_from_dilation(ch: DilationChannel, env_basis: np.ndarray | None = None
             per *row*; defaults to the computational basis.  Different bases
             give Kraus representations of the same channel.
     """
-    d, m = ch.input_dim, ch.env_dim
-    u = ch.u_qe.reshape(d, m, d, m)
-    # branch[qout, k, qin] = sum_e U[qout k, qin e] env[e]
-    branch = np.einsum("akbe,e->akb", u, ch.env_initial.amplitudes)
+    m, branch = ch.env_dim, _branches(ch)
     if env_basis is not None:
         basis = np.asarray(env_basis, dtype=np.complex128)
         if basis.shape != (m, m):
@@ -180,12 +179,12 @@ def kraus_from_dilation(ch: DilationChannel, env_basis: np.ndarray | None = None
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     """The output density matrix sum_k K_k rho K_k^dag (factor layout preserved)."""
-    kraus = ch if isinstance(ch, KrausChannel) else kraus_from_dilation(ch)
-    if kraus.input_dim != rho.dim:
+    if ch.input_dim != rho.dim:
         raise ValueError(
-            f"dimension mismatch: channel is {kraus.input_dim}-dim, state is {rho.dim}-dim"
+            f"dimension mismatch: channel is {ch.input_dim}-dim, state is {rho.dim}-dim"
         )
-    out = sum(k @ rho.matrix @ k.conj().T for k in kraus.operators)
+    branches = _branches(ch)
+    out = np.einsum("akb,bc,dkc->ad", branches, rho.matrix, branches.conj())
     return DensityMatrix(out, rho.dims)
 
 
@@ -203,17 +202,13 @@ def run_channel(ch: Channel, rho_q: DensityMatrix, return_state: bool = False):
         ChannelTranscript, or (ChannelTranscript, PureState) with
         ``return_state=True``.
     """
-    dil = as_dilation(ch)
     d = rho_q.dim
-    if dil.input_dim != d:
-        raise ValueError(
-            f"dimension mismatch: channel is {dil.input_dim}-dim, state is {d}-dim"
-        )
+    if ch.input_dim != d:
+        raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
     psi_qr = purify(rho_q)
-    joint = PureState(
-        tensor(psi_qr.amplitudes, dil.env_initial.amplitudes), (d, d, dil.env_dim)
-    )
-    out = apply_unitary(dil.u_qe, joint, targets=(0, 2))
+    # out[q', r, k] = sum_q B[q', k, q] psi[q, r]
+    amps = np.einsum("akb,br->ark", _branches(ch), psi_qr.amplitudes.reshape(d, d))
+    out = PureState(amps.ravel(), amps.shape)
 
     s_in = pure_subsystem_entropy(out, (1,))
     s_out = pure_subsystem_entropy(out, (0,))
@@ -222,8 +217,8 @@ def run_channel(ch: Channel, rho_q: DensityMatrix, return_state: bool = False):
     mutual = 2.0 * s_in - loss
     coherent = s_in - loss
 
-    # F_e = <QR| rho_{Q'R} |QR> = |psi_qr^dag M|^2 with M the (QR, E) reshaping.
-    mat = out.amplitudes.reshape(d * d, dil.env_dim)
+    # F_e = <QR| rho_{Q'R} |QR> = |psi_qr^dag M|^2 with M the (QR, E') reshaping.
+    mat = out.amplitudes.reshape(d * d, -1)
     overlap = psi_qr.amplitudes.conj() @ mat
     fidelity = float(np.real(overlap @ overlap.conj()))
 

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, depolarizing
+from .analysis import MAX_BLOCK_LENGTH  # noqa: F401  (the --n, --k and --n-list cap)
 from .channel import run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
@@ -29,9 +30,8 @@ DEFAULT_N_LIST = "25,50,100,200"
 
 # Work caps, well above every default and benchmark request (16 x 51 grids,
 # blocks up to 4001, 200 trials).  At a cap a request runs under a minute on
-# one x86-64 core (a 5000-long block at p = 0.99 alone: 2.6 s).
+# one x86-64 core.
 MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one sweep
-MAX_BLOCK_LENGTH = 5_000  # --n and each --n-list entry; --k up to twice that
 MAX_N_LIST = 16  # entries of --n-list
 MAX_TRIALS = 10_000  # --trials
 
@@ -176,8 +176,6 @@ def cmd_hamming(args) -> int:
         raise ValueError("provide --p for rates and/or --n/--k/--t for a finite check")
     lines = [f"mode: {args.mode}"]
     if have_finite:
-        _cap(args.n, MAX_BLOCK_LENGTH, "--n")
-        _cap(args.k, 2 * MAX_BLOCK_LENGTH, "--k")  # k > 2n never fits
         query = analysis.HammingQuery(args.n, args.k, args.t, args.mode)
         holds, slack = analysis.hamming_holds(query)
         verdict = "yes" if holds else "no"
@@ -189,7 +187,6 @@ def cmd_hamming(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--n-list: {exc}") from None
         _cap(len(n_list), MAX_N_LIST, "--n-list length")
-        _cap(max(n_list, default=0), MAX_BLOCK_LENGTH, "--n-list entry")
         rows = analysis.asymptotic_consistency(p, n_list, args.mode)
         lines.append(f"rate_bound: {_fmt(analysis.rate_bound(p, args.mode))}")
         lines += [f"n={row.n} t={row.t} k={row.k_max} rate={_fmt(row.rate)}" for row in rows]

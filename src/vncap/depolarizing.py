@@ -33,8 +33,8 @@ from .channel import (
     ChannelTranscript,
     DilationChannel,
     KrausChannel,
+    _branches,
     apply_channel,
-    as_dilation,
 )
 from .entropy import (
     binary_entropy,
@@ -47,7 +47,6 @@ from .entropy import (
 from .qmat import (
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
     pure_marginal,
     tensor,
@@ -220,15 +219,14 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
     marginal as S(Q':R) and S(R|Q'); mutual + loss = H2[q] exactly.
     """
     q = _unit_interval(q, "mixing parameter")
-    dil = as_dilation(ch)
-    if dil.input_dim != 2:
+    if ch.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[6] = math.sqrt(1.0 - q)  # |1_Q 1_X 0_R>
-    amps[1] = -math.sqrt(q)  # |0_Q 0_X 1_R>
-    joint = PureState(tensor(amps, dil.env_initial.amplitudes), (2, 2, 2, dil.env_dim))
-    out = apply_unitary(dil.u_qe, joint, targets=(0, 3))
-    rho_qr = pure_marginal(out, (0, 2))
+    amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
+    amps[1, 1, 0] = math.sqrt(1.0 - q)
+    amps[0, 0, 1] = -math.sqrt(q)
+    # out[q', x, r, k] = sum_q B[q', k, q] amps[q, x, r]
+    out = np.einsum("akb,bxr->axrk", _branches(ch), amps)
+    rho_qr = pure_marginal(PureState(out.ravel(), out.shape), (0, 2))
     diagram = venn2(rho_qr, ((0,), (1,)))
     return diagram.mutual, diagram.cond_b_given_a
 

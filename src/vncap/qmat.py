@@ -50,9 +50,12 @@ def _check_residual(resid, atol: float, what: str) -> None:
 
 
 def _as_complex_array(values, ndim: int) -> np.ndarray:
+    """A read-only complex copy of ``values``: a vector or square matrix, all finite."""
     arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if arr.ndim != ndim or len(set(arr.shape)) > 1:
+        raise ValueError(f"expected {ndim} axes of equal length, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # every matrix entry point, before any residual
+        raise ValueError("array has non-finite (NaN or infinite) entries")
     arr.setflags(write=False)
     return arr
 
@@ -116,7 +119,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_complex_array(self.matrix, 2)
-        spectrum = hermitian_eigenvalues(mat)  # also checks that mat is square
+        spectrum = hermitian_eigenvalues(mat)
         dims = self.dims if self.dims is not None else (mat.shape[0],)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _check_dims(dims, mat.shape[0]))
@@ -145,11 +148,9 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         Real eigenvalues, largest first.
 
     Raises:
-        ValueError: if ``m`` is not Hermitian within tolerance.
+        ValueError: if ``m`` is not a finite square matrix, Hermitian within tolerance.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _as_complex_array(m, 2)
     _check_residual(np.max(np.abs(m - m.conj().T)), HERMITIAN_ATOL, "matrix is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
@@ -199,21 +200,24 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d_keep, d_keep), tuple(dims[i] for i in kept))
 
 
+def _bipartition(psi: PureState, keep: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The state as a (kept, rest) matrix, and the kept factors' dimensions in order."""
+    n = len(psi.dims)
+    kept = tuple(sorted(_check_indices(keep, n)))
+    kept_dims = tuple(psi.dims[i] for i in kept)
+    rest = [i for i in range(n) if i not in kept]
+    mat = psi.amplitudes.reshape(psi.dims).transpose(list(kept) + rest)
+    return mat.reshape(math.prod(kept_dims), -1), kept_dims
+
+
 def pure_marginal(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix of a pure state over the kept factors.
 
     Cheaper than forming the full projector: the state is reshaped to a
     (kept, rest) matrix M and the marginal is M M^dagger.
     """
-    dims = psi.dims
-    n = len(dims)
-    kept = tuple(sorted(_check_indices(keep, n)))
-    rest = [i for i in range(n) if i not in kept]
-    tens = psi.amplitudes.reshape(dims)
-    mat = tens.transpose(list(kept) + rest).reshape(
-        math.prod(dims[i] for i in kept), -1
-    )
-    return DensityMatrix(mat @ mat.conj().T, tuple(dims[i] for i in kept))
+    mat, kept_dims = _bipartition(psi, keep)
+    return DensityMatrix(mat @ mat.conj().T, kept_dims)
 
 
 def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
@@ -224,15 +228,10 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
     matrix of the smaller side is diagonalized.  Returned descending; not yet
     clamped/renormalized.
     """
-    dims = psi.dims
-    n = len(dims)
-    kept = tuple(sorted(_check_indices(keep, n)))
-    rest = [i for i in range(n) if i not in kept]
-    if not rest:
+    mat, kept_dims = _bipartition(psi, keep)
+    if len(kept_dims) == len(psi.dims):
         return np.array([1.0])
-    d_keep = math.prod(dims[i] for i in kept)
-    d_rest = math.prod(dims[i] for i in rest)
-    mat = psi.amplitudes.reshape(dims).transpose(list(kept) + rest).reshape(d_keep, d_rest)
+    d_keep, d_rest = mat.shape
     if d_keep <= d_rest:
         gram = mat @ mat.conj().T
     else:
@@ -241,10 +240,8 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
-    """``u`` as a complex array, checked square and unitary within UNITARY_ATOL."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL."""
+    u = _as_complex_array(u, 2)
     resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u

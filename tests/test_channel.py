@@ -6,13 +6,15 @@ import pytest
 from vncap.qmat import (
     DensityMatrix,
     PureState,
+    apply_unitary,
     basis_state,
     partial_trace,
     promote_unitary,
+    pure_marginal,
     random_unitary,
     tensor,
 )
-from vncap.entropy import binary_entropy, venn2
+from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
 from vncap.channel import (
     ChannelTranscript,
     DilationChannel,
@@ -36,6 +38,8 @@ from vncap.channel import (
 from vncap.depolarizing import (
     DepolParams,
     analytic_transcript,
+    build_dilation,
+    classical_use_channel_simulation,
     dephasing_kraus,
     depolarizing_kraus,
 )
@@ -198,6 +202,103 @@ class TestRunChannel:
         )
         assert state.dims == (2, 2, 1)
         assert isinstance(t, ChannelTranscript)
+
+
+def unitary_run(ch, amps_q_first, dims):
+    """The full-unitary path: |input> (tensor) |env_initial>, then U on (Q, E).
+
+    ``amps_q_first`` is a pure state on ``dims`` with Q as its first factor;
+    the result carries the environment as a new last factor.
+    """
+    dil = as_dilation(ch)
+    joint = PureState(tensor(amps_q_first, dil.env_initial.amplitudes), dims + (dil.env_dim,))
+    return apply_unitary(dil.u_qe, joint, targets=(0, len(dims)))
+
+
+BRANCH_CHANNELS = {
+    **{f"depolarizing({p})": depolarizing_kraus(p) for p in (0.0, 0.1, 0.5, 0.75)},
+    **{f"dephasing({p})": dephasing_kraus(p) for p in (0.0, 0.3, 1.0)},
+    **{
+        f"build_dilation({p}, {q})": build_dilation(DepolParams(p, q))[0]
+        for p, q in ((0.1, 0.3), (0.5, 0.5), (0.9, 0.05))
+    },
+    **{f"random({seed})": random_channel(seed) for seed in (201, 202)},
+    "random(203, env 3)": random_channel(203, env_dim=3),
+    "chain(random, depolarizing)": chain(random_channel(204), depolarizing_kraus(0.2)),
+    "chain(dephasing, build_dilation)": chain(
+        dephasing_kraus(0.4), build_dilation(DepolParams(0.2, 0.7))[0]
+    ),
+    "parallel(random, dephasing)": parallel(random_channel(205), dephasing_kraus(0.1)),
+    "parallel(depolarizing, build_dilation)": parallel(
+        depolarizing_kraus(0.3), build_dilation(DepolParams(0.6, 0.4))[0]
+    ),
+}
+
+
+class TestBranchContraction:
+    """run_channel, apply_channel and classical use contract the Kraus branches;
+    applying the full dilation unitary to the tensored input is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
+    def test_run_and_apply_match_unitary_path(self, name):
+        ch = BRANCH_CHANNELS[name]
+        d = as_dilation(ch).input_dim
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for _ in range(3):
+            rho = random_density(rng, d)
+            psi_qr = purify(rho)
+            reference = unitary_run(ch, psi_qr.amplitudes, (d, d))  # (Q', R, E')
+            t, state = run_channel(ch, rho, return_state=True)
+            assert state.dims == reference.dims
+            assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
+            overlap = psi_qr.amplitudes.conj() @ reference.amplitudes.reshape(d * d, -1)
+            expected = (
+                pure_subsystem_entropy(reference, (1,)),
+                pure_subsystem_entropy(reference, (0,)),
+                pure_subsystem_entropy(reference, (2,)),
+                float(np.real(overlap @ overlap.conj())),
+            )
+            got = (t.s_in, t.s_out, t.s_env, t.fidelity)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+            output = pure_marginal(reference, (0,)).matrix
+            assert np.abs(apply_channel(ch, rho).matrix - output).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in BRANCH_CHANNELS if not n.startswith("parallel"))
+    )
+    def test_classical_use_matches_unitary_path(self, name):
+        ch = BRANCH_CHANNELS[name]
+        for q in (0.0, 0.2, 0.5, 0.9):
+            amps = np.zeros(8, dtype=np.complex128)  # (Q, X, R)
+            amps[6] = np.sqrt(1.0 - q)  # |1_Q 1_X 0_R>
+            amps[1] = -np.sqrt(q)  # |0_Q 0_X 1_R>
+            out = unitary_run(ch, amps, (2, 2, 2))
+            diagram = venn2(pure_marginal(out, (0, 2)), ((0,), (1,)))
+            expected = (diagram.mutual, diagram.cond_b_given_a)
+            got = classical_use_channel_simulation(ch, q)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+    def test_kraus_runs_build_no_dilation(self, monkeypatch):
+        counts = {"qr": 0, "dilation": 0}
+        qr, post_init = np.linalg.qr, DilationChannel.__post_init__
+
+        def counted_qr(*args, **kwargs):
+            counts["qr"] += 1
+            return qr(*args, **kwargs)
+
+        def counted_post_init(self):
+            counts["dilation"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(DilationChannel, "__post_init__", counted_post_init)
+        as_dilation(dephasing_kraus(0.2))
+        assert counts == {"qr": 1, "dilation": 1}  # the counters see a dilation build
+        counts.update(qr=0, dilation=0)
+        for kraus in (dephasing_kraus(0.2), depolarizing_kraus(0.4)):
+            run_channel(kraus, DensityMatrix(np.diag([0.3, 0.7]).astype(complex)))
+            classical_use_channel_simulation(kraus, 0.3)
+        assert counts == {"qr": 0, "dilation": 0}
 
 
 class TestEntanglementFidelity:

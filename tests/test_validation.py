@@ -16,8 +16,12 @@ from hypothesis import strategies as st
 
 from vncap import cli
 from vncap.analysis import (
+    MAX_BLOCK_LENGTH,
+    HammingQuery,
+    asymptotic_consistency,
     audit_axioms,
     audit_inequalities,
+    hamming_holds,
     maximize_scalar_on_unit_interval,
     search_coherent_info_violations,
 )
@@ -122,7 +126,6 @@ class TestLibraryRefusals:
             SCALAR_ENTRY_POINTS[name](x)
 
     @pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @FIXED
     @given(bad=BAD_ENTRY, index=st.integers(min_value=0, max_value=15))
     def test_matrix_entry_points_refuse_non_finite_entries(self, name, bad, index):
@@ -140,6 +143,25 @@ class TestLibraryRefusals:
         ):
             with pytest.raises(ValueError, match="tolerance"):
                 call()
+
+    @pytest.mark.parametrize(
+        "audit", [audit_inequalities, audit_axioms, search_coherent_info_violations]
+    )
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_audits_refuse_no_trials(self, audit, trials):
+        with pytest.raises(ValueError, match="trials"):
+            audit(1, trials)
+
+    def test_hamming_block_caps(self):
+        with pytest.raises(ValueError, match="invalid query"):
+            hamming_holds(HammingQuery(7, 10**400, 1, "quantum"))
+        with pytest.raises(ValueError, match="invalid query"):
+            HammingQuery(MAX_BLOCK_LENGTH + 1, 1, 0, "classical")
+        with pytest.raises(ValueError, match="invalid query"):
+            HammingQuery(7, 2 * MAX_BLOCK_LENGTH + 1, 1, "entanglement")
+        assert not hamming_holds(HammingQuery(7, 2 * MAX_BLOCK_LENGTH, 1, "entanglement"))[0]
+        with pytest.raises(ValueError, match="block length"):
+            asymptotic_consistency(0.99, [100, MAX_BLOCK_LENGTH + 1], "classical")
 
 
 class TestInRangeValuesUnchanged:
