@@ -14,6 +14,7 @@ catch the former.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,15 +37,30 @@ from .qmat import DensityMatrix, PureState, basis_state, random_unitary
 _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Work caps, well above every default and benchmark request (200 trials, four
+# blocks up to 4001).  At a cap a request runs under a minute on one x86-64
+# core; a 5000-long block at p = 0.99 takes 2.6 s.
+MAX_TRIALS = 10_000  # trials of one audit
+MAX_BLOCK_LENGTH = 5_000  # n of a Hamming query or rate row; k above twice it never fits
+MAX_N_LIST = 16  # block lengths in one asymptotic_consistency call
+
 
 def _check_tolerance(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _as_count(x, name: str) -> int:
+    """``x`` as an int; floats (whole ones too), NaN and other non-integers raise ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _check_audit_args(trials: int, tol: float) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= _as_count(trials, "trials") <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     _check_tolerance(tol)
 
 
@@ -314,9 +330,10 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     """Search random mixtures for failures of coherent-information concavity.
 
     The coherent information S - L is known not to share the concavity axiom
-    of the mutual entanglement; this scans the same mixture instances as
-    ``audit_axioms`` and returns the witnesses found (possibly none), each as
-    (trial index, weight, slack).  Deterministic per seed.
+    of the mutual entanglement; this scans mixtures like ``audit_axioms``'s
+    but draws one channel per trial, not two, so at one seed the two share
+    only their first channel.  Returns the witnesses found (possibly none),
+    each as (trial index, weight, slack).  Deterministic per seed.
     """
     _check_audit_args(trials, tol)
     rng = np.random.default_rng(seed)
@@ -343,9 +360,6 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
 # ---------------------------------------------------------------------------
 
 _MODES = ("classical", "quantum", "entanglement")
-# The longest block the Hamming functions accept; k above twice it never fits.
-# A 5000-long block at p = 0.99 takes 2.6 s on one x86-64 core.
-MAX_BLOCK_LENGTH = 5_000
 
 
 @dataclass(frozen=True)
@@ -360,6 +374,8 @@ class HammingQuery:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"invalid query: unknown mode {self.mode!r}")
+        for name in ("n", "k", "t"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), f"invalid query: {name}"))
         n_ok, k_ok = 1 <= self.n <= MAX_BLOCK_LENGTH, 1 <= self.k <= 2 * MAX_BLOCK_LENGTH
         if not (n_ok and k_ok and 0 <= self.t <= self.n):
             raise ValueError(
@@ -431,7 +447,9 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
         raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
     if mode not in _MODES:
         raise ValueError(f"invalid query: unknown mode {mode!r}")
-    n_list = [int(n) for n in n_list]
+    if len(n_list) > MAX_N_LIST:
+        raise ValueError(f"{len(n_list)} block lengths exceed the cap of {MAX_N_LIST}")
+    n_list = [_as_count(n, "block length") for n in n_list]
     for n in n_list:  # all of them before any work
         if not 10 <= n <= MAX_BLOCK_LENGTH:
             raise ValueError(f"block length must be in [10, {MAX_BLOCK_LENGTH}], got {n}")

@@ -1,9 +1,9 @@
 """CPTP channels in Kraus and unitary-dilation form, and channel transcripts.
 
-A channel run purifies its input against a reference R, sends Q through the
-isometry |q> -> sum_k K_k|q> |k>_E' into the branch register E' (a dilation's
-branches are K_k = <k| U (. tensor |env_initial>)), and reads all entropic
-quantities off the final tripartite pure state |Q'R'E'>:
+Every pure input is sent by one contraction: Q goes through the isometry
+|q> -> sum_k K_k|q> |k>_E' into the branch register E' (a dilation's branches
+are K_k = <k| U (. tensor |env_initial>)).  A channel run purifies its input
+against a reference R, sends Q, and reads all entropic quantities off |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -135,6 +135,12 @@ def _branches(ch: Channel) -> np.ndarray:
     return np.einsum("akbe,e->akb", ch.u_qe.reshape(d, m, d, m), ch.env_initial.amplitudes)
 
 
+def _send(ch: Channel, amps: np.ndarray) -> PureState:
+    """out[q', ..., k] = sum_q B[q', k, q] amps[q, ...]: factor 0 (Q) sent, E' last."""
+    out = np.einsum("akb,b...->a...k", _branches(ch), amps)
+    return PureState(out.ravel(), out.shape)
+
+
 def as_dilation(ch: Channel) -> DilationChannel:
     """The channel itself if already dilated, else a minimal isometry completion."""
     if isinstance(ch, DilationChannel):
@@ -206,9 +212,7 @@ def run_channel(ch: Channel, rho_q: DensityMatrix, return_state: bool = False):
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
     psi_qr = purify(rho_q)
-    # out[q', r, k] = sum_q B[q', k, q] psi[q, r]
-    amps = np.einsum("akb,br->ark", _branches(ch), psi_qr.amplitudes.reshape(d, d))
-    out = PureState(amps.ravel(), amps.shape)
+    out = _send(ch, psi_qr.amplitudes.reshape(d, d))  # (Q', R, E')
 
     s_in = pure_subsystem_entropy(out, (1,))
     s_out = pure_subsystem_entropy(out, (0,))

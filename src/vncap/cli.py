@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, depolarizing
-from .analysis import MAX_BLOCK_LENGTH  # noqa: F401  (the --n, --k and --n-list cap)
+from .analysis import MAX_BLOCK_LENGTH, MAX_N_LIST, MAX_TRIALS  # noqa: F401  (library caps)
 from .channel import run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
@@ -28,12 +28,10 @@ DEFAULT_P_RANGE = "0:0.75:0.05"
 DEFAULT_Q_RANGE = "0:1:0.02"
 DEFAULT_N_LIST = "25,50,100,200"
 
-# Work caps, well above every default and benchmark request (16 x 51 grids,
-# blocks up to 4001, 200 trials).  At a cap a request runs under a minute on
-# one x86-64 core.
+# The one CLI-only work cap, well above every default and benchmark request
+# (16 x 51 grids); the library has no sweep.  At the cap a sweep runs under a
+# minute on one x86-64 core.
 MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one sweep
-MAX_N_LIST = 16  # entries of --n-list
-MAX_TRIALS = 10_000  # --trials
 
 QUANTUM_HEADER = "p,q,S,S_prime,S_env,loss,I_Q,fidelity"
 CLASSICAL_HEADER = "p,q,mutual,loss"
@@ -41,11 +39,6 @@ CLASSICAL_HEADER = "p,q,mutual,loss"
 
 def _fmt(x: float) -> str:
     return "%.12g" % (0.0 if x == 0 else float(x))
-
-
-def _cap(value: int, cap: int, flag: str) -> None:
-    if value > cap:
-        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
 
 
 def _diag_qubit(q: float) -> DensityMatrix:
@@ -131,7 +124,9 @@ def cmd_capacity(args) -> int:
 def cmd_sweep(args) -> int:
     p_values = _parse_range(args.p_range, "--p-range")
     q_values = _parse_range(args.q_range, "--q-range")
-    _cap(len(p_values) * len(q_values), MAX_SWEEP_ROWS, "sweep row count")
+    rows = len(p_values) * len(q_values)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
     row, _ = FAMILIES[args.channel, args.use]
     print(QUANTUM_HEADER if args.use == "quantum" else CLASSICAL_HEADER)
     for p in p_values:
@@ -154,7 +149,6 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _cap(args.trials, MAX_TRIALS, "--trials")
     report = analysis.audit_inequalities(_resolve_seed(args), args.trials, args.tol)
     payload = {
         "trials": report.trials,
@@ -186,7 +180,6 @@ def cmd_hamming(args) -> int:
             n_list = [int(v) for v in args.n_list.split(",") if v]
         except ValueError as exc:
             raise ValueError(f"--n-list: {exc}") from None
-        _cap(len(n_list), MAX_N_LIST, "--n-list length")
         rows = analysis.asymptotic_consistency(p, n_list, args.mode)
         lines.append(f"rate_bound: {_fmt(analysis.rate_bound(p, args.mode))}")
         lines += [f"n={row.n} t={row.t} k={row.k_max} rate={_fmt(row.rate)}" for row in rows]

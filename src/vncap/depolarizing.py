@@ -33,12 +33,13 @@ from .channel import (
     ChannelTranscript,
     DilationChannel,
     KrausChannel,
-    _branches,
+    _send,
     apply_channel,
 )
 from .entropy import (
     binary_entropy,
     check_prob_vector,
+    pure_subsystem_entropy,
     shannon_entropy,
     venn2,
     venn3,
@@ -215,8 +216,8 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
 
     The classical bit is recorded in an ancilla X and purified by R: the
     initial state is sqrt(1-q)|1_Q 1_X 0_R> - sqrt(q)|0_Q 0_X 1_R>, the
-    channel acts on Q alone, and (mutual, loss) are read off the (Q', R)
-    marginal as S(Q':R) and S(R|Q'); mutual + loss = H2[q] exactly.
+    channel acts on Q alone, and (mutual, loss) are read off the pure output
+    on (Q', X, R, E') as S(Q':R) and S(R|Q'); mutual + loss = H2[q] exactly.
     """
     q = _unit_interval(q, "mixing parameter")
     if ch.input_dim != 2:
@@ -224,11 +225,10 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
     amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
     amps[1, 1, 0] = math.sqrt(1.0 - q)
     amps[0, 0, 1] = -math.sqrt(q)
-    # out[q', x, r, k] = sum_q B[q', k, q] amps[q, x, r]
-    out = np.einsum("akb,bxr->axrk", _branches(ch), amps)
-    rho_qr = pure_marginal(PureState(out.ravel(), out.shape), (0, 2))
-    diagram = venn2(rho_qr, ((0,), (1,)))
-    return diagram.mutual, diagram.cond_b_given_a
+    out = _send(ch, amps)  # (Q', X, R, E')
+    s_out = pure_subsystem_entropy(out, (0,))
+    s_joint = pure_subsystem_entropy(out, (0, 2))  # S(Q'R)
+    return s_out + pure_subsystem_entropy(out, (2,)) - s_joint, s_joint - s_out
 
 
 def kholevo_chi(probs, outputs) -> float:
@@ -271,15 +271,10 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     both equal the q = 1/2 mutual entanglement of the channel.
     """
     p = _unit_interval(p, "error probability")
-    lifted = KrausChannel(
-        tuple(tensor(k, np.eye(2)) for k in depolarizing_kraus(p).operators)
-    )
-    sent = [apply_channel(lifted, bell.projector()) for bell in q_basis(0.5)]
-    rho = np.zeros((16, 16), dtype=np.complex128)
-    for c, rho_c in enumerate(sent):
-        tag = np.zeros((4, 4), dtype=np.complex128)
-        tag[c, c] = 0.25
-        rho += tensor(tag, rho_c.matrix)
+    ch = depolarizing_kraus(p)
+    sent = [pure_marginal(_send(ch, b.amplitudes.reshape(2, 2)), (0, 1)) for b in q_basis(0.5)]
+    # rho[c, i, c', j] = delta_cc' rho^(c)[i, j] / 4, with rho^(c) on (Q', R)
+    rho = np.einsum("cd,cij->cidj", np.eye(4) / 4, [s.matrix for s in sent]).reshape(16, 16)
     state = DensityMatrix(rho, (4, 2, 2))
     conditional = venn3(state, ((1,), (2,), (0,))).mutual_ab  # S(Q':R | C)
     chi = venn2(state, ((1, 2), (0,))).mutual  # S(Q'R : C)

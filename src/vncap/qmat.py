@@ -119,7 +119,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_complex_array(self.matrix, 2)
-        spectrum = hermitian_eigenvalues(mat)
+        spectrum = _hermitian_spectrum(mat)
         dims = self.dims if self.dims is not None else (mat.shape[0],)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _check_dims(dims, mat.shape[0]))
@@ -150,7 +150,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if ``m`` is not a finite square matrix, Hermitian within tolerance.
     """
-    m = _as_complex_array(m, 2)
+    return _hermitian_spectrum(_as_complex_array(m, 2))
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """``hermitian_eigenvalues`` of a matrix that ``_as_complex_array`` already checked."""
     _check_residual(np.max(np.abs(m - m.conj().T)), HERMITIAN_ATOL, "matrix is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 

@@ -19,6 +19,8 @@ from vncap.channel import (
     ChannelTranscript,
     DilationChannel,
     KrausChannel,
+    _branches,
+    _send,
     apply_channel,
     as_dilation,
     chain,
@@ -267,16 +269,48 @@ class TestBranchContraction:
         "name", sorted(n for n in BRANCH_CHANNELS if not n.startswith("parallel"))
     )
     def test_classical_use_matches_unitary_path(self, name):
+        """Both references read the venn2 diagram of the (Q', R) marginal: one of
+        the unitary path's output, one of the explicit branch contraction's."""
         ch = BRANCH_CHANNELS[name]
-        for q in (0.0, 0.2, 0.5, 0.9):
+        for q in (0.0, 0.2, 0.5, 0.9, 1.0):
             amps = np.zeros(8, dtype=np.complex128)  # (Q, X, R)
             amps[6] = np.sqrt(1.0 - q)  # |1_Q 1_X 0_R>
             amps[1] = -np.sqrt(q)  # |0_Q 0_X 1_R>
-            out = unitary_run(ch, amps, (2, 2, 2))
-            diagram = venn2(pure_marginal(out, (0, 2)), ((0,), (1,)))
-            expected = (diagram.mutual, diagram.cond_b_given_a)
+            contracted = np.einsum("akb,bxr->axrk", _branches(ch), amps.reshape(2, 2, 2))
             got = classical_use_channel_simulation(ch, q)
-            assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+            for out in (
+                unitary_run(ch, amps, (2, 2, 2)),
+                PureState(contracted.ravel(), contracted.shape),
+            ):
+                diagram = venn2(pure_marginal(out, (0, 2)), ((0,), (1,)))
+                expected = (diagram.mutual, diagram.cond_b_given_a)
+                assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
+    def test_send_matches_explicit_contractions(self, name):
+        ch = BRANCH_CHANNELS[name]
+        d = ch.input_dim
+        rng = np.random.default_rng(sum(map(ord, name)))
+        # the (Q, R) layout of run_channel and the (Q, X, R) layout of classical use
+        for shape, subscripts in (((d, d), "akb,br->ark"), ((d, 2, d), "akb,bxr->axrk")):
+            amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            amps /= np.linalg.norm(amps)
+            expected = np.einsum(subscripts, _branches(ch), amps)
+            out = _send(ch, amps)
+            assert out.dims == expected.shape
+            assert np.abs(out.amplitudes - expected.ravel()).max() <= 1e-12
+
+    def test_classical_use_builds_no_density_matrix(self, monkeypatch):
+        built = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        for ch in (dephasing_kraus(0.2), depolarizing_kraus(0.4), random_channel(7)):
+            classical_use_channel_simulation(ch, 0.3)
+        assert built == []
+        DensityMatrix(np.eye(2) / 2)
+        assert built == [1]  # the counter sees a construction
 
     def test_kraus_runs_build_no_dilation(self, monkeypatch):
         counts = {"qr": 0, "dilation": 0}

@@ -11,8 +11,9 @@ from vncap.qmat import (
     pure_marginal,
     tensor,
 )
-from vncap.entropy import binary_entropy
-from vncap.channel import apply_channel, run_channel
+from vncap import depolarizing
+from vncap.entropy import binary_entropy, venn2, venn3
+from vncap.channel import KrausChannel, apply_channel, run_channel
 from vncap.depolarizing import (
     BIT_FLIP,
     BIT_PHASE_FLIP,
@@ -385,6 +386,52 @@ class TestSuperdense:
         for p in (0.05, 0.2, 0.4):
             report = superdense_scenario(p)
             assert report.kholevo_chi == pytest.approx(quantum_capacity(p), abs=1e-9)
+
+    def test_matches_lifted_channel_route(self, monkeypatch):
+        """The lifted route: the channel tensored with the identity on R, applied
+        to each Bell projector, and the block-diagonal state built tag by tag."""
+        states = []
+        post_init = DensityMatrix.__post_init__
+
+        def recorded(self):
+            post_init(self)
+            states.append(self)
+
+        for p in (0.0, 0.05, 0.2, 0.5, 0.75, 0.9, 1.0):
+            lifted = KrausChannel(
+                tuple(tensor(k, np.eye(2)) for k in depolarizing_kraus(p).operators)
+            )
+            rho = np.zeros((16, 16), dtype=np.complex128)
+            for c, bell in enumerate(q_basis(0.5)):
+                tag = np.zeros((4, 4), dtype=np.complex128)
+                tag[c, c] = 0.25
+                rho += tensor(tag, apply_channel(lifted, bell.projector()).matrix)
+            reference = DensityMatrix(rho, (4, 2, 2))
+            with monkeypatch.context() as m:
+                m.setattr(DensityMatrix, "__post_init__", recorded)
+                states.clear()
+                report = superdense_scenario(p)
+            (state,) = [s for s in states if s.dims == (4, 2, 2)]
+            assert np.abs(state.matrix - reference.matrix).max() <= 1e-12
+            expected = (
+                venn3(reference, ((1,), (2,), (0,))).mutual_ab,
+                venn2(reference, ((1, 2), (0,))).mutual,
+            )
+            got = (report.conditional_mutual, report.kholevo_chi)
+            assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+    def test_builds_no_lifted_channel(self, monkeypatch):
+        input_dims = []
+        post_init = KrausChannel.__post_init__
+
+        def recorded(self):
+            post_init(self)
+            input_dims.append(self.input_dim)
+
+        monkeypatch.setattr(KrausChannel, "__post_init__", recorded)
+        monkeypatch.setattr(depolarizing, "apply_channel", None)  # any call would raise
+        superdense_scenario(0.3)
+        assert input_dims == [2]
 
     def test_threshold_value(self):
         threshold = superdense_threshold()

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vncap import cli
+from vncap import cli, qmat
 from vncap.analysis import (
     MAX_BLOCK_LENGTH,
+    MAX_N_LIST,
+    MAX_TRIALS,
     HammingQuery,
     asymptotic_consistency,
     audit_axioms,
@@ -116,6 +118,20 @@ MATRIX_ENTRY_POINTS = {
     ),
 }
 
+# Counts must be integers; none is truncated or rounded.
+NON_INTEGER_COUNTS = {
+    "audit_axioms(nan)": lambda: audit_axioms(1, math.nan),
+    "audit_inequalities(1.0)": lambda: audit_inequalities(1, 1.0),
+    "search_coherent_info_violations(2.5)": lambda: search_coherent_info_violations(1, 2.5),
+    "HammingQuery.n": lambda: hamming_holds(HammingQuery(7.5, 1, 1, "classical")),
+    "HammingQuery.k": lambda: HammingQuery(7, 1.5, 1, "quantum"),
+    "HammingQuery.t": lambda: HammingQuery(7, 1, math.inf, "quantum"),
+    "asymptotic_consistency([25.5])": lambda: asymptotic_consistency(0.1, [25.5], "classical"),
+    "asymptotic_consistency([25, 50.0])": lambda: asymptotic_consistency(
+        0.1, [25, 50.0], "classical"
+    ),
+}
+
 
 class TestLibraryRefusals:
     @pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
@@ -162,6 +178,30 @@ class TestLibraryRefusals:
         assert not hamming_holds(HammingQuery(7, 2 * MAX_BLOCK_LENGTH, 1, "entanglement"))[0]
         with pytest.raises(ValueError, match="block length"):
             asymptotic_consistency(0.99, [100, MAX_BLOCK_LENGTH + 1], "classical")
+
+    @pytest.mark.parametrize(
+        "audit", [audit_inequalities, audit_axioms, search_coherent_info_violations]
+    )
+    def test_audits_cap_trials(self, audit):
+        with pytest.raises(ValueError, match="trials"):
+            audit(1, MAX_TRIALS + 1)
+
+    def test_rate_table_caps_its_length_before_any_work(self):
+        # The length is checked first: the last entry is never looked at.
+        too_many = [10] * MAX_N_LIST + ["not a block length"]
+        with pytest.raises(ValueError, match="cap"):
+            asymptotic_consistency(0.1, too_many, "classical")
+        assert len(asymptotic_consistency(0.1, [10] * MAX_N_LIST, "classical")) == MAX_N_LIST
+
+    @pytest.mark.parametrize("name", sorted(NON_INTEGER_COUNTS))
+    def test_non_integer_counts_are_refused(self, name):
+        with pytest.raises(ValueError, match="integer"):
+            NON_INTEGER_COUNTS[name]()
+
+    def test_integer_counts_keep_their_type(self):
+        query = HammingQuery(np.int64(7), np.int64(1), np.int64(1), "quantum")
+        assert all(type(v) is int for v in (query.n, query.k, query.t))
+        assert hamming_holds(query) == hamming_holds(HammingQuery(7, 1, 1, "quantum"))
 
 
 class TestInRangeValuesUnchanged:
@@ -217,10 +257,23 @@ def test_validated_densities_are_not_diagonalized_again(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
     classical_use_channel_simulation(dephasing_kraus(0.2), 0.3)
-    assert len(calls) == 3  # one per DensityMatrix built
+    assert len(calls) == 3  # one Schmidt spectrum per entropy: S(Q'), S(R), S(Q'R)
     calls.clear()
     superdense_scenario(0.3)
-    assert len(calls) == 17
+    assert len(calls) == 13
+
+
+def test_density_matrix_checks_its_array_once(monkeypatch):
+    calls = []
+    as_complex_array = qmat._as_complex_array
+    monkeypatch.setattr(
+        qmat, "_as_complex_array", lambda *args: calls.append(1) or as_complex_array(*args)
+    )
+    DensityMatrix(np.eye(2) / 2)
+    DensityMatrix(np.eye(4) / 4, (2, 2))
+    assert len(calls) == 2
+    hermitian_eigenvalues(np.eye(2))
+    assert len(calls) == 3
 
 
 def run_cli(*argv):
