@@ -32,9 +32,7 @@ from .channel import (
     DilationChannel,
     KrausChannel,
     apply_channel,
-    as_dilation,
     chain,
-    dilation_from_kraus,
     entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
@@ -86,12 +84,10 @@ from .entropy import (
 from .qmat import (
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
     clamp_spectrum,
     hermitian_eigenvalues,
     partial_trace,
-    promote_unitary,
     pure_marginal,
     pure_subsystem_spectrum,
     random_unitary,

@@ -6,21 +6,22 @@ maximization over arbitrary inputs for channels without the relevant symmetry.
 
 The audits draw seeded random single-qubit dilation channels (4-dim
 environments), run them singly, chained, and in parallel, and verify every
-inequality the transcript framework promises.  A violation beyond tolerance
-always indicates an implementation bug, never physics; the audit exists to
-catch the former.
+inequality the transcript framework promises.  Chains and parallel pairs are
+composed on the channels' Kraus branches (16 branches on a 2- or 4-dim input);
+no composite unitary is built.  A violation beyond tolerance always indicates
+an implementation bug, never physics; the audit exists to catch the former.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import (
+    Channel,
     ChannelTranscript,
     DilationChannel,
     KrausChannel,
@@ -32,7 +33,7 @@ from .channel import (
     transcript_slacks,
 )
 from .entropy import pure_subsystem_entropy, relative_entropy_binary
-from .qmat import DensityMatrix, PureState, basis_state, random_unitary
+from .qmat import DensityMatrix, PureState, _as_count, basis_state, random_unitary
 
 _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,14 +49,6 @@ MAX_N_LIST = 16  # block lengths in one asymptotic_consistency call
 def _check_tolerance(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-
-
-def _as_count(x, name: str) -> int:
-    """``x`` as an int; floats (whole ones too), NaN and other non-integers raise ValueError."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 def _check_audit_args(trials: int, tol: float) -> None:
@@ -156,7 +149,7 @@ def maximize_capacity(
 
 
 def inequality_slacks(
-    ch1: DilationChannel, ch2: DilationChannel, rho_single: DensityMatrix, rho_pair: DensityMatrix
+    ch1: Channel, ch2: Channel, rho_single: DensityMatrix, rho_pair: DensityMatrix
 ) -> dict[str, float]:
     """Every audited inequality's slack for one (ch1, ch2, input) draw.
 
@@ -270,8 +263,8 @@ def audit_inequalities(
 
 
 def mixture_axiom_slacks(
-    ch1: DilationChannel,
-    ch2: DilationChannel,
+    ch1: Channel,
+    ch2: Channel,
     rho1: DensityMatrix,
     rho2: DensityMatrix,
     weight: float,
@@ -396,7 +389,12 @@ class RatePoint:
 
 
 def _sphere_volume(n: int, t: int, syndromes: int) -> int:
-    return sum(syndromes**i * math.comb(n, i) for i in range(t + 1))
+    """sum_{i<=t} syndromes^i C(n, i), each term exactly from the one before."""
+    term = total = 1
+    for i in range(t):
+        term = term * syndromes * (n - i) // (i + 1)
+        total += term
+    return total
 
 
 def _space_exponent(n: int, mode: str) -> int:

@@ -1,9 +1,12 @@
-"""CPTP channels in Kraus and unitary-dilation form, and channel transcripts.
+"""CPTP channels as Kraus branches or unitary dilations, and channel transcripts.
 
 Every pure input is sent by one contraction: Q goes through the isometry
 |q> -> sum_k K_k|q> |k>_E' into the branch register E' (a dilation's branches
-are K_k = <k| U (. tensor |env_initial>)).  A channel run purifies its input
-against a reference R, sends Q, and reads all entropic quantities off |Q'R'E'>:
+are K_k = <k| U (. tensor |env_initial>)).  Composition works on the same
+branches: ``chain`` and ``parallel`` contract the branch tensors into a
+``KrausChannel`` and never build a composite unitary.  A channel run purifies
+its input against a reference R, sends Q, and reads all entropic quantities
+off |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -33,10 +36,10 @@ from .qmat import (
     PureState,
     basis_state,
     _as_complex_array,
+    _as_count,
     _check_residual,
     _check_unitary,
     clamp_spectrum,
-    tensor,
     _unit_interval,
 )
 
@@ -48,21 +51,22 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(_as_complex_array(k, 2) for k in self.operators)
-        if not ops:
+        if not len(self.operators):
             raise ValueError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise ValueError(f"Kraus operators must all be {d}x{d}, got {k.shape}")
-        total = sum(k.conj().T @ k for k in ops)
-        resid = np.max(np.abs(total - np.eye(d)))
+        ops = _as_complex_array(self.operators, 3)  # one (m, d, d) stack
+        total = np.einsum("kab,kac->bc", ops.conj(), ops)  # sum_k K_k^dag K_k
+        resid = np.max(np.abs(total - np.eye(ops.shape[1])))
         _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(ops))
 
     @property
     def input_dim(self) -> int:
         return self.operators[0].shape[0]
+
+    @property
+    def env_dim(self) -> int:
+        """The number of branches, one environment basis state per Kraus operator."""
+        return len(self.operators)
 
 
 @dataclass(frozen=True)
@@ -141,35 +145,11 @@ def _send(ch: Channel, amps: np.ndarray) -> PureState:
     return PureState(out.ravel(), out.shape)
 
 
-def as_dilation(ch: Channel) -> DilationChannel:
-    """The channel itself if already dilated, else a minimal isometry completion."""
-    if isinstance(ch, DilationChannel):
-        return ch
-    return dilation_from_kraus(ch)
-
-
-def dilation_from_kraus(ch: KrausChannel) -> DilationChannel:
-    """Unitary dilation of a Kraus channel with env_dim = number of operators.
-
-    The isometry V|q> = sum_k (K_k |q>) |k>_E occupies the columns with the
-    environment in its initial basis state; the remaining columns are an
-    orthonormal completion, so U(|q> |0>_E) reproduces the channel exactly.
-    """
-    d, m = ch.input_dim, len(ch.operators)
-    full = d * m
-    isometry = _branches(ch).reshape(full, d)  # rows (q', k) in (Q, E) order, E fastest
-    q_full, _ = np.linalg.qr(isometry, mode="complete")
-    u = np.empty((full, d, m), dtype=np.complex128)  # columns (q, e) in (Q, E) order
-    u[:, :, 0] = isometry
-    u[:, :, 1:] = q_full[:, d:].reshape(full, d, m - 1)
-    return DilationChannel(u.reshape(full, full), m, basis_state(m, 0))
-
-
-def kraus_from_dilation(ch: DilationChannel, env_basis: np.ndarray | None = None) -> KrausChannel:
+def kraus_from_dilation(ch: Channel, env_basis: np.ndarray | None = None) -> KrausChannel:
     """Kraus operators K_k = <e_k| U (. tensor |env_initial>).
 
     Args:
-        ch: dilated channel.
+        ch: dilated channel; a KrausChannel's own branches are read the same way.
         env_basis: optional orthonormal environment basis, one basis vector
             per *row*; defaults to the computational basis.  Different bases
             give Kraus representations of the same channel.
@@ -250,53 +230,41 @@ def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -
     return float(np.real(np.trace(rho_qr_in.matrix @ rho_qr_out.matrix)))
 
 
-def chain(ch1: Channel, ch2: Channel) -> DilationChannel:
+def chain(ch1: Channel, ch2: Channel) -> KrausChannel:
     """The composite channel ch2(ch1(.)) with independent environments E1, E2.
 
-    The composite unitary acts on (Q, E1, E2) and is flattened so the
-    environment block is E1 (tensor) E2, E1 slowest.
+    Composed on the branches, B[a, (e, g), b] = sum_c B2[a, g, c] B1[c, e, b],
+    so the branch register is E1 (tensor) E2, E1 slowest; no composite unitary
+    is built.
     """
-    d1, d2 = as_dilation(ch1), as_dilation(ch2)
-    if d1.input_dim != d2.input_dim:
+    if ch1.input_dim != ch2.input_dim:
         raise ValueError(
-            f"dimension mismatch: {d1.input_dim}-dim output into {d2.input_dim}-dim channel"
+            f"dimension mismatch: {ch1.input_dim}-dim output into {ch2.input_dim}-dim channel"
         )
-    d, m1, m2 = d1.input_dim, d1.env_dim, d2.env_dim
-    u1 = d1.u_qe.reshape(d, m1, d, m1)
-    u2 = d2.u_qe.reshape(d, m2, d, m2)
-    # U[c e g, b f h] = sum_a U2[c g, a h] U1[a e, b f] over (Q, E1, E2)
-    u = np.einsum("cgah,aebf->cegbfh", u2, u1).reshape(d * m1 * m2, d * m1 * m2)
-    return DilationChannel(u, m1 * m2, _joint_environment(d1, d2))
+    d, m = ch1.input_dim, ch1.env_dim * ch2.env_dim
+    ops = np.einsum("agc,ceb->egab", _branches(ch2), _branches(ch1))
+    return KrausChannel(ops.reshape(m, d, d))
 
 
-def parallel(ch1: Channel, ch2: Channel) -> DilationChannel:
+def parallel(ch1: Channel, ch2: Channel) -> KrausChannel:
     """The tensor-product channel on Q1 (tensor) Q2 with environments E1, E2.
 
-    Factor order of the composite unitary is (Q1, Q2, E1, E2), flattened to
-    (Q1 Q2) x (E1 E2) for the dilation.
+    Composed on the branches, B[(a, c), (e, g), (b, d)] = B1[a, e, b] B2[c, g, d]:
+    the input is Q1 (tensor) Q2 and the branch register E1 (tensor) E2, the first
+    factor slowest in each; no composite unitary is built.
     """
-    d1, d2 = as_dilation(ch1), as_dilation(ch2)
-    n1, m1, n2, m2 = d1.input_dim, d1.env_dim, d2.input_dim, d2.env_dim
-    u1 = d1.u_qe.reshape(n1, m1, n1, m1)
-    u2 = d2.u_qe.reshape(n2, m2, n2, m2)
-    full = n1 * n2 * m1 * m2
-    u = np.einsum("aebf,cgdh->acegbdfh", u1, u2).reshape(full, full)
-    return DilationChannel(u, m1 * m2, _joint_environment(d1, d2))
-
-
-def _joint_environment(d1: DilationChannel, d2: DilationChannel) -> PureState:
-    return PureState(
-        tensor(d1.env_initial.amplitudes, d2.env_initial.amplitudes),
-        (d1.env_dim * d2.env_dim,),
-    )
+    d, m = ch1.input_dim * ch2.input_dim, ch1.env_dim * ch2.env_dim
+    ops = np.einsum("aeb,cgd->egacbd", _branches(ch1), _branches(ch2))
+    return KrausChannel(ops.reshape(m, d, d))
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
     """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space."""
-    if not (float(code_dim).is_integer() and code_dim >= 2):
+    d = _as_count(code_dim, "code dimension")
+    if d < 2:
         raise ValueError(f"code dimension must be an integer >= 2, got {code_dim!r}")
     f = _unit_interval(fidelity, "fidelity")
-    return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(int(code_dim) - 1))
+    return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(d - 1))
 
 
 def transcript_identity_residuals(t: ChannelTranscript) -> dict[str, float]:

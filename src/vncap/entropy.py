@@ -18,6 +18,7 @@ from .qmat import (
     PROB_SUM_ATOL,
     DensityMatrix,
     PureState,
+    _as_count,
     _check_residual,
     clamp_spectrum,
     partial_trace,
@@ -240,7 +241,8 @@ def classical_mutual_information(joint) -> float:
 
 def classical_fano_bound(p_error: float, s: int) -> float:
     """Fano bound H2[p_err] + p_err log2(s - 1) on equivocation for s codewords."""
-    if not (float(s).is_integer() and s >= 2):
+    count = _as_count(s, "codeword count")
+    if count < 2:
         raise ValueError(f"codeword count must be an integer >= 2, got {s!r}")
     p_error = _unit_interval(p_error, "error probability")
-    return binary_entropy(p_error) + p_error * math.log2(int(s) - 1)
+    return binary_entropy(p_error) + p_error * math.log2(count - 1)

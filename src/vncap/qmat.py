@@ -11,8 +11,9 @@ Everything here is immutable after construction and side-effect free.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
     return 0.0 if x <= 0.0 else 1.0
 
 
+def _as_count(x, name: str) -> int:
+    """``x`` as an int; floats (whole ones too), NaN and other non-integers raise ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _check_residual(resid, atol: float, what: str) -> None:
     """Raise ValueError("<what> (residual ...)") unless ``resid <= atol``; NaN fails."""
     resid = float(resid)
@@ -50,10 +59,14 @@ def _check_residual(resid, atol: float, what: str) -> None:
 
 
 def _as_complex_array(values, ndim: int) -> np.ndarray:
-    """A read-only complex copy of ``values``: a vector or square matrix, all finite."""
-    arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != ndim or len(set(arr.shape)) > 1:
-        raise ValueError(f"expected {ndim} axes of equal length, got shape {arr.shape}")
+    """A read-only complex copy of ``values``: a vector, a square matrix or a stack of
+    square matrices (``ndim`` axes, the last two equal), all entries finite."""
+    try:
+        arr = np.array(values, dtype=np.complex128, copy=True)
+    except ValueError:  # numpy refuses ragged nesting, e.g. matrices of mixed shape
+        raise ValueError("entries have mixed shapes or are not numbers") from None
+    if arr.ndim != ndim or len(set(arr.shape[-2:])) > 1:
+        raise ValueError(f"expected {ndim} axes, the last two equal, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # every matrix entry point, before any residual
         raise ValueError("array has non-finite (NaN or infinite) entries")
     arr.setflags(write=False)
@@ -249,63 +262,6 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u
-
-
-def apply_unitary(u: np.ndarray, psi: PureState, targets: Sequence[int] | None = None) -> PureState:
-    """Apply a unitary to a pure state, optionally on a subset of factors.
-
-    Args:
-        u: unitary matrix (within 1e-10).  With ``targets`` given, its
-            dimension must match the product of the target factor dimensions.
-        psi: input state.
-        targets: factor indices the unitary acts on, identity elsewhere;
-            ``None`` applies ``u`` to the whole space.
-
-    Returns:
-        The transformed PureState (norm re-checked within 1e-12).
-    """
-    u = _check_unitary(u)
-    if targets is None:
-        if u.shape[0] != psi.dim:
-            raise ValueError(
-                f"dimension mismatch: unitary is {u.shape[0]}-dim, state is {psi.dim}-dim"
-            )
-        return PureState(u @ psi.amplitudes, psi.dims)
-    dims = psi.dims
-    tgt = _check_indices(targets, len(dims))
-    d_t = math.prod(dims[i] for i in tgt)
-    if u.shape[0] != d_t:
-        raise ValueError(
-            f"dimension mismatch: unitary is {u.shape[0]}-dim, targets span {d_t}"
-        )
-    tens = psi.amplitudes.reshape(dims)
-    moved = np.moveaxis(tens, tgt, range(len(tgt)))
-    shape = moved.shape
-    out = (u @ moved.reshape(d_t, -1)).reshape(shape)
-    out = np.moveaxis(out, range(len(tgt)), tgt)
-    return PureState(out.ravel(), dims)
-
-
-def promote_unitary(u: np.ndarray, dims: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-    """Embed a unitary acting on ``targets`` into the full space ``dims``.
-
-    The result acts as ``u`` on the target factors (in the listed order) and
-    as the identity on every other factor, with the canonical factor ordering
-    of ``dims`` preserved.
-    """
-    dims = tuple(int(d) for d in dims)
-    tgt = _check_indices(targets, len(dims))
-    rest = [i for i in range(len(dims)) if i not in tgt]
-    cur_order = list(tgt) + rest
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    big = np.kron(np.asarray(u, dtype=np.complex128), np.eye(d_rest))
-    cur_dims = [dims[i] for i in cur_order]
-    perm = [cur_order.index(i) for i in range(len(dims))]
-    n = len(dims)
-    tens = big.reshape(cur_dims + cur_dims)
-    axes = perm + [n + p for p in perm]
-    full = math.prod(dims)
-    return tens.transpose(axes).reshape(full, full)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from vncap import channel, qmat
 from vncap.qmat import DensityMatrix
 from vncap.channel import ChannelTranscript, identity_channel, run_channel
-from vncap.depolarizing import DepolParams, analytic_transcript, build_dilation
+from vncap.depolarizing import (
+    DepolParams,
+    analytic_transcript,
+    build_dilation,
+    dephasing_kraus,
+    depolarizing_kraus,
+)
 from vncap.analysis import (
     AuditReport,
     CapacityResult,
@@ -22,6 +29,8 @@ from vncap.analysis import (
     rate_bound,
     search_coherent_info_violations,
 )
+
+from reference import as_dilation
 
 EXPECTED_SLACK_KEYS = {
     "single:loss_nonneg",
@@ -163,7 +172,43 @@ class TestInequalitySlacks:
             assert value >= -1e-9, (name, value)
 
 
+    def test_kraus_channels_match_their_dilations(self):
+        rng = np.random.default_rng(505)
+        from vncap.analysis import _random_density, _random_diagonal
+
+        ch1, ch2 = depolarizing_kraus(0.2), dephasing_kraus(0.3)
+        dil1, dil2 = as_dilation(ch1), as_dilation(ch2)
+        rho, rho_pair = _random_diagonal(rng, (2,)), _random_diagonal(rng, (2, 2))
+        rho2 = _random_density(rng, 2)
+        for slacks, expected in (
+            (
+                inequality_slacks(ch1, ch2, rho, rho_pair),
+                inequality_slacks(dil1, dil2, rho, rho_pair),
+            ),
+            (
+                mixture_axiom_slacks(ch1, ch2, rho, rho2, 0.3),
+                mixture_axiom_slacks(dil1, dil2, rho, rho2, 0.3),
+            ),
+        ):
+            assert set(slacks) == set(expected)
+            assert max(abs(slacks[k] - expected[k]) for k in slacks) <= 1e-12
+
+
 class TestAuditInequalities:
+    def test_trial_checks_only_the_two_drawn_unitaries(self, monkeypatch):
+        """chain and parallel build no composite unitary, so nothing else is checked."""
+        calls = []
+        check = qmat._check_unitary
+
+        def counted(u):
+            calls.append(u.shape)
+            return check(u)
+
+        for module in (qmat, channel):
+            monkeypatch.setattr(module, "_check_unitary", counted)
+        audit_inequalities(seed=3, trials=1)
+        assert calls == [(8, 8), (8, 8)]
+
     def test_clean_audit(self):
         report = audit_inequalities(seed=11, trials=25)
         assert report.trials == 25

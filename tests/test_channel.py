@@ -6,10 +6,8 @@ import pytest
 from vncap.qmat import (
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
     partial_trace,
-    promote_unitary,
     pure_marginal,
     random_unitary,
     tensor,
@@ -22,9 +20,7 @@ from vncap.channel import (
     _branches,
     _send,
     apply_channel,
-    as_dilation,
     chain,
-    dilation_from_kraus,
     entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
@@ -46,6 +42,8 @@ from vncap.depolarizing import (
     depolarizing_kraus,
 )
 
+from reference import apply_unitary, as_dilation, dilation_from_kraus, promote_unitary
+
 
 def random_density(rng, dim, dims=None):
     w = rng.random(dim) + 1e-9
@@ -59,12 +57,13 @@ def random_channel(seed, dim=2, env_dim=4):
     return DilationChannel(u, env_dim, basis_state(env_dim, 0))
 
 
-def reference_output(ch: DilationChannel, rho: DensityMatrix) -> np.ndarray:
-    """Channel action computed by explicit conjugation and a partial trace."""
-    env = ch.env_initial.projector().matrix
+def reference_output(ch, rho: DensityMatrix) -> np.ndarray:
+    """Channel action computed by conjugation with a unitary dilation and a partial trace."""
+    dil = as_dilation(ch)
+    env = dil.env_initial.projector().matrix
     joint = DensityMatrix(
-        ch.u_qe @ tensor(rho.matrix, env) @ ch.u_qe.conj().T,
-        (rho.dim, ch.env_dim),
+        dil.u_qe @ tensor(rho.matrix, env) @ dil.u_qe.conj().T,
+        (rho.dim, dil.env_dim),
     )
     return partial_trace(joint, {0}).matrix
 
@@ -428,7 +427,9 @@ class TestParallel:
 
 
 class TestCompositeUnitaries:
-    """chain/parallel contract the dilation tensors; promote_unitary products are the reference."""
+    """chain/parallel compose the Kraus branches.  The reference is the promote_unitary
+    product of the two dilations applied to |psi_QR>|env1>|env2>; the whole output state
+    on (Q', R, E1', E2') must agree, which pins the E1-slow order of the branch register."""
 
     PAIRS = [
         (random_channel(91), random_channel(92)),
@@ -436,21 +437,38 @@ class TestCompositeUnitaries:
         (depolarizing_kraus(0.2), dephasing_kraus(0.3)),
     ]
 
+    @staticmethod
+    def assert_matches_unitary_product(composite, u, d1, d2, d):
+        rng = np.random.default_rng(d1.env_dim * d2.env_dim + d)
+        for _ in range(3):
+            rho = random_density(rng, d)
+            envs = tensor(d1.env_initial.amplitudes, d2.env_initial.amplitudes)
+            expected = u @ tensor(purify(rho).amplitudes, envs)
+            _, state = run_channel(composite, rho, return_state=True)
+            assert state.dims == (d, d, d1.env_dim * d2.env_dim)
+            assert np.abs(state.amplitudes - expected).max() <= 1e-12
+
     @pytest.mark.parametrize("ch1, ch2", PAIRS)
     def test_chain_matches_promoted_product(self, ch1, ch2):
         d1, d2 = as_dilation(ch1), as_dilation(ch2)
-        dims = (d1.input_dim, d1.env_dim, d2.env_dim)
-        reference = promote_unitary(d2.u_qe, dims, (0, 2)) @ promote_unitary(d1.u_qe, dims, (0, 1))
-        assert np.abs(chain(ch1, ch2).u_qe - reference).max() <= 1e-12
+        d = d1.input_dim
+        dims = (d, d, d1.env_dim, d2.env_dim)  # (Q, R, E1, E2)
+        u = promote_unitary(d2.u_qe, dims, (0, 3)) @ promote_unitary(d1.u_qe, dims, (0, 2))
+        composite = chain(ch1, ch2)
+        assert isinstance(composite, KrausChannel)
+        self.assert_matches_unitary_product(composite, u, d1, d2, d)
 
     @pytest.mark.parametrize(
         "ch1, ch2", PAIRS + [(random_channel(95, dim=3, env_dim=2), random_channel(96))]
     )
     def test_parallel_matches_promoted_product(self, ch1, ch2):
         d1, d2 = as_dilation(ch1), as_dilation(ch2)
-        dims = (d1.input_dim, d2.input_dim, d1.env_dim, d2.env_dim)
-        reference = promote_unitary(d1.u_qe, dims, (0, 2)) @ promote_unitary(d2.u_qe, dims, (1, 3))
-        assert np.abs(parallel(ch1, ch2).u_qe - reference).max() <= 1e-12
+        n1, n2 = d1.input_dim, d2.input_dim
+        dims = (n1, n2, n1 * n2, d1.env_dim, d2.env_dim)  # (Q1, Q2, R, E1, E2)
+        u = promote_unitary(d1.u_qe, dims, (0, 3)) @ promote_unitary(d2.u_qe, dims, (1, 4))
+        composite = parallel(ch1, ch2)
+        assert isinstance(composite, KrausChannel)
+        self.assert_matches_unitary_product(composite, u, d1, d2, n1 * n2)
 
 
 class TestQuantumFanoBound:

@@ -6,7 +6,6 @@ import pytest
 from vncap.qmat import (
     DensityMatrix,
     PureState,
-    apply_unitary,
     hermitian_eigenvalues,
     pure_marginal,
     tensor,
@@ -37,6 +36,8 @@ from vncap.depolarizing import (
     superdense_threshold,
 )
 from vncap.channel import kraus_from_dilation
+
+from reference import apply_unitary
 
 
 class TestQBasis:

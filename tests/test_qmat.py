@@ -4,18 +4,18 @@ import pytest
 from vncap.qmat import (
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
     clamp_spectrum,
     hermitian_eigenvalues,
     partial_trace,
-    promote_unitary,
     pure_marginal,
     pure_subsystem_spectrum,
     random_unitary,
     tensor,
 )
 from vncap.depolarizing import BIT_FLIP, BIT_PHASE_FLIP, PHASE_FLIP, q_basis
+
+from reference import apply_unitary, promote_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

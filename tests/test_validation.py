@@ -26,6 +26,7 @@ from vncap.analysis import (
     hamming_holds,
     maximize_scalar_on_unit_interval,
     search_coherent_info_violations,
+    _sphere_volume,
 )
 from vncap.channel import DilationChannel, KrausChannel, quantum_fano_bound
 from vncap.depolarizing import (
@@ -50,13 +51,14 @@ from vncap.qmat import (
     UNIT_SLACK,
     DensityMatrix,
     PureState,
-    apply_unitary,
     basis_state,
     clamp_spectrum,
     hermitian_eigenvalues,
     random_unitary,
     _unit_interval,
 )
+
+from reference import apply_unitary
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -118,6 +120,17 @@ MATRIX_ENTRY_POINTS = {
     ),
 }
 
+# The stacked (m, d, d) check of KrausChannel: each refusal and its message.
+KRAUS_STACK_REFUSALS = {
+    "empty": ((), "at least one Kraus operator"),
+    "mixed shapes": ((np.eye(2) / 2, np.eye(3) / 2), "mixed shapes"),
+    "mixed ranks": ((np.eye(2), np.ones(2)), "mixed shapes"),
+    "not square": ((np.ones((2, 3)),), "last two equal"),
+    "nan": ((np.eye(2) / 2, np.full((2, 2), math.nan)), "non-finite"),
+    "inf": ((np.eye(2), np.diag([0.0, math.inf])), "non-finite"),
+    "not trace preserving": ((np.eye(2) / 2, np.eye(2) / 2), "trace preserving"),
+}
+
 # Counts must be integers; none is truncated or rounded.
 NON_INTEGER_COUNTS = {
     "audit_axioms(nan)": lambda: audit_axioms(1, math.nan),
@@ -130,6 +143,8 @@ NON_INTEGER_COUNTS = {
     "asymptotic_consistency([25, 50.0])": lambda: asymptotic_consistency(
         0.1, [25, 50.0], "classical"
     ),
+    "quantum_fano_bound(0.9, 4.0)": lambda: quantum_fano_bound(0.9, 4.0),
+    "classical_fano_bound(0.1, 4.0)": lambda: classical_fano_bound(0.1, 4.0),
 }
 
 
@@ -203,8 +218,32 @@ class TestLibraryRefusals:
         assert all(type(v) is int for v in (query.n, query.k, query.t))
         assert hamming_holds(query) == hamming_holds(HammingQuery(7, 1, 1, "quantum"))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, np.int64(2), np.int64(4)])
+    def test_fano_bounds_take_int_dimensions(self, d):
+        """The values the int(...) coercion gave, for int and numpy.int64 alike."""
+        f, p = 0.9, 0.1
+        log_term = math.log2(int(d) - 1)
+        assert quantum_fano_bound(f, d) == 2.0 * (binary_entropy(f) + (1.0 - f) * log_term)
+        assert classical_fano_bound(p, d) == binary_entropy(p) + p * log_term
+
+    @pytest.mark.parametrize("name", sorted(KRAUS_STACK_REFUSALS))
+    def test_kraus_stack_refusals(self, name):
+        operators, message = KRAUS_STACK_REFUSALS[name]
+        with pytest.raises(ValueError, match=message):
+            KrausChannel(operators)
+
 
 class TestInRangeValuesUnchanged:
+    @FIXED
+    @given(
+        n=st.integers(min_value=0, max_value=600),
+        t=st.integers(min_value=0, max_value=600),
+        syndromes=st.integers(min_value=1, max_value=4),
+    )
+    def test_sphere_volume_matches_binomial_sum(self, n, t, syndromes):
+        expected = sum(syndromes**i * math.comb(n, i) for i in range(t + 1))
+        assert _sphere_volume(n, t, syndromes) == expected
+
     @FIXED
     @given(x=UNIT)
     def test_unit_interval_is_identity_inside(self, x):
