@@ -9,7 +9,7 @@ point) everywhere, and the values match the closed forms
 
 import numpy as np
 
-from vncap.analysis import maximize_capacity, maximize_scalar_on_unit_interval
+from vncap.analysis import maximize_scalar_on_unit_interval
 from vncap.depolarizing import (
     DepolParams,
     analytic_transcript,
@@ -20,8 +20,8 @@ from vncap.depolarizing import (
 
 print("p      quantum   closed    classical closed    argmax_q")
 for p in np.arange(0.0, 0.7501, 0.125):
-    quantum = maximize_capacity(
-        lambda q: analytic_transcript(DepolParams(p, q))
+    quantum = maximize_scalar_on_unit_interval(
+        lambda q: analytic_transcript(DepolParams(p, q)).mutual_entanglement
     )
     classical = maximize_scalar_on_unit_interval(
         lambda q: classical_use_transcript(DepolParams(p, q))[0]

@@ -12,8 +12,9 @@ always add up to the source entropy H2(q).
 
 from vncap.depolarizing import (
     DepolParams,
+    build_dilation,
+    classical_use_channel_simulation,
     classical_use_ensemble,
-    classical_use_simulation,
     classical_use_transcript,
     kholevo_chi,
 )
@@ -25,7 +26,9 @@ for p in (0.0, 0.15, 0.3, 0.6):
         params = DepolParams(p, q)
         mutual, loss = classical_use_transcript(params)
         chi = kholevo_chi(*classical_use_ensemble(params))
-        sim_mutual, sim_loss = classical_use_simulation(params)
+        sim_mutual, sim_loss = classical_use_channel_simulation(
+            build_dilation(params)[0], params.q
+        )
         print(
             f"{p:.2f}  {q:.1f}  {mutual:9.6f}  {chi:9.6f}  {sim_mutual:9.6f}"
             f"  {mutual + loss:11.6f}  {binary_entropy(q):.6f}"

@@ -20,24 +20,21 @@ from .analysis import (
     audit_inequalities,
     hamming_holds,
     inequality_slacks,
-    maximize_capacity,
     maximize_scalar_on_unit_interval,
     mixture_axiom_slacks,
     rate_bound,
     search_coherent_info_violations,
 )
 from .channel import (
-    Channel,
     ChannelTranscript,
-    DilationChannel,
     KrausChannel,
     apply_channel,
     chain,
+    dilation_channel,
     entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
     kraus_channel_to_json,
-    kraus_from_dilation,
     parallel,
     purify,
     quantum_fano_bound,
@@ -52,16 +49,15 @@ from .depolarizing import (
     DepolParams,
     SuperdenseReport,
     analytic_transcript,
-    bisect_root,
     build_dilation,
     classical_capacity,
     classical_use_channel_simulation,
     classical_use_ensemble,
-    classical_use_simulation,
     classical_use_transcript,
     dephasing_kraus,
     dephasing_mutual,
     depolarizing_kraus,
+    dilation_unitary,
     kholevo_chi,
     q_basis,
     quantum_capacity,

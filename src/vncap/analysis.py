@@ -4,12 +4,14 @@ The optimizer works over the diagonal input family rho(q) = diag(q, 1-q);
 results are therefore diagonal-family capacities and make no claim about
 maximization over arbitrary inputs for channels without the relevant symmetry.
 
-The audits draw seeded random single-qubit dilation channels (4-dim
-environments), run them singly, chained, and in parallel, and verify every
-inequality the transcript framework promises.  Chains and parallel pairs are
-composed on the channels' Kraus branches (16 branches on a 2- or 4-dim input);
-no composite unitary is built.  A violation beyond tolerance always indicates
-an implementation bug, never physics; the audit exists to catch the former.
+The audits draw seeded random 8x8 unitaries on a qubit and a 4-dim
+environment, each read once into its four Kraus branches by
+``dilation_channel``, run the channels singly, chained, and in parallel, and
+verify every inequality the transcript framework promises.  Chains and
+parallel pairs are composed on the Kraus branches (16 branches on a 2- or
+4-dim input); no composite unitary is built.  A violation beyond tolerance
+always indicates an implementation bug, never physics; the audit exists to
+catch the former.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import (
-    Channel,
     ChannelTranscript,
-    DilationChannel,
     KrausChannel,
     chain,
-    kraus_from_dilation,
+    dilation_channel,
     parallel,
     quantum_fano_bound,
     run_channel,
@@ -128,28 +128,13 @@ def maximize_scalar_on_unit_interval(f: Callable[[float], float], tol: float = 1
     return CapacityResult(v_grid, q_grid, evals)
 
 
-def maximize_capacity(
-    channel_family: Callable[[float], ChannelTranscript], tol: float = 1e-10
-) -> CapacityResult:
-    """Maximize mutual entanglement over the diagonal input parameter q.
-
-    Args:
-        channel_family: maps q in [0, 1] to the transcript of the channel run
-            on diag(q, 1-q).
-        tol: golden-section interval tolerance on q.
-    """
-    return maximize_scalar_on_unit_interval(
-        lambda q: channel_family(q).mutual_entanglement, tol
-    )
-
-
 # ---------------------------------------------------------------------------
 # Randomized inequality audits
 # ---------------------------------------------------------------------------
 
 
 def inequality_slacks(
-    ch1: Channel, ch2: Channel, rho_single: DensityMatrix, rho_pair: DensityMatrix
+    ch1: KrausChannel, ch2: KrausChannel, rho_single: DensityMatrix, rho_pair: DensityMatrix
 ) -> dict[str, float]:
     """Every audited inequality's slack for one (ch1, ch2, input) draw.
 
@@ -210,11 +195,9 @@ def inequality_slacks(
     return slacks
 
 
-def _random_dilation(rng: np.random.Generator, env_dim: int = 4) -> DilationChannel:
+def _random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
     seed = int(rng.integers(0, 2**63))
-    return DilationChannel(
-        random_unitary(2 * env_dim, seed), env_dim, basis_state(env_dim, 0)
-    )
+    return dilation_channel(random_unitary(2 * env_dim, seed), env_dim, basis_state(env_dim, 0))
 
 
 def _random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
@@ -263,8 +246,8 @@ def audit_inequalities(
 
 
 def mixture_axiom_slacks(
-    ch1: Channel,
-    ch2: Channel,
+    ch1: KrausChannel,
+    ch2: KrausChannel,
     rho1: DensityMatrix,
     rho2: DensityMatrix,
     weight: float,
@@ -284,11 +267,9 @@ def mixture_axiom_slacks(
     i_2 = run_channel(ch1, rho2).mutual_entanglement
     concavity = i_mix - (w * i_on_rho1 + (1.0 - w) * i_2)
 
-    ops1 = kraus_from_dilation(ch1).operators
-    ops2 = kraus_from_dilation(ch2).operators
     mixed_channel = KrausChannel(
-        tuple(math.sqrt(w) * k for k in ops1)
-        + tuple(math.sqrt(1.0 - w) * k for k in ops2)
+        tuple(math.sqrt(w) * k for k in ch1.operators)
+        + tuple(math.sqrt(1.0 - w) * k for k in ch2.operators)
     )
     i_ch2 = run_channel(ch2, rho1).mutual_entanglement
     i_chmix = run_channel(mixed_channel, rho1).mutual_entanglement

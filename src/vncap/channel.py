@@ -1,12 +1,13 @@
-"""CPTP channels as Kraus branches or unitary dilations, and channel transcripts.
+"""CPTP channels as Kraus branches, and channel transcripts.
 
-Every pure input is sent by one contraction: Q goes through the isometry
-|q> -> sum_k K_k|q> |k>_E' into the branch register E' (a dilation's branches
-are K_k = <k| U (. tensor |env_initial>)).  Composition works on the same
-branches: ``chain`` and ``parallel`` contract the branch tensors into a
-``KrausChannel`` and never build a composite unitary.  A channel run purifies
-its input against a reference R, sends Q, and reads all entropic quantities
-off |Q'R'E'>:
+A channel is its Kraus operators {K_k}; a unitary dilation U on Q (tensor) E
+is one way to write them down, and ``dilation_channel`` reads its branches
+K_k = <k| U (. tensor |env_initial>) off once.  Every pure input is sent by
+one contraction: Q goes through the isometry |q> -> sum_k K_k|q> |k>_E' into
+the branch register E'.  Composition works on the same branches: ``chain``
+and ``parallel`` contract the branch tensors into a ``KrausChannel`` and
+never build a composite unitary.  A channel run purifies its input against a
+reference R, sends Q, and reads all entropic quantities off |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .qmat import (
     UNITARY_ATOL,
     DensityMatrix,
     PureState,
-    basis_state,
     _as_complex_array,
     _as_count,
     _check_residual,
@@ -44,9 +43,12 @@ from .qmat import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A channel given by operators {K_k} with sum_k K_k^dag K_k = I."""
+    """A channel given by operators {K_k} with sum_k K_k^dag K_k = I.
+
+    Compared by identity, like the states.
+    """
 
     operators: tuple[np.ndarray, ...]
 
@@ -70,34 +72,6 @@ class KrausChannel:
 
 
 @dataclass(frozen=True)
-class DilationChannel:
-    """A channel as a unitary on Q (tensor) E with a pure initial environment."""
-
-    u_qe: np.ndarray
-    env_dim: int
-    env_initial: PureState
-
-    def __post_init__(self):
-        u = _check_unitary(self.u_qe)
-        if self.env_dim < 1 or u.shape[0] % self.env_dim:
-            raise ValueError(
-                f"environment dimension {self.env_dim} does not divide {u.shape[0]}"
-            )
-        if self.env_initial.dim != self.env_dim:
-            raise ValueError(
-                f"environment state is {self.env_initial.dim}-dim, expected {self.env_dim}"
-            )
-        object.__setattr__(self, "u_qe", u)
-
-    @property
-    def input_dim(self) -> int:
-        return self.u_qe.shape[0] // self.env_dim
-
-
-Channel = Union[KrausChannel, DilationChannel]
-
-
-@dataclass(frozen=True)
 class ChannelTranscript:
     """The entropic summary of one channel run (all entries in bits except fidelity)."""
 
@@ -110,9 +84,26 @@ class ChannelTranscript:
     fidelity: float
 
 
-def identity_channel(dim: int = 2) -> DilationChannel:
-    """The noiseless channel: identity unitary, one-dimensional environment."""
-    return DilationChannel(np.eye(dim, dtype=np.complex128), 1, basis_state(1, 0))
+def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> KrausChannel:
+    """The channel of a unitary U on Q (tensor) E, E starting in |env_initial>.
+
+    Its branches are K_k = <k| U (. tensor |env_initial>), one per environment
+    basis state, with E the fast factor of U.
+    """
+    u = _check_unitary(u_qe)
+    if env_dim < 1 or u.shape[0] % env_dim:
+        raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
+    if env_initial.dim != env_dim:
+        raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
+    d = u.shape[0] // env_dim
+    # B[qout, k, qin] = sum_e U[qout k, qin e] env[e]
+    branches = np.einsum("akbe,e->akb", u.reshape(d, env_dim, d, env_dim), env_initial.amplitudes)
+    return KrausChannel(branches.transpose(1, 0, 2))
+
+
+def identity_channel(dim: int = 2) -> KrausChannel:
+    """The noiseless channel: one identity Kraus operator, a one-dimensional environment."""
+    return KrausChannel((np.eye(dim, dtype=np.complex128),))
 
 
 def purify(rho_q: DensityMatrix) -> PureState:
@@ -130,40 +121,18 @@ def purify(rho_q: DensityMatrix) -> PureState:
     return PureState(amps, (rho_q.dim, rho_q.dim))
 
 
-def _branches(ch: Channel) -> np.ndarray:
+def _branches(ch: KrausChannel) -> np.ndarray:
     """The branch tensor B[q_out, k, q_in]: B_k is the k-th Kraus operator."""
-    if isinstance(ch, KrausChannel):
-        return np.stack(ch.operators, axis=1)
-    d, m = ch.input_dim, ch.env_dim
-    # B[qout, k, qin] = sum_e U[qout k, qin e] env[e]
-    return np.einsum("akbe,e->akb", ch.u_qe.reshape(d, m, d, m), ch.env_initial.amplitudes)
+    return np.stack(ch.operators, axis=1)
 
 
-def _send(ch: Channel, amps: np.ndarray) -> PureState:
+def _send(ch: KrausChannel, amps: np.ndarray) -> PureState:
     """out[q', ..., k] = sum_q B[q', k, q] amps[q, ...]: factor 0 (Q) sent, E' last."""
     out = np.einsum("akb,b...->a...k", _branches(ch), amps)
     return PureState(out.ravel(), out.shape)
 
 
-def kraus_from_dilation(ch: Channel, env_basis: np.ndarray | None = None) -> KrausChannel:
-    """Kraus operators K_k = <e_k| U (. tensor |env_initial>).
-
-    Args:
-        ch: dilated channel; a KrausChannel's own branches are read the same way.
-        env_basis: optional orthonormal environment basis, one basis vector
-            per *row*; defaults to the computational basis.  Different bases
-            give Kraus representations of the same channel.
-    """
-    m, branch = ch.env_dim, _branches(ch)
-    if env_basis is not None:
-        basis = np.asarray(env_basis, dtype=np.complex128)
-        if basis.shape != (m, m):
-            raise ValueError(f"environment basis must be {m}x{m}, got {basis.shape}")
-        branch = np.einsum("ke,aeb->akb", basis.conj(), branch)
-    return KrausChannel(tuple(branch[:, k, :] for k in range(m)))
-
-
-def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
+def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """The output density matrix sum_k K_k rho K_k^dag (factor layout preserved)."""
     if ch.input_dim != rho.dim:
         raise ValueError(
@@ -174,11 +143,11 @@ def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out, rho.dims)
 
 
-def run_channel(ch: Channel, rho_q: DensityMatrix, return_state: bool = False):
+def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = False):
     """Send ``rho_q`` through the channel and read off the entropic transcript.
 
     Args:
-        ch: the channel, in either representation.
+        ch: the channel.
         rho_q: input state on Q.
         return_state: if True, also return the final tripartite PureState on
             (Q', R, E') for audits that need joint entropies the transcript
@@ -230,7 +199,7 @@ def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -
     return float(np.real(np.trace(rho_qr_in.matrix @ rho_qr_out.matrix)))
 
 
-def chain(ch1: Channel, ch2: Channel) -> KrausChannel:
+def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """The composite channel ch2(ch1(.)) with independent environments E1, E2.
 
     Composed on the branches, B[a, (e, g), b] = sum_c B2[a, g, c] B1[c, e, b],
@@ -246,7 +215,7 @@ def chain(ch1: Channel, ch2: Channel) -> KrausChannel:
     return KrausChannel(ops.reshape(m, d, d))
 
 
-def parallel(ch1: Channel, ch2: Channel) -> KrausChannel:
+def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """The tensor-product channel on Q1 (tensor) Q2 with environments E1, E2.
 
     Composed on the branches, B[(a, c), (e, g), (b, d)] = B1[a, e, b] B2[c, g, d]:

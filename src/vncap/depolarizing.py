@@ -31,10 +31,10 @@ import numpy as np
 
 from .channel import (
     ChannelTranscript,
-    DilationChannel,
     KrausChannel,
     _send,
     apply_channel,
+    dilation_channel,
 )
 from .entropy import (
     binary_entropy,
@@ -120,8 +120,8 @@ def dephasing_kraus(p: float) -> KrausChannel:
     )
 
 
-def build_dilation(params: DepolParams) -> tuple[DilationChannel, PureState]:
-    """Explicit dilation on Q(2) x E(4), plus the entangled input |psi_minus(q)>.
+def dilation_unitary(params: DepolParams) -> tuple[np.ndarray, PureState]:
+    """The explicit 8x8 dilation unitary on Q(2) x E(4) and its initial environment.
 
     The unitary applies each error branch conditioned on the matching q-basis
     projector of the environment; the environment starts in the superposition
@@ -144,7 +144,13 @@ def build_dilation(params: DepolParams) -> tuple[DilationChannel, PureState]:
         + math.sqrt(params.p / 3.0)
         * (phi_minus.amplitudes + phi_plus.amplitudes + psi_plus.amplitudes)
     )
-    return DilationChannel(u, 4, PureState(env, (4,))), psi_minus
+    return u, PureState(env, (4,))
+
+
+def build_dilation(params: DepolParams) -> tuple[KrausChannel, PureState]:
+    """The channel of ``dilation_unitary``, plus the entangled input |psi_minus(q)>."""
+    u, env = dilation_unitary(params)
+    return dilation_channel(u, 4, env), q_basis(params.q)[2]
 
 
 def analytic_transcript(params: DepolParams) -> ChannelTranscript:
@@ -203,12 +209,6 @@ def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
     s_out = binary_entropy(q + flip * (1.0 - 2.0 * q))
     loss = shannon_entropy(joint) - s_out
     return binary_entropy(q) - loss, loss
-
-
-def classical_use_simulation(params: DepolParams) -> tuple[float, float]:
-    """(mutual information, classical loss) from the 32-dim ancilla simulation."""
-    dil, _ = build_dilation(params)
-    return classical_use_channel_simulation(dil, params.q)
 
 
 def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
@@ -281,27 +281,18 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     return SuperdenseReport(conditional_mutual=conditional, kholevo_chi=chi, p=p)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] by bisection; endpoints must bracket a sign change."""
-    flo, fhi = float(f(lo)), float(f(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+def superdense_threshold() -> float:
+    """The error rate where the superdense advantage disappears (capacity = 1).
+
+    Bisection on [0, 3/4], where the capacity falls from 2 to 0 bits.
+    """
+    lo, hi = 0.0, 0.75
+    while True:
         mid = 0.5 * (lo + hi)
-        fmid = float(f(mid))
-        if fmid == 0.0 or hi - lo < tol:
+        excess = quantum_capacity(mid) - 1.0
+        if excess == 0.0 or hi - lo < 1e-10:
             return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+        if excess > 0.0:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def superdense_threshold() -> float:
-    """The error rate where the superdense advantage disappears (capacity = 1)."""
-    return bisect_root(lambda p: quantum_capacity(p) - 1.0, 0.0, 0.75, tol=1e-10)

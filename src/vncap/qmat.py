@@ -91,9 +91,13 @@ def _check_indices(indices, n_factors: int) -> tuple[int, ...]:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized state vector together with its tensor-factor dimensions."""
+    """A normalized state vector together with its tensor-factor dimensions.
+
+    States hold arrays, so they compare by identity: ``==`` is ``is`` and
+    hashing works.
+    """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
@@ -116,7 +120,7 @@ class PureState:
         return DensityMatrix(mat, self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, positive, unit-trace operator with factor dimensions.
 
@@ -124,11 +128,12 @@ class DensityMatrix:
     and eigenvalue positivity (floor -1e-10), so any DensityMatrix in
     circulation is a genuine quantum state up to numerical jitter.  The
     spectrum computed on the way is kept, descending, as ``spectrum``.
+    Compared by identity, like ``PureState``.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _as_complex_array(self.matrix, 2)

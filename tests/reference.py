@@ -2,18 +2,32 @@
 
 The library sends and composes channels through their Kraus branches only.
 These functions build and apply the full unitaries on (Q, E) instead, so tests
-can check the branch contractions against an independent route.
+can check the branch contractions against an independent route.  A unitary
+and its initial environment travel together as a ``Dilation`` record, whose
+fields are the arguments of ``vncap.channel.dilation_channel``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from vncap.channel import Channel, DilationChannel, KrausChannel, _branches
+from vncap.channel import KrausChannel, _branches
 from vncap.qmat import PureState, _check_indices, _check_unitary, basis_state
+
+
+class Dilation(NamedTuple):
+    """A unitary on (Q, E), E the fast factor, and the environment's initial state."""
+
+    u_qe: np.ndarray
+    env_dim: int
+    env_initial: PureState
+
+    @property
+    def input_dim(self) -> int:
+        return self.u_qe.shape[0] // self.env_dim
 
 
 def apply_unitary(u: np.ndarray, psi: PureState, targets: Sequence[int] | None = None) -> PureState:
@@ -73,14 +87,14 @@ def promote_unitary(u: np.ndarray, dims: Sequence[int], targets: Sequence[int]) 
     return tens.transpose(axes).reshape(full, full)
 
 
-def as_dilation(ch: Channel) -> DilationChannel:
-    """The channel itself if already dilated, else a minimal isometry completion."""
-    if isinstance(ch, DilationChannel):
+def as_dilation(ch: KrausChannel | Dilation) -> Dilation:
+    """The record itself if already a dilation, else a minimal isometry completion."""
+    if isinstance(ch, Dilation):
         return ch
     return dilation_from_kraus(ch)
 
 
-def dilation_from_kraus(ch: KrausChannel) -> DilationChannel:
+def dilation_from_kraus(ch: KrausChannel) -> Dilation:
     """Unitary dilation of a Kraus channel with env_dim = number of operators.
 
     The isometry V|q> = sum_k (K_k |q>) |k>_E occupies the columns with the
@@ -94,4 +108,4 @@ def dilation_from_kraus(ch: KrausChannel) -> DilationChannel:
     u = np.empty((full, d, m), dtype=np.complex128)  # columns (q, e) in (Q, E) order
     u[:, :, 0] = isometry
     u[:, :, 1:] = q_full[:, d:].reshape(full, d, m - 1)
-    return DilationChannel(u.reshape(full, full), m, basis_state(m, 0))
+    return Dilation(_check_unitary(u.reshape(full, full)), m, basis_state(m, 0))

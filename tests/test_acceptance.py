@@ -26,8 +26,8 @@ from vncap.depolarizing import (
     analytic_transcript,
     build_dilation,
     classical_capacity,
+    classical_use_channel_simulation,
     classical_use_ensemble,
-    classical_use_simulation,
     classical_use_transcript,
     dephasing_kraus,
     kholevo_chi,
@@ -41,7 +41,7 @@ from vncap.analysis import (
     audit_axioms,
     audit_inequalities,
     hamming_holds,
-    maximize_capacity,
+    maximize_scalar_on_unit_interval,
     rate_bound,
     _random_density,
     _random_diagonal,
@@ -104,8 +104,8 @@ def test_criterion_02_capacity_endpoints():
 def test_criterion_03_optimizer_finds_symmetric_peak():
     failures = []
     for p in (0.1, 0.3, 0.6):
-        result = maximize_capacity(
-            lambda q: analytic_transcript(DepolParams(p, q))
+        result = maximize_scalar_on_unit_interval(
+            lambda q: analytic_transcript(DepolParams(p, q)).mutual_entanglement
         )
         if abs(result.argmax_q - 0.5) > 1e-6:
             failures.append((p, "argmax", result.argmax_q))
@@ -136,7 +136,9 @@ def test_criterion_05_classical_use():
             chi = kholevo_chi(*classical_use_ensemble(params))
             if abs(mutual - chi) > 1e-9:
                 failures.append((p, q, "kholevo", mutual - chi))
-            sim_mutual, sim_loss = classical_use_simulation(params)
+            sim_mutual, sim_loss = classical_use_channel_simulation(
+                build_dilation(params)[0], params.q
+            )
             if abs(mutual - sim_mutual) > 1e-9 or abs(loss - sim_loss) > 1e-9:
                 failures.append((p, q, "simulation", sim_mutual, sim_loss))
     _verdict(5, "classical use: closed form, ensemble, simulation", failures)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vncap import channel, qmat
-from vncap.qmat import DensityMatrix
-from vncap.channel import ChannelTranscript, identity_channel, run_channel
+from vncap.qmat import DensityMatrix, PureState
+from vncap.channel import ChannelTranscript, chain, identity_channel, run_channel
+from vncap.entropy import pure_subsystem_entropy
 from vncap.depolarizing import (
     DepolParams,
     analytic_transcript,
@@ -23,12 +24,13 @@ from vncap.analysis import (
     audit_inequalities,
     hamming_holds,
     inequality_slacks,
-    maximize_capacity,
     maximize_scalar_on_unit_interval,
     mixture_axiom_slacks,
     rate_bound,
     search_coherent_info_violations,
 )
+
+from vncap.channel import dilation_channel
 
 from reference import as_dilation
 
@@ -101,27 +103,33 @@ class TestScalarMaximizer:
 
 class TestMaximizeCapacity:
     def test_closed_form_family(self):
-        result = maximize_capacity(lambda q: analytic_transcript(DepolParams(0.1, q)))
+        result = maximize_scalar_on_unit_interval(
+            lambda q: analytic_transcript(DepolParams(0.1, q)).mutual_entanglement
+        )
         assert result.value == pytest.approx(1.372508156338603, abs=1e-9)
         assert result.argmax_q == pytest.approx(0.5, abs=1e-6)
 
     def test_noiseless_family(self):
-        result = maximize_capacity(lambda q: analytic_transcript(DepolParams(0.0, q)))
+        result = maximize_scalar_on_unit_interval(
+            lambda q: analytic_transcript(DepolParams(0.0, q)).mutual_entanglement
+        )
         assert result.value == pytest.approx(2.0, abs=1e-12)
         assert result.argmax_q == pytest.approx(0.5, abs=1e-6)
 
     def test_fully_noisy_family_is_flat_zero(self):
-        result = maximize_capacity(lambda q: analytic_transcript(DepolParams(0.75, q)))
+        result = maximize_scalar_on_unit_interval(
+            lambda q: analytic_transcript(DepolParams(0.75, q)).mutual_entanglement
+        )
         assert result.value == pytest.approx(0.0, abs=1e-12)
 
     def test_simulated_family_matches_closed_form(self):
         def family(q):
-            dil, entangled = build_dilation(DepolParams(0.3, q))
+            ch, entangled = build_dilation(DepolParams(0.3, q))
             from vncap.qmat import pure_marginal
 
-            return run_channel(dil, pure_marginal(entangled, (0,)))
+            return run_channel(ch, pure_marginal(entangled, (0,)))
 
-        result = maximize_capacity(family)
+        result = maximize_scalar_on_unit_interval(lambda q: family(q).mutual_entanglement)
         assert result.value == pytest.approx(0.6432203505529606, abs=1e-9)
         assert result.argmax_q == pytest.approx(0.5, abs=1e-6)
         assert isinstance(result, CapacityResult)
@@ -171,13 +179,29 @@ class TestInequalitySlacks:
         for name, value in slacks.items():
             assert value >= -1e-9, (name, value)
 
+    def test_chain_state_keeps_e1_before_e2(self):
+        """inequality_slacks reads the chain state as (Q2', R, E1', E2').  ch2 touches
+        neither R nor E1, so S(R E1') there is S(R E') of ch1 alone; read with E1
+        and E2 swapped it would be S(R E2'), which differs."""
+        rng = np.random.default_rng(606)
+        from vncap.analysis import _random_diagonal, _random_dilation
+
+        for _ in range(5):
+            ch1 = _random_dilation(rng)
+            ch2 = _random_dilation(rng)
+            rho = _random_diagonal(rng, (2,))
+            _, single = run_channel(ch1, rho, return_state=True)  # (Q1', R, E')
+            _, chained = run_channel(chain(ch1, ch2), rho, return_state=True)
+            fine = PureState(chained.amplitudes, (2, 2, ch1.env_dim, ch2.env_dim))
+            s_re1 = pure_subsystem_entropy(fine, (1, 2))
+            assert abs(s_re1 - pure_subsystem_entropy(single, (1, 2))) <= 1e-12
 
     def test_kraus_channels_match_their_dilations(self):
         rng = np.random.default_rng(505)
         from vncap.analysis import _random_density, _random_diagonal
 
         ch1, ch2 = depolarizing_kraus(0.2), dephasing_kraus(0.3)
-        dil1, dil2 = as_dilation(ch1), as_dilation(ch2)
+        dil1, dil2 = (dilation_channel(*as_dilation(ch)) for ch in (ch1, ch2))
         rho, rho_pair = _random_diagonal(rng, (2,)), _random_diagonal(rng, (2, 2))
         rho2 = _random_density(rng, 2)
         for slacks, expected in (

@@ -13,19 +13,19 @@ from vncap.qmat import (
     tensor,
 )
 from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
+from vncap import channel
 from vncap.channel import (
     ChannelTranscript,
-    DilationChannel,
     KrausChannel,
     _branches,
     _send,
     apply_channel,
     chain,
+    dilation_channel,
     entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
     kraus_channel_to_json,
-    kraus_from_dilation,
     parallel,
     purify,
     quantum_fano_bound,
@@ -40,9 +40,10 @@ from vncap.depolarizing import (
     classical_use_channel_simulation,
     dephasing_kraus,
     depolarizing_kraus,
+    dilation_unitary,
 )
 
-from reference import apply_unitary, as_dilation, dilation_from_kraus, promote_unitary
+from reference import Dilation, apply_unitary, as_dilation, dilation_from_kraus, promote_unitary
 
 
 def random_density(rng, dim, dims=None):
@@ -52,9 +53,27 @@ def random_density(rng, dim, dims=None):
     return DensityMatrix(u @ np.diag(w.astype(complex)) @ u.conj().T, dims)
 
 
+def random_dilation(seed, dim=2, env_dim=4):
+    return Dilation(random_unitary(dim * env_dim, seed), env_dim, basis_state(env_dim, 0))
+
+
 def random_channel(seed, dim=2, env_dim=4):
-    u = random_unitary(dim * env_dim, seed)
-    return DilationChannel(u, env_dim, basis_state(env_dim, 0))
+    return dilation_channel(*random_dilation(seed, dim, env_dim))
+
+
+def dilation_pair(dil):
+    """The channel ``dilation_channel`` reads off ``dil``, with ``dil`` as its reference."""
+    return dilation_channel(*dil), dil
+
+
+def kraus_pair(ch):
+    """A Kraus channel, with the isometry completion of its branches as its reference."""
+    return ch, dilation_from_kraus(ch)
+
+
+def depolarizing_dilation(p, q):
+    u, env = dilation_unitary(DepolParams(p, q))
+    return Dilation(u, 4, env)
 
 
 def reference_output(ch, rho: DensityMatrix) -> np.ndarray:
@@ -66,6 +85,22 @@ def reference_output(ch, rho: DensityMatrix) -> np.ndarray:
         (rho.dim, dil.env_dim),
     )
     return partial_trace(joint, {0}).matrix
+
+
+def test_array_holding_types_compare_by_identity():
+    """==, != and hash work on channels and states: equal only to themselves,
+    no array comparison, no "truth value of an array" error."""
+    assert (dephasing_kraus(0.2) == dephasing_kraus(0.2)) is False
+    for make in (
+        lambda: dephasing_kraus(0.2),
+        lambda: basis_state(2, 0),
+        lambda: DensityMatrix(np.eye(2) / 2),
+    ):
+        x, y = make(), make()
+        assert x == x and not x != x
+        assert x != y
+        assert hash(x) == hash(x)
+        assert len({x, y, x}) == 2
 
 
 class TestPurify:
@@ -103,23 +138,24 @@ class TestPurify:
 
 class TestRepresentationConversion:
     def test_identity_dilation_yields_single_kraus(self):
-        ch = kraus_from_dilation(identity_channel(2))
-        assert len(ch.operators) == 1
-        assert np.allclose(ch.operators[0], np.eye(2), atol=1e-12)
+        for ch in (identity_channel(2), dilation_channel(np.eye(2), 1, basis_state(1, 0))):
+            assert len(ch.operators) == 1
+            assert np.allclose(ch.operators[0], np.eye(2), atol=1e-12)
 
     def test_kraus_from_dilation_matches_conjugation(self):
         rng = np.random.default_rng(32)
-        for seed in (1, 2, 3):
-            dil = random_channel(seed)
-            kr = kraus_from_dilation(dil)
+        for seed, dim, env_dim in ((1, 2, 4), (2, 2, 4), (3, 2, 4), (4, 3, 2), (5, 2, 3)):
+            dil = random_dilation(seed, dim, env_dim)
+            kr = dilation_channel(*dil)
+            assert kr.env_dim == env_dim
             for _ in range(5):
-                rho = random_density(rng, 2)
+                rho = random_density(rng, dim)
                 out = apply_channel(kr, rho).matrix
-                assert np.allclose(out, reference_output(dil, rho), atol=1e-12)
+                assert np.abs(out - reference_output(dil, rho)).max() <= 1e-12
 
     def test_dilation_from_kraus_matches_conjugation(self):
         rng = np.random.default_rng(33)
-        base = kraus_from_dilation(random_channel(7))
+        base = random_channel(7)
         dil = dilation_from_kraus(base)
         for _ in range(5):
             rho = random_density(rng, 2)
@@ -129,7 +165,7 @@ class TestRepresentationConversion:
     def test_round_trip_preserves_channel_action(self):
         rng = np.random.default_rng(34)
         kr = depolarizing_kraus(0.3)
-        back = kraus_from_dilation(dilation_from_kraus(kr))
+        back = dilation_channel(*dilation_from_kraus(kr))
         for _ in range(5):
             rho = random_density(rng, 2)
             a = apply_channel(kr, rho).matrix
@@ -138,8 +174,10 @@ class TestRepresentationConversion:
 
     def test_environment_basis_change_keeps_channel(self):
         rng = np.random.default_rng(35)
-        dil = random_channel(11)
-        rotated = kraus_from_dilation(dil, env_basis=random_unitary(4, 12))
+        dil = random_dilation(11)
+        branches = np.array(dilation_channel(*dil).operators)
+        basis = random_unitary(4, 12)  # one environment basis vector per row
+        rotated = KrausChannel(np.einsum("ke,eab->kab", basis.conj(), branches))
         for _ in range(5):
             rho = random_density(rng, 2)
             assert np.allclose(
@@ -153,7 +191,15 @@ class TestRepresentationConversion:
 
     def test_dilation_unitarity_enforced(self):
         with pytest.raises(ValueError, match="not unitary"):
-            DilationChannel(np.ones((4, 4)), 2, basis_state(2, 0))
+            dilation_channel(np.ones((4, 4)), 2, basis_state(2, 0))
+
+    def test_dilation_shape_refusals(self):
+        u = random_unitary(8, 13)
+        for env_dim in (0, 3):
+            with pytest.raises(ValueError, match=f"environment dimension {env_dim} does not divide 8"):
+                dilation_channel(u, env_dim, basis_state(4, 0))
+        with pytest.raises(ValueError, match="environment state is 2-dim, expected 4"):
+            dilation_channel(u, 4, basis_state(2, 0))
 
 
 class TestRunChannel:
@@ -171,9 +217,9 @@ class TestRunChannel:
 
     def test_output_entropy_matches_output_state(self):
         rng = np.random.default_rng(36)
-        dil = random_channel(21)
+        dil = random_dilation(21)
         rho = random_density(rng, 2)
-        t = run_channel(dil, rho)
+        t = run_channel(dilation_channel(*dil), rho)
         from vncap.entropy import von_neumann_entropy
 
         rho_out = DensityMatrix(reference_output(dil, rho))
@@ -182,7 +228,7 @@ class TestRunChannel:
     def test_fidelity_matches_entanglement_fidelity(self):
         rng = np.random.default_rng(37)
         for seed in (41, 42):
-            kr = kraus_from_dilation(random_channel(seed))
+            kr = random_channel(seed)
             rho = random_density(rng, 2)
             t = run_channel(kr, rho)
             psi_qr = purify(rho)
@@ -205,33 +251,39 @@ class TestRunChannel:
         assert isinstance(t, ChannelTranscript)
 
 
-def unitary_run(ch, amps_q_first, dims):
+def unitary_run(dil, amps_q_first, dims):
     """The full-unitary path: |input> (tensor) |env_initial>, then U on (Q, E).
 
     ``amps_q_first`` is a pure state on ``dims`` with Q as its first factor;
     the result carries the environment as a new last factor.
     """
-    dil = as_dilation(ch)
     joint = PureState(tensor(amps_q_first, dil.env_initial.amplitudes), dims + (dil.env_dim,))
     return apply_unitary(dil.u_qe, joint, targets=(0, len(dims)))
 
 
+# name -> (channel, the Dilation its unitary path runs through)
 BRANCH_CHANNELS = {
-    **{f"depolarizing({p})": depolarizing_kraus(p) for p in (0.0, 0.1, 0.5, 0.75)},
-    **{f"dephasing({p})": dephasing_kraus(p) for p in (0.0, 0.3, 1.0)},
+    **{f"depolarizing({p})": kraus_pair(depolarizing_kraus(p)) for p in (0.0, 0.1, 0.5, 0.75)},
+    **{f"dephasing({p})": kraus_pair(dephasing_kraus(p)) for p in (0.0, 0.3, 1.0)},
     **{
-        f"build_dilation({p}, {q})": build_dilation(DepolParams(p, q))[0]
+        f"build_dilation({p}, {q})": (
+            build_dilation(DepolParams(p, q))[0], depolarizing_dilation(p, q)
+        )
         for p, q in ((0.1, 0.3), (0.5, 0.5), (0.9, 0.05))
     },
-    **{f"random({seed})": random_channel(seed) for seed in (201, 202)},
-    "random(203, env 3)": random_channel(203, env_dim=3),
-    "chain(random, depolarizing)": chain(random_channel(204), depolarizing_kraus(0.2)),
-    "chain(dephasing, build_dilation)": chain(
-        dephasing_kraus(0.4), build_dilation(DepolParams(0.2, 0.7))[0]
+    **{f"random({seed})": dilation_pair(random_dilation(seed)) for seed in (201, 202)},
+    "random(203, env 3)": dilation_pair(random_dilation(203, env_dim=3)),
+    "chain(random, depolarizing)": kraus_pair(
+        chain(random_channel(204), depolarizing_kraus(0.2))
     ),
-    "parallel(random, dephasing)": parallel(random_channel(205), dephasing_kraus(0.1)),
-    "parallel(depolarizing, build_dilation)": parallel(
-        depolarizing_kraus(0.3), build_dilation(DepolParams(0.6, 0.4))[0]
+    "chain(dephasing, build_dilation)": kraus_pair(
+        chain(dephasing_kraus(0.4), build_dilation(DepolParams(0.2, 0.7))[0])
+    ),
+    "parallel(random, dephasing)": kraus_pair(
+        parallel(random_channel(205), dephasing_kraus(0.1))
+    ),
+    "parallel(depolarizing, build_dilation)": kraus_pair(
+        parallel(depolarizing_kraus(0.3), build_dilation(DepolParams(0.6, 0.4))[0])
     ),
 }
 
@@ -242,13 +294,13 @@ class TestBranchContraction:
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
     def test_run_and_apply_match_unitary_path(self, name):
-        ch = BRANCH_CHANNELS[name]
-        d = as_dilation(ch).input_dim
+        ch, dil = BRANCH_CHANNELS[name]
+        d = dil.input_dim
         rng = np.random.default_rng(sum(map(ord, name)))
         for _ in range(3):
             rho = random_density(rng, d)
             psi_qr = purify(rho)
-            reference = unitary_run(ch, psi_qr.amplitudes, (d, d))  # (Q', R, E')
+            reference = unitary_run(dil, psi_qr.amplitudes, (d, d))  # (Q', R, E')
             t, state = run_channel(ch, rho, return_state=True)
             assert state.dims == reference.dims
             assert np.abs(state.amplitudes - reference.amplitudes).max() <= 1e-12
@@ -270,7 +322,7 @@ class TestBranchContraction:
     def test_classical_use_matches_unitary_path(self, name):
         """Both references read the venn2 diagram of the (Q', R) marginal: one of
         the unitary path's output, one of the explicit branch contraction's."""
-        ch = BRANCH_CHANNELS[name]
+        ch, dil = BRANCH_CHANNELS[name]
         for q in (0.0, 0.2, 0.5, 0.9, 1.0):
             amps = np.zeros(8, dtype=np.complex128)  # (Q, X, R)
             amps[6] = np.sqrt(1.0 - q)  # |1_Q 1_X 0_R>
@@ -278,7 +330,7 @@ class TestBranchContraction:
             contracted = np.einsum("akb,bxr->axrk", _branches(ch), amps.reshape(2, 2, 2))
             got = classical_use_channel_simulation(ch, q)
             for out in (
-                unitary_run(ch, amps, (2, 2, 2)),
+                unitary_run(dil, amps, (2, 2, 2)),
                 PureState(contracted.ravel(), contracted.shape),
             ):
                 diagram = venn2(pure_marginal(out, (0, 2)), ((0,), (1,)))
@@ -287,7 +339,7 @@ class TestBranchContraction:
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
     def test_send_matches_explicit_contractions(self, name):
-        ch = BRANCH_CHANNELS[name]
+        ch, _ = BRANCH_CHANNELS[name]
         d = ch.input_dim
         rng = np.random.default_rng(sum(map(ord, name)))
         # the (Q, R) layout of run_channel and the (Q, X, R) layout of classical use
@@ -312,26 +364,26 @@ class TestBranchContraction:
         assert built == [1]  # the counter sees a construction
 
     def test_kraus_runs_build_no_dilation(self, monkeypatch):
-        counts = {"qr": 0, "dilation": 0}
-        qr, post_init = np.linalg.qr, DilationChannel.__post_init__
+        counts = {"qr": 0, "unitary": 0}
+        qr, check_unitary = np.linalg.qr, channel._check_unitary
 
         def counted_qr(*args, **kwargs):
             counts["qr"] += 1
             return qr(*args, **kwargs)
 
-        def counted_post_init(self):
-            counts["dilation"] += 1
-            post_init(self)
+        def counted_check_unitary(u):
+            counts["unitary"] += 1
+            return check_unitary(u)
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        monkeypatch.setattr(DilationChannel, "__post_init__", counted_post_init)
-        as_dilation(dephasing_kraus(0.2))
-        assert counts == {"qr": 1, "dilation": 1}  # the counters see a dilation build
-        counts.update(qr=0, dilation=0)
+        monkeypatch.setattr(channel, "_check_unitary", counted_check_unitary)
+        dilation_channel(*as_dilation(dephasing_kraus(0.2)))
+        assert counts == {"qr": 1, "unitary": 1}  # the counters see a dilation build
+        counts.update(qr=0, unitary=0)
         for kraus in (dephasing_kraus(0.2), depolarizing_kraus(0.4)):
             run_channel(kraus, DensityMatrix(np.diag([0.3, 0.7]).astype(complex)))
             classical_use_channel_simulation(kraus, 0.3)
-        assert counts == {"qr": 0, "dilation": 0}
+        assert counts == {"qr": 0, "unitary": 0}
 
 
 class TestEntanglementFidelity:
@@ -356,12 +408,12 @@ class TestEntanglementFidelity:
 class TestChain:
     def test_identity_is_neutral(self):
         rng = np.random.default_rng(38)
-        ch = random_channel(51)
-        composite = chain(identity_channel(2), ch)
+        dil = random_dilation(51)
+        composite = chain(identity_channel(2), dilation_channel(*dil))
         for _ in range(5):
             rho = random_density(rng, 2)
             assert np.allclose(
-                reference_output(composite, rho), reference_output(ch, rho),
+                reference_output(composite, rho), reference_output(dil, rho),
                 atol=1e-12,
             )
 
@@ -402,12 +454,12 @@ class TestParallel:
 
     def test_product_action(self):
         rng = np.random.default_rng(40)
-        ch1, ch2 = random_channel(71), random_channel(72)
+        dil1, dil2 = random_dilation(71), random_dilation(72)
         rho1 = random_density(rng, 2)
         rho2 = random_density(rng, 2)
         joint = DensityMatrix(tensor(rho1.matrix, rho2.matrix), (2, 2))
-        lhs = reference_output(parallel(ch1, ch2), joint)
-        rhs = tensor(reference_output(ch1, rho1), reference_output(ch2, rho2))
+        lhs = reference_output(parallel(dilation_channel(*dil1), dilation_channel(*dil2)), joint)
+        rhs = tensor(reference_output(dil1, rho1), reference_output(dil2, rho2))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_transcript_additivity_on_product_input(self):
@@ -429,13 +481,18 @@ class TestParallel:
 class TestCompositeUnitaries:
     """chain/parallel compose the Kraus branches.  The reference is the promote_unitary
     product of the two dilations applied to |psi_QR>|env1>|env2>; the whole output state
-    on (Q', R, E1', E2') must agree, which pins the E1-slow order of the branch register."""
+    on (Q', R, E1', E2') must agree, which pins the E1-slow order of the branch register.
+    A pair entry is a Dilation, composed through ``dilation_channel``, or a Kraus channel."""
 
     PAIRS = [
-        (random_channel(91), random_channel(92)),
-        (random_channel(93, env_dim=2), random_channel(94, env_dim=3)),
+        (random_dilation(91), random_dilation(92)),
+        (random_dilation(93, env_dim=2), random_dilation(94, env_dim=3)),
         (depolarizing_kraus(0.2), dephasing_kraus(0.3)),
     ]
+
+    @staticmethod
+    def as_channel(entry):
+        return dilation_channel(*entry) if isinstance(entry, Dilation) else entry
 
     @staticmethod
     def assert_matches_unitary_product(composite, u, d1, d2, d):
@@ -454,19 +511,19 @@ class TestCompositeUnitaries:
         d = d1.input_dim
         dims = (d, d, d1.env_dim, d2.env_dim)  # (Q, R, E1, E2)
         u = promote_unitary(d2.u_qe, dims, (0, 3)) @ promote_unitary(d1.u_qe, dims, (0, 2))
-        composite = chain(ch1, ch2)
+        composite = chain(self.as_channel(ch1), self.as_channel(ch2))
         assert isinstance(composite, KrausChannel)
         self.assert_matches_unitary_product(composite, u, d1, d2, d)
 
     @pytest.mark.parametrize(
-        "ch1, ch2", PAIRS + [(random_channel(95, dim=3, env_dim=2), random_channel(96))]
+        "ch1, ch2", PAIRS + [(random_dilation(95, dim=3, env_dim=2), random_dilation(96))]
     )
     def test_parallel_matches_promoted_product(self, ch1, ch2):
         d1, d2 = as_dilation(ch1), as_dilation(ch2)
         n1, n2 = d1.input_dim, d2.input_dim
         dims = (n1, n2, n1 * n2, d1.env_dim, d2.env_dim)  # (Q1, Q2, R, E1, E2)
         u = promote_unitary(d1.u_qe, dims, (0, 3)) @ promote_unitary(d2.u_qe, dims, (1, 4))
-        composite = parallel(ch1, ch2)
+        composite = parallel(self.as_channel(ch1), self.as_channel(ch2))
         assert isinstance(composite, KrausChannel)
         self.assert_matches_unitary_product(composite, u, d1, d2, n1 * n2)
 

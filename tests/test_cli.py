@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -297,3 +298,97 @@ class TestUsageErrors:
     def test_no_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+# (argv, exit code, SHA-256 of stdout), recorded before the change that added
+# this table; see the test's docstring for the versions.
+CLI_DIGESTS = [
+    (
+        ("sweep", "--channel", "depolarizing", "--use", "quantum"),
+        0,
+        "01c43df3241d8bac91c1ce75e0841f366fb25cd85d3ef853575662ae400bd6ac",
+    ),
+    (
+        ("sweep", "--channel", "depolarizing", "--use", "classical"),
+        0,
+        "2abd334508e3b4349d97d391a7e2a75c6dd32983fd3d521af373410041ef7eb5",
+    ),
+    (
+        ("sweep", "--channel", "dephasing", "--use", "quantum"),
+        0,
+        "fb755d5903ef075ebcd741990427fdb608272f651ca914bbf15ea1f4e6bced61",
+    ),
+    (
+        ("sweep", "--channel", "dephasing", "--use", "classical"),
+        0,
+        "2b0200d09aa5bb23fbe2e09ad60d3e7a5ce5d34b32671d616245ead67972d01c",
+    ),
+    (
+        ("capacity", "--channel", "depolarizing", "--use", "quantum", "--p", "0.37"),
+        0,
+        "74fbbc2d5d18877a0a4e11c5392f5fd49f1882a73e151246adb763a3a9892293",
+    ),
+    (
+        ("capacity", "--channel", "depolarizing", "--use", "classical", "--p", "0.37"),
+        0,
+        "04fe1f48933642ad322ff18af061f2bc0aaf3ce3aacc9c027cef7631753e3a0f",
+    ),
+    (
+        ("capacity", "--channel", "dephasing", "--use", "quantum", "--p", "0.37"),
+        0,
+        "bf2e08915b70bf7ea30b70158832af9ce15568f6c05969d717ed924e57b8218a",
+    ),
+    (
+        ("capacity", "--channel", "dephasing", "--use", "classical", "--p", "0.37"),
+        0,
+        "f1831d59ba37acec001a6d816b6695daa22d86c89e0c5fa81daeaa5324f72447",
+    ),
+    (
+        ("audit", "--trials", "50", "--seed", "7"),
+        0,
+        "16fe4112209fd351d64ffb26d11c1e54362034e51b745af89ca803d89cfce823",
+    ),
+    (
+        ("superdense", "--p", "0.3"),
+        0,
+        "316130fd3bf6239731746f5b67f67746b2fd1a687fcf880dc73578fac6e080fa",
+    ),
+    (
+        ("superdense", "--threshold"),
+        0,
+        "81a37e4de55322e5736d774089552f7d41f26f0eeee832c8f41853f89813fcaa",
+    ),
+    (
+        ("hamming", "--mode", "classical", "--p", "0.1"),
+        0,
+        "5f6c03a529d53cdcf8dc92b68bebb561e489834140cc9515aaa9fed2df1b0582",
+    ),
+    (
+        ("hamming", "--mode", "quantum", "--p", "0.1"),
+        0,
+        "e3e04787be3b31298048123641bd601f0abf7bb2b25767d8386ba8a13b88a670",
+    ),
+    (
+        ("hamming", "--mode", "entanglement", "--p", "0.1"),
+        0,
+        "b50a511112affe070f9afafe0a3af65e11db6d301026807ffe685810fff198b9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, digest", CLI_DIGESTS, ids=[" ".join(c[0]) for c in CLI_DIGESTS]
+)
+def test_output_is_byte_identical_to_recorded(args, exit_code, digest):
+    """The four default sweeps, capacity for both channels and uses at --p 0.37,
+    a seeded 50-trial audit, superdense and its threshold, and hamming in all
+    three modes print exactly the recorded bytes and exit as recorded.
+
+    The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Output
+    carries 12 significant digits, so another numpy or BLAS build may move a
+    last digit; re-record only after checking that a changed digest is such a
+    rounding difference and not a change of behaviour.
+    """
+    proc = run_cli(*args)
+    assert proc.returncode == exit_code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

@@ -19,23 +19,21 @@ from vncap.depolarizing import (
     PHASE_FLIP,
     DepolParams,
     analytic_transcript,
-    bisect_root,
     build_dilation,
     classical_capacity,
     classical_use_channel_simulation,
     classical_use_ensemble,
-    classical_use_simulation,
     classical_use_transcript,
     dephasing_kraus,
     dephasing_mutual,
     depolarizing_kraus,
+    dilation_unitary,
     kholevo_chi,
     q_basis,
     quantum_capacity,
     superdense_scenario,
     superdense_threshold,
 )
-from vncap.channel import kraus_from_dilation
 
 from reference import apply_unitary
 
@@ -110,18 +108,21 @@ class TestKrausFamilies:
 
 class TestBuildDilation:
     def test_shapes(self):
-        dil, entangled = build_dilation(DepolParams(0.3, 0.2))
-        assert dil.u_qe.shape == (8, 8)
-        assert dil.env_dim == 4
+        u, env = dilation_unitary(DepolParams(0.3, 0.2))
+        assert u.shape == (8, 8)
+        assert env.dims == (4,)
+        ch, entangled = build_dilation(DepolParams(0.3, 0.2))
+        assert (ch.input_dim, ch.env_dim) == (2, 4)
         assert entangled.dims == (2, 2)
 
     def test_output_state_is_branch_superposition(self):
         p, q = 0.3, 0.2
-        dil, psi_minus = build_dilation(DepolParams(p, q))
-        joint = PureState(
-            tensor(psi_minus.amplitudes, dil.env_initial.amplitudes), (2, 2, 4)
-        )
-        out = apply_unitary(dil.u_qe, joint, targets=(0, 2))
+        u, env = dilation_unitary(DepolParams(p, q))
+        ch, psi_minus = build_dilation(DepolParams(p, q))
+        joint = PureState(tensor(psi_minus.amplitudes, env.amplitudes), (2, 2, 4))
+        out = apply_unitary(u, joint, targets=(0, 2))
+        sent = depolarizing._send(ch, psi_minus.amplitudes.reshape(2, 2))  # the branch route
+        assert np.abs(sent.amplitudes - out.amplitudes).max() <= 1e-12
 
         phi_minus, phi_plus, psi_minus_q, psi_plus = q_basis(q)
         expected = math.sqrt(1 - p) * tensor(
@@ -140,11 +141,10 @@ class TestBuildDilation:
 
     def test_joint_output_matrix_is_branch_mixture(self):
         p, q = 0.3, 0.25
-        dil, psi_minus = build_dilation(DepolParams(p, q))
-        joint = PureState(
-            tensor(psi_minus.amplitudes, dil.env_initial.amplitudes), (2, 2, 4)
-        )
-        out = apply_unitary(dil.u_qe, joint, targets=(0, 2))
+        u, env = dilation_unitary(DepolParams(p, q))
+        psi_minus = q_basis(q)[2]
+        joint = PureState(tensor(psi_minus.amplitudes, env.amplitudes), (2, 2, 4))
+        out = apply_unitary(u, joint, targets=(0, 2))
         rho_qr = pure_marginal(out, (0, 1)).matrix
 
         phi_minus, phi_plus, psi_minus_q, psi_plus = q_basis(q)
@@ -156,11 +156,10 @@ class TestBuildDilation:
 
     def test_joint_spectrum_matches_closed_form(self):
         p, q = 0.3, 0.25
-        dil, psi_minus = build_dilation(DepolParams(p, q))
-        joint = PureState(
-            tensor(psi_minus.amplitudes, dil.env_initial.amplitudes), (2, 2, 4)
-        )
-        out = apply_unitary(dil.u_qe, joint, targets=(0, 2))
+        u, env = dilation_unitary(DepolParams(p, q))
+        psi_minus = q_basis(q)[2]
+        joint = PureState(tensor(psi_minus.amplitudes, env.amplitudes), (2, 2, 4))
+        out = apply_unitary(u, joint, targets=(0, 2))
         spectrum = hermitian_eigenvalues(pure_marginal(out, (0, 1)).matrix)
         delta = math.sqrt((1 - 2 * p / 3) ** 2 - (16 / 3) * p * (1 - p) * q * (1 - q))
         expected = sorted(
@@ -176,9 +175,9 @@ class TestBuildDilation:
 
     def test_environment_basis_recovers_branch_weights(self):
         p = 0.3
-        dil, _ = build_dilation(DepolParams(p, 0.5))
-        basis = np.array([state.amplitudes for state in q_basis(0.5)])
-        ops = kraus_from_dilation(dil, env_basis=basis).operators
+        ch, _ = build_dilation(DepolParams(p, 0.5))
+        basis = np.array([state.amplitudes for state in q_basis(0.5)])  # one per row
+        ops = np.einsum("ke,eab->kab", basis.conj(), np.array(ch.operators))
         weights = sorted(
             float(np.real(np.trace(k.conj().T @ k))) / 2.0 for k in ops
         )
@@ -312,7 +311,8 @@ class TestClassicalUse:
         for p in (0.0, 0.1, 0.3, 0.6, 0.75):
             for q in (0.0, 0.2, 0.5, 0.8):
                 closed = classical_use_transcript(DepolParams(p, q))
-                sim = classical_use_simulation(DepolParams(p, q))
+                ch, _ = build_dilation(DepolParams(p, q))
+                sim = classical_use_channel_simulation(ch, q)
                 assert sim[0] == pytest.approx(closed[0], abs=1e-9)
                 assert sim[1] == pytest.approx(closed[1], abs=1e-9)
 
@@ -437,26 +437,8 @@ class TestSuperdense:
     def test_threshold_value(self):
         threshold = superdense_threshold()
         assert threshold == pytest.approx(0.18928962490463164, abs=1e-9)
+        assert threshold == 0.18928962490463164  # the bisection's float, to the last bit
         assert quantum_capacity(threshold) == pytest.approx(1.0, abs=1e-8)
-
-
-class TestBisectRoot:
-    def test_linear_root(self):
-        assert bisect_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(
-            0.25, abs=1e-9
-        )
-
-    def test_transcendental_root(self):
-        assert bisect_root(math.cos, 1.0, 2.0) == pytest.approx(
-            math.pi / 2, abs=1e-9
-        )
-
-    def test_exact_endpoint(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError, match="no sign change"):
-            bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
 class TestDepolParams:

@@ -28,7 +28,7 @@ from vncap.analysis import (
     search_coherent_info_violations,
     _sphere_volume,
 )
-from vncap.channel import DilationChannel, KrausChannel, quantum_fano_bound
+from vncap.channel import KrausChannel, dilation_channel, quantum_fano_bound
 from vncap.depolarizing import (
     LOG2_3,
     DepolParams,
@@ -112,7 +112,7 @@ MATRIX_ENTRY_POINTS = {
     "PureState": lambda bad, i: PureState(_with_entry([1.0, 0.0], i, bad)),
     "DensityMatrix": lambda bad, i: DensityMatrix(_with_entry(np.eye(2) / 2, i, bad)),
     "KrausChannel": lambda bad, i: KrausChannel((_with_entry(np.eye(2), i, bad),)),
-    "DilationChannel": lambda bad, i: DilationChannel(
+    "dilation_channel": lambda bad, i: dilation_channel(
         _with_entry(np.eye(4), i, bad), 2, basis_state(2, 0)
     ),
     "apply_unitary": lambda bad, i: apply_unitary(
