@@ -30,6 +30,7 @@ from .channel import (
     KrausChannel,
     apply_channel,
     chain,
+    diagonal_transcripts,
     dilation_channel,
     entanglement_fidelity,
     identity_channel,
@@ -51,6 +52,7 @@ from .depolarizing import (
     analytic_transcript,
     build_dilation,
     classical_capacity,
+    classical_use_channel_rows,
     classical_use_channel_simulation,
     classical_use_ensemble,
     classical_use_transcript,

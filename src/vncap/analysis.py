@@ -37,6 +37,7 @@ from .qmat import DensityMatrix, PureState, _as_count, basis_state, random_unita
 
 _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+CAPACITY_GRID = tuple(i / 100.0 for i in range(101))  # the optimizer's grid scan
 
 # Work caps, well above every default and benchmark request (200 trials, four
 # blocks up to 4001).  At a cap a request runs under a minute on one x86-64
@@ -80,27 +81,41 @@ class AuditReport:
     max_negative_slack: float
 
 
-def maximize_scalar_on_unit_interval(f: Callable[[float], float], tol: float = 1e-10) -> CapacityResult:
+def maximize_scalar_on_unit_interval(
+    f: Callable[[float], float], tol: float = 1e-10, grid_values: Sequence[float] | None = None
+) -> CapacityResult:
     """Maximize f over q in [0, 1]: 101-point grid scan, then golden-section.
 
     Grid ties (within 1e-12) are broken toward the q closest to 1/2; a flat
     objective short-circuits to the tie-broken grid point.  The refined point
     only replaces the grid argmax when it is genuinely better, so exact grid
     maxima (like q = 0.5 for symmetric channels) are reported exactly.
+
+    ``grid_values``, if given, are f on ``CAPACITY_GRID`` computed by the
+    caller (e.g. in one batch); they count as evaluations and are checked
+    like them.
     """
     _check_tolerance(tol)
     evals = 0
 
-    def evaluate(q: float) -> float:
+    def checked(q: float, value) -> float:
         nonlocal evals
-        value = float(f(q))
+        value = float(value)
         evals += 1
         if not math.isfinite(value):
             raise ValueError(f"non-finite objective value {value!r} at q={q!r}")
         return value
 
-    grid = [i / 100.0 for i in range(101)]
-    values = [evaluate(q) for q in grid]
+    def evaluate(q: float) -> float:
+        return checked(q, f(q))
+
+    grid = list(CAPACITY_GRID)
+    if grid_values is None:
+        values = [evaluate(q) for q in grid]
+    elif len(grid_values) == len(grid):
+        values = [checked(q, v) for q, v in zip(grid, grid_values)]
+    else:
+        raise ValueError(f"expected {len(grid)} grid values, got {len(grid_values)}")
     best = max(values)
     tied = [q for q, v in zip(grid, values) if v >= best - _TIE_ATOL]
     q_grid = min(tied, key=lambda q: (abs(q - 0.5), q))

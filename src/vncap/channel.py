@@ -6,8 +6,9 @@ K_k = <k| U (. tensor |env_initial>) off once.  Every pure input is sent by
 one contraction: Q goes through the isometry |q> -> sum_k K_k|q> |k>_E' into
 the branch register E'.  Composition works on the same branches: ``chain``
 and ``parallel`` contract the branch tensors into a ``KrausChannel`` and
-never build a composite unitary.  A channel run purifies its input against a
-reference R, sends Q, and reads all entropic quantities off |Q'R'E'>:
+never build a composite unitary.  ``run_channel``, the scalar reference
+for any input and for the audits, purifies its input against a reference R,
+sends Q, and reads all entropic quantities off |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -18,6 +19,13 @@ reference R, sends Q, and reads all entropic quantities off |Q'R'E'>:
     fidelity F_e  <QR| rho_{Q'R} |QR>
 
 The factor order of the retained pure state is (Q', R, E'), leftmost slowest.
+
+``diagonal_transcripts`` is the stacked kernel for the paper's input family
+diag(q, 1 - q): a whole q list enters as the amplitude stack
+sqrt(q)|00> + sqrt(1 - q)|11> on (Q, R), goes through one ``einsum`` against
+the branches, and each entropy is one stacked ``eigvalsh`` on the smaller
+side's Gram matrices plus one vectorized clamp, in chunks of ``STACK_ROWS``
+rows.  Sweeps, the capacity grid scan and classical use run through it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ from .qmat import (
     clamp_spectrum,
     _unit_interval,
 )
+
+# Rows per stacked contraction.  A chunk's amplitude, output and Gram stacks
+# stay within a few MB however long the q list is; at this size the per-chunk
+# overhead is already negligible.
+STACK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +86,10 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChannelTranscript:
-    """The entropic summary of one channel run (all entries in bits except fidelity)."""
+    """The entropic summary of one channel run (all entries in bits except fidelity).
+
+    ``diagonal_transcripts`` fills each entry with an array, one value per input.
+    """
 
     s_in: float
     s_out: float
@@ -91,6 +107,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
     basis state, with E the fast factor of U.
     """
     u = _check_unitary(u_qe)
+    env_dim = _as_count(env_dim, "environment dimension")
     if env_dim < 1 or u.shape[0] % env_dim:
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
@@ -126,10 +143,80 @@ def _branches(ch: KrausChannel) -> np.ndarray:
     return np.stack(ch.operators, axis=1)
 
 
+def _send_rows(ch: KrausChannel, amps: np.ndarray) -> np.ndarray:
+    """out[n, q', ..., k] = sum_q B[q', k, q] amps[n, q, ...]: in every row n,
+    factor 0 (Q) is sent and the branch register E' is appended last."""
+    return np.einsum("akb,nb...->na...k", _branches(ch), amps)
+
+
 def _send(ch: KrausChannel, amps: np.ndarray) -> PureState:
-    """out[q', ..., k] = sum_q B[q', k, q] amps[q, ...]: factor 0 (Q) sent, E' last."""
+    """out[q', ..., k] = sum_q B[q', k, q] amps[q, ...]: ``_send_rows`` for one
+    input, without the row axis, checked as a state."""
     out = np.einsum("akb,b...->a...k", _branches(ch), amps)
     return PureState(out.ravel(), out.shape)
+
+
+def _row_entropies(out: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The entropy of each row's marginal over the factors ``keep`` of ``out[n]``.
+
+    One stacked ``eigvalsh`` on the Gram matrices of the smaller side, as
+    ``pure_subsystem_spectrum`` takes them, then ``clamp_spectrum`` on the
+    whole stack and -sum p log2 p per row.
+    """
+    n, dims = out.shape[0], out.shape[1:]
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    d_rest = math.prod(dims) // d_keep
+    mat = out.transpose(0, *(1 + i for i in keep + rest)).reshape(n, d_keep, d_rest)
+    if d_keep > d_rest:
+        mat = mat.conj().swapaxes(1, 2)  # so the Gram matrix is M^dag M
+    probs = clamp_spectrum(np.linalg.eigvalsh(mat @ mat.conj().swapaxes(1, 2))[:, ::-1])
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(axis=1)
+
+
+def _chunked_rows(q_values, chunk_rows) -> np.ndarray:
+    """``chunk_rows(qs)`` over the checked q values, STACK_ROWS at a time.
+
+    ``chunk_rows`` returns one row of values per quantity; the chunks are
+    joined along the q axis.
+    """
+    qs = np.array([_unit_interval(q, "mixing parameter") for q in q_values], dtype=np.float64)
+    starts = range(0, max(qs.size, 1), STACK_ROWS)
+    return np.concatenate([chunk_rows(qs[i : i + STACK_ROWS]) for i in starts], axis=1)
+
+
+def _diagonal_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
+    amps = np.zeros((qs.size, 2, 2), dtype=np.complex128)  # (Q, R)
+    amps[:, 0, 0] = np.sqrt(qs)
+    amps[:, 1, 1] = np.sqrt(1.0 - qs)
+    out = _send_rows(ch, amps)  # (Q', R, E')
+    overlap = np.einsum("nar,nark->nk", amps.conj(), out)  # <QR| out, per branch
+    fidelity = np.einsum("nk,nk->n", overlap, overlap.conj()).real
+    entropies = [_row_entropies(out, keep) for keep in ((1,), (0,), (2,))]
+    return np.stack([*entropies, fidelity])
+
+
+def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
+    """``run_channel(ch, diag(q, 1 - q))`` for every q at once: one array per entry.
+
+    Each input enters as sqrt(q)|00> + sqrt(1 - q)|11> on (Q, R).  It differs
+    from ``purify``'s purification by a unitary on R, which changes no entry,
+    so the rows agree with ``run_channel`` to rounding.
+    """
+    if ch.input_dim != 2:
+        raise ValueError("diagonal inputs diag(q, 1 - q) need a single-qubit channel")
+    s_in, s_out, s_env, fidelity = _chunked_rows(q_values, lambda qs: _diagonal_chunk(ch, qs))
+    loss = s_env + s_in - s_out
+    return ChannelTranscript(
+        s_in=s_in,
+        s_out=s_out,
+        s_env=s_env,
+        loss=loss,
+        mutual_entanglement=2.0 * s_in - loss,
+        coherent_info=s_in - loss,
+        fidelity=fidelity,
+    )
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -261,6 +348,13 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     }
 
 
+def _has_bool(value) -> bool:
+    """True if a JSON ``true``/``false`` sits anywhere in ``value`` (numpy would read it as 1/0)."""
+    return isinstance(value, bool) or (
+        isinstance(value, (list, tuple)) and any(map(_has_bool, value))
+    )
+
+
 def kraus_channel_from_json(source: str | dict) -> KrausChannel:
     """Load a channel from the JSON form {"kraus": [[[re, im], ...], ...]}.
 
@@ -268,16 +362,21 @@ def kraus_channel_from_json(source: str | dict) -> KrausChannel:
     matrix; completeness is validated on construction.
     """
     data = json.loads(source) if isinstance(source, str) else source
-    if "kraus" not in data:
+    if not isinstance(data, dict) or "kraus" not in data:
         raise ValueError('missing "kraus" key')
-    ops = []
-    for entries in data["kraus"]:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-        d = math.isqrt(flat.size)
-        if d * d != flat.size:
-            raise ValueError(f"operator with {flat.size} entries is not square")
-        ops.append(flat.reshape(d, d))
-    return KrausChannel(tuple(ops))
+    try:
+        pairs = np.array(data["kraus"])  # (operators, entries, 2) when well formed
+    except ValueError:  # numpy refuses ragged nesting
+        pairs = None
+    malformed = pairs is None or pairs.dtype.kind not in "iuf" or _has_bool(data["kraus"])
+    if malformed or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError('"kraus" must list operators of equal size, each a list of [re, im] numbers')
+    m, size = pairs.shape[:2]
+    d = math.isqrt(size)
+    if d * d != size:
+        raise ValueError(f"operator with {size} entries is not square")
+    ops = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)  # (re, im) -> z
+    return KrausChannel(ops.reshape(m, d, d))
 
 
 def kraus_channel_to_json(ch: KrausChannel) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, depolarizing
 from .analysis import MAX_BLOCK_LENGTH, MAX_N_LIST, MAX_TRIALS  # noqa: F401  (library caps)
-from .channel import run_channel
+from .channel import diagonal_transcripts, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
 
@@ -66,31 +66,44 @@ def _parse_range(text: str, flag: str) -> list[float]:
     return [min(1.0, start + i * step) for i in range(math.floor(steps) + 1)]
 
 
-# Channel families: (channel, use) -> (row, closed_form).  row(p) returns the
-# function q -> (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for
-# classical use; capacity maximizes I_Q or mutual, the closed form's quantity.
+# Channel families: (channel, use) -> (family, closed_form).  family(p) returns
+# (point, rows): point(q) is the tuple (S, S', S_e, L, I_Q, F_e) for quantum
+# use, (mutual, loss) for classical use, and rows(qs) gives those tuples for a
+# whole q list at once; capacity maximizes I_Q or mutual, the closed form's
+# quantity.  The dephasing rows come from the stacked kernels; their points
+# stay scalar, so capacity's golden-section steps run ``run_channel``.
 
 
-def _quantum_columns(t) -> tuple[float, ...]:
+def _quantum_columns(t) -> tuple:
     return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
 
 
+def _mapped(point):
+    return point, lambda qs: map(point, qs)
+
+
 def _depolarizing_quantum(p: float):
-    return lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q)))
+    return _mapped(lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))))
 
 
 def _depolarizing_classical(p: float):
-    return lambda q: depolarizing.classical_use_transcript(DepolParams(p, q))
+    return _mapped(lambda q: depolarizing.classical_use_transcript(DepolParams(p, q)))
 
 
 def _dephasing_quantum(p: float):
     kraus = depolarizing.dephasing_kraus(p)
-    return lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q)))
+    return (
+        lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q))),
+        lambda qs: zip(*_quantum_columns(diagonal_transcripts(kraus, qs))),
+    )
 
 
 def _dephasing_classical(p: float):
     kraus = depolarizing.dephasing_kraus(p)
-    return lambda q: depolarizing.classical_use_channel_simulation(kraus, q)
+    return (
+        lambda q: depolarizing.classical_use_channel_simulation(kraus, q),
+        lambda qs: zip(*depolarizing.classical_use_channel_rows(kraus, qs)),
+    )
 
 
 FAMILIES = {
@@ -105,9 +118,12 @@ OBJECTIVE_COLUMN = {"quantum": 4, "classical": 0}
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
-    row, closed_form = FAMILIES[args.channel, args.use]
-    at_q, column = row(p), OBJECTIVE_COLUMN[args.use]
-    result = analysis.maximize_scalar_on_unit_interval(lambda q: at_q(q)[column], args.tol)
+    family, closed_form = FAMILIES[args.channel, args.use]
+    (point, rows), column = family(p), OBJECTIVE_COLUMN[args.use]
+    grid_values = [values[column] for values in rows(analysis.CAPACITY_GRID)]
+    result = analysis.maximize_scalar_on_unit_interval(
+        lambda q: point(q)[column], args.tol, grid_values
+    )
     closed = closed_form(p)
     print(f"channel: {args.channel}")
     print(f"use: {args.use}")
@@ -127,12 +143,12 @@ def cmd_sweep(args) -> int:
     rows = len(p_values) * len(q_values)
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
-    row, _ = FAMILIES[args.channel, args.use]
+    family, _ = FAMILIES[args.channel, args.use]
     print(QUANTUM_HEADER if args.use == "quantum" else CLASSICAL_HEADER)
     for p in p_values:
-        at_q = row(p)
-        for q in q_values:
-            print(",".join(_fmt(v) for v in (p, q, *at_q(q))))
+        _, rows_at_p = family(p)
+        for q, values in zip(q_values, rows_at_p(q_values)):
+            print(",".join(_fmt(v) for v in (p, q, *values)))
     return 0
 
 

@@ -32,14 +32,16 @@ import numpy as np
 from .channel import (
     ChannelTranscript,
     KrausChannel,
+    _chunked_rows,
+    _row_entropies,
     _send,
+    _send_rows,
     apply_channel,
     dilation_channel,
 )
 from .entropy import (
     binary_entropy,
     check_prob_vector,
-    pure_subsystem_entropy,
     shannon_entropy,
     venn2,
     venn3,
@@ -218,17 +220,31 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
     initial state is sqrt(1-q)|1_Q 1_X 0_R> - sqrt(q)|0_Q 0_X 1_R>, the
     channel acts on Q alone, and (mutual, loss) are read off the pure output
     on (Q', X, R, E') as S(Q':R) and S(R|Q'); mutual + loss = H2[q] exactly.
+    This is the one-row call of ``classical_use_channel_rows``.
     """
-    q = _unit_interval(q, "mixing parameter")
+    (mutual,), (loss,) = classical_use_channel_rows(ch, (q,))
+    return float(mutual), float(loss)
+
+
+def _classical_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
+    amps = np.zeros((qs.size, 2, 2, 2), dtype=np.complex128)  # (Q, X, R)
+    amps[:, 1, 1, 0] = np.sqrt(1.0 - qs)
+    amps[:, 0, 0, 1] = -np.sqrt(qs)
+    out = _send_rows(ch, amps)  # (Q', X, R, E')
+    s_out = _row_entropies(out, (0,))
+    s_joint = _row_entropies(out, (0, 2))  # S(Q'R)
+    return np.stack([s_out + _row_entropies(out, (2,)) - s_joint, s_joint - s_out])
+
+
+def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
+    """``classical_use_channel_simulation`` for every q at once: (mutual, loss) arrays.
+
+    The inputs are one (N, 2, 2, 2) amplitude stack on (Q, X, R), sent by the
+    stacked kernel of ``channel.diagonal_transcripts``.
+    """
     if ch.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
-    amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
-    amps[1, 1, 0] = math.sqrt(1.0 - q)
-    amps[0, 0, 1] = -math.sqrt(q)
-    out = _send(ch, amps)  # (Q', X, R, E')
-    s_out = pure_subsystem_entropy(out, (0,))
-    s_joint = pure_subsystem_entropy(out, (0, 2))  # S(Q'R)
-    return s_out + pure_subsystem_entropy(out, (2,)) - s_joint, s_joint - s_out
+    return tuple(_chunked_rows(q_values, lambda qs: _classical_chunk(ch, qs)))
 
 
 def kholevo_chi(probs, outputs) -> float:

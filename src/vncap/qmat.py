@@ -178,18 +178,19 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:
-    """Condition an eigenvalue vector for use as a probability spectrum.
+    """Condition an eigenvalue vector, or a stack of them along the last axis, for
+    use as probability spectra.
 
     Values in ``[EIGENVALUE_FLOOR, 0)`` are numerical jitter and are clamped to
-    0, after which the spectrum is renormalized to sum to 1.  Values below the
+    0, after which each spectrum is renormalized to sum to 1.  Values below the
     floor indicate genuine non-positivity and raise.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size:
         _check_residual(-vals.min(), -EIGENVALUE_FLOOR, "negative eigenvalue below the clamp floor")
     clamped = np.where(vals < 0.0, 0.0, vals)
-    total = float(clamped.sum())
-    if not total > 0.0:
+    total = clamped.sum(axis=-1, keepdims=True)
+    if not total.min(initial=math.inf) > 0.0:  # every row; vals passed the NaN-proof check
         raise ValueError("spectrum sums to zero after clamping")
     return clamped / total
 

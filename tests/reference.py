@@ -1,10 +1,13 @@
-"""Unitary-dilation references for the tests.
+"""Reference routes for the tests.
 
 The library sends and composes channels through their Kraus branches only.
 These functions build and apply the full unitaries on (Q, E) instead, so tests
 can check the branch contractions against an independent route.  A unitary
 and its initial environment travel together as a ``Dilation`` record, whose
 fields are the arguments of ``vncap.channel.dilation_channel``.
+
+``classical_use_contraction`` is the one-input classical-use simulation that
+the stacked kernel replaced, kept to check the kernel against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from vncap.channel import KrausChannel, _branches
+from vncap.entropy import pure_subsystem_entropy
 from vncap.qmat import PureState, _check_indices, _check_unitary, basis_state
 
 
@@ -109,3 +113,16 @@ def dilation_from_kraus(ch: KrausChannel) -> Dilation:
     u[:, :, 0] = isometry
     u[:, :, 1:] = q_full[:, d:].reshape(full, d, m - 1)
     return Dilation(_check_unitary(u.reshape(full, full)), m, basis_state(m, 0))
+
+
+def classical_use_contraction(ch: KrausChannel, q: float) -> tuple[float, float]:
+    """(mutual, loss) of classical use at one q: one (Q, X, R) input, one contraction,
+    three ``pure_subsystem_entropy`` calls on the (Q', X, R, E') output."""
+    amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
+    amps[1, 1, 0] = math.sqrt(1.0 - q)
+    amps[0, 0, 1] = -math.sqrt(q)
+    out = np.einsum("akb,bxr->axrk", _branches(ch), amps)
+    state = PureState(out.ravel(), out.shape)
+    s_out = pure_subsystem_entropy(state, (0,))
+    s_joint = pure_subsystem_entropy(state, (0, 2))  # S(Q'R)
+    return s_out + pure_subsystem_entropy(state, (2,)) - s_joint, s_joint - s_out

@@ -15,6 +15,7 @@ from vncap.depolarizing import (
     depolarizing_kraus,
 )
 from vncap.analysis import (
+    CAPACITY_GRID,
     AuditReport,
     CapacityResult,
     HammingQuery,
@@ -99,6 +100,39 @@ class TestScalarMaximizer:
 
         result = maximize_scalar_on_unit_interval(f)
         assert result.evaluations == len(calls)
+
+
+class TestPrecomputedGrid:
+    """``grid_values`` stands in for the 101 grid evaluations, checked alike."""
+
+    @pytest.mark.parametrize(
+        "f", [lambda q: -((q - 0.37) ** 2), lambda q: -q, lambda q: 0.0, lambda q: q * (1 - q)]
+    )
+    def test_same_result_as_scalar_grid(self, f):
+        scalar = maximize_scalar_on_unit_interval(f)
+        batched = maximize_scalar_on_unit_interval(f, grid_values=[f(q) for q in CAPACITY_GRID])
+        assert batched == scalar
+
+    def test_grid_values_are_not_recomputed(self):
+        calls = []
+
+        def f(q):
+            calls.append(q)
+            return -((q - 0.37) ** 2)
+
+        result = maximize_scalar_on_unit_interval(f, grid_values=[f(q) for q in CAPACITY_GRID])
+        assert result.evaluations == len(calls)  # the 101 grid values count once
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_grid_value(self, bad):
+        values = [-((q - 0.37) ** 2) for q in CAPACITY_GRID]
+        values[40] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize_scalar_on_unit_interval(lambda q: 0.0, grid_values=values)
+
+    def test_rejects_wrong_grid_length(self):
+        with pytest.raises(ValueError, match="101 grid values"):
+            maximize_scalar_on_unit_interval(lambda q: 0.0, grid_values=[0.0] * 100)
 
 
 class TestMaximizeCapacity:

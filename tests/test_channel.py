@@ -13,7 +13,7 @@ from vncap.qmat import (
     tensor,
 )
 from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
-from vncap import channel
+from vncap import channel, cli
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
@@ -21,6 +21,7 @@ from vncap.channel import (
     _send,
     apply_channel,
     chain,
+    diagonal_transcripts,
     dilation_channel,
     entanglement_fidelity,
     identity_channel,
@@ -37,13 +38,21 @@ from vncap.depolarizing import (
     DepolParams,
     analytic_transcript,
     build_dilation,
+    classical_use_channel_rows,
     classical_use_channel_simulation,
     dephasing_kraus,
     depolarizing_kraus,
     dilation_unitary,
 )
 
-from reference import Dilation, apply_unitary, as_dilation, dilation_from_kraus, promote_unitary
+from reference import (
+    Dilation,
+    apply_unitary,
+    as_dilation,
+    classical_use_contraction,
+    dilation_from_kraus,
+    promote_unitary,
+)
 
 
 def random_density(rng, dim, dims=None):
@@ -386,6 +395,122 @@ class TestBranchContraction:
         assert counts == {"qr": 0, "unitary": 0}
 
 
+# name -> single-qubit channel for the stacked kernels
+STACKED_CHANNELS = {
+    **{f"dephasing({p})": dephasing_kraus(p) for p in (0.0, 0.37, 0.75, 1.0)},
+    **{f"depolarizing({p})": depolarizing_kraus(p) for p in (0.0, 0.2, 0.75)},
+    **{
+        f"build_dilation({p}, {q})": build_dilation(DepolParams(p, q))[0]
+        for p, q in ((0.0, 0.5), (0.3, 0.2), (0.75, 0.9))
+    },
+    **{f"random({seed}, env 4)": random_channel(seed) for seed in (301, 302, 303)},
+}
+STACKED_Q = (0.0, 1.0, 0.5, 1e-9, 0.02, 0.37, 0.9, 1.0 - 1e-9)
+
+
+def eigensolve_counts(monkeypatch) -> dict:
+    """Count numpy.linalg eigensolves and DensityMatrix constructions from now on."""
+    counts = {"eigvalsh": 0, "eigh": 0, "density": 0}
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        counts["density"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    return counts
+
+
+class TestStackedKernel:
+    """The stacked kernels against the scalar routes they replace in the CLI."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CHANNELS))
+    def test_diagonal_transcripts_match_run_channel(self, name):
+        ch = STACKED_CHANNELS[name]
+        rows = diagonal_transcripts(ch, STACKED_Q)
+        for i, q in enumerate(STACKED_Q):
+            scalar = run_channel(ch, cli._diag_qubit(q))
+            for field in ChannelTranscript.__dataclass_fields__:
+                got, expected = getattr(rows, field)[i], getattr(scalar, field)
+                assert abs(got - expected) <= 1e-12, (field, q)
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CHANNELS))
+    def test_classical_rows_match_one_input_contraction(self, name):
+        ch = STACKED_CHANNELS[name]
+        mutual, loss = classical_use_channel_rows(ch, STACKED_Q)
+        for i, q in enumerate(STACKED_Q):
+            expected = classical_use_contraction(ch, q)
+            assert np.abs(np.subtract((mutual[i], loss[i]), expected)).max() <= 1e-12
+            assert classical_use_channel_simulation(ch, q) == (mutual[i], loss[i])
+
+    def test_chunks_join_to_the_unchunked_rows(self, monkeypatch):
+        ch, qs = random_channel(304), np.linspace(0.0, 1.0, 11)
+        whole = diagonal_transcripts(ch, qs)
+        whole_classical = classical_use_channel_rows(ch, qs)
+        monkeypatch.setattr(channel, "STACK_ROWS", 3)
+        chunked = diagonal_transcripts(ch, qs)
+        for field in ChannelTranscript.__dataclass_fields__:
+            assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+        assert np.array_equal(classical_use_channel_rows(ch, qs), whole_classical)
+
+    def test_empty_q_list_gives_empty_rows(self):
+        assert diagonal_transcripts(dephasing_kraus(0.2), []).s_in.shape == (0,)
+        assert [v.shape for v in classical_use_channel_rows(dephasing_kraus(0.2), [])] == [
+            (0,),
+            (0,),
+        ]
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -0.5, 1.5])
+    def test_refuses_bad_q(self, q):
+        for kernel in (diagonal_transcripts, classical_use_channel_rows):
+            with pytest.raises(ValueError, match="mixing parameter"):
+                kernel(dephasing_kraus(0.2), [0.3, q])
+
+    def test_refuses_wider_channels(self):
+        for kernel in (diagonal_transcripts, classical_use_channel_rows):
+            with pytest.raises(ValueError, match="single-qubit"):
+                kernel(identity_channel(4), [0.3])
+
+    @pytest.mark.parametrize("use", ["quantum", "classical"])
+    def test_default_dephasing_sweep_counts(self, monkeypatch, capsys, use):
+        """3 stacked eigensolves per p (16 p values), no eigh, no density matrix."""
+        counts = eigensolve_counts(monkeypatch)
+        assert cli.main(["sweep", "--channel", "dephasing", "--use", use]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 16 * 51
+        assert counts == {"eigvalsh": 3 * 16, "eigh": 0, "density": 0}
+
+    def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
+        """The 101 grid points take 3 eigensolves; the 43 golden-section steps
+        each run run_channel on a diagonal density matrix."""
+        runs = []
+        monkeypatch.setattr(cli, "run_channel", lambda *a: runs.append(1) or run_channel(*a))
+        counts = eigensolve_counts(monkeypatch)
+        assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 0
+        assert "evaluations: 144" in capsys.readouterr().out
+        assert len(runs) == 144 - 101
+        # each step: the density matrix's spectrum, purify's eigh, three entropies
+        assert counts == {"eigvalsh": 3 + 4 * 43, "eigh": 43, "density": 43}
+
+    def test_capacity_refuses_a_nan_in_the_batched_grid(self, monkeypatch, capsys):
+        def with_nan(ch, qs):
+            rows = diagonal_transcripts(ch, qs)
+            rows.mutual_entanglement[7] = np.nan
+            return rows
+
+        monkeypatch.setattr(cli, "diagonal_transcripts", with_nan)
+        assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite objective value nan at q=0.07" in err
+
+
 class TestEntanglementFidelity:
     def test_perfect_transmission(self):
         psi = purify(DensityMatrix(np.eye(2) / 2))
@@ -606,6 +731,24 @@ class TestJsonInterchange:
         doc = {"kraus": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}
         with pytest.raises(ValueError, match="not square"):
             kraus_channel_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '{"kraus": 5}',
+            '{"kraus": [[["a", 0]]]}',
+            '{"kraus": [[5]]}',
+            '{"kraus": [[[1, 0, 0]]]}',
+            '{"kraus": [[[1, 0]], [[1, 0], [0, 0], [0, 0], [1, 0]]]}',
+            '{"kraus": []}',
+            '{"kraus": [[[true, 0]]]}',
+            '{"kraus": [7]}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_payloads_raise_value_error(self, source):
+        with pytest.raises(ValueError, match="kraus"):
+            kraus_channel_from_json(source)
 
     def test_incomplete_operators_rejected(self):
         doc = {"kraus": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]}

@@ -145,6 +145,12 @@ NON_INTEGER_COUNTS = {
     ),
     "quantum_fano_bound(0.9, 4.0)": lambda: quantum_fano_bound(0.9, 4.0),
     "classical_fano_bound(0.1, 4.0)": lambda: classical_fano_bound(0.1, 4.0),
+    "dilation_channel(env_dim=4.0)": lambda: dilation_channel(
+        random_unitary(8, 1), 4.0, basis_state(4, 0)
+    ),
+    "dilation_channel(env_dim=float64(4))": lambda: dilation_channel(
+        random_unitary(8, 1), np.float64(4), basis_state(4, 0)
+    ),
 }
 
 
