@@ -17,6 +17,7 @@ catch the former.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,8 +33,8 @@ from .channel import (
     run_channel,
     transcript_slacks,
 )
-from .entropy import pure_subsystem_entropy, relative_entropy_binary
-from .qmat import DensityMatrix, PureState, _as_count, basis_state, random_unitary
+from .entropy import _row_entropies, relative_entropy_binary
+from .qmat import DensityMatrix, _as_count, _unit_interval, basis_state, random_unitary
 
 _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -93,9 +94,12 @@ def maximize_scalar_on_unit_interval(
 
     ``grid_values``, if given, are f on ``CAPACITY_GRID`` computed by the
     caller (e.g. in one batch); they count as evaluations and are checked
-    like them.
+    like them.  ``tol`` must be at least ``sys.float_info.epsilon``.
     """
     _check_tolerance(tol)
+    eps = sys.float_info.epsilon
+    if tol < eps:  # the interval cannot shrink below one ulp
+        raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
     evals = 0
 
     def checked(q: float, value) -> float:
@@ -181,10 +185,10 @@ def inequality_slacks(
     slacks["code_fano"] = quantum_fano_bound(t12.fidelity, rho_single.dim ** 2) - t12.loss
 
     d = rho_single.dim
-    fine = PureState(state12.amplitudes, (d, d, ch1.env_dim, ch2.env_dim))  # (Q2', R, E1', E2')
-    s_re1 = pure_subsystem_entropy(fine, (1, 2))
-    s_e2 = pure_subsystem_entropy(fine, (3,))  # = S(R E1' Q2') by purity
-    mutual_re1_q2 = s_re1 + t12.s_out - s_e2
+    fine = state12.amplitudes.reshape(1, d, d, ch1.env_dim, ch2.env_dim)  # (Q2', R, E1', E2')
+    # S(R E1'), and S(R E1' Q2') as S(E2') by purity
+    s_re1, s_re1q2 = _row_entropies(fine, ((1, 2), (3,)))[:, 0].tolist()
+    mutual_re1_q2 = s_re1 + t12.s_out - s_re1q2
     slacks["reverse_dpi"] = mutual_re1_q2 - t12.mutual_entanglement
     slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
 
@@ -192,20 +196,13 @@ def inequality_slacks(
     tpar, state_par = run_channel(par, rho_pair, return_state=True)
     for key, value in transcript_slacks(tpar, rho_pair.dim, rho_pair.dim).items():
         slacks[f"parallel:{key}"] = value
-    d1, d2 = ch1.input_dim, ch2.input_dim
-    finep = PureState(
-        state_par.amplitudes, (d1, d2, rho_pair.dim, ch1.env_dim, ch2.env_dim)
+    finep = state_par.amplitudes.reshape(
+        1, ch1.input_dim, ch2.input_dim, rho_pair.dim, ch1.env_dim, ch2.env_dim
     )  # (Q1', Q2', R, E1', E2')
-    i_1 = (
-        pure_subsystem_entropy(finep, (0, 3))
-        + pure_subsystem_entropy(finep, (0,))
-        - pure_subsystem_entropy(finep, (3,))
-    )
-    i_2 = (
-        pure_subsystem_entropy(finep, (1, 4))
-        + pure_subsystem_entropy(finep, (1,))
-        - pure_subsystem_entropy(finep, (4,))
-    )
+    keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
+    s_q1e1, s_q1, s_e1, s_q2e2, s_q2, s_e2 = _row_entropies(finep, keeps)[:, 0].tolist()
+    i_1 = s_q1e1 + s_q1 - s_e1
+    i_2 = s_q2e2 + s_q2 - s_e2
     slacks["subadditivity"] = i_1 + i_2 - tpar.mutual_entanglement
     return slacks
 
@@ -273,7 +270,7 @@ def mixture_axiom_slacks(
     convexity_channel: [w I(ch1) + (1-w) I(ch2)] - I(mixed channel) on rho1,
     where the mixed channel applies ch1 with probability w and ch2 otherwise.
     """
-    w = float(weight)
+    w = _unit_interval(weight, "mixture weight")
     mixed_input = DensityMatrix(
         w * rho1.matrix + (1.0 - w) * rho2.matrix, rho1.dims
     )

@@ -2,13 +2,14 @@
 
 A channel is its Kraus operators {K_k}; a unitary dilation U on Q (tensor) E
 is one way to write them down, and ``dilation_channel`` reads its branches
-K_k = <k| U (. tensor |env_initial>) off once.  Every pure input is sent by
-one contraction: Q goes through the isometry |q> -> sum_k K_k|q> |k>_E' into
-the branch register E'.  Composition works on the same branches: ``chain``
-and ``parallel`` contract the branch tensors into a ``KrausChannel`` and
-never build a composite unitary.  ``run_channel``, the scalar reference
-for any input and for the audits, purifies its input against a reference R,
-sends Q, and reads all entropic quantities off |Q'R'E'>:
+K_k = <k| U (. tensor |env_initial>) off once.  Composition works on the same
+branches: ``chain`` and ``parallel`` contract the branch tensors into a
+``KrausChannel`` and never build a composite unitary.
+
+Every transcript comes from one kernel, ``_transcript_rows``: a stack of
+pure inputs on Q (tensor) R goes through one ``einsum`` against the branches,
+Q through the isometry |q> -> sum_k K_k|q> |k>_E' into the branch register
+E', and all entropic quantities are read off each row's |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -18,14 +19,13 @@ sends Q, and reads all entropic quantities off |Q'R'E'>:
     coherent I_e  S - L
     fidelity F_e  <QR| rho_{Q'R} |QR>
 
-The factor order of the retained pure state is (Q', R, E'), leftmost slowest.
-
-``diagonal_transcripts`` is the stacked kernel for the paper's input family
-diag(q, 1 - q): a whole q list enters as the amplitude stack
-sqrt(q)|00> + sqrt(1 - q)|11> on (Q, R), goes through one ``einsum`` against
-the branches, and each entropy is one stacked ``eigvalsh`` on the smaller
-side's Gram matrices plus one vectorized clamp, in chunks of ``STACK_ROWS``
-rows.  Sweeps, the capacity grid scan and classical use run through it.
+Each entropy is one stacked ``eigvalsh`` on the smaller side's Gram matrices
+(``entropy._row_entropies``).  The factor order of each output row is
+(Q', R, E'), leftmost slowest.  ``run_channel`` purifies any input against a
+reference R and makes a one-row call; ``diagonal_transcripts`` enters the
+paper's input family diag(q, 1 - q) for a whole q list as the amplitude stack
+sqrt(q)|00> + sqrt(1 - q)|11>, in chunks of ``STACK_ROWS`` rows.  Sweeps, the
+capacity grid scan and classical use run through the stacked calls.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import binary_entropy, pure_subsystem_entropy
+from .entropy import _row_entropies, binary_entropy
 from .qmat import (
     PURITY_ATOL,
     UNITARY_ATOL,
@@ -99,6 +99,12 @@ class ChannelTranscript:
     coherent_info: float
     fidelity: float
 
+    @classmethod
+    def from_entropies(cls, s_in, s_out, s_env, fidelity) -> "ChannelTranscript":
+        """The transcript of (S, S', S_e, F_e): L = S_e + S - S', I = 2S - L, I_e = S - L."""
+        loss = s_env + s_in - s_out
+        return cls(s_in, s_out, s_env, loss, 2.0 * s_in - loss, s_in - loss, fidelity)
+
 
 def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> KrausChannel:
     """The channel of a unitary U on Q (tensor) E, E starting in |env_initial>.
@@ -149,30 +155,16 @@ def _send_rows(ch: KrausChannel, amps: np.ndarray) -> np.ndarray:
     return np.einsum("akb,nb...->na...k", _branches(ch), amps)
 
 
-def _send(ch: KrausChannel, amps: np.ndarray) -> PureState:
-    """out[q', ..., k] = sum_q B[q', k, q] amps[q, ...]: ``_send_rows`` for one
-    input, without the row axis, checked as a state."""
-    out = np.einsum("akb,b...->a...k", _branches(ch), amps)
-    return PureState(out.ravel(), out.shape)
+def _transcript_rows(ch: KrausChannel, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transcript kernel: each row of an (N, d, d) amplitude stack on (Q, R), sent.
 
-
-def _row_entropies(out: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """The entropy of each row's marginal over the factors ``keep`` of ``out[n]``.
-
-    One stacked ``eigvalsh`` on the Gram matrices of the smaller side, as
-    ``pure_subsystem_spectrum`` takes them, then ``clamp_spectrum`` on the
-    whole stack and -sum p log2 p per row.
+    Returns the (4, N) columns S, S', S_e, F_e and the (N, Q', R, E') output stack.
     """
-    n, dims = out.shape[0], out.shape[1:]
-    rest = tuple(i for i in range(len(dims)) if i not in keep)
-    d_keep = math.prod(dims[i] for i in keep)
-    d_rest = math.prod(dims) // d_keep
-    mat = out.transpose(0, *(1 + i for i in keep + rest)).reshape(n, d_keep, d_rest)
-    if d_keep > d_rest:
-        mat = mat.conj().swapaxes(1, 2)  # so the Gram matrix is M^dag M
-    probs = clamp_spectrum(np.linalg.eigvalsh(mat @ mat.conj().swapaxes(1, 2))[:, ::-1])
-    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    return -(probs * logs).sum(axis=1)
+    out = _send_rows(ch, amps)
+    overlap = np.einsum("nar,nark->nk", amps.conj(), out)  # <QR| out, per branch
+    fidelity = np.einsum("nk,nk->n", overlap, overlap.conj()).real
+    entropies = _row_entropies(out, ((1,), (0,), (2,)))
+    return np.vstack([entropies, fidelity]), out
 
 
 def _chunked_rows(q_values, chunk_rows) -> np.ndarray:
@@ -190,11 +182,7 @@ def _diagonal_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
     amps = np.zeros((qs.size, 2, 2), dtype=np.complex128)  # (Q, R)
     amps[:, 0, 0] = np.sqrt(qs)
     amps[:, 1, 1] = np.sqrt(1.0 - qs)
-    out = _send_rows(ch, amps)  # (Q', R, E')
-    overlap = np.einsum("nar,nark->nk", amps.conj(), out)  # <QR| out, per branch
-    fidelity = np.einsum("nk,nk->n", overlap, overlap.conj()).real
-    entropies = [_row_entropies(out, keep) for keep in ((1,), (0,), (2,))]
-    return np.stack([*entropies, fidelity])
+    return _transcript_rows(ch, amps)[0]
 
 
 def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
@@ -206,17 +194,8 @@ def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
     """
     if ch.input_dim != 2:
         raise ValueError("diagonal inputs diag(q, 1 - q) need a single-qubit channel")
-    s_in, s_out, s_env, fidelity = _chunked_rows(q_values, lambda qs: _diagonal_chunk(ch, qs))
-    loss = s_env + s_in - s_out
-    return ChannelTranscript(
-        s_in=s_in,
-        s_out=s_out,
-        s_env=s_env,
-        loss=loss,
-        mutual_entanglement=2.0 * s_in - loss,
-        coherent_info=s_in - loss,
-        fidelity=fidelity,
-    )
+    columns = _chunked_rows(q_values, lambda qs: _diagonal_chunk(ch, qs))
+    return ChannelTranscript.from_entropies(*columns)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -247,32 +226,11 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
     d = rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
-    psi_qr = purify(rho_q)
-    out = _send(ch, psi_qr.amplitudes.reshape(d, d))  # (Q', R, E')
-
-    s_in = pure_subsystem_entropy(out, (1,))
-    s_out = pure_subsystem_entropy(out, (0,))
-    s_env = pure_subsystem_entropy(out, (2,))
-    loss = s_env + s_in - s_out
-    mutual = 2.0 * s_in - loss
-    coherent = s_in - loss
-
-    # F_e = <QR| rho_{Q'R} |QR> = |psi_qr^dag M|^2 with M the (QR, E') reshaping.
-    mat = out.amplitudes.reshape(d * d, -1)
-    overlap = psi_qr.amplitudes.conj() @ mat
-    fidelity = float(np.real(overlap @ overlap.conj()))
-
-    transcript = ChannelTranscript(
-        s_in=s_in,
-        s_out=s_out,
-        s_env=s_env,
-        loss=loss,
-        mutual_entanglement=mutual,
-        coherent_info=coherent,
-        fidelity=fidelity,
-    )
+    columns, out = _transcript_rows(ch, purify(rho_q).amplitudes.reshape(1, d, d))
+    state = PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked
+    transcript = ChannelTranscript.from_entropies(*columns[:, 0].tolist())
     if return_state:
-        return transcript, out
+        return transcript, state
     return transcript
 
 

@@ -33,13 +33,12 @@ from .channel import (
     ChannelTranscript,
     KrausChannel,
     _chunked_rows,
-    _row_entropies,
-    _send,
     _send_rows,
     apply_channel,
     dilation_channel,
 )
 from .entropy import (
+    _row_entropies,
     binary_entropy,
     check_prob_vector,
     shannon_entropy,
@@ -173,17 +172,8 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
         max(0.0, (1.0 - 2.0 * p / 3.0 + delta) / 2.0),
         max(0.0, (1.0 - 2.0 * p / 3.0 - delta) / 2.0),
     ]
-    s_env = shannon_entropy(spectrum)
-    loss = s_env + s_in - s_out
-    return ChannelTranscript(
-        s_in=s_in,
-        s_out=s_out,
-        s_env=s_env,
-        loss=loss,
-        mutual_entanglement=2.0 * s_in - loss,
-        coherent_info=s_in - loss,
-        fidelity=1.0 - p + (p / 3.0) * (1.0 - 2.0 * q) ** 2,
-    )
+    fidelity = 1.0 - p + (p / 3.0) * (1.0 - 2.0 * q) ** 2
+    return ChannelTranscript.from_entropies(s_in, s_out, shannon_entropy(spectrum), fidelity)
 
 
 def quantum_capacity(p: float) -> float:
@@ -231,9 +221,8 @@ def _classical_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
     amps[:, 1, 1, 0] = np.sqrt(1.0 - qs)
     amps[:, 0, 0, 1] = -np.sqrt(qs)
     out = _send_rows(ch, amps)  # (Q', X, R, E')
-    s_out = _row_entropies(out, (0,))
-    s_joint = _row_entropies(out, (0, 2))  # S(Q'R)
-    return np.stack([s_out + _row_entropies(out, (2,)) - s_joint, s_joint - s_out])
+    s_out, s_joint, s_r = _row_entropies(out, ((0,), (0, 2), (2,)))  # S(Q'), S(Q'R), S(R)
+    return np.stack([s_out + s_r - s_joint, s_joint - s_out])
 
 
 def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +277,8 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     """
     p = _unit_interval(p, "error probability")
     ch = depolarizing_kraus(p)
-    sent = [pure_marginal(_send(ch, b.amplitudes.reshape(2, 2)), (0, 1)) for b in q_basis(0.5)]
+    out = _send_rows(ch, np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)]))
+    sent = [pure_marginal(PureState(row, row.shape), (0, 1)) for row in out]  # (Q', R, E')
     # rho[c, i, c', j] = delta_cc' rho^(c)[i, j] / 4, with rho^(c) on (Q', R)
     rho = np.einsum("cd,cij->cidj", np.eye(4) / 4, [s.matrix for s in sent]).reshape(16, 16)
     state = DensityMatrix(rho, (4, 2, 2))

@@ -20,9 +20,10 @@ from .qmat import (
     PureState,
     _as_count,
     _check_residual,
+    _one_row,
+    _schmidt_spectra,
     clamp_spectrum,
     partial_trace,
-    pure_subsystem_spectrum,
     _unit_interval,
 )
 
@@ -80,13 +81,30 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return _shannon(clamp_spectrum(rho.spectrum))
 
 
+def _row_entropies(amps: np.ndarray, keeps: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """out[j, n]: the entropy of row n's marginal over the factors ``keeps[j]`` of ``amps[n]``.
+
+    The one Schmidt-spectrum entropy: ``_schmidt_spectra`` per marginal, the
+    spectra zero-padded into one stack, then one ``clamp_spectrum`` and one
+    -sum p log2 p over all of them (a zero adds nothing to either).
+    """
+    spectra = [_schmidt_spectra(amps, keep) for keep in keeps]
+    probs = np.zeros((len(spectra), amps.shape[0], max(s.shape[1] for s in spectra)))
+    for padded, spectrum in zip(probs, spectra):
+        padded[:, : spectrum.shape[1]] = spectrum
+    probs = clamp_spectrum(probs)
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(axis=-1)
+
+
 def pure_subsystem_entropy(psi: PureState, keep: Iterable[int]) -> float:
-    """Entropy of a pure state's marginal over ``keep``, via the smaller Gram side."""
-    return _shannon(clamp_spectrum(pure_subsystem_spectrum(psi, keep)))
+    """Entropy of a pure state's marginal over ``keep``: the one-row call of ``_row_entropies``."""
+    amps, kept = _one_row(psi, keep)
+    return float(_row_entropies(amps, (kept,))[0, 0])
 
 
 def _check_partition(dims: tuple[int, ...], split: Sequence[Sequence[int]], parts: int):
-    groups = [tuple(int(i) for i in g) for g in split]
+    groups = [tuple(_as_count(i, "subsystem index") for i in g) for g in split]
     if len(groups) != parts:
         raise ValueError(f"bad partition: expected {parts} groups, got {len(groups)}")
     flat = [i for g in groups for i in g]

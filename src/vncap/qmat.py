@@ -74,7 +74,7 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_count(d, "subsystem dimension") for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"bad subsystem dimensions {dims}")
     if math.prod(dims) != size:
@@ -83,7 +83,7 @@ def _check_dims(dims, size: int) -> tuple[int, ...]:
 
 
 def _check_indices(indices, n_factors: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_as_count(i, "subsystem index") for i in indices)
     if not idx or len(set(idx)) != len(idx):
         raise ValueError(f"bad subsystem index set {idx}")
     if any(i < 0 or i >= n_factors for i in idx):
@@ -223,14 +223,30 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d_keep, d_keep), tuple(dims[i] for i in kept))
 
 
-def _bipartition(psi: PureState, keep: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The state as a (kept, rest) matrix, and the kept factors' dimensions in order."""
-    n = len(psi.dims)
-    kept = tuple(sorted(_check_indices(keep, n)))
-    kept_dims = tuple(psi.dims[i] for i in kept)
-    rest = [i for i in range(n) if i not in kept]
-    mat = psi.amplitudes.reshape(psi.dims).transpose(list(kept) + rest)
-    return mat.reshape(math.prod(kept_dims), -1), kept_dims
+def _one_row(psi: PureState, keep: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``psi`` as a one-row stack for the stacked routines, and ``keep`` checked and sorted."""
+    return psi.amplitudes.reshape(1, *psi.dims), tuple(sorted(_check_indices(keep, len(psi.dims))))
+
+
+def _split_rows(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Each row ``amps[n]`` of a stack of pure states as a (kept, rest) matrix."""
+    n, dims = amps.shape[0], amps.shape[1:]
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    sizes = (math.prod(dims[i] for i in part) for part in (keep, rest))
+    return amps.transpose(0, *(1 + i for i in keep + rest)).reshape(n, *sizes)
+
+
+def _schmidt_spectra(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The spectrum of each row's marginal over the factors ``keep`` of ``amps[n]``.
+
+    The marginal over ``keep`` and the marginal over its complement share their
+    nonzero eigenvalues, so one stacked ``eigvalsh`` runs on the Gram matrices
+    of the smaller side.  Rows descending, not yet clamped or renormalized.
+    """
+    mat = _split_rows(amps, keep)
+    if mat.shape[1] > mat.shape[2]:
+        mat = mat.conj().swapaxes(1, 2)  # so the Gram matrix is M^dag M
+    return np.linalg.eigvalsh(mat @ mat.conj().swapaxes(1, 2))[:, ::-1]
 
 
 def pure_marginal(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
@@ -239,27 +255,18 @@ def pure_marginal(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     Cheaper than forming the full projector: the state is reshaped to a
     (kept, rest) matrix M and the marginal is M M^dagger.
     """
-    mat, kept_dims = _bipartition(psi, keep)
-    return DensityMatrix(mat @ mat.conj().T, kept_dims)
+    row, kept = _one_row(psi, keep)
+    mat = _split_rows(row, kept)[0]
+    return DensityMatrix(mat @ mat.conj().T, tuple(psi.dims[i] for i in kept))
 
 
 def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
     """Nonzero-padded spectrum of a pure state's marginal over ``keep``.
 
-    Exploits the Schmidt decomposition: the marginal over ``keep`` and the
-    marginal over its complement share their nonzero eigenvalues, so the Gram
-    matrix of the smaller side is diagonalized.  Returned descending; not yet
+    The one-row call of ``_schmidt_spectra``.  Returned descending; not yet
     clamped/renormalized.
     """
-    mat, kept_dims = _bipartition(psi, keep)
-    if len(kept_dims) == len(psi.dims):
-        return np.array([1.0])
-    d_keep, d_rest = mat.shape
-    if d_keep <= d_rest:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    return np.linalg.eigvalsh(gram)[::-1].copy()
+    return _schmidt_spectra(*_one_row(psi, keep))[0]
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -276,6 +283,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     Deterministic per seed; the R-diagonal phases are divided out so the
     distribution does not depend on the QR sign convention.
     """
+    dim = _as_count(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
@@ -288,6 +296,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:
     """Computational basis vector |index> of the given dimension."""
+    dim, index = _as_count(dim, "dimension"), _as_count(index, "basis index")
     if not 0 <= index < dim:
         raise ValueError(f"bad basis index {index} for dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)

@@ -6,8 +6,11 @@ can check the branch contractions against an independent route.  A unitary
 and its initial environment travel together as a ``Dilation`` record, whose
 fields are the arguments of ``vncap.channel.dilation_channel``.
 
-``classical_use_contraction`` is the one-input classical-use simulation that
-the stacked kernel replaced, kept to check the kernel against.
+The scalar routes that the one stacked transcript kernel replaced are kept
+here to check the kernel against: ``schmidt_entropy`` (one state, one Gram
+matrix, one ``eigvalsh``), ``scalar_run_channel`` (one purified input, one
+contraction, three ``schmidt_entropy`` calls) and ``classical_use_contraction``
+(the one-input classical-use simulation).
 """
 
 from __future__ import annotations
@@ -17,9 +20,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from vncap.channel import KrausChannel, _branches
-from vncap.entropy import pure_subsystem_entropy
-from vncap.qmat import PureState, _check_indices, _check_unitary, basis_state
+from vncap.channel import ChannelTranscript, KrausChannel, _branches, purify
+from vncap.qmat import (
+    DensityMatrix,
+    PureState,
+    _check_indices,
+    _check_unitary,
+    basis_state,
+    clamp_spectrum,
+)
 
 
 class Dilation(NamedTuple):
@@ -115,14 +124,46 @@ def dilation_from_kraus(ch: KrausChannel) -> Dilation:
     return Dilation(_check_unitary(u.reshape(full, full)), m, basis_state(m, 0))
 
 
+def schmidt_entropy(psi: PureState, keep: Sequence[int]) -> float:
+    """Entropy of one pure state's marginal over ``keep``: the (kept, rest) matrix,
+    the Gram matrix of its smaller side, ``eigvalsh``, clamp, -sum p log2 p."""
+    n = len(psi.dims)
+    kept = tuple(sorted(_check_indices(keep, n)))
+    if len(kept) == n:
+        return 0.0
+    rest = [i for i in range(n) if i not in kept]
+    mat = psi.amplitudes.reshape(psi.dims).transpose(list(kept) + rest)
+    mat = mat.reshape(math.prod(psi.dims[i] for i in kept), -1)
+    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+    probs = clamp_spectrum(np.linalg.eigvalsh(gram)[::-1])
+    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def scalar_run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = False):
+    """``run_channel`` one input at a time: purify, one contraction into (Q', R, E'),
+    three ``schmidt_entropy`` calls and the overlap with the purification."""
+    d = rho_q.dim
+    psi_qr = purify(rho_q)
+    out = np.einsum("akb,br->ark", _branches(ch), psi_qr.amplitudes.reshape(d, d))
+    state = PureState(out.ravel(), out.shape)
+    s_in, s_out, s_env = (schmidt_entropy(state, (i,)) for i in (1, 0, 2))
+    loss = s_env + s_in - s_out
+    overlap = psi_qr.amplitudes.conj() @ state.amplitudes.reshape(d * d, -1)
+    fidelity = float(np.real(overlap @ overlap.conj()))
+    transcript = ChannelTranscript(
+        s_in, s_out, s_env, loss, 2.0 * s_in - loss, s_in - loss, fidelity
+    )
+    return (transcript, state) if return_state else transcript
+
+
 def classical_use_contraction(ch: KrausChannel, q: float) -> tuple[float, float]:
     """(mutual, loss) of classical use at one q: one (Q, X, R) input, one contraction,
-    three ``pure_subsystem_entropy`` calls on the (Q', X, R, E') output."""
+    three ``schmidt_entropy`` calls on the (Q', X, R, E') output."""
     amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
     amps[1, 1, 0] = math.sqrt(1.0 - q)
     amps[0, 0, 1] = -math.sqrt(q)
     out = np.einsum("akb,bxr->axrk", _branches(ch), amps)
     state = PureState(out.ravel(), out.shape)
-    s_out = pure_subsystem_entropy(state, (0,))
-    s_joint = pure_subsystem_entropy(state, (0, 2))  # S(Q'R)
-    return s_out + pure_subsystem_entropy(state, (2,)) - s_joint, s_joint - s_out
+    s_out = schmidt_entropy(state, (0,))
+    s_joint = schmidt_entropy(state, (0, 2))  # S(Q'R)
+    return s_out + schmidt_entropy(state, (2,)) - s_joint, s_joint - s_out

@@ -18,7 +18,7 @@ from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
-    _send,
+    _send_rows,
     apply_channel,
     chain,
     diagonal_transcripts,
@@ -52,6 +52,7 @@ from reference import (
     classical_use_contraction,
     dilation_from_kraus,
     promote_unitary,
+    scalar_run_channel,
 )
 
 
@@ -297,6 +298,42 @@ BRANCH_CHANNELS = {
 }
 
 
+# name -> channel for run_channel against its scalar reference: the branch
+# channels above, 16-branch chains of random dilations and 4-dim parallel pairs
+SCALAR_REFERENCE_CHANNELS = {
+    **{name: ch for name, (ch, _) in BRANCH_CHANNELS.items()},
+    **{
+        f"chain(random({a}), random({b}))": chain(random_channel(a), random_channel(b))
+        for a, b in ((206, 207), (208, 209))
+    },
+    **{
+        f"parallel(random({a}), random({b}))": parallel(random_channel(a), random_channel(b))
+        for a, b in ((210, 211), (212, 213))
+    },
+}
+
+
+class TestOneKernel:
+    """run_channel is the one-row call of the stacked transcript kernel."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_REFERENCE_CHANNELS))
+    def test_run_channel_matches_scalar_reference(self, name):
+        ch = SCALAR_REFERENCE_CHANNELS[name]
+        d = ch.input_dim
+        rng = np.random.default_rng(sum(map(ord, name)))
+        inputs = [random_density(rng, d) for _ in range(4)]
+        inputs += [DensityMatrix(np.eye(d) / d), basis_state(d, d - 1).projector()]
+        for rho in inputs:
+            t, state = run_channel(ch, rho, return_state=True)
+            expected, expected_state = scalar_run_channel(ch, rho, return_state=True)
+            assert state.dims == expected_state.dims == (d, d, ch.env_dim)
+            assert np.abs(state.amplitudes - expected_state.amplitudes).max() <= 1e-12
+            for field in ChannelTranscript.__dataclass_fields__:
+                got = getattr(t, field)
+                assert type(got) is float, field
+                assert abs(got - getattr(expected, field)) <= 1e-12, field
+
+
 class TestBranchContraction:
     """run_channel, apply_channel and classical use contract the Kraus branches;
     applying the full dilation unitary to the tensored input is the reference."""
@@ -356,9 +393,9 @@ class TestBranchContraction:
             amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             amps /= np.linalg.norm(amps)
             expected = np.einsum(subscripts, _branches(ch), amps)
-            out = _send(ch, amps)
-            assert out.dims == expected.shape
-            assert np.abs(out.amplitudes - expected.ravel()).max() <= 1e-12
+            out = _send_rows(ch, amps[np.newaxis])
+            assert out.shape == (1, *expected.shape)
+            assert np.abs(out[0] - expected).max() <= 1e-12
 
     def test_classical_use_builds_no_density_matrix(self, monkeypatch):
         built = []

@@ -121,8 +121,8 @@ class TestBuildDilation:
         ch, psi_minus = build_dilation(DepolParams(p, q))
         joint = PureState(tensor(psi_minus.amplitudes, env.amplitudes), (2, 2, 4))
         out = apply_unitary(u, joint, targets=(0, 2))
-        sent = depolarizing._send(ch, psi_minus.amplitudes.reshape(2, 2))  # the branch route
-        assert np.abs(sent.amplitudes - out.amplitudes).max() <= 1e-12
+        sent = depolarizing._send_rows(ch, psi_minus.amplitudes.reshape(1, 2, 2))  # branch route
+        assert np.abs(sent.ravel() - out.amplitudes).max() <= 1e-12
 
         phi_minus, phi_plus, psi_minus_q, psi_plus = q_basis(q)
         expected = math.sqrt(1 - p) * tensor(

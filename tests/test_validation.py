@@ -8,6 +8,7 @@ stays deterministic and fast.
 import contextlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vncap.analysis import (
     audit_inequalities,
     hamming_holds,
     maximize_scalar_on_unit_interval,
+    mixture_axiom_slacks,
     search_coherent_info_violations,
     _sphere_volume,
 )
@@ -43,8 +45,10 @@ from vncap.entropy import (
     _shannon,
     binary_entropy,
     classical_fano_bound,
+    pure_subsystem_entropy,
     relative_entropy_binary,
     shannon_entropy,
+    venn2,
     von_neumann_entropy,
 )
 from vncap.qmat import (
@@ -54,6 +58,8 @@ from vncap.qmat import (
     basis_state,
     clamp_spectrum,
     hermitian_eigenvalues,
+    partial_trace,
+    pure_subsystem_spectrum,
     random_unitary,
     _unit_interval,
 )
@@ -82,6 +88,10 @@ BAD_ENTRY = st.sampled_from(
 )
 
 
+MIXED = DensityMatrix(np.eye(2) / 2)
+MIXED_PAIR = DensityMatrix(np.eye(4) / 4, (2, 2))
+
+
 def h2(p):
     return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
 
@@ -99,6 +109,9 @@ SCALAR_ENTRY_POINTS = {
     "shannon_entropy": lambda x: shannon_entropy([x, 1.0 - x]),
     "classical_fano_bound": lambda x: classical_fano_bound(x, 4),
     "quantum_fano_bound": lambda x: quantum_fano_bound(x, 4),
+    "mixture_axiom_slacks.weight": lambda x: mixture_axiom_slacks(
+        dephasing_kraus(0.2), depolarizing_kraus(0.3), MIXED, MIXED, x
+    ),
 }
 
 
@@ -151,6 +164,21 @@ NON_INTEGER_COUNTS = {
     "dilation_channel(env_dim=float64(4))": lambda: dilation_channel(
         random_unitary(8, 1), np.float64(4), basis_state(4, 0)
     ),
+}
+
+# Factor indices and dimensions must be integers too; none is truncated.
+BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), (2, 2))
+NON_INTEGER_FACTORS = {
+    "partial_trace(keep=(0.9,))": lambda: partial_trace(MIXED_PAIR, (0.9,)),
+    "DensityMatrix(dims=(2.5, 2))": lambda: DensityMatrix(np.eye(4) / 4, (2.5, 2)),
+    "DensityMatrix(dims=(2.0, 2))": lambda: DensityMatrix(np.eye(4) / 4, (2.0, 2)),
+    "PureState(dims=(2, float64(2)))": lambda: PureState(BELL.amplitudes, (2, np.float64(2))),
+    "venn2(split=((0.5,), (1,)))": lambda: venn2(MIXED_PAIR, ((0.5,), (1,))),
+    "pure_subsystem_entropy(keep=(1.0,))": lambda: pure_subsystem_entropy(BELL, (1.0,)),
+    "pure_subsystem_spectrum(keep=(nan,))": lambda: pure_subsystem_spectrum(BELL, (math.nan,)),
+    "basis_state(2, 0.5)": lambda: basis_state(2, 0.5),
+    "basis_state(2.0, 0)": lambda: basis_state(2.0, 0),
+    "random_unitary(2.0, 1)": lambda: random_unitary(2.0, 1),
 }
 
 
@@ -218,6 +246,38 @@ class TestLibraryRefusals:
     def test_non_integer_counts_are_refused(self, name):
         with pytest.raises(ValueError, match="integer"):
             NON_INTEGER_COUNTS[name]()
+
+    @pytest.mark.parametrize("name", sorted(NON_INTEGER_FACTORS))
+    def test_non_integer_factors_are_refused(self, name):
+        with pytest.raises(ValueError, match="integer"):
+            NON_INTEGER_FACTORS[name]()
+
+    def test_integer_factors_of_numpy_type_are_accepted(self):
+        two = np.int64(2)
+        rho = DensityMatrix(np.eye(4) / 4, (two, 2))
+        assert rho.dims == (2, 2) and partial_trace(rho, (np.int64(0),)).dims == (2,)
+        assert venn2(rho, ((two - 2,), (two - 1,))).mutual == 0.0
+        assert basis_state(two, np.int64(1)).amplitudes[1] == 1.0
+        assert random_unitary(two, 1).shape == (2, 2)
+
+    @pytest.mark.parametrize("weight", [1.5, -0.2, math.nan, math.inf])
+    def test_mixture_weight_is_checked(self, weight):
+        ch1, ch2 = dephasing_kraus(0.2), depolarizing_kraus(0.3)
+        with pytest.raises(ValueError, match="mixture weight"):
+            mixture_axiom_slacks(ch1, ch2, MIXED, MIXED, weight)
+
+    def test_tolerance_below_float_resolution_is_refused(self):
+        for tol in (sys.float_info.epsilon / 2, 1e-17, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="float resolution"):
+                maximize_scalar_on_unit_interval(lambda q: -abs(q - 0.2), tol)
+
+    @pytest.mark.parametrize("peak", [0.0, 1e-3, 0.2, 0.5, 0.999, 1.0])
+    def test_golden_section_terminates_at_the_float_floor(self, peak):
+        result = maximize_scalar_on_unit_interval(
+            lambda q: -abs(q - peak), sys.float_info.epsilon
+        )
+        assert abs(result.argmax_q - peak) <= 1e-15
+        assert result.evaluations < 200
 
     def test_integer_counts_keep_their_type(self):
         query = HammingQuery(np.int64(7), np.int64(1), np.int64(1), "quantum")
@@ -361,6 +421,12 @@ class TestCliRefusals:
     @given(tol=BAD_TOL)
     def test_bad_tol(self, command, tol):
         assert_refused(*command, f"--tol={tol!r}")
+
+    @pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+    def test_capacity_tol_below_float_resolution(self, tol):
+        argv = ("capacity", "--channel", "depolarizing", "--use", "classical", "--p=0.2")
+        code, out, err = run_cli(*argv, f"--tol={tol}")
+        assert (code, out) == (2, "") and "float resolution" in err
 
     @FIXED
     @given(p=UNIT)
