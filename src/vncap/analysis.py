@@ -12,6 +12,15 @@ parallel pairs are composed on the Kraus branches (16 branches on a 2- or
 4-dim input); no composite unitary is built.  A violation beyond tolerance
 always indicates an implementation bug, never physics; the audit exists to
 catch the former.
+
+The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
+densities and weights are drawn in the seeded per-trial order; its unitaries
+come from one stacked QR and get one unitarity check, its channels are
+composed as (T, ...) branch stacks with one completeness check per stack, its
+inputs are purified by one stacked ``eigh`` and sent through the one
+transcript kernel, and each output stack's fine-grained entropies are one
+``_row_entropies`` call.  ``inequality_slacks`` and ``mixture_axiom_slacks``
+are the one-row calls of the stacked routines.
 """
 
 from __future__ import annotations
@@ -26,15 +35,28 @@ import numpy as np
 from .channel import (
     ChannelTranscript,
     KrausChannel,
-    chain,
-    dilation_channel,
-    parallel,
-    quantum_fano_bound,
-    run_channel,
+    _branches,
+    _chain_rows,
+    _check_complete,
+    _dilation_branches,
+    _fano_rows,
+    _from_branches,
+    _parallel_rows,
+    _purify_rows,
+    _slack_columns,
+    _transcript_rows,
     transcript_slacks,
 )
 from .entropy import _row_entropies, relative_entropy_binary
-from .qmat import DensityMatrix, _as_count, _unit_interval, basis_state, random_unitary
+from .qmat import (
+    DensityMatrix,
+    _as_count,
+    _check_normalized,
+    _check_unitary,
+    _random_unitaries,
+    _unit_interval,
+    basis_state,
+)
 
 _TIE_ATOL = 1e-12
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,6 +68,12 @@ CAPACITY_GRID = tuple(i / 100.0 for i in range(101))  # the optimizer's grid sca
 MAX_TRIALS = 10_000  # trials of one audit
 MAX_BLOCK_LENGTH = 5_000  # n of a Hamming query or rate row; k above twice it never fits
 MAX_N_LIST = 16  # block lengths in one asymptotic_consistency call
+
+# Trials per stacked audit chunk, the audits' counterpart of channel.STACK_ROWS.
+# A trial's stacks take about 26 KB, so a chunk's transient memory stays under
+# 1 MB however many trials run; at this size the per-chunk numpy overhead is
+# already small against the per-trial work.
+TRIAL_CHUNK = 32
 
 
 def _check_tolerance(tol: float) -> None:
@@ -82,6 +110,15 @@ class AuditReport:
     max_negative_slack: float
 
 
+def _check_optimizer_tolerance(tol: float) -> None:
+    """Refuse a golden-section tolerance that is not finite, not positive, or below
+    ``sys.float_info.epsilon``; callers with costly grid values check it first."""
+    _check_tolerance(tol)
+    eps = sys.float_info.epsilon
+    if tol < eps:  # the interval cannot shrink below one ulp
+        raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
+
+
 def maximize_scalar_on_unit_interval(
     f: Callable[[float], float], tol: float = 1e-10, grid_values: Sequence[float] | None = None
 ) -> CapacityResult:
@@ -96,10 +133,7 @@ def maximize_scalar_on_unit_interval(
     caller (e.g. in one batch); they count as evaluations and are checked
     like them.  ``tol`` must be at least ``sys.float_info.epsilon``.
     """
-    _check_tolerance(tol)
-    eps = sys.float_info.epsilon
-    if tol < eps:  # the interval cannot shrink below one ulp
-        raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
+    _check_optimizer_tolerance(tol)
     evals = 0
 
     def checked(q: float, value) -> float:
@@ -152,6 +186,61 @@ def maximize_scalar_on_unit_interval(
 # ---------------------------------------------------------------------------
 
 
+def _runs(branches: np.ndarray, amps: np.ndarray) -> tuple[ChannelTranscript, np.ndarray]:
+    """The transcripts (one array per entry) and output stack of a stack of runs,
+    each output row checked normalized."""
+    columns, out = _transcript_rows(branches, amps)
+    _check_normalized(out)
+    return ChannelTranscript.from_entropies(*columns), out
+
+
+def _inequality_rows(
+    b1: np.ndarray, b2: np.ndarray, rho_single: np.ndarray, rho_pair: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``inequality_slacks`` for a stack of draws: one array of slacks per id.
+
+    ``b1``, ``b2`` are (T, d, m, d) branch stacks; ``rho_single`` is a (T, d, d)
+    and ``rho_pair`` a (T, d d, d d) stack of density matrices.
+    """
+    n, d, m1, _ = b1.shape
+    m2 = b2.shape[2]
+    chained, par = _chain_rows(b1, b2), _parallel_rows(b1, b2)
+    _check_complete(chained)
+    _check_complete(par)
+    single = _purify_rows(rho_single)
+    t1, _ = _runs(b1, single)
+    t12, out12 = _runs(chained, single)
+    tpar, out_par = _runs(par, _purify_rows(rho_pair))
+
+    slacks = {f"single:{key}": v for key, v in _slack_columns(t1, d * d).items()}
+    slacks.update({f"chain:{key}": v for key, v in _slack_columns(t12, d * d).items()})
+    slacks["forward_dpi"] = t1.mutual_entanglement - t12.mutual_entanglement
+    slacks["forward_dpi_cap"] = 2.0 * t1.s_in - t1.mutual_entanglement
+    slacks["loss_chaining"] = t12.loss - t1.loss
+    slacks["code_fano"] = _fano_rows(t12.fidelity, d * d) - t12.loss
+
+    fine = out12.reshape(n, d, d, m1, m2)  # (Q2', R, E1', E2')
+    # S(R E1'), and S(R E1' Q2') as S(E2') by purity
+    s_re1, s_re1q2 = _row_entropies(fine, ((1, 2), (3,)))
+    mutual_re1_q2 = s_re1 + t12.s_out - s_re1q2
+    slacks["reverse_dpi"] = mutual_re1_q2 - t12.mutual_entanglement
+    slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
+
+    d_pair = rho_pair.shape[1]
+    slacks.update({f"parallel:{k}": v for k, v in _slack_columns(tpar, d_pair**2).items()})
+    finep = out_par.reshape(n, d, b2.shape[1], d_pair, m1, m2)  # (Q1', Q2', R, E1', E2')
+    keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
+    s_q1e1, s_q1, s_e1, s_q2e2, s_q2, s_e2 = _row_entropies(finep, keeps)
+    i_1 = s_q1e1 + s_q1 - s_e1
+    i_2 = s_q2e2 + s_q2 - s_e2
+    slacks["subadditivity"] = i_1 + i_2 - tpar.mutual_entanglement
+    return slacks
+
+
+def _one_row(slacks: dict[str, np.ndarray]) -> dict[str, float]:
+    return {key: float(value[0]) for key, value in slacks.items()}
+
+
 def inequality_slacks(
     ch1: KrausChannel, ch2: KrausChannel, rho_single: DensityMatrix, rho_pair: DensityMatrix
 ) -> dict[str, float]:
@@ -167,94 +256,51 @@ def inequality_slacks(
     - loss chaining L1 <= L12 and the quantum-code Fano bound on L12,
     - mutual-entropy subadditivity I12 <= I1 + I2 for the parallel channel.
 
-    All slacks are nonnegative when the implementation is correct.
+    All slacks are nonnegative when the implementation is correct.  The
+    one-row call of the stacked audit routine.
     """
-    slacks: dict[str, float] = {}
-
-    t1 = run_channel(ch1, rho_single)
-    for key, value in transcript_slacks(t1, rho_single.dim, rho_single.dim).items():
-        slacks[f"single:{key}"] = value
-
-    chained = chain(ch1, ch2)
-    t12, state12 = run_channel(chained, rho_single, return_state=True)
-    for key, value in transcript_slacks(t12, rho_single.dim, rho_single.dim).items():
-        slacks[f"chain:{key}"] = value
-    slacks["forward_dpi"] = t1.mutual_entanglement - t12.mutual_entanglement
-    slacks["forward_dpi_cap"] = 2.0 * t1.s_in - t1.mutual_entanglement
-    slacks["loss_chaining"] = t12.loss - t1.loss
-    slacks["code_fano"] = quantum_fano_bound(t12.fidelity, rho_single.dim ** 2) - t12.loss
-
     d = rho_single.dim
-    fine = state12.amplitudes.reshape(1, d, d, ch1.env_dim, ch2.env_dim)  # (Q2', R, E1', E2')
-    # S(R E1'), and S(R E1' Q2') as S(E2') by purity
-    s_re1, s_re1q2 = _row_entropies(fine, ((1, 2), (3,)))[:, 0].tolist()
-    mutual_re1_q2 = s_re1 + t12.s_out - s_re1q2
-    slacks["reverse_dpi"] = mutual_re1_q2 - t12.mutual_entanglement
-    slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
-
-    par = parallel(ch1, ch2)
-    tpar, state_par = run_channel(par, rho_pair, return_state=True)
-    for key, value in transcript_slacks(tpar, rho_pair.dim, rho_pair.dim).items():
-        slacks[f"parallel:{key}"] = value
-    finep = state_par.amplitudes.reshape(
-        1, ch1.input_dim, ch2.input_dim, rho_pair.dim, ch1.env_dim, ch2.env_dim
-    )  # (Q1', Q2', R, E1', E2')
-    keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
-    s_q1e1, s_q1, s_e1, s_q2e2, s_q2, s_e2 = _row_entropies(finep, keeps)[:, 0].tolist()
-    i_1 = s_q1e1 + s_q1 - s_e1
-    i_2 = s_q2e2 + s_q2 - s_e2
-    slacks["subadditivity"] = i_1 + i_2 - tpar.mutual_entanglement
-    return slacks
+    if not ch1.input_dim == ch2.input_dim == d or rho_pair.dim != d * d:
+        raise ValueError(
+            f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
+            f"inputs on {d} and {rho_pair.dim}"
+        )
+    rows = _inequality_rows(
+        _branches(ch1)[np.newaxis],
+        _branches(ch2)[np.newaxis],
+        rho_single.matrix[np.newaxis],
+        rho_pair.matrix[np.newaxis],
+    )
+    return _one_row(rows)
 
 
-def _random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
-    seed = int(rng.integers(0, 2**63))
-    return dilation_channel(random_unitary(2 * env_dim, seed), env_dim, basis_state(env_dim, 0))
+def _mixture_runs(
+    branches: np.ndarray, rho1: np.ndarray, rho2: np.ndarray, w: np.ndarray
+) -> tuple[ChannelTranscript, np.ndarray]:
+    """Each row's channel run on rho1, then on w rho1 + (1 - w) rho2, then on rho2,
+    as one 3T-row transcript; and the purified rho1 stack."""
+    wc = w[:, np.newaxis, np.newaxis]
+    amps = _purify_rows(np.concatenate([rho1, wc * rho1 + (1.0 - wc) * rho2, rho2]))
+    runs, _ = _runs(np.concatenate([branches] * 3), amps)
+    return runs, amps[: len(w)]
 
 
-def _random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
-    weights = rng.random(int(np.prod(dims))) + 1e-12
-    weights /= weights.sum()
-    return DensityMatrix(np.diag(weights.astype(np.complex128)), dims)
+def _mixture_rows(
+    b1: np.ndarray, b2: np.ndarray, rho1: np.ndarray, rho2: np.ndarray, w: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``mixture_axiom_slacks`` for a stack of draws: (T, d, m, d) branch stacks,
+    (T, d, d) density stacks and T weights."""
+    runs, amps1 = _mixture_runs(b1, rho1, rho2, w)
+    i_on_rho1, i_mix, i_2 = np.split(runs.mutual_entanglement, 3)
+    concavity = i_mix - (w * i_on_rho1 + (1.0 - w) * i_2)
 
-
-def _random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    weights = rng.random(dim) + 1e-12
-    weights /= weights.sum()
-    u = random_unitary(dim, int(rng.integers(0, 2**63)))
-    return DensityMatrix(u @ np.diag(weights.astype(np.complex128)) @ u.conj().T, (dim,))
-
-
-def audit_inequalities(
-    seed: int, trials: int, tol: float = 1e-9, extra_transcripts: Sequence[ChannelTranscript] = ()
-) -> AuditReport:
-    """Audit every framework inequality over seeded random channels.
-
-    Each trial draws two random single-qubit dilations (4-dim environments), a
-    random diagonal qubit input, and a random diagonal two-qubit input for the
-    parallel check, then scores ``inequality_slacks``.  ``extra_transcripts``
-    lets tests feed hand-built (possibly corrupted) transcripts through the
-    same per-transcript checks.  Deterministic per seed.
-    """
-    _check_audit_args(trials, tol)
-    rng = np.random.default_rng(seed)
-    violations = []
-    worst = 0.0
-    for i in range(trials):
-        ch1 = _random_dilation(rng)
-        ch2 = _random_dilation(rng)
-        rho_single = _random_diagonal(rng, (2,))
-        rho_pair = _random_diagonal(rng, (2, 2))
-        for key, slack in inequality_slacks(ch1, ch2, rho_single, rho_pair).items():
-            worst = min(worst, slack)
-            if slack < -tol:
-                violations.append((key, {"trial": i}, slack))
-    for j, transcript in enumerate(extra_transcripts):
-        for key, slack in transcript_slacks(transcript).items():
-            worst = min(worst, slack)
-            if slack < -tol:
-                violations.append((f"injected:{key}", {"transcript": j}, slack))
-    return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
+    wb = w[:, np.newaxis, np.newaxis, np.newaxis]
+    mixed_channel = np.concatenate([np.sqrt(wb) * b1, np.sqrt(1.0 - wb) * b2], axis=2)
+    _check_complete(mixed_channel)
+    i_ch2 = _runs(b2, amps1)[0].mutual_entanglement
+    i_chmix = _runs(mixed_channel, amps1)[0].mutual_entanglement
+    convexity = (w * i_on_rho1 + (1.0 - w) * i_ch2) - i_chmix
+    return {"concavity_input": concavity, "convexity_channel": convexity}
 
 
 def mixture_axiom_slacks(
@@ -269,46 +315,178 @@ def mixture_axiom_slacks(
     concavity_input:   I(w rho1 + (1-w) rho2; ch1) - [w I(rho1) + (1-w) I(rho2)]
     convexity_channel: [w I(ch1) + (1-w) I(ch2)] - I(mixed channel) on rho1,
     where the mixed channel applies ch1 with probability w and ch2 otherwise.
+    The one-row call of the stacked audit routine.
     """
     w = _unit_interval(weight, "mixture weight")
-    mixed_input = DensityMatrix(
-        w * rho1.matrix + (1.0 - w) * rho2.matrix, rho1.dims
+    if not ch1.input_dim == ch2.input_dim == rho1.dim == rho2.dim:
+        raise ValueError(
+            f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
+            f"inputs on {rho1.dim} and {rho2.dim}"
+        )
+    rows = _mixture_rows(
+        _branches(ch1)[np.newaxis],
+        _branches(ch2)[np.newaxis],
+        rho1.matrix[np.newaxis],
+        rho2.matrix[np.newaxis],
+        np.array([w]),
     )
-    i_on_rho1 = run_channel(ch1, rho1).mutual_entanglement
-    i_mix = run_channel(ch1, mixed_input).mutual_entanglement
-    i_2 = run_channel(ch1, rho2).mutual_entanglement
-    concavity = i_mix - (w * i_on_rho1 + (1.0 - w) * i_2)
+    return _one_row(rows)
 
-    mixed_channel = KrausChannel(
-        tuple(math.sqrt(w) * k for k in ch1.operators)
-        + tuple(math.sqrt(1.0 - w) * k for k in ch2.operators)
+
+def _coherent_concavity_rows(
+    branches: np.ndarray, rho1: np.ndarray, rho2: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """I_e(w rho1 + (1-w) rho2) - [w I_e(rho1) + (1-w) I_e(rho2)] for each row."""
+    i_1, i_mix, i_2 = np.split(_mixture_runs(branches, rho1, rho2, w)[0].coherent_info, 3)
+    return i_mix - (w * i_1 + (1.0 - w) * i_2)
+
+
+def _draw_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63))
+
+
+def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    weights = rng.random(n) + 1e-12
+    return weights / weights.sum()
+
+
+def _random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
+    """The (N, 2, env_dim, 2) branch stack of one random qubit dilation per seed:
+    one stacked QR, one unitarity check and one completeness check."""
+    us = _check_unitary(_random_unitaries(2 * env_dim, seeds), 3)
+    branches = _dilation_branches(us, env_dim, basis_state(env_dim, 0))
+    _check_complete(branches)
+    return branches
+
+
+def _random_densities(weights: np.ndarray, seeds) -> list[DensityMatrix]:
+    """u diag(weights[n]) u^dag for each weight row, u the random unitary of seeds[n]
+    (one stacked QR), each a validated DensityMatrix."""
+    us = _random_unitaries(weights.shape[1], seeds)
+    return [DensityMatrix(m) for m in (us * weights[:, np.newaxis, :]) @ us.conj().swapaxes(1, 2)]
+
+
+def _random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
+    return _from_branches(_random_dilations([_draw_seed(rng)], env_dim)[0])
+
+
+def _random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
+    return DensityMatrix(np.diag(_draw_weights(rng, math.prod(dims)).astype(np.complex128)), dims)
+
+
+def _random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    weights = _draw_weights(rng, dim)[np.newaxis]
+    return _random_densities(weights, [_draw_seed(rng)])[0]
+
+
+def _diagonals(rows: list) -> np.ndarray:
+    """The (N, d, d) stack of diagonal density matrices diag(rows[n])."""
+    weights = np.array(rows, dtype=np.complex128)
+    return weights[:, :, np.newaxis] * np.eye(weights.shape[1])
+
+
+def _chunks(trials: int):
+    """Consecutive trial ranges of at most TRIAL_CHUNK trials, covering range(trials)."""
+    for start in range(0, trials, TRIAL_CHUNK):
+        yield range(start, min(start + TRIAL_CHUNK, trials))
+
+
+def _inequality_chunks(seed: int, trials: int):
+    """Per chunk of trials: each trial's parameters and the slack arrays of
+    ``_inequality_rows``, the draws in the seeded per-trial order."""
+    rng = np.random.default_rng(seed)
+    for chunk in _chunks(trials):
+        seeds, singles, pairs = [], [], []
+        for _ in chunk:
+            seeds += [_draw_seed(rng), _draw_seed(rng)]  # ch1, ch2
+            singles.append(_draw_weights(rng, 2))
+            pairs.append(_draw_weights(rng, 4))
+        branches = _random_dilations(seeds)
+        rho_single, rho_pair = _diagonals(singles), _diagonals(pairs)
+        slacks = _inequality_rows(branches[0::2], branches[1::2], rho_single, rho_pair)
+        yield [{"trial": i} for i in chunk], slacks
+
+
+def _mixture_chunks(seed: int, trials: int, channels: int, score):
+    """Per chunk of trials: each trial's parameters and ``score(branches, rho1, rho2, w)``.
+
+    Each trial draws ``channels`` channels, two densities (weights, then seed)
+    and a weight, in the seeded per-trial order; ``branches`` holds the
+    channels trial-major.
+    """
+    rng = np.random.default_rng(seed)
+    for chunk in _chunks(trials):
+        seeds, weights, density_seeds, ws = [], [], [], []
+        for _ in chunk:
+            seeds += [_draw_seed(rng) for _ in range(channels)]
+            for _ in range(2):
+                weights.append(_draw_weights(rng, 2))
+                density_seeds.append(_draw_seed(rng))
+            ws.append(float(rng.uniform(0.05, 0.95)))
+        rhos = _random_densities(np.array(weights), density_seeds)
+        rho1, rho2 = (np.stack([rho.matrix for rho in rhos[i::2]]) for i in (0, 1))
+        slacks = score(_random_dilations(seeds), rho1, rho2, np.array(ws))
+        yield [{"trial": i, "weight": w} for i, w in zip(chunk, ws)], slacks
+
+
+def _axiom_chunks(seed: int, trials: int):
+    """``_mixture_chunks`` scored by ``_mixture_rows``, two channels per trial."""
+    return _mixture_chunks(
+        seed, trials, 2, lambda b, rho1, rho2, w: _mixture_rows(b[0::2], b[1::2], rho1, rho2, w)
     )
-    i_ch2 = run_channel(ch2, rho1).mutual_entanglement
-    i_chmix = run_channel(mixed_channel, rho1).mutual_entanglement
-    convexity = (w * i_on_rho1 + (1.0 - w) * i_ch2) - i_chmix
-    return {"concavity_input": concavity, "convexity_channel": convexity}
+
+
+def _coherent_chunks(seed: int, trials: int):
+    """``_mixture_chunks`` scored by ``_coherent_concavity_rows``, one channel per trial."""
+    return _mixture_chunks(
+        seed, trials, 1, lambda *draws: {"coherent": _coherent_concavity_rows(*draws)}
+    )
+
+
+def _scan(chunks, tol: float) -> tuple[list, float]:
+    """The violations (slack below -tol) and the most negative slack (or 0.0) over
+    (parameters, slack arrays) chunks: violations trial-major, then in slack-id order."""
+    violations, worst = [], 0.0
+    for params, slacks in chunks:
+        keys = list(slacks)
+        table = np.stack([slacks[key] for key in keys], axis=1)  # (trials, ids)
+        worst = min(worst, float(table.min()))
+        for i, j in zip(*np.nonzero(table < -tol)):
+            violations.append((keys[j], dict(params[i]), float(table[i, j])))
+    return violations, worst
+
+
+def audit_inequalities(
+    seed: int, trials: int, tol: float = 1e-9, extra_transcripts: Sequence[ChannelTranscript] = ()
+) -> AuditReport:
+    """Audit every framework inequality over seeded random channels.
+
+    Each trial draws two random single-qubit dilations (4-dim environments), a
+    random diagonal qubit input, and a random diagonal two-qubit input for the
+    parallel check, then scores ``inequality_slacks``; the trials run stacked,
+    ``TRIAL_CHUNK`` at a time.  ``extra_transcripts`` lets tests feed
+    hand-built (possibly corrupted) transcripts through the same per-transcript
+    checks.  Deterministic per seed.
+    """
+    _check_audit_args(trials, tol)
+    violations, worst = _scan(_inequality_chunks(seed, trials), tol)
+    for j, transcript in enumerate(extra_transcripts):
+        for key, slack in transcript_slacks(transcript).items():
+            worst = min(worst, slack)
+            if slack < -tol:
+                violations.append((f"injected:{key}", {"transcript": j}, slack))
+    return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
 
 def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport:
     """Spot-check concavity in the input and convexity in the channel map.
 
-    Each trial draws a weight, two random densities, and two random channels,
-    and scores ``mixture_axiom_slacks``.  Deterministic per seed.
+    Each trial draws two random channels, two random densities, and a weight,
+    and scores ``mixture_axiom_slacks``; the trials run stacked,
+    ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
     _check_audit_args(trials, tol)
-    rng = np.random.default_rng(seed)
-    violations = []
-    worst = 0.0
-    for i in range(trials):
-        ch1 = _random_dilation(rng)
-        ch2 = _random_dilation(rng)
-        rho1 = _random_density(rng, 2)
-        rho2 = _random_density(rng, 2)
-        w = float(rng.uniform(0.05, 0.95))
-        for key, slack in mixture_axiom_slacks(ch1, ch2, rho1, rho2, w).items():
-            worst = min(worst, slack)
-            if slack < -tol:
-                violations.append((key, {"trial": i, "weight": w}, slack))
+    violations, worst = _scan(_axiom_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
 
@@ -322,23 +500,8 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     each as (trial index, weight, slack).  Deterministic per seed.
     """
     _check_audit_args(trials, tol)
-    rng = np.random.default_rng(seed)
-    found = []
-    for i in range(trials):
-        ch = _random_dilation(rng)
-        rho1 = _random_density(rng, 2)
-        rho2 = _random_density(rng, 2)
-        w = float(rng.uniform(0.05, 0.95))
-        mixed = DensityMatrix(w * rho1.matrix + (1.0 - w) * rho2.matrix, rho1.dims)
-        i_mix = run_channel(ch, mixed).coherent_info
-        i_parts = (
-            w * run_channel(ch, rho1).coherent_info
-            + (1.0 - w) * run_channel(ch, rho2).coherent_info
-        )
-        slack = i_mix - i_parts
-        if slack < -tol:
-            found.append((i, w, slack))
-    return tuple(found)
+    violations, _ = _scan(_coherent_chunks(seed, trials), tol)
+    return tuple((params["trial"], params["weight"], slack) for _, params, slack in violations)
 
 
 # ---------------------------------------------------------------------------

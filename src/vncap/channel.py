@@ -4,11 +4,14 @@ A channel is its Kraus operators {K_k}; a unitary dilation U on Q (tensor) E
 is one way to write them down, and ``dilation_channel`` reads its branches
 K_k = <k| U (. tensor |env_initial>) off once.  Composition works on the same
 branches: ``chain`` and ``parallel`` contract the branch tensors into a
-``KrausChannel`` and never build a composite unitary.
+``KrausChannel`` and never build a composite unitary.  Each of these is the
+one-row call of a routine on (N, ...) stacks of branch tensors
+(``_dilation_branches``, ``_chain_rows``, ``_parallel_rows``), which the
+audits call with a chunk of trials at once.
 
 Every transcript comes from one kernel, ``_transcript_rows``: a stack of
-pure inputs on Q (tensor) R goes through one ``einsum`` against the branches,
-Q through the isometry |q> -> sum_k K_k|q> |k>_E' into the branch register
+pure inputs on Q (tensor) R goes through one ``einsum`` against the branches
+(one branch tensor for all rows, or one per row), Q through the isometry |q> -> sum_k K_k|q> |k>_E' into the branch register
 E', and all entropic quantities are read off each row's |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
@@ -22,10 +25,11 @@ E', and all entropic quantities are read off each row's |Q'R'E'>:
 Each entropy is one stacked ``eigvalsh`` on the smaller side's Gram matrices
 (``entropy._row_entropies``).  The factor order of each output row is
 (Q', R, E'), leftmost slowest.  ``run_channel`` purifies any input against a
-reference R and makes a one-row call; ``diagonal_transcripts`` enters the
+reference R (``purify``, the one-row call of the stacked ``_purify_rows``) and
+makes a one-row call; ``diagonal_transcripts`` enters the
 paper's input family diag(q, 1 - q) for a whole q list as the amplitude stack
 sqrt(q)|00> + sqrt(1 - q)|11>, in chunks of ``STACK_ROWS`` rows.  Sweeps, the
-capacity grid scan and classical use run through the stacked calls.
+capacity grid scan, classical use and the audits run through the stacked calls.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _row_entropies, binary_entropy
+from .entropy import _row_entropies, _spectrum_entropies, binary_entropy
 from .qmat import (
     PURITY_ATOL,
     UNITARY_ATOL,
@@ -69,9 +73,7 @@ class KrausChannel:
         if not len(self.operators):
             raise ValueError("a channel needs at least one Kraus operator")
         ops = _as_complex_array(self.operators, 3)  # one (m, d, d) stack
-        total = np.einsum("kab,kac->bc", ops.conj(), ops)  # sum_k K_k^dag K_k
-        resid = np.max(np.abs(total - np.eye(ops.shape[1])))
-        _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
+        _check_complete(ops.swapaxes(0, 1)[np.newaxis])
         object.__setattr__(self, "operators", tuple(ops))
 
     @property
@@ -106,11 +108,33 @@ class ChannelTranscript:
         return cls(s_in, s_out, s_env, loss, 2.0 * s_in - loss, s_in - loss, fidelity)
 
 
+def _check_complete(branches: np.ndarray) -> None:
+    """Raise unless each branch tensor of an (N, a, k, b) stack is trace preserving,
+    sum_k B_k^dag B_k = I."""
+    total = np.einsum("nakb,nakc->nbc", branches.conj(), branches)
+    resid = np.max(np.abs(total - np.eye(branches.shape[-1])))
+    _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
+
+
+def _dilation_branches(us: np.ndarray, env_dim: int, env_initial: PureState) -> np.ndarray:
+    """The branch stack B[n, q', k, q] = <k| U_n (|q> tensor |env_initial>) of an
+    (N, d dE, d dE) stack of unitaries on Q (tensor) E, E the fast factor."""
+    n, d = us.shape[0], us.shape[1] // env_dim
+    shape = (n, d, env_dim, d, env_dim)
+    return np.einsum("nakbe,e->nakb", us.reshape(shape), env_initial.amplitudes)
+
+
+def _from_branches(branches: np.ndarray) -> KrausChannel:
+    """The channel of one branch tensor B[q', k, q]: its k-th Kraus operator is B[:, k, :]."""
+    return KrausChannel(branches.swapaxes(0, 1))
+
+
 def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> KrausChannel:
     """The channel of a unitary U on Q (tensor) E, E starting in |env_initial>.
 
     Its branches are K_k = <k| U (. tensor |env_initial>), one per environment
-    basis state, with E the fast factor of U.
+    basis state, with E the fast factor of U: the one-row call of
+    ``_dilation_branches``.
     """
     u = _check_unitary(u_qe)
     env_dim = _as_count(env_dim, "environment dimension")
@@ -118,10 +142,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
         raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
-    d = u.shape[0] // env_dim
-    # B[qout, k, qin] = sum_e U[qout k, qin e] env[e]
-    branches = np.einsum("akbe,e->akb", u.reshape(d, env_dim, d, env_dim), env_initial.amplitudes)
-    return KrausChannel(branches.transpose(1, 0, 2))
+    return _from_branches(_dilation_branches(u[np.newaxis], env_dim, env_initial)[0])
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
@@ -129,19 +150,26 @@ def identity_channel(dim: int = 2) -> KrausChannel:
     return KrausChannel((np.eye(dim, dtype=np.complex128),))
 
 
+def _purify_rows(mats: np.ndarray) -> np.ndarray:
+    """A purification on (Q, R) of each matrix of an (N, d, d) stack of density matrices.
+
+    Row n is sum_i sqrt(p_i) |v_i>|i>, eigenvalues descending, from one stacked
+    ``eigh``; ``clamp_spectrum`` checks every eigenvalue against the floor.
+    """
+    vals, vecs = np.linalg.eigh(mats)
+    probs = clamp_spectrum(vals[:, ::-1])
+    return vecs[:, :, ::-1] * np.sqrt(probs)[:, np.newaxis, :]
+
+
 def purify(rho_q: DensityMatrix) -> PureState:
     """A pure state on Q (tensor) R whose Q-marginal is ``rho_q``.
 
     Built from the clamped eigendecomposition as sum_i sqrt(p_i) |v_i>|i>,
     with Q the first (slowest) factor and the reference R a copy of Q's
-    dimension.  Tracing out R recovers the input within 1e-10.
+    dimension: the one-row call of ``_purify_rows``.  Tracing out R recovers
+    the input within 1e-10.
     """
-    vals, vecs = np.linalg.eigh(rho_q.matrix)
-    order = np.argsort(vals)[::-1]
-    probs = clamp_spectrum(vals[order])
-    vecs = vecs[:, order]
-    amps = (vecs * np.sqrt(probs)[np.newaxis, :]).ravel()
-    return PureState(amps, (rho_q.dim, rho_q.dim))
+    return PureState(_purify_rows(rho_q.matrix[np.newaxis])[0], (rho_q.dim, rho_q.dim))
 
 
 def _branches(ch: KrausChannel) -> np.ndarray:
@@ -149,18 +177,24 @@ def _branches(ch: KrausChannel) -> np.ndarray:
     return np.stack(ch.operators, axis=1)
 
 
-def _send_rows(ch: KrausChannel, amps: np.ndarray) -> np.ndarray:
+def _send_rows(branches: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """out[n, q', ..., k] = sum_q B[q', k, q] amps[n, q, ...]: in every row n,
-    factor 0 (Q) is sent and the branch register E' is appended last."""
-    return np.einsum("akb,nb...->na...k", _branches(ch), amps)
+    factor 0 (Q) is sent and the branch register E' is appended last.
+
+    ``branches`` is one branch tensor (a, k, b) for every row, or an (N, a, k, b)
+    stack with one per row.
+    """
+    subscripts = "akb,nb...->na...k" if branches.ndim == 3 else "nakb,nb...->na...k"
+    return np.einsum(subscripts, branches, amps)
 
 
-def _transcript_rows(ch: KrausChannel, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The transcript kernel: each row of an (N, d, d) amplitude stack on (Q, R), sent.
+def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transcript kernel: each row of an (N, d, d) amplitude stack on (Q, R), sent
+    through ``branches`` as ``_send_rows`` does.
 
     Returns the (4, N) columns S, S', S_e, F_e and the (N, Q', R, E') output stack.
     """
-    out = _send_rows(ch, amps)
+    out = _send_rows(branches, amps)
     overlap = np.einsum("nar,nark->nk", amps.conj(), out)  # <QR| out, per branch
     fidelity = np.einsum("nk,nk->n", overlap, overlap.conj()).real
     entropies = _row_entropies(out, ((1,), (0,), (2,)))
@@ -182,7 +216,7 @@ def _diagonal_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
     amps = np.zeros((qs.size, 2, 2), dtype=np.complex128)  # (Q, R)
     amps[:, 0, 0] = np.sqrt(qs)
     amps[:, 1, 1] = np.sqrt(1.0 - qs)
-    return _transcript_rows(ch, amps)[0]
+    return _transcript_rows(_branches(ch), amps)[0]
 
 
 def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
@@ -226,7 +260,7 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
     d = rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
-    columns, out = _transcript_rows(ch, purify(rho_q).amplitudes.reshape(1, d, d))
+    columns, out = _transcript_rows(_branches(ch), purify(rho_q).amplitudes.reshape(1, d, d))
     state = PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked
     transcript = ChannelTranscript.from_entropies(*columns[:, 0].tolist())
     if return_state:
@@ -244,20 +278,32 @@ def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -
     return float(np.real(np.trace(rho_qr_in.matrix @ rho_qr_out.matrix)))
 
 
+def _chain_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """ch2(ch1(.)) for each row of the (N, d, m1, d) and (N, d, m2, d) branch stacks:
+    B[n, a, (e, g), b] = sum_c B2[n, a, g, c] B1[n, c, e, b], E1 the slower index."""
+    n, d, m1, _ = b1.shape
+    return np.einsum("nagc,nceb->naegb", b2, b1).reshape(n, d, m1 * b2.shape[2], d)
+
+
+def _parallel_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """ch1 (tensor) ch2 for each row of two branch stacks:
+    B[n, (a, c), (e, g), (b, d)] = B1[n, a, e, b] B2[n, c, g, d], the first factor slowest."""
+    (n, d1, m1, _), (d2, m2) = b1.shape, b2.shape[1:3]
+    return np.einsum("naeb,ncgd->nacegbd", b1, b2).reshape(n, d1 * d2, m1 * m2, d1 * d2)
+
+
 def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """The composite channel ch2(ch1(.)) with independent environments E1, E2.
 
     Composed on the branches, B[a, (e, g), b] = sum_c B2[a, g, c] B1[c, e, b],
     so the branch register is E1 (tensor) E2, E1 slowest; no composite unitary
-    is built.
+    is built.  The one-row call of ``_chain_rows``.
     """
     if ch1.input_dim != ch2.input_dim:
         raise ValueError(
             f"dimension mismatch: {ch1.input_dim}-dim output into {ch2.input_dim}-dim channel"
         )
-    d, m = ch1.input_dim, ch1.env_dim * ch2.env_dim
-    ops = np.einsum("agc,ceb->egab", _branches(ch2), _branches(ch1))
-    return KrausChannel(ops.reshape(m, d, d))
+    return _from_branches(_chain_rows(_branches(ch1)[np.newaxis], _branches(ch2)[np.newaxis])[0])
 
 
 def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
@@ -265,20 +311,32 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 
     Composed on the branches, B[(a, c), (e, g), (b, d)] = B1[a, e, b] B2[c, g, d]:
     the input is Q1 (tensor) Q2 and the branch register E1 (tensor) E2, the first
-    factor slowest in each; no composite unitary is built.
+    factor slowest in each; no composite unitary is built.  The one-row call of
+    ``_parallel_rows``.
     """
-    d, m = ch1.input_dim * ch2.input_dim, ch1.env_dim * ch2.env_dim
-    ops = np.einsum("aeb,cgd->egacbd", _branches(ch1), _branches(ch2))
-    return KrausChannel(ops.reshape(m, d, d))
+    return _from_branches(_parallel_rows(_branches(ch1)[np.newaxis], _branches(ch2)[np.newaxis])[0])
+
+
+def _code_dim(code_dim) -> int:
+    d = _as_count(code_dim, "code dimension")
+    if d < 2:
+        raise ValueError(f"code dimension must be an integer >= 2, got {code_dim!r}")
+    return d
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
     """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space."""
-    d = _as_count(code_dim, "code dimension")
-    if d < 2:
-        raise ValueError(f"code dimension must be an integer >= 2, got {code_dim!r}")
+    d = _code_dim(code_dim)
     f = _unit_interval(fidelity, "fidelity")
     return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(d - 1))
+
+
+def _fano_rows(fidelity, code_dim: int) -> np.ndarray:
+    """``quantum_fano_bound`` of each fidelity in an array: (F, 1 - F) is checked and
+    clamped as a spectrum, and H2(F) is its entropy."""
+    probs = clamp_spectrum(np.stack([fidelity, 1.0 - fidelity], axis=-1))
+    log_term = math.log2(_code_dim(code_dim) - 1)
+    return 2.0 * (_spectrum_entropies(probs) + probs[..., 1] * log_term)
 
 
 def transcript_identity_residuals(t: ChannelTranscript) -> dict[str, float]:
@@ -297,7 +355,13 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1), half the
     quantum-code Fano bound at code dimension d_Q d_R.
     """
-    fano = 0.5 * quantum_fano_bound(t.fidelity, d_q * d_r)
+    return {key: float(slack) for key, slack in _slack_columns(t, d_q * d_r).items()}
+
+
+def _slack_columns(t: ChannelTranscript, code_dim: int) -> dict:
+    """``transcript_slacks`` of a transcript whose entries are floats or equal-length
+    arrays, one slack (or array of slacks) per id."""
+    fano = 0.5 * _fano_rows(t.fidelity, code_dim)
     return {
         "loss_nonneg": t.loss,
         "loss_le_2s_in": 2.0 * t.s_in - t.loss,

@@ -118,6 +118,7 @@ OBJECTIVE_COLUMN = {"quantum": 4, "classical": 0}
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
+    analysis._check_optimizer_tolerance(args.tol)  # before the grid is computed
     family, closed_form = FAMILIES[args.channel, args.use]
     (point, rows), column = family(p), OBJECTIVE_COLUMN[args.use]
     grid_values = [values[column] for values in rows(analysis.CAPACITY_GRID)]

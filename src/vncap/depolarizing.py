@@ -32,6 +32,7 @@ import numpy as np
 from .channel import (
     ChannelTranscript,
     KrausChannel,
+    _branches,
     _chunked_rows,
     _send_rows,
     apply_channel,
@@ -49,8 +50,8 @@ from .entropy import (
 from .qmat import (
     DensityMatrix,
     PureState,
+    _split_rows,
     basis_state,
-    pure_marginal,
     tensor,
     _unit_interval,
 )
@@ -220,7 +221,7 @@ def _classical_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
     amps = np.zeros((qs.size, 2, 2, 2), dtype=np.complex128)  # (Q, X, R)
     amps[:, 1, 1, 0] = np.sqrt(1.0 - qs)
     amps[:, 0, 0, 1] = -np.sqrt(qs)
-    out = _send_rows(ch, amps)  # (Q', X, R, E')
+    out = _send_rows(_branches(ch), amps)  # (Q', X, R, E')
     s_out, s_joint, s_r = _row_entropies(out, ((0,), (0, 2), (2,)))  # S(Q'), S(Q'R), S(R)
     return np.stack([s_out + s_r - s_joint, s_joint - s_out])
 
@@ -277,10 +278,11 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     """
     p = _unit_interval(p, "error probability")
     ch = depolarizing_kraus(p)
-    out = _send_rows(ch, np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)]))
-    sent = [pure_marginal(PureState(row, row.shape), (0, 1)) for row in out]  # (Q', R, E')
-    # rho[c, i, c', j] = delta_cc' rho^(c)[i, j] / 4, with rho^(c) on (Q', R)
-    rho = np.einsum("cd,cij->cidj", np.eye(4) / 4, [s.matrix for s in sent]).reshape(16, 16)
+    out = _send_rows(_branches(ch), np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)]))
+    halves = _split_rows(out, (0, 1))  # each row (Q', R, E') as a (Q'R, E') matrix M
+    sent = halves @ halves.conj().swapaxes(1, 2)  # rho^(c) = M M^dag on (Q', R)
+    # rho[c, i, c', j] = delta_cc' rho^(c)[i, j] / 4
+    rho = np.einsum("cd,cij->cidj", np.eye(4) / 4, sent).reshape(16, 16)
     state = DensityMatrix(rho, (4, 2, 2))
     conditional = venn3(state, ((1,), (2,), (0,))).mutual_ab  # S(Q':R | C)
     chi = venn2(state, ((1, 2), (0,))).mutual  # S(Q'R : C)

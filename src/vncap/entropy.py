@@ -85,14 +85,19 @@ def _row_entropies(amps: np.ndarray, keeps: Sequence[tuple[int, ...]]) -> np.nda
     """out[j, n]: the entropy of row n's marginal over the factors ``keeps[j]`` of ``amps[n]``.
 
     The one Schmidt-spectrum entropy: ``_schmidt_spectra`` per marginal, the
-    spectra zero-padded into one stack, then one ``clamp_spectrum`` and one
-    -sum p log2 p over all of them (a zero adds nothing to either).
+    spectra zero-padded into one stack, then one ``_spectrum_entropies`` over
+    all of them (a zero adds nothing).
     """
     spectra = [_schmidt_spectra(amps, keep) for keep in keeps]
     probs = np.zeros((len(spectra), amps.shape[0], max(s.shape[1] for s in spectra)))
     for padded, spectrum in zip(probs, spectra):
         padded[:, : spectrum.shape[1]] = spectrum
-    probs = clamp_spectrum(probs)
+    return _spectrum_entropies(probs)
+
+
+def _spectrum_entropies(values: np.ndarray) -> np.ndarray:
+    """-sum p log2 p along the last axis of a stack of spectra, after one ``clamp_spectrum``."""
+    probs = clamp_spectrum(values)
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
     return -(probs * logs).sum(axis=-1)
 

@@ -73,6 +73,14 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_normalized(amps: np.ndarray) -> None:
+    """Raise unless each row ``amps[n]`` of a stack of state vectors has norm 1 within
+    NORM_ATOL: ``PureState``'s check, for a stack at once."""
+    flat = amps.reshape(amps.shape[0], -1)
+    norms = np.sqrt(np.einsum("ni,ni->n", flat.conj(), flat).real)
+    _check_residual(np.abs(norms - 1.0).max(), NORM_ATOL, "state vector is not normalized")
+
+
 def _check_dims(dims, size: int) -> tuple[int, ...]:
     dims = tuple(_as_count(d, "subsystem dimension") for d in dims)
     if not dims or any(d < 1 for d in dims):
@@ -269,29 +277,39 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
     return _schmidt_spectra(*_one_row(psi, keep))[0]
 
 
-def _check_unitary(u: np.ndarray) -> np.ndarray:
-    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL."""
-    u = _as_complex_array(u, 2)
-    resid = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL:
+    one matrix, or with ``ndim=3`` a stack of them, all checked at once."""
+    u = _as_complex_array(u, ndim)
+    resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
     _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u
+
+
+def _random_unitaries(dim: int, seeds) -> np.ndarray:
+    """``random_unitary(dim, seed)`` for every seed: an (N, dim, dim) stack from one
+    stacked QR and phase fix."""
+    dim = _as_count(dim, "dimension")
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for row, seed in zip(z, seeds):
+        rng = np.random.default_rng(seed)
+        row.real = rng.standard_normal((dim, dim))
+        row.imag = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, np.newaxis, :]
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-like random unitary from a QR-orthonormalized Gaussian.
 
     Deterministic per seed; the R-diagonal phases are divided out so the
-    distribution does not depend on the QR sign convention.
+    distribution does not depend on the QR sign convention.  The one-row call
+    of ``_random_unitaries``.
     """
-    dim = _as_count(dim, "dimension")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases[np.newaxis, :]
+    return _random_unitaries(dim, (seed,))[0]
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:

@@ -11,6 +11,12 @@ here to check the kernel against: ``schmidt_entropy`` (one state, one Gram
 matrix, one ``eigvalsh``), ``scalar_run_channel`` (one purified input, one
 contraction, three ``schmidt_entropy`` calls) and ``classical_use_contraction``
 (the one-input classical-use simulation).
+
+So are the scalar audit trials that the stacked audits replaced: one trial at
+a time, drawn in the audits' seeded order (``inequality_trials``,
+``axiom_trials``, ``coherent_trials``), each channel composed by one
+``einsum`` (``chain_ops``, ``parallel_ops``), run by ``scalar_run_channel``
+and scored with the scalar ``quantum_fano_bound``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from vncap.channel import ChannelTranscript, KrausChannel, _branches, purify
+from vncap.channel import (
+    ChannelTranscript,
+    KrausChannel,
+    _branches,
+    dilation_channel,
+    purify,
+    quantum_fano_bound,
+)
 from vncap.qmat import (
     DensityMatrix,
     PureState,
@@ -167,3 +180,160 @@ def classical_use_contraction(ch: KrausChannel, q: float) -> tuple[float, float]
     s_out = schmidt_entropy(state, (0,))
     s_joint = schmidt_entropy(state, (0, 2))  # S(Q'R)
     return s_out + schmidt_entropy(state, (2,)) - s_joint, s_joint - s_out
+
+
+def seeded_unitary(dim: int, seed: int) -> np.ndarray:
+    """One seeded random unitary: one Gaussian, one ``qr``, the R-diagonal phases divided out."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases[np.newaxis, :]
+
+
+def chain_ops(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
+    """ch2(ch1(.)) with operators K[(e, g)] = K2[g] K1[e], E1 slowest."""
+    d, m = ch1.input_dim, ch1.env_dim * ch2.env_dim
+    return KrausChannel(np.einsum("agc,ceb->egab", _branches(ch2), _branches(ch1)).reshape(m, d, d))
+
+
+def parallel_ops(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
+    """ch1 (tensor) ch2 with operators K[(e, g)] = K1[e] (tensor) K2[g]."""
+    d, m = ch1.input_dim * ch2.input_dim, ch1.env_dim * ch2.env_dim
+    ops = np.einsum("aeb,cgd->egacbd", _branches(ch1), _branches(ch2))
+    return KrausChannel(ops.reshape(m, d, d))
+
+
+def scalar_transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[str, float]:
+    fano = 0.5 * quantum_fano_bound(t.fidelity, d_q * d_r)
+    return {
+        "loss_nonneg": t.loss,
+        "loss_le_2s_in": 2.0 * t.s_in - t.loss,
+        "loss_le_2s_env": 2.0 * t.s_env - t.loss,
+        "schumacher_fano": fano - t.s_env,
+    }
+
+
+def scalar_inequality_slacks(
+    ch1: KrausChannel, ch2: KrausChannel, rho_single: DensityMatrix, rho_pair: DensityMatrix
+) -> dict[str, float]:
+    """``vncap.analysis.inequality_slacks`` one draw at a time, every run scalar."""
+    slacks: dict[str, float] = {}
+    d = rho_single.dim
+    t1 = scalar_run_channel(ch1, rho_single)
+    for key, value in scalar_transcript_slacks(t1, d, d).items():
+        slacks[f"single:{key}"] = value
+    t12, state12 = scalar_run_channel(chain_ops(ch1, ch2), rho_single, return_state=True)
+    for key, value in scalar_transcript_slacks(t12, d, d).items():
+        slacks[f"chain:{key}"] = value
+    slacks["forward_dpi"] = t1.mutual_entanglement - t12.mutual_entanglement
+    slacks["forward_dpi_cap"] = 2.0 * t1.s_in - t1.mutual_entanglement
+    slacks["loss_chaining"] = t12.loss - t1.loss
+    slacks["code_fano"] = quantum_fano_bound(t12.fidelity, d**2) - t12.loss
+
+    fine = PureState(state12.amplitudes, (d, d, ch1.env_dim, ch2.env_dim))  # (Q2', R, E1', E2')
+    s_re1, s_re1q2 = schmidt_entropy(fine, (1, 2)), schmidt_entropy(fine, (3,))
+    mutual_re1_q2 = s_re1 + t12.s_out - s_re1q2
+    slacks["reverse_dpi"] = mutual_re1_q2 - t12.mutual_entanglement
+    slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
+
+    tpar, state_par = scalar_run_channel(parallel_ops(ch1, ch2), rho_pair, return_state=True)
+    for key, value in scalar_transcript_slacks(tpar, rho_pair.dim, rho_pair.dim).items():
+        slacks[f"parallel:{key}"] = value
+    dims = (ch1.input_dim, ch2.input_dim, rho_pair.dim, ch1.env_dim, ch2.env_dim)
+    finep = PureState(state_par.amplitudes, dims)  # (Q1', Q2', R, E1', E2')
+    keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
+    s_q1e1, s_q1, s_e1, s_q2e2, s_q2, s_e2 = (schmidt_entropy(finep, keep) for keep in keeps)
+    i_1 = s_q1e1 + s_q1 - s_e1
+    i_2 = s_q2e2 + s_q2 - s_e2
+    slacks["subadditivity"] = i_1 + i_2 - tpar.mutual_entanglement
+    return slacks
+
+
+def scalar_mixture_axiom_slacks(
+    ch1: KrausChannel, ch2: KrausChannel, rho1: DensityMatrix, rho2: DensityMatrix, w: float
+) -> dict[str, float]:
+    """``vncap.analysis.mixture_axiom_slacks`` with every run scalar."""
+    mixed_input = DensityMatrix(w * rho1.matrix + (1.0 - w) * rho2.matrix, rho1.dims)
+    i_on_rho1 = scalar_run_channel(ch1, rho1).mutual_entanglement
+    i_mix = scalar_run_channel(ch1, mixed_input).mutual_entanglement
+    i_2 = scalar_run_channel(ch1, rho2).mutual_entanglement
+    concavity = i_mix - (w * i_on_rho1 + (1.0 - w) * i_2)
+    mixed_channel = KrausChannel(
+        tuple(math.sqrt(w) * k for k in ch1.operators)
+        + tuple(math.sqrt(1.0 - w) * k for k in ch2.operators)
+    )
+    i_ch2 = scalar_run_channel(ch2, rho1).mutual_entanglement
+    i_chmix = scalar_run_channel(mixed_channel, rho1).mutual_entanglement
+    convexity = (w * i_on_rho1 + (1.0 - w) * i_ch2) - i_chmix
+    return {"concavity_input": concavity, "convexity_channel": convexity}
+
+
+def scalar_coherent_slack(
+    ch: KrausChannel, rho1: DensityMatrix, rho2: DensityMatrix, w: float
+) -> float:
+    """The coherent-information concavity slack of one mixture, every run scalar."""
+    mixed = DensityMatrix(w * rho1.matrix + (1.0 - w) * rho2.matrix, rho1.dims)
+    i_mix = scalar_run_channel(ch, mixed).coherent_info
+    i_parts = (
+        w * scalar_run_channel(ch, rho1).coherent_info
+        + (1.0 - w) * scalar_run_channel(ch, rho2).coherent_info
+    )
+    return i_mix - i_parts
+
+
+def _draw_dilation(rng: np.random.Generator) -> KrausChannel:
+    seed = int(rng.integers(0, 2**63))
+    return dilation_channel(seeded_unitary(8, seed), 4, basis_state(4, 0))
+
+
+def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    weights = rng.random(n) + 1e-12
+    weights /= weights.sum()
+    return weights
+
+
+def _draw_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
+    return DensityMatrix(np.diag(_draw_weights(rng, math.prod(dims)).astype(np.complex128)), dims)
+
+
+def _draw_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    weights = _draw_weights(rng, dim)
+    u = seeded_unitary(dim, int(rng.integers(0, 2**63)))
+    return DensityMatrix(u @ np.diag(weights.astype(np.complex128)) @ u.conj().T, (dim,))
+
+
+def inequality_trials(seed: int, trials: int) -> list[dict[str, float]]:
+    """The slacks of every ``audit_inequalities`` trial, one scalar trial at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        ch1, ch2 = _draw_dilation(rng), _draw_dilation(rng)
+        rho_single, rho_pair = _draw_diagonal(rng, (2,)), _draw_diagonal(rng, (2, 2))
+        out.append(scalar_inequality_slacks(ch1, ch2, rho_single, rho_pair))
+    return out
+
+
+def axiom_trials(seed: int, trials: int) -> list[tuple[float, dict[str, float]]]:
+    """(weight, slacks) of every ``audit_axioms`` trial, one scalar trial at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        ch1, ch2 = _draw_dilation(rng), _draw_dilation(rng)
+        rho1, rho2 = _draw_density(rng, 2), _draw_density(rng, 2)
+        w = float(rng.uniform(0.05, 0.95))
+        out.append((w, scalar_mixture_axiom_slacks(ch1, ch2, rho1, rho2, w)))
+    return out
+
+
+def coherent_trials(seed: int, trials: int) -> list[tuple[float, float]]:
+    """(weight, slack) of every ``search_coherent_info_violations`` trial, one at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        ch = _draw_dilation(rng)
+        rho1, rho2 = _draw_density(rng, 2), _draw_density(rng, 2)
+        w = float(rng.uniform(0.05, 0.95))
+        out.append((w, scalar_coherent_slack(ch, rho1, rho2, w)))
+    return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vncap import channel, qmat
+from vncap import analysis, channel, qmat
 from vncap.qmat import DensityMatrix, PureState
 from vncap.channel import ChannelTranscript, chain, identity_channel, run_channel
 from vncap.entropy import pure_subsystem_entropy
@@ -33,6 +33,7 @@ from vncap.analysis import (
 
 from vncap.channel import dilation_channel
 
+import reference
 from reference import as_dilation
 
 EXPECTED_SLACK_KEYS = {
@@ -254,18 +255,19 @@ class TestInequalitySlacks:
 
 class TestAuditInequalities:
     def test_trial_checks_only_the_two_drawn_unitaries(self, monkeypatch):
-        """chain and parallel build no composite unitary, so nothing else is checked."""
+        """One stacked check covers the two drawn unitaries of every trial in a chunk;
+        chain and parallel build no composite unitary, so nothing else is checked."""
         calls = []
         check = qmat._check_unitary
 
-        def counted(u):
-            calls.append(u.shape)
-            return check(u)
+        def counted(u, *args):
+            calls.append(np.shape(u))
+            return check(u, *args)
 
-        for module in (qmat, channel):
+        for module in (qmat, channel, analysis):
             monkeypatch.setattr(module, "_check_unitary", counted)
-        audit_inequalities(seed=3, trials=1)
-        assert calls == [(8, 8), (8, 8)]
+        audit_inequalities(seed=3, trials=5)
+        assert calls == [(10, 8, 8)]
 
     def test_clean_audit(self):
         report = audit_inequalities(seed=11, trials=25)
@@ -297,6 +299,143 @@ class TestAuditInequalities:
         assert ids == {"injected:loss_nonneg"}
         assert report.violations[0][1] == {"transcript": 0}
         assert report.max_negative_slack == pytest.approx(-0.5, abs=1e-12)
+
+
+def _slack_table(chunks) -> tuple[list, list, np.ndarray]:
+    """(keys, per-trial parameters, (trials, ids) slack table) of an audit's chunks."""
+    params, tables = [], []
+    for chunk_params, slacks in chunks:
+        keys = list(slacks)
+        params += chunk_params
+        tables.append(np.stack([slacks[key] for key in keys], axis=1))
+    return keys, params, np.concatenate(tables)
+
+
+STACKED_AUDITS = {
+    "inequalities": audit_inequalities,
+    "axioms": audit_axioms,
+    "coherent": search_coherent_info_violations,
+}
+
+
+class TestStackedAudits:
+    """The stacked audits against their scalar trials, kept in ``reference``."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 2024])
+    def test_inequality_trials_match_scalar_reference(self, seed):
+        keys, params, table = _slack_table(analysis._inequality_chunks(seed, 200))
+        expected = reference.inequality_trials(seed, 200)
+        assert params == [{"trial": i} for i in range(200)]
+        assert keys == list(expected[0])
+        ref = np.array([[slacks[key] for key in keys] for slacks in expected])
+        assert np.abs(table - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 42, 77])
+    def test_axiom_trials_match_scalar_reference(self, seed):
+        keys, params, table = _slack_table(analysis._axiom_chunks(seed, 200))
+        expected = reference.axiom_trials(seed, 200)
+        assert params == [{"trial": i, "weight": w} for i, (w, _) in enumerate(expected)]
+        assert keys == list(expected[0][1])
+        ref = np.array([[slacks[key] for key in keys] for _, slacks in expected])
+        assert np.abs(table - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_coherent_trials_match_scalar_reference(self, seed):
+        _, params, table = _slack_table(analysis._coherent_chunks(seed, 200))
+        expected = reference.coherent_trials(seed, 200)
+        assert [p["weight"] for p in params] == [w for w, _ in expected]
+        assert np.abs(table[:, 0] - [slack for _, slack in expected]).max() <= 1e-12
+
+    def test_coherent_witnesses_match_scalar_reference(self):
+        found = search_coherent_info_violations(7, 100)
+        expected = [
+            (i, w, slack)
+            for i, (w, slack) in enumerate(reference.coherent_trials(7, 100))
+            if slack < -1e-9
+        ]
+        assert [(i, w) for i, w, _ in found] == [(i, w) for i, w, _ in expected]
+        assert max(abs(a[2] - b[2]) for a, b in zip(found, expected)) <= 1e-12
+        for trial, weight, slack in found:
+            assert (type(trial), type(weight), type(slack)) == (int, float, float)
+
+    def test_one_row_calls_match_scalar_reference(self):
+        """Channels with 1, 2, 4 and 8 branches and inputs off the diagonal."""
+        rng = np.random.default_rng(808)
+        from vncap.analysis import _random_density, _random_dilation
+
+        dil = _random_dilation(rng)
+        channels = (
+            identity_channel(2),
+            dephasing_kraus(0.3),
+            depolarizing_kraus(0.2),
+            dil,
+            chain(dil, dephasing_kraus(0.1)),
+        )
+        rho, rho2 = _random_density(rng, 2), _random_density(rng, 2)
+        rho_pair = _random_density(rng, 4)
+        for ch1 in channels:
+            for ch2 in channels:
+                for got, expected in (
+                    (
+                        inequality_slacks(ch1, ch2, rho, rho_pair),
+                        reference.scalar_inequality_slacks(ch1, ch2, rho, rho_pair),
+                    ),
+                    (
+                        mixture_axiom_slacks(ch1, ch2, rho, rho2, 0.3),
+                        reference.scalar_mixture_axiom_slacks(ch1, ch2, rho, rho2, 0.3),
+                    ),
+                ):
+                    assert list(got) == list(expected)
+                    assert all(type(v) is float for v in got.values())
+                    assert max(abs(got[k] - expected[k]) for k in got) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(STACKED_AUDITS))
+    def test_chunk_boundaries_change_nothing(self, name, monkeypatch):
+        audit = STACKED_AUDITS[name]
+        monkeypatch.setattr(analysis, "TRIAL_CHUNK", 3)
+        chunked = audit(7, 100)
+        monkeypatch.setattr(analysis, "TRIAL_CHUNK", 10**6)
+        assert audit(7, 100) == chunked
+
+    @pytest.mark.parametrize(
+        "chunks", ["_inequality_chunks", "_axiom_chunks", "_coherent_chunks"]
+    )
+    def test_chunked_slacks_are_the_unchunked_slacks(self, chunks, monkeypatch):
+        monkeypatch.setattr(analysis, "TRIAL_CHUNK", 3)
+        chunked = _slack_table(getattr(analysis, chunks)(5, 23))
+        monkeypatch.setattr(analysis, "TRIAL_CHUNK", 10**6)
+        whole = _slack_table(getattr(analysis, chunks)(5, 23))
+        assert chunked[:2] == whole[:2]
+        assert np.array_equal(chunked[2], whole[2])
+
+    @pytest.mark.parametrize("audit", sorted(STACKED_AUDITS))
+    @pytest.mark.parametrize("corrupt", ["non-unitary", "non-finite"])
+    def test_every_drawn_unitary_is_checked(self, audit, corrupt, monkeypatch):
+        draw = analysis._random_unitaries
+
+        def corrupted(dim, seeds):
+            us = draw(dim, seeds)
+            if dim == 8:  # a channel draw: spoil one unitary in the middle of the stack
+                us[len(us) // 2, 1, 2] = math.nan if corrupt == "non-finite" else 0.5
+            return us
+
+        monkeypatch.setattr(analysis, "_random_unitaries", corrupted)
+        message = {"non-finite": "non-finite", "non-unitary": "not unitary"}[corrupt]
+        with pytest.raises(ValueError, match=message):
+            STACKED_AUDITS[audit](4, 20)
+
+    def test_violations_run_trial_major_then_by_id(self):
+        params = [{"trial": 4}, {"trial": 5}]
+        slacks = {"a": np.array([-1.0, 0.5]), "b": np.array([-2.0, -3.0])}
+        violations, worst = analysis._scan([(params, slacks)], 1e-9)
+        assert violations == [
+            ("a", {"trial": 4}, -1.0),
+            ("b", {"trial": 4}, -2.0),
+            ("b", {"trial": 5}, -3.0),
+        ]
+        assert all(type(v[2]) is float for v in violations) and type(worst) is float
+        assert worst == -3.0
+        assert violations[0][1] is not violations[1][1]  # one fresh dict per violation
 
 
 class TestAuditAxioms:

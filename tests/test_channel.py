@@ -393,7 +393,7 @@ class TestBranchContraction:
             amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             amps /= np.linalg.norm(amps)
             expected = np.einsum(subscripts, _branches(ch), amps)
-            out = _send_rows(ch, amps[np.newaxis])
+            out = _send_rows(_branches(ch), amps[np.newaxis])
             assert out.shape == (1, *expected.shape)
             assert np.abs(out[0] - expected).max() <= 1e-12
 

@@ -12,7 +12,7 @@ from vncap.qmat import (
 )
 from vncap import depolarizing
 from vncap.entropy import binary_entropy, venn2, venn3
-from vncap.channel import KrausChannel, apply_channel, run_channel
+from vncap.channel import KrausChannel, _branches, apply_channel, run_channel
 from vncap.depolarizing import (
     BIT_FLIP,
     BIT_PHASE_FLIP,
@@ -121,7 +121,8 @@ class TestBuildDilation:
         ch, psi_minus = build_dilation(DepolParams(p, q))
         joint = PureState(tensor(psi_minus.amplitudes, env.amplitudes), (2, 2, 4))
         out = apply_unitary(u, joint, targets=(0, 2))
-        sent = depolarizing._send_rows(ch, psi_minus.amplitudes.reshape(1, 2, 2))  # branch route
+        branch_route = (_branches(ch), psi_minus.amplitudes.reshape(1, 2, 2))
+        sent = depolarizing._send_rows(*branch_route)
         assert np.abs(sent.ravel() - out.amplitudes).max() <= 1e-12
 
         phi_minus, phi_plus, psi_minus_q, psi_plus = q_basis(q)

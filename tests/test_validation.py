@@ -365,7 +365,7 @@ def test_validated_densities_are_not_diagonalized_again(monkeypatch):
     assert len(calls) == 3  # one Schmidt spectrum per entropy: S(Q'), S(R), S(Q'R)
     calls.clear()
     superdense_scenario(0.3)
-    assert len(calls) == 13
+    assert len(calls) == 9  # the 16x16 state's spectrum and the eight venn marginals
 
 
 def test_density_matrix_checks_its_array_once(monkeypatch):
@@ -427,6 +427,21 @@ class TestCliRefusals:
         argv = ("capacity", "--channel", "depolarizing", "--use", "classical", "--p=0.2")
         code, out, err = run_cli(*argv, f"--tol={tol}")
         assert (code, out) == (2, "") and "float resolution" in err
+
+    @pytest.mark.parametrize("use", ["quantum", "classical"])
+    @pytest.mark.parametrize("tol", ["1e-17", "nan", "-1"])
+    def test_refused_capacity_tol_computes_no_grid(self, use, tol, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k)
+            )
+        argv = ("capacity", "--channel", "dephasing", "--use", use, "--p", "0.3")
+        code, out, err = run_cli(*argv, f"--tol={tol}")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: ") and "tolerance" in err
+        assert run_cli(*argv)[0] == 0 and calls  # the counters see an accepted request
 
     @FIXED
     @given(p=UNIT)
