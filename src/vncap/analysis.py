@@ -9,18 +9,18 @@ environment, each read once into its four Kraus branches by
 ``dilation_channel``, run the channels singly, chained, and in parallel, and
 verify every inequality the transcript framework promises.  Chains and
 parallel pairs are composed on the Kraus branches (16 branches on a 2- or
-4-dim input); no composite unitary is built.  A violation beyond tolerance
-always indicates an implementation bug, never physics; the audit exists to
-catch the former.
+4-dim input).  A violation beyond tolerance always indicates an
+implementation bug, never physics; the audit exists to catch the former.
 
 The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
 densities and weights are drawn in the seeded per-trial order; its unitaries
 come from one stacked QR and get one unitarity check, its channels are
 composed as (T, ...) branch stacks with one completeness check per stack, its
-inputs are purified by one stacked ``eigh`` and sent through the one
-transcript kernel, and each output stack's fine-grained entropies are one
-``_row_entropies`` call.  ``inequality_slacks`` and ``mixture_axiom_slacks``
-are the one-row calls of the stacked routines.
+inputs enter the one transcript kernel as amplitude stacks (the diagonal
+inputs of ``audit_inequalities`` written down by ``_diagonal_amps``, the
+mixtures purified by one stacked ``eigh``), and each output stack's
+fine-grained entropies are one ``_row_entropies`` call.  ``inequality_slacks``
+and ``mixture_axiom_slacks`` are the one-row calls of the stacked routines.
 """
 
 from __future__ import annotations
@@ -38,19 +38,19 @@ from .channel import (
     _branches,
     _chain_rows,
     _check_complete,
+    _diagonal_amps,
     _dilation_branches,
     _fano_rows,
-    _from_branches,
     _parallel_rows,
     _purify_rows,
     _slack_columns,
     _transcript_rows,
-    transcript_slacks,
 )
 from .entropy import _row_entropies, relative_entropy_binary
 from .qmat import (
     DensityMatrix,
     _as_count,
+    _at_least,
     _check_normalized,
     _check_unitary,
     _random_unitaries,
@@ -81,7 +81,8 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _check_audit_args(trials: int, tol: float) -> None:
+def _check_audit_args(seed: int, trials: int, tol: float) -> None:
+    _at_least(seed, 0, "seed")
     if not 1 <= _as_count(trials, "trials") <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     _check_tolerance(tol)
@@ -195,22 +196,21 @@ def _runs(branches: np.ndarray, amps: np.ndarray) -> tuple[ChannelTranscript, np
 
 
 def _inequality_rows(
-    b1: np.ndarray, b2: np.ndarray, rho_single: np.ndarray, rho_pair: np.ndarray
+    b1: np.ndarray, b2: np.ndarray, single: np.ndarray, pair: np.ndarray
 ) -> dict[str, np.ndarray]:
     """``inequality_slacks`` for a stack of draws: one array of slacks per id.
 
-    ``b1``, ``b2`` are (T, d, m, d) branch stacks; ``rho_single`` is a (T, d, d)
-    and ``rho_pair`` a (T, d d, d d) stack of density matrices.
+    ``b1``, ``b2`` are (T, d, m, d) branch stacks; ``single`` is a (T, d, d)
+    and ``pair`` a (T, d d, d d) stack of input amplitudes on (Q, R).
     """
     n, d, m1, _ = b1.shape
     m2 = b2.shape[2]
     chained, par = _chain_rows(b1, b2), _parallel_rows(b1, b2)
     _check_complete(chained)
     _check_complete(par)
-    single = _purify_rows(rho_single)
     t1, _ = _runs(b1, single)
     t12, out12 = _runs(chained, single)
-    tpar, out_par = _runs(par, _purify_rows(rho_pair))
+    tpar, out_par = _runs(par, pair)
 
     slacks = {f"single:{key}": v for key, v in _slack_columns(t1, d * d).items()}
     slacks.update({f"chain:{key}": v for key, v in _slack_columns(t12, d * d).items()})
@@ -226,7 +226,7 @@ def _inequality_rows(
     slacks["reverse_dpi"] = mutual_re1_q2 - t12.mutual_entanglement
     slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
 
-    d_pair = rho_pair.shape[1]
+    d_pair = pair.shape[1]
     slacks.update({f"parallel:{k}": v for k, v in _slack_columns(tpar, d_pair**2).items()})
     finep = out_par.reshape(n, d, b2.shape[1], d_pair, m1, m2)  # (Q1', Q2', R, E1', E2')
     keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
@@ -268,8 +268,8 @@ def inequality_slacks(
     rows = _inequality_rows(
         _branches(ch1)[np.newaxis],
         _branches(ch2)[np.newaxis],
-        rho_single.matrix[np.newaxis],
-        rho_pair.matrix[np.newaxis],
+        _purify_rows(rho_single.matrix[np.newaxis]),
+        _purify_rows(rho_pair.matrix[np.newaxis]),
     )
     return _one_row(rows)
 
@@ -366,25 +366,6 @@ def _random_densities(weights: np.ndarray, seeds) -> list[DensityMatrix]:
     return [DensityMatrix(m) for m in (us * weights[:, np.newaxis, :]) @ us.conj().swapaxes(1, 2)]
 
 
-def _random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
-    return _from_branches(_random_dilations([_draw_seed(rng)], env_dim)[0])
-
-
-def _random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
-    return DensityMatrix(np.diag(_draw_weights(rng, math.prod(dims)).astype(np.complex128)), dims)
-
-
-def _random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    weights = _draw_weights(rng, dim)[np.newaxis]
-    return _random_densities(weights, [_draw_seed(rng)])[0]
-
-
-def _diagonals(rows: list) -> np.ndarray:
-    """The (N, d, d) stack of diagonal density matrices diag(rows[n])."""
-    weights = np.array(rows, dtype=np.complex128)
-    return weights[:, :, np.newaxis] * np.eye(weights.shape[1])
-
-
 def _chunks(trials: int):
     """Consecutive trial ranges of at most TRIAL_CHUNK trials, covering range(trials)."""
     for start in range(0, trials, TRIAL_CHUNK):
@@ -402,8 +383,8 @@ def _inequality_chunks(seed: int, trials: int):
             singles.append(_draw_weights(rng, 2))
             pairs.append(_draw_weights(rng, 4))
         branches = _random_dilations(seeds)
-        rho_single, rho_pair = _diagonals(singles), _diagonals(pairs)
-        slacks = _inequality_rows(branches[0::2], branches[1::2], rho_single, rho_pair)
+        single, pair = _diagonal_amps(singles), _diagonal_amps(pairs)
+        slacks = _inequality_rows(branches[0::2], branches[1::2], single, pair)
         yield [{"trial": i} for i in chunk], slacks
 
 
@@ -456,25 +437,16 @@ def _scan(chunks, tol: float) -> tuple[list, float]:
     return violations, worst
 
 
-def audit_inequalities(
-    seed: int, trials: int, tol: float = 1e-9, extra_transcripts: Sequence[ChannelTranscript] = ()
-) -> AuditReport:
+def audit_inequalities(seed: int, trials: int, tol: float = 1e-9) -> AuditReport:
     """Audit every framework inequality over seeded random channels.
 
     Each trial draws two random single-qubit dilations (4-dim environments), a
     random diagonal qubit input, and a random diagonal two-qubit input for the
     parallel check, then scores ``inequality_slacks``; the trials run stacked,
-    ``TRIAL_CHUNK`` at a time.  ``extra_transcripts`` lets tests feed
-    hand-built (possibly corrupted) transcripts through the same per-transcript
-    checks.  Deterministic per seed.
+    ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    _check_audit_args(trials, tol)
+    _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_inequality_chunks(seed, trials), tol)
-    for j, transcript in enumerate(extra_transcripts):
-        for key, slack in transcript_slacks(transcript).items():
-            worst = min(worst, slack)
-            if slack < -tol:
-                violations.append((f"injected:{key}", {"transcript": j}, slack))
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
 
@@ -485,7 +457,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport
     and scores ``mixture_axiom_slacks``; the trials run stacked,
     ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    _check_audit_args(trials, tol)
+    _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_axiom_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
@@ -499,7 +471,7 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     only their first channel.  Returns the witnesses found (possibly none),
     each as (trial index, weight, slack).  Deterministic per seed.
     """
-    _check_audit_args(trials, tol)
+    _check_audit_args(seed, trials, tol)
     violations, _ = _scan(_coherent_chunks(seed, trials), tol)
     return tuple((params["trial"], params["weight"], slack) for _, params, slack in violations)
 

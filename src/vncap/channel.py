@@ -4,15 +4,15 @@ A channel is its Kraus operators {K_k}; a unitary dilation U on Q (tensor) E
 is one way to write them down, and ``dilation_channel`` reads its branches
 K_k = <k| U (. tensor |env_initial>) off once.  Composition works on the same
 branches: ``chain`` and ``parallel`` contract the branch tensors into a
-``KrausChannel`` and never build a composite unitary.  Each of these is the
-one-row call of a routine on (N, ...) stacks of branch tensors
-(``_dilation_branches``, ``_chain_rows``, ``_parallel_rows``), which the
-audits call with a chunk of trials at once.
+``KrausChannel``.  Each of these is the one-row call of a routine on (N, ...)
+stacks of branch tensors (``_dilation_branches``, ``_chain_rows``,
+``_parallel_rows``), which the audits call with a chunk of trials at once.
 
 Every transcript comes from one kernel, ``_transcript_rows``: a stack of
 pure inputs on Q (tensor) R goes through one ``einsum`` against the branches
-(one branch tensor for all rows, or one per row), Q through the isometry |q> -> sum_k K_k|q> |k>_E' into the branch register
-E', and all entropic quantities are read off each row's |Q'R'E'>:
+(one branch tensor for all rows, or one per row), Q through the isometry
+|q> -> sum_k K_k|q> |k>_E' into the branch register E', and all entropic
+quantities are read off each row's |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -26,10 +26,12 @@ Each entropy is one stacked ``eigvalsh`` on the smaller side's Gram matrices
 (``entropy._row_entropies``).  The factor order of each output row is
 (Q', R, E'), leftmost slowest.  ``run_channel`` purifies any input against a
 reference R (``purify``, the one-row call of the stacked ``_purify_rows``) and
-makes a one-row call; ``diagonal_transcripts`` enters the
-paper's input family diag(q, 1 - q) for a whole q list as the amplitude stack
-sqrt(q)|00> + sqrt(1 - q)|11>, in chunks of ``STACK_ROWS`` rows.  Sweeps, the
-capacity grid scan, classical use and the audits run through the stacked calls.
+makes a one-row call.  Diagonal inputs need no eigensolve: ``_diagonal_amps``
+writes their purifications sum_i sqrt(w_i)|ii> down directly, and
+``diagonal_transcripts`` sends the paper's input family diag(q, 1 - q) for a
+whole q list that way, in chunks of ``STACK_ROWS`` rows.  Sweeps, the capacity
+grid scan, classical use, superdense coding and the audits run through the
+stacked calls.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .qmat import (
     PureState,
     _as_complex_array,
     _as_count,
+    _at_least,
     _check_residual,
     _check_unitary,
     clamp_spectrum,
@@ -147,7 +150,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
     """The noiseless channel: one identity Kraus operator, a one-dimensional environment."""
-    return KrausChannel((np.eye(dim, dtype=np.complex128),))
+    return KrausChannel((np.eye(_at_least(dim, 1, "dimension"), dtype=np.complex128),))
 
 
 def _purify_rows(mats: np.ndarray) -> np.ndarray:
@@ -212,11 +215,18 @@ def _chunked_rows(q_values, chunk_rows) -> np.ndarray:
     return np.concatenate([chunk_rows(qs[i : i + STACK_ROWS]) for i in starts], axis=1)
 
 
+def _diagonal_amps(weights) -> np.ndarray:
+    """The (N, d, d) amplitude stack sum_i sqrt(w_i) |i>_Q |i>_R of an (N, d) weight
+    stack: a purification of each diag(w), with R a copy of Q."""
+    roots = np.sqrt(np.asarray(weights, dtype=np.float64))
+    n, d = roots.shape
+    amps = np.zeros((n, d, d), dtype=np.complex128)
+    amps.reshape(n, d * d)[:, :: d + 1] = roots  # the diagonal of each row
+    return amps
+
+
 def _diagonal_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
-    amps = np.zeros((qs.size, 2, 2), dtype=np.complex128)  # (Q, R)
-    amps[:, 0, 0] = np.sqrt(qs)
-    amps[:, 1, 1] = np.sqrt(1.0 - qs)
-    return _transcript_rows(_branches(ch), amps)[0]
+    return _transcript_rows(_branches(ch), _diagonal_amps(np.array((qs, 1.0 - qs)).T))[0]
 
 
 def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
@@ -296,8 +306,8 @@ def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """The composite channel ch2(ch1(.)) with independent environments E1, E2.
 
     Composed on the branches, B[a, (e, g), b] = sum_c B2[a, g, c] B1[c, e, b],
-    so the branch register is E1 (tensor) E2, E1 slowest; no composite unitary
-    is built.  The one-row call of ``_chain_rows``.
+    so the branch register is E1 (tensor) E2, E1 slowest.  The one-row call of
+    ``_chain_rows``.
     """
     if ch1.input_dim != ch2.input_dim:
         raise ValueError(
@@ -311,22 +321,14 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 
     Composed on the branches, B[(a, c), (e, g), (b, d)] = B1[a, e, b] B2[c, g, d]:
     the input is Q1 (tensor) Q2 and the branch register E1 (tensor) E2, the first
-    factor slowest in each; no composite unitary is built.  The one-row call of
-    ``_parallel_rows``.
+    factor slowest in each.  The one-row call of ``_parallel_rows``.
     """
     return _from_branches(_parallel_rows(_branches(ch1)[np.newaxis], _branches(ch2)[np.newaxis])[0])
 
 
-def _code_dim(code_dim) -> int:
-    d = _as_count(code_dim, "code dimension")
-    if d < 2:
-        raise ValueError(f"code dimension must be an integer >= 2, got {code_dim!r}")
-    return d
-
-
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
     """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space."""
-    d = _code_dim(code_dim)
+    d = _at_least(code_dim, 2, "code dimension")
     f = _unit_interval(fidelity, "fidelity")
     return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(d - 1))
 
@@ -335,7 +337,7 @@ def _fano_rows(fidelity, code_dim: int) -> np.ndarray:
     """``quantum_fano_bound`` of each fidelity in an array: (F, 1 - F) is checked and
     clamped as a spectrum, and H2(F) is its entropy."""
     probs = clamp_spectrum(np.stack([fidelity, 1.0 - fidelity], axis=-1))
-    log_term = math.log2(_code_dim(code_dim) - 1)
+    log_term = math.log2(_at_least(code_dim, 2, "code dimension") - 1)
     return 2.0 * (_spectrum_entropies(probs) + probs[..., 1] * log_term)
 
 

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import analysis, depolarizing
-from .analysis import MAX_BLOCK_LENGTH, MAX_N_LIST, MAX_TRIALS  # noqa: F401  (library caps)
 from .channel import diagonal_transcripts, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval

@@ -35,22 +35,20 @@ from .channel import (
     _branches,
     _chunked_rows,
     _send_rows,
+    _transcript_rows,
     apply_channel,
     dilation_channel,
 )
 from .entropy import (
     _row_entropies,
+    _shannon,
     binary_entropy,
     check_prob_vector,
-    shannon_entropy,
-    venn2,
-    venn3,
     von_neumann_entropy,
 )
 from .qmat import (
     DensityMatrix,
     PureState,
-    _split_rows,
     basis_state,
     tensor,
     _unit_interval,
@@ -174,7 +172,7 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
         max(0.0, (1.0 - 2.0 * p / 3.0 - delta) / 2.0),
     ]
     fidelity = 1.0 - p + (p / 3.0) * (1.0 - 2.0 * q) ** 2
-    return ChannelTranscript.from_entropies(s_in, s_out, shannon_entropy(spectrum), fidelity)
+    return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
 
 
 def quantum_capacity(p: float) -> float:
@@ -200,7 +198,7 @@ def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
     flip = 2.0 * p / 3.0
     joint = [flip * (1.0 - q), flip * q, (1.0 - flip) * (1.0 - q), (1.0 - flip) * q]
     s_out = binary_entropy(q + flip * (1.0 - 2.0 * q))
-    loss = shannon_entropy(joint) - s_out
+    loss = _shannon(joint) - s_out
     return binary_entropy(q) - loss, loss
 
 
@@ -272,21 +270,20 @@ def dephasing_mutual(p: float) -> float:
 def superdense_scenario(p: float) -> SuperdenseReport:
     """Noisy superdense coding: Bell state c in {0..3}, Q sent through the channel.
 
-    Builds rho = sum_c (1/4)|c><c|_C (tensor) rho^(c) on factors (C, Q', R) and
-    reports S(R:Q'|C) and the Kholevo quantity S(RQ':C); the two coincide, and
+    The state sum_c (1/4)|c><c|_C (tensor) rho^(c) on (C, Q', R) is block-diagonal
+    in C, so S(R:Q'|C) is the mean over the four Bell runs of their mutual
+    entanglement, and the Kholevo quantity S(RQ':C) is S(rho_bar) minus their
+    mean S(Q'R) = S_e, rho_bar the mean (Q', R) output.  The two coincide, and
     both equal the q = 1/2 mutual entanglement of the channel.
     """
     p = _unit_interval(p, "error probability")
-    ch = depolarizing_kraus(p)
-    out = _send_rows(_branches(ch), np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)]))
-    halves = _split_rows(out, (0, 1))  # each row (Q', R, E') as a (Q'R, E') matrix M
-    sent = halves @ halves.conj().swapaxes(1, 2)  # rho^(c) = M M^dag on (Q', R)
-    # rho[c, i, c', j] = delta_cc' rho^(c)[i, j] / 4
-    rho = np.einsum("cd,cij->cidj", np.eye(4) / 4, sent).reshape(16, 16)
-    state = DensityMatrix(rho, (4, 2, 2))
-    conditional = venn3(state, ((1,), (2,), (0,))).mutual_ab  # S(Q':R | C)
-    chi = venn2(state, ((1, 2), (0,))).mutual  # S(Q'R : C)
-    return SuperdenseReport(conditional_mutual=conditional, kholevo_chi=chi, p=p)
+    bells = np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)])
+    columns, out = _transcript_rows(_branches(depolarizing_kraus(p)), bells)
+    runs = ChannelTranscript.from_entropies(*columns)
+    halves = out.reshape(4, 4, -1)  # each run's (Q', R, E') as a (Q'R, E') matrix M
+    rho_bar = DensityMatrix(np.einsum("cik,cjk->ij", halves, halves.conj()) / 4.0, (2, 2))
+    chi = von_neumann_entropy(rho_bar) - float(runs.s_env.mean())
+    return SuperdenseReport(float(runs.mutual_entanglement.mean()), chi, p)
 
 
 def superdense_threshold() -> float:

@@ -19,6 +19,7 @@ from .qmat import (
     DensityMatrix,
     PureState,
     _as_count,
+    _at_least,
     _check_residual,
     _one_row,
     _schmidt_spectra,
@@ -264,8 +265,6 @@ def classical_mutual_information(joint) -> float:
 
 def classical_fano_bound(p_error: float, s: int) -> float:
     """Fano bound H2[p_err] + p_err log2(s - 1) on equivocation for s codewords."""
-    count = _as_count(s, "codeword count")
-    if count < 2:
-        raise ValueError(f"codeword count must be an integer >= 2, got {s!r}")
+    count = _at_least(s, 2, "codeword count")
     p_error = _unit_interval(p_error, "error probability")
     return binary_entropy(p_error) + p_error * math.log2(count - 1)

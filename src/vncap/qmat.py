@@ -51,6 +51,14 @@ def _as_count(x, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
+def _at_least(x, low: int, name: str) -> int:
+    """``_as_count(x, name)``, refused with ValueError unless it is at least ``low``."""
+    count = _as_count(x, name)
+    if count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return count
+
+
 def _check_residual(resid, atol: float, what: str) -> None:
     """Raise ValueError("<what> (residual ...)") unless ``resid <= atol``; NaN fails."""
     resid = float(resid)
@@ -289,9 +297,7 @@ def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
 def _random_unitaries(dim: int, seeds) -> np.ndarray:
     """``random_unitary(dim, seed)`` for every seed: an (N, dim, dim) stack from one
     stacked QR and phase fix."""
-    dim = _as_count(dim, "dimension")
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    dim = _at_least(dim, 1, "dimension")
     z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
     for row, seed in zip(z, seeds):
         rng = np.random.default_rng(seed)
@@ -307,9 +313,9 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
     Deterministic per seed; the R-diagonal phases are divided out so the
     distribution does not depend on the QR sign convention.  The one-row call
-    of ``_random_unitaries``.
+    of ``_random_unitaries``; ``seed`` must be an integer >= 0.
     """
-    return _random_unitaries(dim, (seed,))[0]
+    return _random_unitaries(dim, (_at_least(seed, 0, "seed"),))[0]
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:

@@ -17,6 +17,10 @@ a time, drawn in the audits' seeded order (``inequality_trials``,
 ``axiom_trials``, ``coherent_trials``), each channel composed by one
 ``einsum`` (``chain_ops``, ``parallel_ops``), run by ``scalar_run_channel``
 and scored with the scalar ``quantum_fano_bound``.
+
+``random_dilation``, ``random_diagonal`` and ``random_density`` draw one
+channel or input from a generator the way the audits draw them, through the
+library's stacked draws, for tests that need a single random draw.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from vncap import analysis
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
+    _from_branches,
     dilation_channel,
     purify,
     quantum_fano_bound,
@@ -281,6 +287,23 @@ def scalar_coherent_slack(
         + (1.0 - w) * scalar_run_channel(ch, rho2).coherent_info
     )
     return i_mix - i_parts
+
+
+def random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
+    """One random qubit dilation, drawn as the audits draw each channel."""
+    return _from_branches(analysis._random_dilations([analysis._draw_seed(rng)], env_dim)[0])
+
+
+def random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
+    """One random diagonal density matrix on ``dims``, drawn as the audits draw its weights."""
+    weights = analysis._draw_weights(rng, math.prod(dims))
+    return DensityMatrix(np.diag(weights.astype(np.complex128)), dims)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """One random density matrix: weights, then the seed of its eigenbasis, as the audits draw."""
+    weights = analysis._draw_weights(rng, dim)[np.newaxis]
+    return analysis._random_densities(weights, [analysis._draw_seed(rng)])[0]
 
 
 def _draw_dilation(rng: np.random.Generator) -> KrausChannel:

@@ -43,10 +43,9 @@ from vncap.analysis import (
     hamming_holds,
     maximize_scalar_on_unit_interval,
     rate_bound,
-    _random_density,
-    _random_diagonal,
-    _random_dilation,
 )
+
+from reference import random_density, random_diagonal, random_dilation
 
 LOG2_3 = math.log2(3.0)
 
@@ -180,10 +179,10 @@ def test_criterion_08_transcript_identities():
     # dilations, chains, parallels, the identity, and the dephasing family.
     rng = np.random.default_rng(2024)
     for _ in range(10):
-        ch1 = _random_dilation(rng)
-        ch2 = _random_dilation(rng)
-        rho = _random_density(rng, 2)
-        rho_pair = _random_diagonal(rng, (2, 2))
+        ch1 = random_dilation(rng)
+        ch2 = random_dilation(rng)
+        rho = random_density(rng, 2)
+        rho_pair = random_diagonal(rng, (2, 2))
         transcripts.append(run_channel(ch1, rho))
         transcripts.append(run_channel(chain(ch1, ch2), rho))
         transcripts.append(run_channel(parallel(ch1, ch2), rho_pair))

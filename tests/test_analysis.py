@@ -34,7 +34,7 @@ from vncap.analysis import (
 from vncap.channel import dilation_channel
 
 import reference
-from reference import as_dilation
+from reference import as_dilation, random_density, random_diagonal, random_dilation
 
 EXPECTED_SLACK_KEYS = {
     "single:loss_nonneg",
@@ -203,12 +203,11 @@ class TestInequalitySlacks:
 
     def test_random_draw_is_clean(self):
         rng = np.random.default_rng(404)
-        from vncap.analysis import _random_diagonal, _random_dilation
 
-        ch1 = _random_dilation(rng)
-        ch2 = _random_dilation(rng)
-        rho = _random_diagonal(rng, (2,))
-        rho_pair = _random_diagonal(rng, (2, 2))
+        ch1 = random_dilation(rng)
+        ch2 = random_dilation(rng)
+        rho = random_diagonal(rng, (2,))
+        rho_pair = random_diagonal(rng, (2, 2))
         slacks = inequality_slacks(ch1, ch2, rho, rho_pair)
         assert set(slacks) == EXPECTED_SLACK_KEYS
         for name, value in slacks.items():
@@ -219,12 +218,11 @@ class TestInequalitySlacks:
         neither R nor E1, so S(R E1') there is S(R E') of ch1 alone; read with E1
         and E2 swapped it would be S(R E2'), which differs."""
         rng = np.random.default_rng(606)
-        from vncap.analysis import _random_diagonal, _random_dilation
 
         for _ in range(5):
-            ch1 = _random_dilation(rng)
-            ch2 = _random_dilation(rng)
-            rho = _random_diagonal(rng, (2,))
+            ch1 = random_dilation(rng)
+            ch2 = random_dilation(rng)
+            rho = random_diagonal(rng, (2,))
             _, single = run_channel(ch1, rho, return_state=True)  # (Q1', R, E')
             _, chained = run_channel(chain(ch1, ch2), rho, return_state=True)
             fine = PureState(chained.amplitudes, (2, 2, ch1.env_dim, ch2.env_dim))
@@ -233,12 +231,11 @@ class TestInequalitySlacks:
 
     def test_kraus_channels_match_their_dilations(self):
         rng = np.random.default_rng(505)
-        from vncap.analysis import _random_density, _random_diagonal
 
         ch1, ch2 = depolarizing_kraus(0.2), dephasing_kraus(0.3)
         dil1, dil2 = (dilation_channel(*as_dilation(ch)) for ch in (ch1, ch2))
-        rho, rho_pair = _random_diagonal(rng, (2,)), _random_diagonal(rng, (2, 2))
-        rho2 = _random_density(rng, 2)
+        rho, rho_pair = random_diagonal(rng, (2,)), random_diagonal(rng, (2, 2))
+        rho2 = random_density(rng, 2)
         for slacks, expected in (
             (
                 inequality_slacks(ch1, ch2, rho, rho_pair),
@@ -294,11 +291,11 @@ class TestAuditInequalities:
             coherent_info=1.5,
             fidelity=1.0,
         )
-        report = audit_inequalities(seed=3, trials=2, extra_transcripts=(bad,))
-        ids = {v[0] for v in report.violations}
-        assert ids == {"injected:loss_nonneg"}
-        assert report.violations[0][1] == {"transcript": 0}
-        assert report.max_negative_slack == pytest.approx(-0.5, abs=1e-12)
+        slacks = {key: np.array([v]) for key, v in channel.transcript_slacks(bad).items()}
+        violations, worst = analysis._scan([([{"transcript": 0}], slacks)], 1e-9)
+        assert {v[0] for v in violations} == {"loss_nonneg"}
+        assert violations[0][1] == {"transcript": 0}
+        assert worst == pytest.approx(-0.5, abs=1e-12)
 
 
 def _slack_table(chunks) -> tuple[list, list, np.ndarray]:
@@ -361,9 +358,8 @@ class TestStackedAudits:
     def test_one_row_calls_match_scalar_reference(self):
         """Channels with 1, 2, 4 and 8 branches and inputs off the diagonal."""
         rng = np.random.default_rng(808)
-        from vncap.analysis import _random_density, _random_dilation
 
-        dil = _random_dilation(rng)
+        dil = random_dilation(rng)
         channels = (
             identity_channel(2),
             dephasing_kraus(0.3),
@@ -371,8 +367,8 @@ class TestStackedAudits:
             dil,
             chain(dil, dephasing_kraus(0.1)),
         )
-        rho, rho2 = _random_density(rng, 2), _random_density(rng, 2)
-        rho_pair = _random_density(rng, 4)
+        rho, rho2 = random_density(rng, 2), random_density(rng, 2)
+        rho_pair = random_density(rng, 4)
         for ch1 in channels:
             for ch2 in channels:
                 for got, expected in (
@@ -453,13 +449,12 @@ class TestAuditAxioms:
 
     def test_slack_structure(self):
         rng = np.random.default_rng(606)
-        from vncap.analysis import _random_density, _random_dilation
 
         slacks = mixture_axiom_slacks(
-            _random_dilation(rng),
-            _random_dilation(rng),
-            _random_density(rng, 2),
-            _random_density(rng, 2),
+            random_dilation(rng),
+            random_dilation(rng),
+            random_density(rng, 2),
+            random_density(rng, 2),
             0.3,
         )
         assert set(slacks) == {"concavity_input", "convexity_channel"}

@@ -498,6 +498,19 @@ class TestStackedKernel:
             assert np.array_equal(getattr(chunked, field), getattr(whole, field))
         assert np.array_equal(classical_use_channel_rows(ch, qs), whole_classical)
 
+    def test_diagonal_amps_purify_their_diagonals(self):
+        """Each row sum_i sqrt(w_i)|ii> on (Q, R), with R traced out, is diag(w)."""
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 4):
+            weights = rng.random((6, d))
+            weights[0] = np.eye(d)[0]  # a pure input, zero weights included
+            weights /= weights.sum(axis=1, keepdims=True)
+            amps = channel._diagonal_amps(weights)
+            assert amps.shape == (6, d, d) and amps.dtype == np.complex128
+            for row, w in zip(amps, weights):
+                reduced = partial_trace(PureState(row, (d, d)).projector(), (0,))
+                assert np.abs(reduced.matrix - np.diag(w)).max() <= 1e-15
+
     def test_empty_q_list_gives_empty_rows(self):
         assert diagonal_transcripts(dephasing_kraus(0.2), []).s_in.shape == (0,)
         assert [v.shape for v in classical_use_channel_rows(dephasing_kraus(0.2), [])] == [

@@ -7,6 +7,7 @@ from vncap.qmat import (
     DensityMatrix,
     PureState,
     hermitian_eigenvalues,
+    partial_trace,
     pure_marginal,
     tensor,
 )
@@ -391,7 +392,9 @@ class TestSuperdense:
 
     def test_matches_lifted_channel_route(self, monkeypatch):
         """The lifted route: the channel tensored with the identity on R, applied
-        to each Bell projector, and the block-diagonal state built tag by tag."""
+        to each Bell projector, and the block-diagonal state built tag by tag.
+        The mean output rho_bar that the Kholevo quantity reads is its (Q', R)
+        marginal."""
         states = []
         post_init = DensityMatrix.__post_init__
 
@@ -413,8 +416,9 @@ class TestSuperdense:
                 m.setattr(DensityMatrix, "__post_init__", recorded)
                 states.clear()
                 report = superdense_scenario(p)
-            (state,) = [s for s in states if s.dims == (4, 2, 2)]
-            assert np.abs(state.matrix - reference.matrix).max() <= 1e-12
+            (rho_bar,) = [s for s in states if s.dims == (2, 2)]
+            marginal = partial_trace(reference, (1, 2))
+            assert np.abs(rho_bar.matrix - marginal.matrix).max() <= 1e-12
             expected = (
                 venn3(reference, ((1,), (2,), (0,))).mutual_ab,
                 venn2(reference, ((1, 2), (0,))).mutual,

@@ -30,7 +30,7 @@ from vncap.analysis import (
     search_coherent_info_violations,
     _sphere_volume,
 )
-from vncap.channel import KrausChannel, dilation_channel, quantum_fano_bound
+from vncap.channel import KrausChannel, dilation_channel, identity_channel, quantum_fano_bound
 from vncap.depolarizing import (
     LOG2_3,
     DepolParams,
@@ -164,6 +164,18 @@ NON_INTEGER_COUNTS = {
     "dilation_channel(env_dim=float64(4))": lambda: dilation_channel(
         random_unitary(8, 1), np.float64(4), basis_state(4, 0)
     ),
+    # seeds: integers >= 0, refused before numpy's SeedSequence sees them
+    "random_unitary(2, seed=1.0)": lambda: random_unitary(2, 1.0),
+    "random_unitary(2, seed=nan)": lambda: random_unitary(2, math.nan),
+    "random_unitary(2, seed=-1)": lambda: random_unitary(2, -1),
+    "audit_inequalities(seed=1.5)": lambda: audit_inequalities(1.5, 1),
+    "audit_inequalities(seed=-1)": lambda: audit_inequalities(-1, 1),
+    "audit_axioms(seed=nan)": lambda: audit_axioms(math.nan, 1),
+    "audit_axioms(seed=2.0)": lambda: audit_axioms(2.0, 1),
+    "search_coherent_info_violations(seed=inf)": lambda: search_coherent_info_violations(
+        math.inf, 1
+    ),
+    "search_coherent_info_violations(seed=-3)": lambda: search_coherent_info_violations(-3, 1),
 }
 
 # Factor indices and dimensions must be integers too; none is truncated.
@@ -179,6 +191,10 @@ NON_INTEGER_FACTORS = {
     "basis_state(2, 0.5)": lambda: basis_state(2, 0.5),
     "basis_state(2.0, 0)": lambda: basis_state(2.0, 0),
     "random_unitary(2.0, 1)": lambda: random_unitary(2.0, 1),
+    "identity_channel(2.0)": lambda: identity_channel(2.0),
+    "identity_channel(nan)": lambda: identity_channel(math.nan),
+    "identity_channel(0)": lambda: identity_channel(0),
+    "identity_channel(-2)": lambda: identity_channel(-2),
 }
 
 
@@ -259,6 +275,8 @@ class TestLibraryRefusals:
         assert venn2(rho, ((two - 2,), (two - 1,))).mutual == 0.0
         assert basis_state(two, np.int64(1)).amplitudes[1] == 1.0
         assert random_unitary(two, 1).shape == (2, 2)
+        assert np.array_equal(random_unitary(2, np.int64(1)), random_unitary(2, 1))
+        assert identity_channel(two).input_dim == 2
 
     @pytest.mark.parametrize("weight", [1.5, -0.2, math.nan, math.inf])
     def test_mixture_weight_is_checked(self, weight):
@@ -365,7 +383,7 @@ def test_validated_densities_are_not_diagonalized_again(monkeypatch):
     assert len(calls) == 3  # one Schmidt spectrum per entropy: S(Q'), S(R), S(Q'R)
     calls.clear()
     superdense_scenario(0.3)
-    assert len(calls) == 9  # the 16x16 state's spectrum and the eight venn marginals
+    assert len(calls) == 4  # S(R), S(Q'), S_e of the four Bell runs, and the mean output
 
 
 def test_density_matrix_checks_its_array_once(monkeypatch):
@@ -468,19 +486,19 @@ class TestCliRefusals:
 
     def test_caps(self):
         # Without their caps, all but the last request would still be cheap.
-        too_long = str(cli.MAX_BLOCK_LENGTH + 1)
+        too_long = str(MAX_BLOCK_LENGTH + 1)
         rates = ("hamming", "--mode", "classical", "--p", "0.1", "--n-list")
         assert_refused("sweep", "--q-range", "0:1:1e-6")
         assert_refused("sweep", "--p-range", "0:1:1e-3", "--q-range", "0:1:1e-2")
         assert_refused("hamming", "--mode", "classical", "--n", too_long, "--k", "1", "--t", "0")
         assert_refused("hamming", "--mode", "classical", "--n", "7", "--k", "9" * 400, "--t", "1")
         assert_refused(*rates, too_long)
-        assert_refused(*rates, ",".join(["10"] * (cli.MAX_N_LIST + 1)))
-        assert_refused("audit", "--trials", str(cli.MAX_TRIALS + 1))
+        assert_refused(*rates, ",".join(["10"] * (MAX_N_LIST + 1)))
+        assert_refused("audit", "--trials", str(MAX_TRIALS + 1))
 
     def test_caps_admit_benchmark_requests(self):
         code, out, _ = run_cli(
             "hamming", "--mode", "entanglement", "--p", "0.09", "--n-list", "4001"
         )
         assert code == 0 and out.count("\n") == 3
-        assert 16 * 51 <= cli.MAX_SWEEP_ROWS and 200 <= cli.MAX_TRIALS
+        assert 16 * 51 <= cli.MAX_SWEEP_ROWS and 200 <= MAX_TRIALS
