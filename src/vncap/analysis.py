@@ -81,11 +81,13 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _check_audit_args(seed: int, trials: int, tol: float) -> None:
-    _at_least(seed, 0, "seed")
-    if not 1 <= _as_count(trials, "trials") <= MAX_TRIALS:
+def _check_audit_args(seed: int, trials: int, tol: float) -> tuple[int, int]:
+    seed = _at_least(seed, 0, "seed")
+    count = _as_count(trials, "trials")
+    if not 1 <= count <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     _check_tolerance(tol)
+    return seed, count
 
 
 @dataclass(frozen=True)
@@ -111,17 +113,8 @@ class AuditReport:
     max_negative_slack: float
 
 
-def _check_optimizer_tolerance(tol: float) -> None:
-    """Refuse a golden-section tolerance that is not finite, not positive, or below
-    ``sys.float_info.epsilon``; callers with costly grid values check it first."""
-    _check_tolerance(tol)
-    eps = sys.float_info.epsilon
-    if tol < eps:  # the interval cannot shrink below one ulp
-        raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
-
-
 def maximize_scalar_on_unit_interval(
-    f: Callable[[float], float], tol: float = 1e-10, grid_values: Sequence[float] | None = None
+    f: Callable[[float], float], tol: float = 1e-10, rows: Callable | None = None
 ) -> CapacityResult:
     """Maximize f over q in [0, 1]: 101-point grid scan, then golden-section.
 
@@ -130,11 +123,15 @@ def maximize_scalar_on_unit_interval(
     only replaces the grid argmax when it is genuinely better, so exact grid
     maxima (like q = 0.5 for symmetric channels) are reported exactly.
 
-    ``grid_values``, if given, are f on ``CAPACITY_GRID`` computed by the
-    caller (e.g. in one batch); they count as evaluations and are checked
-    like them.  ``tol`` must be at least ``sys.float_info.epsilon``.
+    ``rows(qs)``, if given, returns f on a whole list of q at once; the grid
+    scan calls it once, on ``CAPACITY_GRID``, in place of f, and its values
+    count as evaluations, checked alike.  ``tol``, at least
+    ``sys.float_info.epsilon``, is checked before any evaluation.
     """
-    _check_optimizer_tolerance(tol)
+    _check_tolerance(tol)
+    eps = sys.float_info.epsilon
+    if tol < eps:  # the interval cannot shrink below one ulp
+        raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
     evals = 0
 
     def checked(q: float, value) -> float:
@@ -148,13 +145,11 @@ def maximize_scalar_on_unit_interval(
     def evaluate(q: float) -> float:
         return checked(q, f(q))
 
-    grid = list(CAPACITY_GRID)
-    if grid_values is None:
-        values = [evaluate(q) for q in grid]
-    elif len(grid_values) == len(grid):
-        values = [checked(q, v) for q, v in zip(grid, grid_values)]
-    else:
-        raise ValueError(f"expected {len(grid)} grid values, got {len(grid_values)}")
+    grid = CAPACITY_GRID
+    values = list(map(f, grid) if rows is None else rows(grid))
+    if len(values) != len(grid):
+        raise ValueError(f"expected {len(grid)} grid values, got {len(values)}")
+    values = [checked(q, v) for q, v in zip(grid, values)]
     best = max(values)
     tied = [q for q, v in zip(grid, values) if v >= best - _TIE_ATOL]
     q_grid = min(tied, key=lambda q: (abs(q - 0.5), q))
@@ -445,7 +440,7 @@ def audit_inequalities(seed: int, trials: int, tol: float = 1e-9) -> AuditReport
     parallel check, then scores ``inequality_slacks``; the trials run stacked,
     ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    _check_audit_args(seed, trials, tol)
+    seed, trials = _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_inequality_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
@@ -457,7 +452,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport
     and scores ``mixture_axiom_slacks``; the trials run stacked,
     ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    _check_audit_args(seed, trials, tol)
+    seed, trials = _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_axiom_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
@@ -471,7 +466,7 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
     only their first channel.  Returns the witnesses found (possibly none),
     each as (trial index, weight, slack).  Deterministic per seed.
     """
-    _check_audit_args(seed, trials, tol)
+    seed, trials = _check_audit_args(seed, trials, tol)
     violations, _ = _scan(_coherent_chunks(seed, trials), tol)
     return tuple((params["trial"], params["weight"], slack) for _, params, slack in violations)
 
@@ -480,12 +475,21 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -
 # Hamming bounds
 # ---------------------------------------------------------------------------
 
-_MODES = ("classical", "quantum", "entanglement")
+# Sphere-packing modes: mode -> (error syndromes s per position, code-space
+# qubits per position).  The entanglement-assisted ("extended") bound is the
+# quantum one with twice the code space.
+MODES = {"classical": (1, 1), "quantum": (3, 1), "entanglement": (3, 2)}
+
+
+def _mode(mode: str) -> tuple[int, int]:
+    if isinstance(mode, str) and mode in MODES:  # a list, say, is unhashable
+        return MODES[mode]
+    raise ValueError(f"invalid query: unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class HammingQuery:
-    """A finite (n, k, t) sphere-packing query in one of the three modes."""
+    """A finite (n, k, t) sphere-packing query in one of the ``MODES``."""
 
     n: int
     k: int
@@ -493,8 +497,7 @@ class HammingQuery:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"invalid query: unknown mode {self.mode!r}")
+        _mode(self.mode)
         for name in ("n", "k", "t"):
             object.__setattr__(self, name, _as_count(getattr(self, name), f"invalid query: {name}"))
         n_ok, k_ok = 1 <= self.n <= MAX_BLOCK_LENGTH, 1 <= self.k <= 2 * MAX_BLOCK_LENGTH
@@ -525,22 +528,16 @@ def _sphere_volume(n: int, t: int, syndromes: int) -> int:
     return total
 
 
-def _space_exponent(n: int, mode: str) -> int:
-    return 2 * n if mode == "entanglement" else n
-
-
 def hamming_holds(query: HammingQuery) -> tuple[bool, float]:
     """Exact sphere-packing check; returns (holds, slack in bits).
 
-    classical:     2^k sum_{i<=t} C(n,i)       <= 2^n
-    quantum:       2^k sum_{i<=t} 3^i C(n,i)   <= 2^n
-    entanglement:  2^k sum_{i<=t} 3^i C(n,i)   <= 2^{2n}
-
-    The comparison is big-integer exact; the slack is log2(space / used).
+    With (s, space) = ``MODES[query.mode]``, the check is
+    2^k sum_{i<=t} s^i C(n, i) <= 2^(space n), big-integer exact; the slack is
+    the log2 ratio of the right side to the left.
     """
-    syndromes = 1 if query.mode == "classical" else 3
+    syndromes, space = _mode(query.mode)
     volume = _sphere_volume(query.n, query.t, syndromes)
-    exponent = _space_exponent(query.n, query.mode)
+    exponent = space * query.n
     # k > exponent can never fit, and 2^k for a huge k would not fit in memory
     holds = query.k <= exponent and volume << query.k <= 1 << exponent
     slack = float(exponent - query.k) - math.log2(volume)
@@ -548,18 +545,15 @@ def hamming_holds(query: HammingQuery) -> tuple[bool, float]:
 
 
 def rate_bound(p: float, mode: str) -> float:
-    """Asymptotic rate bound in bits per symbol, as a binary relative entropy.
+    """Asymptotic rate bound in bits per symbol, as a binary relative entropy:
+    D(p || s/(s+1)) + space - log2(s+1), with (s, space) = ``MODES[mode]``.
 
-    classical: D(p || 1/2); quantum: D(p || 3/4) - 1; entanglement: D(p || 3/4),
-    so the entanglement and quantum bounds differ by exactly 1 for every p and
-    the quantum bound may be negative.
+    The entanglement-assisted bound, with twice the code space, is the quantum
+    bound plus exactly 1 for every p; the quantum bound may be negative.
     """
-    if mode not in _MODES:
-        raise ValueError(f"invalid query: unknown mode {mode!r}")
-    if mode == "classical":
-        return relative_entropy_binary(p, 0.5)
-    reference = relative_entropy_binary(p, 0.75)
-    return reference if mode == "entanglement" else reference - 1.0
+    syndromes, space = _mode(mode)
+    reference = relative_entropy_binary(p, syndromes / (syndromes + 1))
+    return reference + (space - math.log2(syndromes + 1))
 
 
 def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[RatePoint]:
@@ -571,8 +565,7 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
-    if mode not in _MODES:
-        raise ValueError(f"invalid query: unknown mode {mode!r}")
+    syndromes, space = _mode(mode)
     if len(n_list) > MAX_N_LIST:
         raise ValueError(f"{len(n_list)} block lengths exceed the cap of {MAX_N_LIST}")
     n_list = [_as_count(n, "block length") for n in n_list]
@@ -582,9 +575,7 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
     rows = []
     for n in n_list:
         t = math.floor(p * n)
-        volume = _sphere_volume(n, t, 1 if mode == "classical" else 3)
-        admissible = (1 << _space_exponent(n, mode)) // volume
-        k_max = admissible.bit_length() - 1 if admissible >= 1 else 0
-        k_max = max(0, k_max)
+        admissible = (1 << (space * n)) // _sphere_volume(n, t, syndromes)
+        k_max = max(0, admissible.bit_length() - 1)
         rows.append(RatePoint(n=n, t=t, k_max=k_max, rate=k_max / n))
     return rows

@@ -271,10 +271,9 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
     columns, out = _transcript_rows(_branches(ch), purify(rho_q).amplitudes.reshape(1, d, d))
-    state = PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked
     transcript = ChannelTranscript.from_entropies(*columns[:, 0].tolist())
     if return_state:
-        return transcript, state
+        return transcript, PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked
     return transcript
 
 

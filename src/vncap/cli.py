@@ -32,9 +32,6 @@ DEFAULT_N_LIST = "25,50,100,200"
 # minute on one x86-64 core.
 MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one sweep
 
-QUANTUM_HEADER = "p,q,S,S_prime,S_env,loss,I_Q,fidelity"
-CLASSICAL_HEADER = "p,q,mutual,loss"
-
 
 def _fmt(x: float) -> str:
     return "%.12g" % (0.0 if x == 0 else float(x))
@@ -65,12 +62,18 @@ def _parse_range(text: str, flag: str) -> list[float]:
     return [min(1.0, start + i * step) for i in range(math.floor(steps) + 1)]
 
 
+# Uses: use -> (sweep CSV header, the column of a row that capacity maximizes).
+USES = {
+    "quantum": ("p,q,S,S_prime,S_env,loss,I_Q,fidelity", 4),  # I_Q
+    "classical": ("p,q,mutual,loss", 0),  # mutual
+}
+
 # Channel families: (channel, use) -> (family, closed_form).  family(p) returns
 # (point, rows): point(q) is the tuple (S, S', S_e, L, I_Q, F_e) for quantum
 # use, (mutual, loss) for classical use, and rows(qs) gives those tuples for a
-# whole q list at once; capacity maximizes I_Q or mutual, the closed form's
-# quantity.  The dephasing rows come from the stacked kernels; their points
-# stay scalar, so capacity's golden-section steps run ``run_channel``.
+# whole q list at once; the closed form is the capacity's.  The dephasing rows
+# come from the stacked kernels; their points stay scalar, so capacity's
+# golden-section steps run ``run_channel``.
 
 
 def _quantum_columns(t) -> tuple:
@@ -112,17 +115,14 @@ FAMILIES = {
     # dephasing is lossless for classical bits
     ("dephasing", "classical"): (_dephasing_classical, lambda p: 1.0),
 }
-OBJECTIVE_COLUMN = {"quantum": 4, "classical": 0}
 
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
-    analysis._check_optimizer_tolerance(args.tol)  # before the grid is computed
     family, closed_form = FAMILIES[args.channel, args.use]
-    (point, rows), column = family(p), OBJECTIVE_COLUMN[args.use]
-    grid_values = [values[column] for values in rows(analysis.CAPACITY_GRID)]
+    (point, rows_at_p), (_, column) = family(p), USES[args.use]
     result = analysis.maximize_scalar_on_unit_interval(
-        lambda q: point(q)[column], args.tol, grid_values
+        lambda q: point(q)[column], args.tol, rows=lambda qs: [v[column] for v in rows_at_p(qs)]
     )
     closed = closed_form(p)
     print(f"channel: {args.channel}")
@@ -144,7 +144,7 @@ def cmd_sweep(args) -> int:
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
     family, _ = FAMILIES[args.channel, args.use]
-    print(QUANTUM_HEADER if args.use == "quantum" else CLASSICAL_HEADER)
+    print(USES[args.use][0])
     for p in p_values:
         _, rows_at_p = family(p)
         for q, values in zip(q_values, rows_at_p(q_values)):
@@ -222,17 +222,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entropy transcripts, capacities, and bounds for noisy qubit channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    channel_use = argparse.ArgumentParser(add_help=False)  # shared by capacity and sweep
+    channels = tuple(dict.fromkeys(channel for channel, _ in FAMILIES))
+    channel_use.add_argument("--channel", choices=channels, default="depolarizing")
+    channel_use.add_argument("--use", choices=tuple(USES), default="quantum")
 
-    cap = sub.add_parser("capacity", help="maximize mutual information over the input mix q")
-    cap.add_argument("--channel", choices=("depolarizing", "dephasing"), default="depolarizing")
-    cap.add_argument("--use", choices=("quantum", "classical"), default="quantum")
+    cap = sub.add_parser(
+        "capacity", parents=[channel_use], help="maximize mutual information over the input mix q"
+    )
     cap.add_argument("--p", type=float, required=True, help="error probability")
     cap.add_argument("--tol", type=float, default=1e-10, help="optimizer tolerance on q")
     cap.set_defaults(func=cmd_capacity)
 
-    sweep = sub.add_parser("sweep", help="emit a (p, q) grid of transcripts as CSV")
-    sweep.add_argument("--channel", choices=("depolarizing", "dephasing"), default="depolarizing")
-    sweep.add_argument("--use", choices=("quantum", "classical"), default="quantum")
+    sweep = sub.add_parser(
+        "sweep", parents=[channel_use], help="emit a (p, q) grid of transcripts as CSV"
+    )
     sweep.add_argument("--p-range", default=DEFAULT_P_RANGE, help="start:stop:step")
     sweep.add_argument("--q-range", default=DEFAULT_Q_RANGE, help="start:stop:step")
     sweep.set_defaults(func=cmd_sweep)
@@ -244,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     ham = sub.add_parser("hamming", help="sphere-packing verdicts and rate bounds")
-    ham.add_argument("--mode", choices=("classical", "quantum", "entanglement"), required=True)
+    ham.add_argument("--mode", choices=tuple(analysis.MODES), required=True)
     ham.add_argument("--p", type=float, default=None, help="error probability for rates")
     ham.add_argument("--n", type=int, default=None)
     ham.add_argument("--k", type=int, default=None)

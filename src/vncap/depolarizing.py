@@ -243,6 +243,8 @@ def kholevo_chi(probs, outputs) -> float:
         raise ValueError(
             f"length mismatch: {vec.size} probabilities vs {len(outputs)} outputs"
         )
+    if len({rho.dim for rho in outputs}) > 1:
+        raise ValueError(f"dimension mismatch: output dimensions {[rho.dim for rho in outputs]}")
     dims = outputs[0].dims
     mix = DensityMatrix(
         sum(p * rho.matrix for p, rho in zip(vec, outputs)), dims

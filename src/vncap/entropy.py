@@ -122,8 +122,6 @@ def _check_partition(dims: tuple[int, ...], split: Sequence[Sequence[int]], part
 
 
 def _group_entropy(rho: DensityMatrix, group: Sequence[int]) -> float:
-    if len(group) == len(rho.dims):
-        return von_neumann_entropy(rho)
     return von_neumann_entropy(partial_trace(rho, group))
 
 

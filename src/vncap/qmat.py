@@ -44,8 +44,11 @@ def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
 
 
 def _as_count(x, name: str) -> int:
-    """``x`` as an int; floats (whole ones too), NaN and other non-integers raise ValueError."""
+    """``x`` as an int; bools, floats (whole ones too), NaN and other non-integers
+    raise ValueError."""
     try:
+        if isinstance(x, bool):  # operator.index takes bools
+            raise TypeError
         return operator.index(x)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
@@ -83,7 +86,7 @@ def _as_complex_array(values, ndim: int) -> np.ndarray:
 
 def _check_normalized(amps: np.ndarray) -> None:
     """Raise unless each row ``amps[n]`` of a stack of state vectors has norm 1 within
-    NORM_ATOL: ``PureState``'s check, for a stack at once."""
+    NORM_ATOL; ``PureState`` runs it as a one-row call."""
     flat = amps.reshape(amps.shape[0], -1)
     norms = np.sqrt(np.einsum("ni,ni->n", flat.conj(), flat).real)
     _check_residual(np.abs(norms - 1.0).max(), NORM_ATOL, "state vector is not normalized")
@@ -123,8 +126,7 @@ class PureState:
         dims = self.dims if self.dims is not None else (amps.size,)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(dims, amps.size))
-        resid = abs(np.linalg.norm(amps) - 1.0)
-        _check_residual(resid, NORM_ATOL, "state vector is not normalized")
+        _check_normalized(amps[np.newaxis])
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,24 +105,29 @@ class TestScalarMaximizer:
 
 
 class TestPrecomputedGrid:
-    """``grid_values`` stands in for the 101 grid evaluations, checked alike."""
+    """``rows`` stands in for the 101 grid evaluations, checked alike."""
 
     @pytest.mark.parametrize(
         "f", [lambda q: -((q - 0.37) ** 2), lambda q: -q, lambda q: 0.0, lambda q: q * (1 - q)]
     )
     def test_same_result_as_scalar_grid(self, f):
         scalar = maximize_scalar_on_unit_interval(f)
-        batched = maximize_scalar_on_unit_interval(f, grid_values=[f(q) for q in CAPACITY_GRID])
+        batched = maximize_scalar_on_unit_interval(f, rows=lambda qs: [f(q) for q in qs])
         assert batched == scalar
 
     def test_grid_values_are_not_recomputed(self):
-        calls = []
+        calls, batches = [], []
 
         def f(q):
             calls.append(q)
             return -((q - 0.37) ** 2)
 
-        result = maximize_scalar_on_unit_interval(f, grid_values=[f(q) for q in CAPACITY_GRID])
+        def rows(qs):
+            batches.append(tuple(qs))
+            return [f(q) for q in qs]
+
+        result = maximize_scalar_on_unit_interval(f, rows=rows)
+        assert batches == [CAPACITY_GRID]  # one call, on the grid
         assert result.evaluations == len(calls)  # the 101 grid values count once
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -129,11 +135,19 @@ class TestPrecomputedGrid:
         values = [-((q - 0.37) ** 2) for q in CAPACITY_GRID]
         values[40] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            maximize_scalar_on_unit_interval(lambda q: 0.0, grid_values=values)
+            maximize_scalar_on_unit_interval(lambda q: 0.0, rows=lambda qs: values)
 
     def test_rejects_wrong_grid_length(self):
         with pytest.raises(ValueError, match="101 grid values"):
-            maximize_scalar_on_unit_interval(lambda q: 0.0, grid_values=[0.0] * 100)
+            maximize_scalar_on_unit_interval(lambda q: 0.0, rows=lambda qs: [0.0] * 100)
+
+    def test_refused_tolerance_raises_before_rows(self):
+        def rows(qs):
+            raise AssertionError("rows ran before the tolerance check")
+
+        for tol in (0.0, -1e-3, math.nan, math.inf, sys.float_info.epsilon / 2):
+            with pytest.raises(ValueError, match="tolerance"):
+                maximize_scalar_on_unit_interval(lambda q: 0.0, tol, rows=rows)
 
 
 class TestMaximizeCapacity:

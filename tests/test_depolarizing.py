@@ -353,6 +353,11 @@ class TestKholevoChi:
         with pytest.raises(ValueError, match="length mismatch"):
             kholevo_chi([1.0], [])
 
+    def test_dimension_mismatch(self):
+        outputs = [DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(4) / 4)]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kholevo_chi([0.5, 0.5], outputs)
+
 
 class TestDephasing:
     def test_endpoint_values(self):

@@ -1,4 +1,5 @@
-"""Source hygiene: every private function or class in ``src/vncap`` has a caller there.
+"""Source hygiene: every private function, class or constant in ``src/vncap`` is
+read there.
 
 Code that only tests call belongs with the tests (``tests/reference.py``), so a
 module-level private definition that nothing else in the package refers to
@@ -11,26 +12,36 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "vncap"
 
 
-def orphans(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of every module-level private function or class in ``sources``
-    (module name -> source text) that no code in ``sources`` refers to.
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by ``def``, ``class`` or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [name.id for t in targets for name in ast.walk(t) if isinstance(name, ast.Name)]
 
-    A reference is a name used in the defining module, a ``from .module import
-    name``, or an attribute ``module.name``.
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level private function, class or assigned
+    name in ``sources`` (module name -> source text) that no code in ``sources``
+    reads.
+
+    A read is a name loaded in the defining module, a ``from .module import
+    name``, or an attribute ``module.name``; binding a name does not read it.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = [
-        (module, node.name)
+        (module, name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        for name in _bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
     ]
     used = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add((module, node.id))
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 used.update((node.module, alias.name) for alias in node.names)
@@ -53,5 +64,21 @@ def test_orphan_check_sees_each_kind_of_reference():
         "def public(): _local()\n",
         "b": "from . import a\nfrom .a import _imported\nx = a._attribute\ndef _f(): pass\n",
         "c": "def _f(): pass\ny = _f\n",
+        "d": "from . import e\n"
+        "from .e import _IMPORTED\n"
+        "_READ = 1\n"
+        "_LEFTOVER = ('x', 'y')\n"
+        "_TYPED: int = 2\n"
+        "_PAIR, _OTHER = 3, 4\n"
+        "_WRITTEN = _READ + _PAIR\n"
+        "z = e._SHARED\n",
+        "e": "_SHARED = 5\n_IMPORTED = 6\n",
     }
-    assert orphans(sources) == ["a._Orphan", "b._f"]
+    assert orphans(sources) == [
+        "a._Orphan",
+        "b._f",
+        "d._LEFTOVER",
+        "d._OTHER",
+        "d._TYPED",
+        "d._WRITTEN",
+    ]

@@ -6,7 +6,9 @@ stays deterministic and fast.
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 import math
 import sys
 
@@ -176,6 +178,12 @@ NON_INTEGER_COUNTS = {
         math.inf, 1
     ),
     "search_coherent_info_violations(seed=-3)": lambda: search_coherent_info_violations(-3, 1),
+    # bools are not counts, though operator.index takes them
+    "audit_axioms(trials=True)": lambda: audit_axioms(0, True),
+    "audit_inequalities(seed=False)": lambda: audit_inequalities(False, 1),
+    "HammingQuery(True, True, False)": lambda: HammingQuery(True, True, False, "classical"),
+    "asymptotic_consistency([True])": lambda: asymptotic_consistency(0.1, [True], "classical"),
+    "random_unitary(2, seed=True)": lambda: random_unitary(2, True),
 }
 
 # Factor indices and dimensions must be integers too; none is truncated.
@@ -195,6 +203,10 @@ NON_INTEGER_FACTORS = {
     "identity_channel(nan)": lambda: identity_channel(math.nan),
     "identity_channel(0)": lambda: identity_channel(0),
     "identity_channel(-2)": lambda: identity_channel(-2),
+    "identity_channel(True)": lambda: identity_channel(True),
+    "PureState(dims=(True, 2))": lambda: PureState([1, 0], (True, 2)),
+    "partial_trace(keep=(False,))": lambda: partial_trace(MIXED_PAIR, (False,)),
+    "basis_state(2, True)": lambda: basis_state(2, True),
 }
 
 
@@ -277,6 +289,13 @@ class TestLibraryRefusals:
         assert random_unitary(two, 1).shape == (2, 2)
         assert np.array_equal(random_unitary(2, np.int64(1)), random_unitary(2, 1))
         assert identity_channel(two).input_dim == 2
+
+    @pytest.mark.parametrize("audit", [audit_inequalities, audit_axioms])
+    def test_audits_report_integer_trials(self, audit):
+        report = audit(np.int64(0), np.int64(3))
+        assert type(report.trials) is int and report.trials == 3
+        assert report == audit(0, 3)
+        json.dumps(dataclasses.asdict(report))  # an np.int64 would raise TypeError
 
     @pytest.mark.parametrize("weight", [1.5, -0.2, math.nan, math.inf])
     def test_mixture_weight_is_checked(self, weight):
