@@ -50,12 +50,14 @@ from .depolarizing import (
     DepolParams,
     SuperdenseReport,
     analytic_transcript,
+    analytic_transcript_rows,
     build_dilation,
     classical_capacity,
     classical_use_channel_rows,
     classical_use_channel_simulation,
     classical_use_ensemble,
     classical_use_transcript,
+    classical_use_transcript_rows,
     dephasing_kraus,
     dephasing_mutual,
     depolarizing_kraus,

@@ -25,13 +25,13 @@ quantities are read off each row's |Q'R'E'>:
 Each entropy is one stacked ``eigvalsh`` on the smaller side's Gram matrices
 (``entropy._row_entropies``).  The factor order of each output row is
 (Q', R, E'), leftmost slowest.  ``run_channel`` purifies any input against a
-reference R (``purify``, the one-row call of the stacked ``_purify_rows``) and
-makes a one-row call.  Diagonal inputs need no eigensolve: ``_diagonal_amps``
-writes their purifications sum_i sqrt(w_i)|ii> down directly, and
-``diagonal_transcripts`` sends the paper's input family diag(q, 1 - q) for a
-whole q list that way, in chunks of ``STACK_ROWS`` rows.  Sweeps, the capacity
-grid scan, classical use, superdense coding and the audits run through the
-stacked calls.
+reference R with the stacked ``_purify_rows`` (``purify`` is its one-row
+call) and makes a one-row call.  Diagonal inputs need no eigensolve:
+``_diagonal_amps`` writes their purifications sum_i sqrt(w_i)|ii> down
+directly, and ``diagonal_transcripts`` sends the paper's input family
+diag(q, 1 - q) for a whole q list that way, in chunks of ``STACK_ROWS`` rows.
+Sweeps, the capacity grid scan, classical use, superdense coding and the
+audits run through the stacked calls.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
     d = rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
-    columns, out = _transcript_rows(_branches(ch), purify(rho_q).amplitudes.reshape(1, d, d))
+    columns, out = _transcript_rows(_branches(ch), _purify_rows(rho_q.matrix[np.newaxis]))
     transcript = ChannelTranscript.from_entropies(*columns[:, 0].tolist())
     if return_state:
         return transcript, PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked

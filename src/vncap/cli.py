@@ -10,6 +10,7 @@ violation, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,33 +71,36 @@ USES = {
 
 # Channel families: (channel, use) -> (family, closed_form).  family(p) returns
 # (point, rows): point(q) is the tuple (S, S', S_e, L, I_Q, F_e) for quantum
-# use, (mutual, loss) for classical use, and rows(qs) gives those tuples for a
-# whole q list at once; the closed form is the capacity's.  The dephasing rows
-# come from the stacked kernels; their points stay scalar, so capacity's
-# golden-section steps run ``run_channel``.
+# use, (mutual, loss) for classical use, and rows(qs) gives those columns as
+# arrays over a whole q list at once; the closed form is the capacity's.  The
+# rows come from the array closed forms and the stacked kernels; the points
+# stay scalar, so capacity's golden-section steps run the scalar closed forms
+# and ``run_channel``.
 
 
 def _quantum_columns(t) -> tuple:
     return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
 
 
-def _mapped(point):
-    return point, lambda qs: map(point, qs)
-
-
 def _depolarizing_quantum(p: float):
-    return _mapped(lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))))
+    return (
+        lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))),
+        lambda qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
+    )
 
 
 def _depolarizing_classical(p: float):
-    return _mapped(lambda q: depolarizing.classical_use_transcript(DepolParams(p, q)))
+    return (
+        lambda q: depolarizing.classical_use_transcript(DepolParams(p, q)),
+        lambda qs: depolarizing.classical_use_transcript_rows(p, qs),
+    )
 
 
 def _dephasing_quantum(p: float):
     kraus = depolarizing.dephasing_kraus(p)
     return (
         lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q))),
-        lambda qs: zip(*_quantum_columns(diagonal_transcripts(kraus, qs))),
+        lambda qs: _quantum_columns(diagonal_transcripts(kraus, qs)),
     )
 
 
@@ -104,7 +108,7 @@ def _dephasing_classical(p: float):
     kraus = depolarizing.dephasing_kraus(p)
     return (
         lambda q: depolarizing.classical_use_channel_simulation(kraus, q),
-        lambda qs: zip(*depolarizing.classical_use_channel_rows(kraus, qs)),
+        lambda qs: depolarizing.classical_use_channel_rows(kraus, qs),
     )
 
 
@@ -122,7 +126,7 @@ def cmd_capacity(args) -> int:
     family, closed_form = FAMILIES[args.channel, args.use]
     (point, rows_at_p), (_, column) = family(p), USES[args.use]
     result = analysis.maximize_scalar_on_unit_interval(
-        lambda q: point(q)[column], args.tol, rows=lambda qs: [v[column] for v in rows_at_p(qs)]
+        lambda q: point(q)[column], args.tol, rows=lambda qs: rows_at_p(qs)[column]
     )
     closed = closed_form(p)
     print(f"channel: {args.channel}")
@@ -144,11 +148,14 @@ def cmd_sweep(args) -> int:
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
     family, _ = FAMILIES[args.channel, args.use]
-    print(USES[args.use][0])
+    header = USES[args.use][0]
+    line = ",".join(["%.12g"] * (header.count(",") + 1))  # _fmt of each column
+    print(header)
     for p in p_values:
         _, rows_at_p = family(p)
-        for q, values in zip(q_values, rows_at_p(q_values)):
-            print(",".join(_fmt(v) for v in (p, q, *values)))
+        columns = (np.full(len(q_values), p), q_values, *rows_at_p(q_values))
+        table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: _fmt prints -0 as 0
+        print("\n".join([line % tuple(row) for row in table.tolist()]))
     return 0
 
 
@@ -193,7 +200,7 @@ def cmd_hamming(args) -> int:
     if args.p is not None:
         p = _unit_interval(args.p, "--p", slack=0.0)
         try:
-            n_list = [int(v) for v in args.n_list.split(",") if v]
+            n_list = [int(v) for v in args.n_list.split(",")]  # an empty entry raises
         except ValueError as exc:
             raise ValueError(f"--n-list: {exc}") from None
         rows = analysis.asymptotic_consistency(p, n_list, args.mode)
@@ -216,6 +223,7 @@ def cmd_superdense(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vncap",
@@ -232,20 +240,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cap.add_argument("--p", type=float, required=True, help="error probability")
     cap.add_argument("--tol", type=float, default=1e-10, help="optimizer tolerance on q")
-    cap.set_defaults(func=cmd_capacity)
 
     sweep = sub.add_parser(
         "sweep", parents=[channel_use], help="emit a (p, q) grid of transcripts as CSV"
     )
     sweep.add_argument("--p-range", default=DEFAULT_P_RANGE, help="start:stop:step")
     sweep.add_argument("--q-range", default=DEFAULT_Q_RANGE, help="start:stop:step")
-    sweep.set_defaults(func=cmd_sweep)
 
     audit = sub.add_parser("audit", help="randomized inequality audit, JSON report")
     audit.add_argument("--trials", type=int, default=200)
     audit.add_argument("--seed", type=int, default=None, help="defaults to VN_SEED or 42")
     audit.add_argument("--tol", type=float, default=1e-9)
-    audit.set_defaults(func=cmd_audit)
 
     ham = sub.add_parser("hamming", help="sphere-packing verdicts and rate bounds")
     ham.add_argument("--mode", choices=tuple(analysis.MODES), required=True)
@@ -254,12 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ham.add_argument("--k", type=int, default=None)
     ham.add_argument("--t", type=int, default=None)
     ham.add_argument("--n-list", default=DEFAULT_N_LIST, help="comma-separated block lengths")
-    ham.set_defaults(func=cmd_hamming)
 
     sup = sub.add_parser("superdense", help="noisy superdense-coding report")
     sup.add_argument("--p", type=float, default=None, help="error probability")
     sup.add_argument("--threshold", action="store_true", help="print only the break-even p")
-    sup.set_defaults(func=cmd_superdense)
 
     return parser
 
@@ -267,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: the cached parser holds no command functions
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:  # every refused input, before anything reaches stdout
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,10 @@ from .channel import (
     dilation_channel,
 )
 from .entropy import (
+    _binary_entropy_rows,
     _row_entropies,
     _shannon,
+    _shannon_rows,
     binary_entropy,
     check_prob_vector,
     von_neumann_entropy,
@@ -175,6 +177,38 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
 
 
+def _analytic_chunk(p: float, qs: np.ndarray) -> np.ndarray:
+    flip = 2.0 * p / 3.0
+    s_in = _binary_entropy_rows(qs)
+    s_out = _binary_entropy_rows(qs + flip * (1.0 - 2.0 * qs))
+    radicand = (1.0 - flip) ** 2 - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
+    delta = np.sqrt(np.maximum(radicand, 0.0))
+    spectrum = np.stack(
+        [
+            flip * (1.0 - qs),
+            flip * qs,
+            np.maximum((1.0 - flip + delta) / 2.0, 0.0),
+            np.maximum((1.0 - flip - delta) / 2.0, 0.0),
+        ]
+    )
+    # Python's ** 2 (libm pow), not numpy's x * x: they differ in the last bit on some x
+    squares = np.fromiter((x ** 2 for x in (1.0 - 2.0 * qs).tolist()), float, qs.size)
+    fidelity = 1.0 - p + (p / 3.0) * squares
+    return np.stack([s_in, s_out, _shannon_rows(spectrum), fidelity])
+
+
+def analytic_transcript_rows(p: float, q_values) -> ChannelTranscript:
+    """``analytic_transcript`` at one p for every q at once: one array per entry.
+
+    The scalar form's operations in its order, with ``math.log2`` and Python's
+    ``** 2`` per entry, so every entry equals the scalar one bit for bit.  The
+    scalar form stays the point objective: on one q it is the faster call.
+    """
+    p = _unit_interval(p, "error probability")
+    columns = _chunked_rows(q_values, lambda qs: _analytic_chunk(p, qs))
+    return ChannelTranscript.from_entropies(*columns)
+
+
 def quantum_capacity(p: float) -> float:
     """Peak mutual entanglement 2 - H2(p) - p log2(3), reached at q = 1/2."""
     p = _unit_interval(p, "error probability")
@@ -200,6 +234,23 @@ def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
     s_out = binary_entropy(q + flip * (1.0 - 2.0 * q))
     loss = _shannon(joint) - s_out
     return binary_entropy(q) - loss, loss
+
+
+def _classical_closed_chunk(p: float, qs: np.ndarray) -> np.ndarray:
+    flip = 2.0 * p / 3.0
+    joint = np.stack(
+        [flip * (1.0 - qs), flip * qs, (1.0 - flip) * (1.0 - qs), (1.0 - flip) * qs]
+    )
+    s_out = _binary_entropy_rows(qs + flip * (1.0 - 2.0 * qs))
+    loss = _shannon_rows(joint) - s_out
+    return np.stack([_binary_entropy_rows(qs) - loss, loss])
+
+
+def classical_use_transcript_rows(p: float, q_values) -> tuple[np.ndarray, np.ndarray]:
+    """``classical_use_transcript`` at one p for every q at once: (mutual, loss) arrays,
+    each entry equal to the scalar one bit for bit."""
+    p = _unit_interval(p, "error probability")
+    return tuple(_chunked_rows(q_values, lambda qs: _classical_closed_chunk(p, qs)))
 
 
 def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:

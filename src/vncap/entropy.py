@@ -43,6 +43,29 @@ def binary_entropy(p: float) -> float:
     return -_plog2p(p) - _plog2p(1.0 - p)
 
 
+def _shannon_rows(probs: np.ndarray) -> np.ndarray:
+    """``_shannon`` of each column of a (k, N) array of distributions, bit for bit.
+
+    The terms are summed in the scalar's order and their logarithms come from
+    ``math.log2``, which ``np.log2`` differs from in the last bit on some inputs.
+    """
+    terms = np.zeros_like(probs)
+    positive = probs > 0.0
+    kept = probs[positive]
+    terms[positive] = kept * np.fromiter(map(math.log2, kept.tolist()), float, kept.size)
+    return -sum(terms)
+
+
+def _binary_entropy_rows(values: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of each entry of an array, bit for bit, with its check: entries
+    at most ``UNIT_SLACK`` outside [0, 1] are clamped, further out raise."""
+    if values.size:
+        for extreme in (values.min(), values.max()):
+            _unit_interval(extreme, "probability")
+    values = np.clip(values, 0.0, 1.0)
+    return _shannon_rows(np.stack([values, 1.0 - values]))
+
+
 def check_prob_vector(probs) -> np.ndarray:
     """Validate entries in [0, 1] summing to 1 (within 1e-10); returns an array."""
     vec = np.asarray(probs, dtype=np.float64).ravel()

@@ -409,6 +409,18 @@ class TestBranchContraction:
         DensityMatrix(np.eye(2) / 2)
         assert built == [1]  # the counter sees a construction
 
+    def test_run_channel_builds_a_pure_state_only_to_return_it(self, monkeypatch):
+        built = []
+        post_init = PureState.__post_init__
+        monkeypatch.setattr(
+            PureState, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+        run_channel(dephasing_kraus(0.2), rho)
+        assert built == []
+        run_channel(dephasing_kraus(0.2), rho, return_state=True)
+        assert built == [1]  # the counter sees the returned (Q', R, E') state
+
     def test_kraus_runs_build_no_dilation(self, monkeypatch):
         counts = {"qr": 0, "unitary": 0}
         qr, check_unitary = np.linalg.qr, channel._check_unitary

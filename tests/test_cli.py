@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from vncap import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -288,6 +292,81 @@ class TestSuperdenseCommand:
     def test_rejects_no_work(self):
         proc = run_cli("superdense")
         assert proc.returncode == 2
+
+
+def run_main(*argv, parser=None):
+    """``cli.main`` in this process, or ``parser.parse_args`` when a parser is given:
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv)) if parser is None else parser.parse_args(list(argv))
+        except SystemExit as exc:  # argparse refusals and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+HELP_COMMANDS = [(), ("capacity",), ("sweep",), ("audit",), ("hamming",), ("superdense",)]
+
+
+class TestCachedParser:
+    """``main`` builds its parser once; no call leaves anything behind for the next."""
+
+    def test_built_once(self):
+        cli._build_parser.cache_clear()
+        threshold = ("superdense", "--threshold")
+        for argv in (threshold, ("capacity", "--p", "0.2"), threshold):
+            assert run_main(*argv)[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_commands_are_looked_up_per_call(self, monkeypatch):
+        """A command replaced after the parser is built is the one that runs."""
+        run_main("superdense", "--threshold")
+        calls = []
+        command = cli.cmd_superdense
+        monkeypatch.setattr(cli, "cmd_superdense", lambda args: calls.append(1) or command(args))
+        assert run_main("superdense", "--threshold")[0] == 0 and calls == [1]
+
+    def test_finite_check_does_not_carry_over(self):
+        finite = ("hamming", "--mode", "quantum", "--n", "5", "--k", "1", "--t", "1")
+        code, out, _ = run_main(*finite, "--p", "0.1")
+        assert code == 0 and "holds=" in out
+        code, out, _ = run_main("hamming", "--mode", "quantum", "--p", "0.1")
+        assert code == 0 and "holds=" not in out
+        assert len(out.splitlines()) == 2 + 4  # mode, rate_bound, the default n list
+
+    @pytest.mark.parametrize("env_seed, fallback", [(None, 42), ("9", 9)])
+    def test_seed_does_not_carry_over(self, monkeypatch, env_seed, fallback):
+        if env_seed is None:
+            monkeypatch.delenv("VN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VN_SEED", env_seed)
+        seeds = []
+        audit = cli.analysis.audit_inequalities
+        monkeypatch.setattr(
+            cli.analysis,
+            "audit_inequalities",
+            lambda seed, *rest: seeds.append(seed) or audit(seed, *rest),
+        )
+        assert run_main("audit", "--trials", "2", "--seed", "5")[0] == 0
+        assert run_main("audit", "--trials", "2")[0] == 0
+        assert seeds == [5, fallback]
+
+    def test_refusal_leaves_the_parser_usable(self):
+        code, out, err = run_main("capacity", "--p", "0.2", "--bogus")
+        assert (code, out) == (2, "") and "unrecognized arguments" in err
+        assert run_main("capacity")[0] == 2  # --p is required
+        code, out, _ = run_main("capacity", "--p", "0.2")
+        assert code == 0 and out.startswith("channel: depolarizing\nuse: quantum\np: 0.2\n")
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda c: " ".join(c) or "top")
+    def test_help_is_unchanged(self, command):
+        fresh = run_main(*command, "--help", parser=cli._build_parser.__wrapped__())
+        assert fresh[0] == 0 and fresh[1].startswith("usage: vncap")
+        assert run_main(*command, "--help") == fresh
+        run_main("sweep", "--p-range", "0:0.1:0.1", "--use", "classical")
+        assert run_main(*command, "--help") == fresh
 
 
 class TestUsageErrors:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vncap.qmat import (
     DensityMatrix,
@@ -11,7 +15,7 @@ from vncap.qmat import (
     pure_marginal,
     tensor,
 )
-from vncap import depolarizing
+from vncap import cli, depolarizing
 from vncap.entropy import binary_entropy, venn2, venn3
 from vncap.channel import KrausChannel, _branches, apply_channel, run_channel
 from vncap.depolarizing import (
@@ -20,11 +24,13 @@ from vncap.depolarizing import (
     PHASE_FLIP,
     DepolParams,
     analytic_transcript,
+    analytic_transcript_rows,
     build_dilation,
     classical_capacity,
     classical_use_channel_simulation,
     classical_use_ensemble,
     classical_use_transcript,
+    classical_use_transcript_rows,
     dephasing_kraus,
     dephasing_mutual,
     depolarizing_kraus,
@@ -260,6 +266,95 @@ class TestAnalyticTranscript:
                 b.mutual_entanglement, abs=1e-9
             )
             assert a.fidelity == pytest.approx(b.fidelity, abs=1e-9)
+
+
+def _bits(values) -> list[str]:
+    """Each value as its exact float, signed zeros apart."""
+    return [float(v).hex() for v in values]
+
+
+def _scalar_columns(p, q_values):
+    """(S, S', S_e, L, I_Q, I_e, F_e, mutual, loss) columns from the scalar closed forms."""
+    rows = []
+    for q in q_values:
+        t = analytic_transcript(DepolParams(p, q))
+        rows.append(
+            (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.coherent_info, t.fidelity)
+            + classical_use_transcript(DepolParams(p, q))
+        )
+    return [_bits(column) for column in zip(*rows)]
+
+
+def _row_columns(p, q_values):
+    """The same columns from the array closed forms."""
+    t = analytic_transcript_rows(p, q_values)
+    quantum = (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.coherent_info, t.fidelity)
+    return [_bits(column) for column in quantum + classical_use_transcript_rows(p, q_values)]
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestTranscriptRows:
+    """The array closed forms against the scalar ones, which are the reference."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0),
+        q_values=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+    )
+    @example(p=0.18, q_values=[0.6746893954347775])  # numpy's x * x differs from ** 2 here
+    @example(p=0.0, q_values=[0.0, 1.0, 0.5])
+    @example(p=1.0, q_values=[0.0, 1.0, 0.5])
+    @example(p=0.75, q_values=[0.0, 1.0, 0.5])
+    def test_bit_for_bit(self, p, q_values):
+        assert _row_columns(p, q_values) == _scalar_columns(p, q_values)
+
+    def test_bit_for_bit_on_a_dense_grid(self):
+        q_values = np.linspace(0.0, 1.0, 201).tolist() + [0.6746893954347775]
+        for p in np.linspace(0.0, 1.0, 41).tolist() + [0.18]:
+            assert _row_columns(p, q_values) == _scalar_columns(p, q_values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1.0 + 1e-9, 1.5])
+    def test_refuses_what_the_scalar_refuses(self, bad):
+        for rows, scalar in (
+            (analytic_transcript_rows, analytic_transcript),
+            (classical_use_transcript_rows, classical_use_transcript),
+        ):
+            message = _refusal(lambda: scalar(DepolParams(bad, 0.3)))
+            assert _refusal(lambda: rows(bad, [0.3])) == message
+            message = _refusal(lambda: scalar(DepolParams(0.3, bad)))
+            assert _refusal(lambda: rows(0.3, [0.2, bad, 0.4])) == message
+
+    @pytest.mark.parametrize("dust", [-1e-13, -0.0, 1.0 + 1e-13])
+    def test_clamps_what_the_scalar_clamps(self, dust):
+        assert _row_columns(dust, [0.3, dust]) == _scalar_columns(dust, [0.3, dust])
+
+    def test_empty_q_list(self):
+        assert _row_columns(0.3, []) == [[]] * 9
+
+    @pytest.mark.parametrize("use", ["quantum", "classical"])
+    def test_grid_is_one_batch(self, monkeypatch, use):
+        """A sweep makes no scalar closed-form call; a capacity solve makes one per
+        golden-section step and none for its 101 grid points."""
+        calls = []
+        for name in ("analytic_transcript", "classical_use_transcript"):
+            point = getattr(depolarizing, name)
+            monkeypatch.setattr(
+                depolarizing, name, lambda params, point=point: calls.append(1) or point(params)
+            )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sweep", "--use", use]) == 0
+        assert len(out.getvalue().splitlines()) == 1 + 16 * 51 and calls == []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["capacity", "--use", use, "--p", "0.37"]) == 0
+        evaluations = int(out.getvalue().split("evaluations: ")[1].split()[0])
+        assert evaluations > 101 and len(calls) == evaluations - 101
 
 
 class TestCapacities:

@@ -503,6 +503,10 @@ class TestCliRefusals:
     def test_refusals_print_nothing(self, argv):
         assert_refused(*argv)
 
+    @pytest.mark.parametrize("n_list", ["10,,20", "10,20,", ",10", "", ","])
+    def test_malformed_n_list(self, n_list):
+        assert_refused("hamming", "--mode", "quantum", "--p", "0.1", "--n-list", n_list)
+
     def test_caps(self):
         # Without their caps, all but the last request would still be cheap.
         too_long = str(MAX_BLOCK_LENGTH + 1)
