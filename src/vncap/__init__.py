@@ -58,8 +58,10 @@ from .depolarizing import (
     classical_use_ensemble,
     classical_use_transcript,
     classical_use_transcript_rows,
+    dephasing_classical_rows,
     dephasing_kraus,
     dephasing_mutual,
+    dephasing_transcript_rows,
     depolarizing_kraus,
     dilation_unitary,
     kholevo_chi,

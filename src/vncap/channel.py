@@ -55,6 +55,7 @@ from .qmat import (
     _check_unitary,
     clamp_spectrum,
     _unit_interval,
+    _unit_intervals,
 )
 
 # Rows per stacked contraction.  A chunk's amplitude, output and Gram stacks
@@ -204,15 +205,16 @@ def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     return np.vstack([entropies, fidelity]), out
 
 
-def _chunked_rows(q_values, chunk_rows) -> np.ndarray:
-    """``chunk_rows(qs)`` over the checked q values, STACK_ROWS at a time.
+def _chunked_rows(chunk_rows, *columns: np.ndarray) -> np.ndarray:
+    """``chunk_rows`` over aligned arrays of checked rows, STACK_ROWS rows at a time.
 
-    ``chunk_rows`` returns one row of values per quantity; the chunks are
-    joined along the q axis.
+    Each call gets the same slice of every column and returns one row of values
+    per quantity; the chunks are joined along the row axis.
     """
-    qs = np.array([_unit_interval(q, "mixing parameter") for q in q_values], dtype=np.float64)
-    starts = range(0, max(qs.size, 1), STACK_ROWS)
-    return np.concatenate([chunk_rows(qs[i : i + STACK_ROWS]) for i in starts], axis=1)
+    starts = range(0, max(len(columns[0]), 1), STACK_ROWS)
+    return np.concatenate(
+        [chunk_rows(*(c[i : i + STACK_ROWS] for c in columns)) for i in starts], axis=1
+    )
 
 
 def _diagonal_amps(weights) -> np.ndarray:
@@ -225,8 +227,10 @@ def _diagonal_amps(weights) -> np.ndarray:
     return amps
 
 
-def _diagonal_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
-    return _transcript_rows(_branches(ch), _diagonal_amps(np.array((qs, 1.0 - qs)).T))[0]
+def _diagonal_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The (4, N) transcript columns of the inputs diag(q, 1 - q), sent through one
+    branch tensor or one per row."""
+    return _transcript_rows(branches, _diagonal_amps(np.array((qs, 1.0 - qs)).T))[0]
 
 
 def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
@@ -238,8 +242,11 @@ def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
     """
     if ch.input_dim != 2:
         raise ValueError("diagonal inputs diag(q, 1 - q) need a single-qubit channel")
-    columns = _chunked_rows(q_values, lambda qs: _diagonal_chunk(ch, qs))
-    return ChannelTranscript.from_entropies(*columns)
+    qs = _unit_intervals(q_values, "mixing parameter")
+    branches = _branches(ch)
+    return ChannelTranscript.from_entropies(
+        *_chunked_rows(lambda q: _diagonal_chunk(branches, q), qs)
+    )
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, depolarizing
-from .channel import diagonal_transcripts, run_channel
+from .channel import STACK_ROWS, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
 
@@ -69,13 +69,14 @@ USES = {
     "classical": ("p,q,mutual,loss", 0),  # mutual
 }
 
-# Channel families: (channel, use) -> (family, closed_form).  family(p) returns
-# (point, rows): point(q) is the tuple (S, S', S_e, L, I_Q, F_e) for quantum
-# use, (mutual, loss) for classical use, and rows(qs) gives those columns as
-# arrays over a whole q list at once; the closed form is the capacity's.  The
-# rows come from the array closed forms and the stacked kernels; the points
-# stay scalar, so capacity's golden-section steps run the scalar closed forms
-# and ``run_channel``.
+# Channel families: (channel, use) -> (point, rows, closed_form).  point(p) is the
+# capacity objective at one p: the function of q that gives the tuple
+# (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for classical use.
+# rows(p, qs) gives those columns as arrays over aligned p and q arrays, or over
+# a q list at one p, each distinct p checked once and the q array as a whole; the
+# closed form is the capacity's.  The rows come from the array closed forms and the stacked kernels;
+# the points stay scalar, so capacity's golden-section steps run the scalar
+# closed forms and ``run_channel``.
 
 
 def _quantum_columns(t) -> tuple:
@@ -83,50 +84,53 @@ def _quantum_columns(t) -> tuple:
 
 
 def _depolarizing_quantum(p: float):
-    return (
-        lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))),
-        lambda qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
-    )
+    return lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q)))
 
 
 def _depolarizing_classical(p: float):
-    return (
-        lambda q: depolarizing.classical_use_transcript(DepolParams(p, q)),
-        lambda qs: depolarizing.classical_use_transcript_rows(p, qs),
-    )
+    return lambda q: depolarizing.classical_use_transcript(DepolParams(p, q))
 
 
 def _dephasing_quantum(p: float):
     kraus = depolarizing.dephasing_kraus(p)
-    return (
-        lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q))),
-        lambda qs: _quantum_columns(diagonal_transcripts(kraus, qs)),
-    )
+    return lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q)))
 
 
 def _dephasing_classical(p: float):
     kraus = depolarizing.dephasing_kraus(p)
-    return (
-        lambda q: depolarizing.classical_use_channel_simulation(kraus, q),
-        lambda qs: depolarizing.classical_use_channel_rows(kraus, qs),
-    )
+    return lambda q: depolarizing.classical_use_channel_simulation(kraus, q)
 
 
 FAMILIES = {
-    ("depolarizing", "quantum"): (_depolarizing_quantum, depolarizing.quantum_capacity),
-    ("depolarizing", "classical"): (_depolarizing_classical, depolarizing.classical_capacity),
-    ("dephasing", "quantum"): (_dephasing_quantum, depolarizing.dephasing_mutual),
-    # dephasing is lossless for classical bits
-    ("dephasing", "classical"): (_dephasing_classical, lambda p: 1.0),
+    ("depolarizing", "quantum"): (
+        _depolarizing_quantum,
+        lambda p, qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
+        depolarizing.quantum_capacity,
+    ),
+    ("depolarizing", "classical"): (
+        _depolarizing_classical,
+        lambda p, qs: depolarizing.classical_use_transcript_rows(p, qs),
+        depolarizing.classical_capacity,
+    ),
+    ("dephasing", "quantum"): (
+        _dephasing_quantum,
+        lambda p, qs: _quantum_columns(depolarizing.dephasing_transcript_rows(p, qs)),
+        depolarizing.dephasing_mutual,
+    ),
+    ("dephasing", "classical"): (
+        _dephasing_classical,
+        lambda p, qs: depolarizing.dephasing_classical_rows(p, qs),
+        lambda p: 1.0,  # dephasing is lossless for classical bits
+    ),
 }
 
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
-    family, closed_form = FAMILIES[args.channel, args.use]
-    (point, rows_at_p), (_, column) = family(p), USES[args.use]
+    point, rows, closed_form = FAMILIES[args.channel, args.use]
+    objective, column = point(p), USES[args.use][1]
     result = analysis.maximize_scalar_on_unit_interval(
-        lambda q: point(q)[column], args.tol, rows=lambda qs: rows_at_p(qs)[column]
+        lambda q: objective(q)[column], args.tol, rows=lambda qs: rows(p, qs)[column]
     )
     closed = closed_form(p)
     print(f"channel: {args.channel}")
@@ -147,15 +151,15 @@ def cmd_sweep(args) -> int:
     rows = len(p_values) * len(q_values)
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
-    family, _ = FAMILIES[args.channel, args.use]
     header = USES[args.use][0]
     line = ",".join(["%.12g"] * (header.count(",") + 1))  # _fmt of each column
+    ps = np.repeat(p_values, len(q_values))  # the grid p-major, q fast, as printed
+    qs = np.tile(q_values, len(p_values))
+    columns = (ps, qs, *FAMILIES[args.channel, args.use][1](ps, qs))
+    table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: _fmt prints -0 as 0
     print(header)
-    for p in p_values:
-        _, rows_at_p = family(p)
-        columns = (np.full(len(q_values), p), q_values, *rows_at_p(q_values))
-        table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: _fmt prints -0 as 0
-        print("\n".join([line % tuple(row) for row in table.tolist()]))
+    for i in range(0, rows, STACK_ROWS):  # the text of one chunk at a time
+        print("\n".join([line % tuple(row) for row in table[i : i + STACK_ROWS].tolist()]))
     return 0
 
 

@@ -34,6 +34,7 @@ from .channel import (
     KrausChannel,
     _branches,
     _chunked_rows,
+    _diagonal_chunk,
     _send_rows,
     _transcript_rows,
     apply_channel,
@@ -53,7 +54,9 @@ from .qmat import (
     PureState,
     basis_state,
     tensor,
+    _flat,
     _unit_interval,
+    _unit_intervals,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -177,11 +180,40 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
 
 
-def _analytic_chunk(p: float, qs: np.ndarray) -> np.ndarray:
+def _rows_at(p, q_values, build) -> tuple[list, np.ndarray, np.ndarray]:
+    """The checked rows of one p, or of a p array aligned with the q list.
+
+    Returns (built, where, qs): ``build(p)`` of each distinct p, called once per
+    distinct p (it checks p), row n's at ``built[where[n]]``, and the checked
+    q array.  p is checked before q, as ``DepolParams`` does.
+    """
+    if np.ndim(p) == 0:  # one p for every row
+        built, where = [build(p)], None
+    else:
+        distinct, where = np.unique(_flat(p), return_inverse=True)
+        built = [build(x) for x in distinct.tolist()]
+    qs = _unit_intervals(q_values, "mixing parameter")
+    if where is None:
+        where = np.zeros(qs.size, dtype=np.intp)
+    elif where.size != qs.size:
+        raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
+    return built, where, qs
+
+
+def _closed_rows(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked rows of ``_rows_at`` for the closed forms: each row's p, its
+    (1 - 2p/3) ** 2 and its q."""
+    ps, where, qs = _rows_at(p, q_values, lambda x: _unit_interval(x, "error probability"))
+    # Python's ** 2 (libm pow), not numpy's x * x: they differ in the last bit on some x
+    squares = np.array([(1.0 - 2.0 * x / 3.0) ** 2 for x in ps])
+    return np.array(ps)[where], squares[where], qs
+
+
+def _analytic_chunk(p: np.ndarray, squares: np.ndarray, qs: np.ndarray) -> np.ndarray:
     flip = 2.0 * p / 3.0
     s_in = _binary_entropy_rows(qs)
     s_out = _binary_entropy_rows(qs + flip * (1.0 - 2.0 * qs))
-    radicand = (1.0 - flip) ** 2 - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
+    radicand = squares - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
     delta = np.sqrt(np.maximum(radicand, 0.0))
     spectrum = np.stack(
         [
@@ -191,21 +223,22 @@ def _analytic_chunk(p: float, qs: np.ndarray) -> np.ndarray:
             np.maximum((1.0 - flip - delta) / 2.0, 0.0),
         ]
     )
-    # Python's ** 2 (libm pow), not numpy's x * x: they differ in the last bit on some x
+    # Python's ** 2, as for the squares of p
     squares = np.fromiter((x ** 2 for x in (1.0 - 2.0 * qs).tolist()), float, qs.size)
     fidelity = 1.0 - p + (p / 3.0) * squares
     return np.stack([s_in, s_out, _shannon_rows(spectrum), fidelity])
 
 
-def analytic_transcript_rows(p: float, q_values) -> ChannelTranscript:
-    """``analytic_transcript`` at one p for every q at once: one array per entry.
+def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
+    """``analytic_transcript`` at every (p, q) row at once: one array per entry.
 
-    The scalar form's operations in its order, with ``math.log2`` and Python's
-    ``** 2`` per entry, so every entry equals the scalar one bit for bit.  The
-    scalar form stays the point objective: on one q it is the faster call.
+    p is one float for every q, or an array aligned with the q list; each
+    distinct p is checked once, and the q list as one array.  The scalar
+    form's operations in its order, with ``math.log2`` and Python's ``** 2``
+    per entry, so every entry equals the scalar one bit for bit.  The scalar
+    form stays the point objective: on one q it is the faster call.
     """
-    p = _unit_interval(p, "error probability")
-    columns = _chunked_rows(q_values, lambda qs: _analytic_chunk(p, qs))
+    columns = _chunked_rows(_analytic_chunk, *_closed_rows(p, q_values))
     return ChannelTranscript.from_entropies(*columns)
 
 
@@ -236,7 +269,7 @@ def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
     return binary_entropy(q) - loss, loss
 
 
-def _classical_closed_chunk(p: float, qs: np.ndarray) -> np.ndarray:
+def _classical_closed_chunk(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
     flip = 2.0 * p / 3.0
     joint = np.stack(
         [flip * (1.0 - qs), flip * qs, (1.0 - flip) * (1.0 - qs), (1.0 - flip) * qs]
@@ -246,11 +279,12 @@ def _classical_closed_chunk(p: float, qs: np.ndarray) -> np.ndarray:
     return np.stack([_binary_entropy_rows(qs) - loss, loss])
 
 
-def classical_use_transcript_rows(p: float, q_values) -> tuple[np.ndarray, np.ndarray]:
-    """``classical_use_transcript`` at one p for every q at once: (mutual, loss) arrays,
-    each entry equal to the scalar one bit for bit."""
-    p = _unit_interval(p, "error probability")
-    return tuple(_chunked_rows(q_values, lambda qs: _classical_closed_chunk(p, qs)))
+def classical_use_transcript_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
+    """``classical_use_transcript`` at every (p, q) row at once, p as in
+    ``analytic_transcript_rows``: (mutual, loss) arrays, each entry equal to the
+    scalar one bit for bit."""
+    ps, _, qs = _closed_rows(p, q_values)
+    return tuple(_chunked_rows(_classical_closed_chunk, ps, qs))
 
 
 def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
@@ -266,11 +300,11 @@ def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
     return float(mutual), float(loss)
 
 
-def _classical_chunk(ch: KrausChannel, qs: np.ndarray) -> np.ndarray:
+def _classical_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
     amps = np.zeros((qs.size, 2, 2, 2), dtype=np.complex128)  # (Q, X, R)
     amps[:, 1, 1, 0] = np.sqrt(1.0 - qs)
     amps[:, 0, 0, 1] = -np.sqrt(qs)
-    out = _send_rows(_branches(ch), amps)  # (Q', X, R, E')
+    out = _send_rows(branches, amps)  # (Q', X, R, E')
     s_out, s_joint, s_r = _row_entropies(out, ((0,), (0, 2), (2,)))  # S(Q'), S(Q'R), S(R)
     return np.stack([s_out + s_r - s_joint, s_joint - s_out])
 
@@ -283,7 +317,30 @@ def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
     """
     if ch.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
-    return tuple(_chunked_rows(q_values, lambda qs: _classical_chunk(ch, qs)))
+    qs = _unit_intervals(q_values, "mixing parameter")
+    branches = _branches(ch)
+    return tuple(_chunked_rows(lambda q: _classical_chunk(branches, q), qs))
+
+
+def _dephasing_rows(p, q_values, chunk) -> np.ndarray:
+    """``chunk(branches, qs)`` over the checked rows of ``_rows_at``, each row sent
+    through the branches of ``dephasing_kraus`` at its p: one channel built and
+    checked per distinct p, never one per row."""
+    channels, where, qs = _rows_at(p, q_values, dephasing_kraus)
+    table = np.stack([_branches(ch) for ch in channels])  # (distinct p, 2, 2, 2)
+    return _chunked_rows(lambda w, q: chunk(table[w], q), where, qs)
+
+
+def dephasing_transcript_rows(p, q_values) -> ChannelTranscript:
+    """``diagonal_transcripts(dephasing_kraus(p), q_values)`` at every (p, q) row at
+    once, p as in ``analytic_transcript_rows``."""
+    return ChannelTranscript.from_entropies(*_dephasing_rows(p, q_values, _diagonal_chunk))
+
+
+def dephasing_classical_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
+    """``classical_use_channel_rows(dephasing_kraus(p), q_values)`` at every (p, q)
+    row at once, p as in ``analytic_transcript_rows``."""
+    return tuple(_dephasing_rows(p, q_values, _classical_chunk))
 
 
 def kholevo_chi(probs, outputs) -> float:

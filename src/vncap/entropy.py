@@ -26,6 +26,7 @@ from .qmat import (
     clamp_spectrum,
     partial_trace,
     _unit_interval,
+    _unit_intervals,
 )
 
 
@@ -57,12 +58,9 @@ def _shannon_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def _binary_entropy_rows(values: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of each entry of an array, bit for bit, with its check: entries
-    at most ``UNIT_SLACK`` outside [0, 1] are clamped, further out raise."""
-    if values.size:
-        for extreme in (values.min(), values.max()):
-            _unit_interval(extreme, "probability")
-    values = np.clip(values, 0.0, 1.0)
+    """``binary_entropy`` of each entry of a 1-d array, bit for bit, with its check:
+    entries at most ``UNIT_SLACK`` outside [0, 1] are clamped, further out raise."""
+    values = _unit_intervals(values, "probability")
     return _shannon_rows(np.stack([values, 1.0 - values]))
 
 

@@ -43,6 +43,29 @@ def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
     return 0.0 if x <= 0.0 else 1.0
 
 
+def _flat(values) -> np.ndarray:
+    """``values`` as a 1-d float array; any other shape raises ValueError."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"expected a flat list of numbers, got shape {values.shape}")
+    return values
+
+
+def _unit_intervals(values, name: str) -> np.ndarray:
+    """``_unit_interval`` of each entry of a flat list, as an array.
+
+    Unless every entry lies inside (0, 1), the two extremes are checked, so a
+    refused entry (NaN included) raises the scalar's ValueError, and every
+    entry is clamped as the scalar clamps it.
+    """
+    values = _flat(values)
+    if values.size and not 0.0 < values.min() <= values.max() < 1.0:
+        for extreme in (values.min(), values.max()):
+            _unit_interval(extreme, name)
+        values = np.clip(values, 0.0, 1.0) + 0.0  # -0.0 + 0.0 is 0.0, as the scalar returns
+    return values
+
+
 def _as_count(x, name: str) -> int:
     """``x`` as an int; bools, floats (whole ones too), NaN and other non-integers
     raise ValueError."""

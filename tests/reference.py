@@ -18,6 +18,10 @@ a time, drawn in the audits' seeded order (``inequality_trials``,
 ``einsum`` (``chain_ops``, ``parallel_ops``), run by ``scalar_run_channel``
 and scored with the scalar ``quantum_fano_bound``.
 
+``per_p_sweep`` is the sweep as it ran before one call took the whole (p, q)
+grid: one row call per p over the whole q list, one shared branch tensor per
+dephasing p, the rows stacked p-major.
+
 ``random_dilation``, ``random_diagonal`` and ``random_density`` draw one
 channel or input from a generator the way the audits draw them, through the
 library's stacked draws, for tests that need a single random draw.
@@ -30,12 +34,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from vncap import analysis
+from vncap import analysis, depolarizing
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
     _from_branches,
+    diagonal_transcripts,
     dilation_channel,
     purify,
     quantum_fano_bound,
@@ -186,6 +191,24 @@ def classical_use_contraction(ch: KrausChannel, q: float) -> tuple[float, float]
     s_out = schmidt_entropy(state, (0,))
     s_joint = schmidt_entropy(state, (0, 2))  # S(Q'R)
     return s_out + schmidt_entropy(state, (2,)) - s_joint, s_joint - s_out
+
+
+def per_p_sweep(channel: str, use: str, p_values, q_values) -> np.ndarray:
+    """The sweep's (columns, rows) table after its p and q columns, one row call per p."""
+
+    def at(p):
+        if channel == "depolarizing":
+            if use == "classical":
+                return depolarizing.classical_use_transcript_rows(p, q_values)
+            t = depolarizing.analytic_transcript_rows(p, q_values)
+        else:
+            kraus = depolarizing.dephasing_kraus(p)
+            if use == "classical":
+                return depolarizing.classical_use_channel_rows(kraus, q_values)
+            t = diagonal_transcripts(kraus, q_values)
+        return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
+
+    return np.concatenate([np.array(at(p)) for p in p_values], axis=1)
 
 
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:

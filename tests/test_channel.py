@@ -13,7 +13,7 @@ from vncap.qmat import (
     tensor,
 )
 from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
-from vncap import channel, cli
+from vncap import channel, cli, depolarizing
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
@@ -543,11 +543,12 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("use", ["quantum", "classical"])
     def test_default_dephasing_sweep_counts(self, monkeypatch, capsys, use):
-        """3 stacked eigensolves per p (16 p values), no eigh, no density matrix."""
+        """3 stacked eigensolves for the whole 16 x 51 grid, one chunk of rows; no eigh,
+        no density matrix."""
         counts = eigensolve_counts(monkeypatch)
         assert cli.main(["sweep", "--channel", "dephasing", "--use", use]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 16 * 51
-        assert counts == {"eigvalsh": 3 * 16, "eigh": 0, "density": 0}
+        assert counts == {"eigvalsh": 3, "eigh": 0, "density": 0}
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
         """The 101 grid points take 3 eigensolves; the 43 golden-section steps
@@ -562,12 +563,14 @@ class TestStackedKernel:
         assert counts == {"eigvalsh": 3 + 4 * 43, "eigh": 43, "density": 43}
 
     def test_capacity_refuses_a_nan_in_the_batched_grid(self, monkeypatch, capsys):
-        def with_nan(ch, qs):
-            rows = diagonal_transcripts(ch, qs)
+        rows_of = depolarizing.dephasing_transcript_rows
+
+        def with_nan(p, qs):
+            rows = rows_of(p, qs)
             rows.mutual_entanglement[7] = np.nan
             return rows
 
-        monkeypatch.setattr(cli, "diagonal_transcripts", with_nan)
+        monkeypatch.setattr(depolarizing, "dephasing_transcript_rows", with_nan)
         assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "non-finite objective value nan at q=0.07" in err

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -6,9 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vncap import cli
+from vncap import analysis, channel, cli, depolarizing, entropy, qmat
+
+from reference import per_p_sweep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -161,6 +165,91 @@ class TestSweepCommand:
     def test_rejects_malformed_range(self):
         proc = run_cli("sweep", "--p-range", "0..5")
         assert proc.returncode == 2
+
+
+FINE_GRID = ("--p-range", "0:0.75:0.01", "--q-range", "0:1:0.01")  # 76 x 101 = 7,676 rows
+FAMILY_KEYS = sorted(cli.FAMILIES)
+FAMILY_IDS = ["-".join(key) for key in FAMILY_KEYS]
+
+
+def _grid(p_range: str, q_range: str):
+    """The parsed p and q lists, and the p-major grid as aligned (ps, qs) arrays."""
+    p_values = cli._parse_range(p_range, "--p-range")
+    q_values = cli._parse_range(q_range, "--q-range")
+    grid = np.repeat(p_values, len(q_values)), np.tile(q_values, len(p_values))
+    return p_values, q_values, grid
+
+
+class TestWholeGridSweep:
+    """A sweep sends its whole (p, q) grid, p-major, through one row call."""
+
+    @pytest.mark.parametrize("stack_rows", [channel.STACK_ROWS, 7])
+    @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+    def test_equals_the_per_p_loop(self, monkeypatch, capsys, family, stack_rows):
+        """Bit for bit, the rows and the printed table; at 7 rows per chunk the chunks
+        split the p blocks of 101 rows."""
+        p_values, q_values, (ps, qs) = _grid(*FINE_GRID[1::2])
+        expected = per_p_sweep(*family, p_values, q_values)
+        monkeypatch.setattr(channel, "STACK_ROWS", stack_rows)
+        monkeypatch.setattr(cli, "STACK_ROWS", stack_rows)
+        got = np.array(cli.FAMILIES[family][1](ps, qs))
+        assert got.shape == expected.shape == (len(expected), 7676)
+        assert got.tobytes() == expected.tobytes()
+
+        assert cli.main(["sweep", "--channel", family[0], "--use", family[1], *FINE_GRID]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line = ",".join(["%.12g"] * (2 + len(expected)))
+        table = (np.vstack([ps, qs, expected]).T + 0.0).tolist()
+        assert lines[1:] == [line % tuple(row) for row in table]
+
+    @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+    def test_checks_each_p_and_q_once(self, monkeypatch, family):
+        """Beyond the range parse's checks of each start and stop, a default sweep
+        checks each of its 16 p once and at most each of its 51 q once (the
+        extremes of the q array), and besides only the closed forms' entropy
+        arguments (the extremes of each array)."""
+        p_values, q_values, _ = _grid(cli.DEFAULT_P_RANGE, cli.DEFAULT_Q_RANGE)
+        checks = collections.Counter()
+
+        def counted(x, name, check=qmat._unit_interval, **slack):
+            checks[name, float(x)] += 1
+            return check(x, name, **slack)
+
+        for module in (qmat, entropy, channel, depolarizing, analysis, cli):
+            monkeypatch.setattr(module, "_unit_interval", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--channel", family[0], "--use", family[1]]) == 0
+        by_name = collections.defaultdict(dict)
+        for (name, x), count in checks.items():
+            by_name[name][x] = count
+        assert by_name.pop("error probability") == dict.fromkeys(p_values, 1)
+        q_checks = by_name.pop("mixing parameter")
+        assert set(q_checks) <= set(q_values) and set(q_checks.values()) == {1}
+        for flag in ("--p-range", "--q-range"):
+            for end in ("start", "stop"):
+                assert sum(by_name.pop(f"{flag} {end}").values()) == 1
+        assert sum(sum(c.values()) for c in by_name.values()) <= 4
+
+    @pytest.mark.parametrize("stack_rows", [channel.STACK_ROWS, 100])
+    @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+    def test_one_kernel_call_per_chunk(self, monkeypatch, family, stack_rows):
+        """A default sweep makes one row call, and its kernel runs once per chunk: once
+        on all 816 rows, or on 8 chunks of 100 rows and one of 16."""
+        monkeypatch.setattr(channel, "STACK_ROWS", stack_rows)
+        calls = []
+        for name in ("_analytic_chunk", "_classical_closed_chunk", "_diagonal_chunk", "_classical_chunk"):
+            kernel = getattr(depolarizing, name)
+            monkeypatch.setattr(
+                depolarizing, name, lambda *a, kernel=kernel: calls.append(a[-1].size) or kernel(*a)
+            )
+        rows = cli.FAMILIES[family][1]
+        monkeypatch.setitem(
+            cli.FAMILIES, family, (None, lambda *a: calls.append("rows") or rows(*a), None)
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--channel", family[0], "--use", family[1]]) == 0
+        full, last = divmod(16 * 51, stack_rows)
+        assert calls == ["rows"] + [stack_rows] * full + [last] * (last > 0)
 
 
 class TestAuditCommand:

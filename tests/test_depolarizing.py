@@ -31,8 +31,10 @@ from vncap.depolarizing import (
     classical_use_ensemble,
     classical_use_transcript,
     classical_use_transcript_rows,
+    dephasing_classical_rows,
     dephasing_kraus,
     dephasing_mutual,
+    dephasing_transcript_rows,
     depolarizing_kraus,
     dilation_unitary,
     kholevo_chi,
@@ -318,16 +320,48 @@ class TestTranscriptRows:
         for p in np.linspace(0.0, 1.0, 41).tolist() + [0.18]:
             assert _row_columns(p, q_values) == _scalar_columns(p, q_values)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    # (1 - 2p/3) ** 2 differs from numpy's x * x at this p, and S_e with it at this q
+    @example([(0.18, 0.6746893954347775), (0.9499711899996367, 0.005), (0.0, 0.5), (1.0, 0.0)])
+    def test_p_array_bit_for_bit(self, pairs):
+        """Aligned p and q arrays give each row the scalar forms' bits at its (p, q)."""
+        ps, qs = (list(v) for v in zip(*pairs))
+        points = (_scalar_columns(p, [q]) for p, q in pairs)  # 9 one-entry columns each
+        assert _row_columns(ps, qs) == [sum(column, []) for column in zip(*points)]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1.0 + 1e-9, 1.5])
     def test_refuses_what_the_scalar_refuses(self, bad):
         for rows, scalar in (
             (analytic_transcript_rows, analytic_transcript),
             (classical_use_transcript_rows, classical_use_transcript),
+            (dephasing_transcript_rows, analytic_transcript),
+            (dephasing_classical_rows, classical_use_transcript),
         ):
             message = _refusal(lambda: scalar(DepolParams(bad, 0.3)))
             assert _refusal(lambda: rows(bad, [0.3])) == message
+            assert _refusal(lambda: rows(np.array([0.2, bad, 0.4]), [0.3] * 3)) == message
+            assert _refusal(lambda: rows([bad, 0.2], [bad, 0.3])) == message  # p first
             message = _refusal(lambda: scalar(DepolParams(0.3, bad)))
             assert _refusal(lambda: rows(0.3, [0.2, bad, 0.4])) == message
+            assert _refusal(lambda: rows([0.1, 0.2, 0.3], [0.2, bad, 0.4])) == message
+
+    @pytest.mark.parametrize("p", [[0.1, 0.2], [], [[0.1, 0.2, 0.3]]])
+    def test_refuses_p_arrays_not_aligned_with_q(self, p):
+        for rows in (
+            analytic_transcript_rows,
+            classical_use_transcript_rows,
+            dephasing_transcript_rows,
+            dephasing_classical_rows,
+        ):
+            with pytest.raises(ValueError, match="error probabilities for 3|flat list"):
+                rows(p, [0.2, 0.3, 0.4])
 
     @pytest.mark.parametrize("dust", [-1e-13, -0.0, 1.0 + 1e-13])
     def test_clamps_what_the_scalar_clamps(self, dust):
