@@ -261,8 +261,8 @@ def inequality_slacks(
             f"inputs on {d} and {rho_pair.dim}"
         )
     rows = _inequality_rows(
-        _branches(ch1)[np.newaxis],
-        _branches(ch2)[np.newaxis],
+        _branches(ch1),
+        _branches(ch2),
         _purify_rows(rho_single.matrix[np.newaxis]),
         _purify_rows(rho_pair.matrix[np.newaxis]),
     )
@@ -319,8 +319,8 @@ def mixture_axiom_slacks(
             f"inputs on {rho1.dim} and {rho2.dim}"
         )
     rows = _mixture_rows(
-        _branches(ch1)[np.newaxis],
-        _branches(ch2)[np.newaxis],
+        _branches(ch1),
+        _branches(ch2),
         rho1.matrix[np.newaxis],
         rho2.matrix[np.newaxis],
         np.array([w]),

@@ -4,13 +4,16 @@ A channel is its Kraus operators {K_k}; a unitary dilation U on Q (tensor) E
 is one way to write them down, and ``dilation_channel`` reads its branches
 K_k = <k| U (. tensor |env_initial>) off once.  Composition works on the same
 branches: ``chain`` and ``parallel`` contract the branch tensors into a
-``KrausChannel``.  Each of these is the one-row call of a routine on (N, ...)
-stacks of branch tensors (``_dilation_branches``, ``_chain_rows``,
-``_parallel_rows``), which the audits call with a chunk of trials at once.
+``KrausChannel``.  A channel reaches every kernel as a branch stack
+B[n, q_out, k, q_in], B[n, :, k, :] the k-th Kraus operator of row n:
+``_branches`` gives a channel's one-row stack and ``_from_branches`` turns one
+back into a channel.  Each of these is the one-row call of a routine on
+(N, ...) stacks (``_dilation_branches``, ``_chain_rows``, ``_parallel_rows``),
+which the audits call with a chunk of trials at once.
 
 Every transcript comes from one kernel, ``_transcript_rows``: a stack of
-pure inputs on Q (tensor) R goes through one ``einsum`` against the branches
-(one branch tensor for all rows, or one per row), Q through the isometry
+pure inputs on Q (tensor) R goes through one ``einsum`` against a branch stack
+(one row broadcast to every input, or one per input), Q through the isometry
 |q> -> sum_k K_k|q> |k>_E' into the branch register E', and all entropic
 quantities are read off each row's |Q'R'E'>:
 
@@ -116,7 +119,7 @@ def _check_complete(branches: np.ndarray) -> None:
     """Raise unless each branch tensor of an (N, a, k, b) stack is trace preserving,
     sum_k B_k^dag B_k = I."""
     total = np.einsum("nakb,nakc->nbc", branches.conj(), branches)
-    resid = np.max(np.abs(total - np.eye(branches.shape[-1])))
+    resid = np.max(np.abs(total - np.eye(branches.shape[-1])), initial=0.0)  # NaN fails
     _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
 
 
@@ -129,8 +132,9 @@ def _dilation_branches(us: np.ndarray, env_dim: int, env_initial: PureState) -> 
 
 
 def _from_branches(branches: np.ndarray) -> KrausChannel:
-    """The channel of one branch tensor B[q', k, q]: its k-th Kraus operator is B[:, k, :]."""
-    return KrausChannel(branches.swapaxes(0, 1))
+    """The channel of a one-row stack B[0, q', k, q]: its Kraus operators are B[0, :, k, :]."""
+    (row,) = branches
+    return KrausChannel(row.swapaxes(0, 1))
 
 
 def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> KrausChannel:
@@ -146,7 +150,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
         raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
-    return _from_branches(_dilation_branches(u[np.newaxis], env_dim, env_initial)[0])
+    return _from_branches(_dilation_branches(u[np.newaxis], env_dim, env_initial))
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
@@ -177,19 +181,18 @@ def purify(rho_q: DensityMatrix) -> PureState:
 
 
 def _branches(ch: KrausChannel) -> np.ndarray:
-    """The branch tensor B[q_out, k, q_in]: B_k is the k-th Kraus operator."""
-    return np.stack(ch.operators, axis=1)
+    """The one-row stack B[0, q_out, k, q_in]: B[0, :, k, :] is the k-th Kraus operator."""
+    return np.stack(ch.operators, axis=1)[np.newaxis]
 
 
 def _send_rows(branches: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """out[n, q', ..., k] = sum_q B[q', k, q] amps[n, q, ...]: in every row n,
+    """out[n, q', ..., k] = sum_q B[n, q', k, q] amps[n, q, ...]: in every row n,
     factor 0 (Q) is sent and the branch register E' is appended last.
 
-    ``branches`` is one branch tensor (a, k, b) for every row, or an (N, a, k, b)
-    stack with one per row.
+    ``branches`` is an (N, a, k, b) stack with one branch tensor per row, or a
+    one-row stack, which einsum broadcasts to every row.
     """
-    subscripts = "akb,nb...->na...k" if branches.ndim == 3 else "nakb,nb...->na...k"
-    return np.einsum(subscripts, branches, amps)
+    return np.einsum("nakb,nb...->na...k", branches, amps)
 
 
 def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +231,8 @@ def _diagonal_amps(weights) -> np.ndarray:
 
 
 def _diagonal_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """The (4, N) transcript columns of the inputs diag(q, 1 - q), sent through one
-    branch tensor or one per row."""
+    """The (4, N) transcript columns of the inputs diag(q, 1 - q), sent through a
+    branch stack of one row or one per row."""
     return _transcript_rows(branches, _diagonal_amps(np.array((qs, 1.0 - qs)).T))[0]
 
 
@@ -255,7 +258,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: channel is {ch.input_dim}-dim, state is {rho.dim}-dim"
         )
-    branches = _branches(ch)
+    branches = _branches(ch)[0]
     out = np.einsum("akb,bc,dkc->ad", branches, rho.matrix, branches.conj())
     return DensityMatrix(out, rho.dims)
 
@@ -319,7 +322,7 @@ def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
         raise ValueError(
             f"dimension mismatch: {ch1.input_dim}-dim output into {ch2.input_dim}-dim channel"
         )
-    return _from_branches(_chain_rows(_branches(ch1)[np.newaxis], _branches(ch2)[np.newaxis])[0])
+    return _from_branches(_chain_rows(_branches(ch1), _branches(ch2)))
 
 
 def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
@@ -329,7 +332,7 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     the input is Q1 (tensor) Q2 and the branch register E1 (tensor) E2, the first
     factor slowest in each.  The one-row call of ``_parallel_rows``.
     """
-    return _from_branches(_parallel_rows(_branches(ch1)[np.newaxis], _branches(ch2)[np.newaxis])[0])
+    return _from_branches(_parallel_rows(_branches(ch1), _branches(ch2)))
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:

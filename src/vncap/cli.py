@@ -76,7 +76,9 @@ USES = {
 # a q list at one p, each distinct p checked once and the q array as a whole; the
 # closed form is the capacity's.  The rows come from the array closed forms and the stacked kernels;
 # the points stay scalar, so capacity's golden-section steps run the scalar
-# closed forms and ``run_channel``.
+# closed forms and ``run_channel``.  Each rows entry looks its function up on
+# ``depolarizing`` at call time, so a wrapper installed on the module (perfbench's
+# tracer, a test's monkeypatch) sees the call.
 
 
 def _quantum_columns(t) -> tuple:
@@ -158,8 +160,9 @@ def cmd_sweep(args) -> int:
     columns = (ps, qs, *FAMILIES[args.channel, args.use][1](ps, qs))
     table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: _fmt prints -0 as 0
     print(header)
-    for i in range(0, rows, STACK_ROWS):  # the text of one chunk at a time
-        print("\n".join([line % tuple(row) for row in table[i : i + STACK_ROWS].tolist()]))
+    for i in range(0, rows, STACK_ROWS):  # the text of one chunk at a time, one % each
+        chunk = table[i : i + STACK_ROWS]
+        print("\n".join([line] * len(chunk)) % tuple(chunk.ravel().tolist()))
     return 0
 
 

@@ -33,8 +33,10 @@ from .channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
+    _check_complete,
     _chunked_rows,
     _diagonal_chunk,
+    _from_branches,
     _send_rows,
     _transcript_rows,
     apply_channel,
@@ -114,15 +116,21 @@ def depolarizing_kraus(p: float) -> KrausChannel:
     )
 
 
+def _dephasing_branches(ps: np.ndarray) -> np.ndarray:
+    """The (P, 2, 2, 2) branch stack {sqrt(1-p) identity, sqrt(p) phase flip} of each
+    checked p, checked complete once.  Broadcast multiplies, not an einsum product:
+    that would turn the -0.0 of 0 * (-1) at p = 0 into +0.0."""
+    ps = ps[:, np.newaxis, np.newaxis]
+    ops = (np.sqrt(1.0 - ps) * np.eye(2, dtype=np.complex128), np.sqrt(ps) * PHASE_FLIP)
+    table = np.stack(ops, axis=2)  # (P, q_out, k, q_in)
+    _check_complete(table)
+    return table
+
+
 def dephasing_kraus(p: float) -> KrausChannel:
-    """Kraus form {sqrt(1-p) identity, sqrt(p) phase flip}."""
+    """Kraus form {sqrt(1-p) identity, sqrt(p) phase flip}: ``_dephasing_branches`` of one p."""
     p = _unit_interval(p, "error probability")
-    return KrausChannel(
-        (
-            math.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
-            math.sqrt(p) * PHASE_FLIP,
-        )
-    )
+    return _from_branches(_dephasing_branches(np.array([p])))
 
 
 def dilation_unitary(params: DepolParams) -> tuple[np.ndarray, PureState]:
@@ -180,33 +188,32 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
 
 
-def _rows_at(p, q_values, build) -> tuple[list, np.ndarray, np.ndarray]:
+def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked rows of one p, or of a p array aligned with the q list.
 
-    Returns (built, where, qs): ``build(p)`` of each distinct p, called once per
-    distinct p (it checks p), row n's at ``built[where[n]]``, and the checked
-    q array.  p is checked before q, as ``DepolParams`` does.
+    Returns (ps, where, qs): the checked distinct p, row n's at ``ps[where[n]]``,
+    and the checked q array.  p is checked before q, as ``DepolParams`` does.
     """
     if np.ndim(p) == 0:  # one p for every row
-        built, where = [build(p)], None
+        distinct, where = [p], None
     else:
         distinct, where = np.unique(_flat(p), return_inverse=True)
-        built = [build(x) for x in distinct.tolist()]
+    ps = np.array([_unit_interval(x, "error probability") for x in distinct])
     qs = _unit_intervals(q_values, "mixing parameter")
     if where is None:
         where = np.zeros(qs.size, dtype=np.intp)
     elif where.size != qs.size:
         raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
-    return built, where, qs
+    return ps, where, qs
 
 
 def _closed_rows(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked rows of ``_rows_at`` for the closed forms: each row's p, its
     (1 - 2p/3) ** 2 and its q."""
-    ps, where, qs = _rows_at(p, q_values, lambda x: _unit_interval(x, "error probability"))
+    ps, where, qs = _rows_at(p, q_values)
     # Python's ** 2 (libm pow), not numpy's x * x: they differ in the last bit on some x
-    squares = np.array([(1.0 - 2.0 * x / 3.0) ** 2 for x in ps])
-    return np.array(ps)[where], squares[where], qs
+    squares = np.array([(1.0 - 2.0 * x / 3.0) ** 2 for x in ps.tolist()])
+    return ps[where], squares[where], qs
 
 
 def _analytic_chunk(p: np.ndarray, squares: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -324,10 +331,10 @@ def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
 
 def _dephasing_rows(p, q_values, chunk) -> np.ndarray:
     """``chunk(branches, qs)`` over the checked rows of ``_rows_at``, each row sent
-    through the branches of ``dephasing_kraus`` at its p: one channel built and
-    checked per distinct p, never one per row."""
-    channels, where, qs = _rows_at(p, q_values, dephasing_kraus)
-    table = np.stack([_branches(ch) for ch in channels])  # (distinct p, 2, 2, 2)
+    through the branches of ``dephasing_kraus`` at its p: one branch table for the
+    distinct p, checked once, and no channel built."""
+    ps, where, qs = _rows_at(p, q_values)
+    table = _dephasing_branches(ps)
     return _chunked_rows(lambda w, q: chunk(table[w], q), where, qs)
 
 

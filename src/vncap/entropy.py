@@ -69,10 +69,9 @@ def check_prob_vector(probs) -> np.ndarray:
     vec = np.asarray(probs, dtype=np.float64).ravel()
     if vec.size == 0:
         raise ValueError("empty probability vector")
-    for extreme in (vec.min(), vec.max()):
-        _unit_interval(extreme, "probability vector entry")
+    clamped = _unit_intervals(vec, "probability vector entry")
     _check_residual(abs(vec.sum() - 1.0), PROB_SUM_ATOL, "probability vector does not sum to 1")
-    return np.clip(vec, 0.0, 1.0)
+    return clamped
 
 
 def shannon_entropy(probs) -> float:

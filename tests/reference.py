@@ -20,7 +20,9 @@ and scored with the scalar ``quantum_fano_bound``.
 
 ``per_p_sweep`` is the sweep as it ran before one call took the whole (p, q)
 grid: one row call per p over the whole q list, one shared branch tensor per
-dephasing p, the rows stacked p-major.
+dephasing p, the rows stacked p-major.  ``dephasing_branches_per_p`` is the
+dephasing branch table as it was built before one stacked construction: one
+channel's operators per p, each stacked into its branch tensor.
 
 ``random_dilation``, ``random_diagonal`` and ``random_density`` draw one
 channel or input from a generator the way the audits draw them, through the
@@ -140,7 +142,7 @@ def dilation_from_kraus(ch: KrausChannel) -> Dilation:
     """
     d, m = ch.input_dim, len(ch.operators)
     full = d * m
-    isometry = _branches(ch).reshape(full, d)  # rows (q', k) in (Q, E) order, E fastest
+    isometry = _branches(ch)[0].reshape(full, d)  # rows (q', k) in (Q, E) order, E fastest
     q_full, _ = np.linalg.qr(isometry, mode="complete")
     u = np.empty((full, d, m), dtype=np.complex128)  # columns (q, e) in (Q, E) order
     u[:, :, 0] = isometry
@@ -168,7 +170,7 @@ def scalar_run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: boo
     three ``schmidt_entropy`` calls and the overlap with the purification."""
     d = rho_q.dim
     psi_qr = purify(rho_q)
-    out = np.einsum("akb,br->ark", _branches(ch), psi_qr.amplitudes.reshape(d, d))
+    out = np.einsum("akb,br->ark", _branches(ch)[0], psi_qr.amplitudes.reshape(d, d))
     state = PureState(out.ravel(), out.shape)
     s_in, s_out, s_env = (schmidt_entropy(state, (i,)) for i in (1, 0, 2))
     loss = s_env + s_in - s_out
@@ -186,7 +188,7 @@ def classical_use_contraction(ch: KrausChannel, q: float) -> tuple[float, float]
     amps = np.zeros((2, 2, 2), dtype=np.complex128)  # (Q, X, R)
     amps[1, 1, 0] = math.sqrt(1.0 - q)
     amps[0, 0, 1] = -math.sqrt(q)
-    out = np.einsum("akb,bxr->axrk", _branches(ch), amps)
+    out = np.einsum("akb,bxr->axrk", _branches(ch)[0], amps)
     state = PureState(out.ravel(), out.shape)
     s_out = schmidt_entropy(state, (0,))
     s_joint = schmidt_entropy(state, (0, 2))  # S(Q'R)
@@ -211,6 +213,14 @@ def per_p_sweep(channel: str, use: str, p_values, q_values) -> np.ndarray:
     return np.concatenate([np.array(at(p)) for p in p_values], axis=1)
 
 
+def dephasing_branches_per_p(p_values) -> np.ndarray:
+    """The (P, 2, 2, 2) dephasing branch table, one p at a time: a float times each
+    of the operators identity and phase flip, stacked as B[q_out, k, q_in]."""
+    identity, flip = np.eye(2, dtype=np.complex128), depolarizing.PHASE_FLIP
+    ops = [(math.sqrt(1.0 - p) * identity, math.sqrt(p) * flip) for p in p_values]
+    return np.stack([np.stack(pair, axis=1) for pair in ops])
+
+
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:
     """One seeded random unitary: one Gaussian, one ``qr``, the R-diagonal phases divided out."""
     rng = np.random.default_rng(seed)
@@ -224,13 +234,14 @@ def seeded_unitary(dim: int, seed: int) -> np.ndarray:
 def chain_ops(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """ch2(ch1(.)) with operators K[(e, g)] = K2[g] K1[e], E1 slowest."""
     d, m = ch1.input_dim, ch1.env_dim * ch2.env_dim
-    return KrausChannel(np.einsum("agc,ceb->egab", _branches(ch2), _branches(ch1)).reshape(m, d, d))
+    ops = np.einsum("agc,ceb->egab", _branches(ch2)[0], _branches(ch1)[0])
+    return KrausChannel(ops.reshape(m, d, d))
 
 
 def parallel_ops(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """ch1 (tensor) ch2 with operators K[(e, g)] = K1[e] (tensor) K2[g]."""
     d, m = ch1.input_dim * ch2.input_dim, ch1.env_dim * ch2.env_dim
-    ops = np.einsum("aeb,cgd->egacbd", _branches(ch1), _branches(ch2))
+    ops = np.einsum("aeb,cgd->egacbd", _branches(ch1)[0], _branches(ch2)[0])
     return KrausChannel(ops.reshape(m, d, d))
 
 
@@ -314,7 +325,7 @@ def scalar_coherent_slack(
 
 def random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
     """One random qubit dilation, drawn as the audits draw each channel."""
-    return _from_branches(analysis._random_dilations([analysis._draw_seed(rng)], env_dim)[0])
+    return _from_branches(analysis._random_dilations([analysis._draw_seed(rng)], env_dim))
 
 
 def random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:

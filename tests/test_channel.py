@@ -18,6 +18,7 @@ from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
+    _from_branches,
     _send_rows,
     apply_channel,
     chain,
@@ -373,7 +374,7 @@ class TestBranchContraction:
             amps = np.zeros(8, dtype=np.complex128)  # (Q, X, R)
             amps[6] = np.sqrt(1.0 - q)  # |1_Q 1_X 0_R>
             amps[1] = -np.sqrt(q)  # |0_Q 0_X 1_R>
-            contracted = np.einsum("akb,bxr->axrk", _branches(ch), amps.reshape(2, 2, 2))
+            contracted = np.einsum("akb,bxr->axrk", _branches(ch)[0], amps.reshape(2, 2, 2))
             got = classical_use_channel_simulation(ch, q)
             for out in (
                 unitary_run(dil, amps, (2, 2, 2)),
@@ -392,10 +393,30 @@ class TestBranchContraction:
         for shape, subscripts in (((d, d), "akb,br->ark"), ((d, 2, d), "akb,bxr->axrk")):
             amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             amps /= np.linalg.norm(amps)
-            expected = np.einsum(subscripts, _branches(ch), amps)
+            expected = np.einsum(subscripts, _branches(ch)[0], amps)
             out = _send_rows(_branches(ch), amps[np.newaxis])
             assert out.shape == (1, *expected.shape)
             assert np.abs(out[0] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
+    def test_one_row_stack_broadcasts_bit_for_bit(self, name):
+        """A one-row stack sends every input row as the same branches tiled to N rows."""
+        ch, _ = BRANCH_CHANNELS[name]
+        d = ch.input_dim
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for n in (1, 4, 101):
+            for shape in ((n, d, d), (n, d, 2, d)):  # (Q, R) and (Q, X, R) rows
+                amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                one_row = _branches(ch)
+                tiled = np.repeat(one_row, n, axis=0)
+                assert _send_rows(one_row, amps).tobytes() == _send_rows(tiled, amps).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CHANNELS))
+    def test_from_branches_inverts_branches(self, name):
+        ch, _ = BRANCH_CHANNELS[name]
+        assert _branches(ch).shape == (1, ch.input_dim, ch.env_dim, ch.input_dim)
+        back = _from_branches(_branches(ch))
+        assert np.array(back.operators).tobytes() == np.array(ch.operators).tobytes()
 
     def test_classical_use_builds_no_density_matrix(self, monkeypatch):
         built = []
@@ -549,6 +570,29 @@ class TestStackedKernel:
         assert cli.main(["sweep", "--channel", "dephasing", "--use", use]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 16 * 51
         assert counts == {"eigvalsh": 3, "eigh": 0, "density": 0}
+
+    @pytest.mark.parametrize("use", ["quantum", "classical"])
+    def test_default_dephasing_sweep_builds_no_channel(self, monkeypatch, use):
+        """The sweep's 16 p become one branch table, checked once, and no channel;
+        a capacity solve builds the one channel of its golden-section steps."""
+        builds, checks = [], []
+        post_init, check = KrausChannel.__post_init__, channel._check_complete
+
+        def built(ch):
+            builds.append(1)
+            post_init(ch)
+
+        def checked(branches):
+            checks.append(len(branches))
+            check(branches)
+
+        monkeypatch.setattr(KrausChannel, "__post_init__", built)
+        for module in (channel, depolarizing):
+            monkeypatch.setattr(module, "_check_complete", checked)
+        assert cli.main(["sweep", "--channel", "dephasing", "--use", use]) == 0
+        assert (len(builds), checks) == (0, [16])
+        assert cli.main(["capacity", "--channel", "dephasing", "--use", use, "--p", "0.37"]) == 0
+        assert len(builds) == 1
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
         """The 101 grid points take 3 eigensolves; the 43 golden-section steps

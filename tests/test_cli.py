@@ -251,6 +251,22 @@ class TestWholeGridSweep:
         full, last = divmod(16 * 51, stack_rows)
         assert calls == ["rows"] + [stack_rows] * full + [last] * (last > 0)
 
+    @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+    def test_rows_are_looked_up_at_call_time(self, monkeypatch, family):
+        """A sweep calls its family's row function through the ``depolarizing`` module,
+        so a wrapper installed there, as perfbench's tracer installs one, sees it."""
+        name = {
+            ("depolarizing", "quantum"): "analytic_transcript_rows",
+            ("depolarizing", "classical"): "classical_use_transcript_rows",
+            ("dephasing", "quantum"): "dephasing_transcript_rows",
+            ("dephasing", "classical"): "dephasing_classical_rows",
+        }[family]
+        calls, rows = [], getattr(depolarizing, name)
+        monkeypatch.setattr(depolarizing, name, lambda *a: calls.append(len(a[1])) or rows(*a))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--channel", family[0], "--use", family[1]]) == 0
+        assert calls == [16 * 51]
+
 
 class TestAuditCommand:
     def test_clean_json_report(self):

@@ -44,7 +44,7 @@ from vncap.depolarizing import (
     superdense_threshold,
 )
 
-from reference import apply_unitary
+from reference import apply_unitary, dephasing_branches_per_p
 
 
 class TestQBasis:
@@ -367,8 +367,11 @@ class TestTranscriptRows:
     def test_clamps_what_the_scalar_clamps(self, dust):
         assert _row_columns(dust, [0.3, dust]) == _scalar_columns(dust, [0.3, dust])
 
-    def test_empty_q_list(self):
-        assert _row_columns(0.3, []) == [[]] * 9
+    @pytest.mark.parametrize("p", [0.3, []])
+    def test_empty_q_list(self, p):
+        assert _row_columns(p, []) == [[]] * 9
+        quantum = vars(dephasing_transcript_rows(p, [])).values()
+        assert [v.shape for v in (*quantum, *dephasing_classical_rows(p, []))] == [(0,)] * 9
 
     @pytest.mark.parametrize("use", ["quantum", "classical"])
     def test_grid_is_one_batch(self, monkeypatch, use):
@@ -504,6 +507,16 @@ class TestDephasing:
 
     def test_full_flip_is_as_clean_as_no_flip(self):
         assert dephasing_mutual(1.0) == pytest.approx(2.0, abs=1e-12)
+
+    def test_branch_table_equals_the_per_p_construction(self):
+        """Bit for bit, signed zeros included: the table keeps the -0.0 of 0 * (-1)
+        at p = 0."""
+        ps = np.concatenate([np.linspace(0.0, 1.0, 100_001), [5e-324, 1.0 - 2.0**-53]])
+        table = depolarizing._dephasing_branches(ps)
+        assert table.tobytes() == dephasing_branches_per_p(ps.tolist()).tobytes()
+        assert np.signbit(table[0].real).sum() == 1
+        ops = np.stack(dephasing_kraus(0.3).operators, axis=1)[np.newaxis]
+        assert ops.tobytes() == depolarizing._dephasing_branches(np.array([0.3])).tobytes()
 
 
 class TestSuperdense:

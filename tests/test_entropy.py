@@ -4,6 +4,7 @@ import pytest
 from vncap.qmat import DensityMatrix, PureState, random_unitary, tensor
 from vncap.entropy import (
     binary_entropy,
+    check_prob_vector,
     classical_fano_bound,
     classical_mutual_information,
     pure_subsystem_entropy,
@@ -69,6 +70,12 @@ class TestShannonEntropy:
             shannon_entropy([0.5, 0.4])
         with pytest.raises(ValueError, match="outside"):
             shannon_entropy([1.5, -0.5])
+        with pytest.raises(ValueError, match="probability vector entry nan outside"):
+            check_prob_vector([np.nan, 1.0])
+        # -0.0 and dust within the slack come back clamped, -0.0 as +0.0
+        for vec in ([-0.0, 1.0], [-1e-13, 1.0 + 1e-13]):
+            got = check_prob_vector(vec)
+            assert got.tolist() == [0.0, 1.0] and not np.signbit(got).any()
 
 
 class TestRelativeEntropyBinary:
