@@ -54,6 +54,7 @@ from .qmat import (
     _check_normalized,
     _check_unitary,
     _random_unitaries,
+    _real,
     _unit_interval,
     basis_state,
 )
@@ -77,7 +78,7 @@ TRIAL_CHUNK = 32
 
 
 def _check_tolerance(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < _real(tol, "tolerance") < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
@@ -563,6 +564,7 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
     onto it from above at O(log n / n): the sphere-packing count is an upper
     bound on codewords, and truncating it at finite n loosens it.
     """
+    p = _real(p, "p")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
     syndromes, space = _mode(mode)

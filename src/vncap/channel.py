@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _row_entropies, _spectrum_entropies, binary_entropy
+from .entropy import _row_entropies, _spectrum_entropies
 from .qmat import (
     PURITY_ATOL,
     UNITARY_ATOL,
@@ -336,10 +336,10 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
-    """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space."""
+    """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space:
+    the one-row call of ``_fano_rows``, the code dimension checked first."""
     d = _at_least(code_dim, 2, "code dimension")
-    f = _unit_interval(fidelity, "fidelity")
-    return 2.0 * (binary_entropy(f) + (1.0 - f) * math.log2(d - 1))
+    return float(_fano_rows(_unit_interval(fidelity, "fidelity"), d))
 
 
 def _fano_rows(fidelity, code_dim: int) -> np.ndarray:

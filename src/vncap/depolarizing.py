@@ -118,17 +118,16 @@ def depolarizing_kraus(p: float) -> KrausChannel:
 
 def _dephasing_branches(ps: np.ndarray) -> np.ndarray:
     """The (P, 2, 2, 2) branch stack {sqrt(1-p) identity, sqrt(p) phase flip} of each
-    checked p, checked complete once.  Broadcast multiplies, not an einsum product:
+    checked p, not yet checked complete.  Broadcast multiplies, not an einsum product:
     that would turn the -0.0 of 0 * (-1) at p = 0 into +0.0."""
     ps = ps[:, np.newaxis, np.newaxis]
     ops = (np.sqrt(1.0 - ps) * np.eye(2, dtype=np.complex128), np.sqrt(ps) * PHASE_FLIP)
-    table = np.stack(ops, axis=2)  # (P, q_out, k, q_in)
-    _check_complete(table)
-    return table
+    return np.stack(ops, axis=2)  # (P, q_out, k, q_in)
 
 
 def dephasing_kraus(p: float) -> KrausChannel:
-    """Kraus form {sqrt(1-p) identity, sqrt(p) phase flip}: ``_dephasing_branches`` of one p."""
+    """Kraus form {sqrt(1-p) identity, sqrt(p) phase flip}: ``_dephasing_branches`` of one p,
+    checked complete by ``KrausChannel``."""
     p = _unit_interval(p, "error probability")
     return _from_branches(_dephasing_branches(np.array([p])))
 
@@ -174,17 +173,19 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     clamped at 0 since it can dip to -1e-16 numerically near its zeros.
     """
     p, q = params.p, params.q
+    flip = 2.0 * p / 3.0
+    kept, bias = 1.0 - flip, 1.0 - 2.0 * q
     s_in = binary_entropy(q)
-    s_out = binary_entropy(q + (2.0 * p / 3.0) * (1.0 - 2.0 * q))
-    radicand = (1.0 - 2.0 * p / 3.0) ** 2 - (16.0 / 3.0) * p * (1.0 - p) * q * (1.0 - q)
+    s_out = binary_entropy(q + flip * bias)
+    radicand = kept * kept - (16.0 / 3.0) * p * (1.0 - p) * q * (1.0 - q)
     delta = math.sqrt(max(0.0, radicand))
     spectrum = [
-        (2.0 * p / 3.0) * (1.0 - q),
-        (2.0 * p / 3.0) * q,
-        max(0.0, (1.0 - 2.0 * p / 3.0 + delta) / 2.0),
-        max(0.0, (1.0 - 2.0 * p / 3.0 - delta) / 2.0),
+        flip * (1.0 - q),
+        flip * q,
+        max(0.0, (kept + delta) / 2.0),
+        max(0.0, (kept - delta) / 2.0),
     ]
-    fidelity = 1.0 - p + (p / 3.0) * (1.0 - 2.0 * q) ** 2
+    fidelity = 1.0 - p + (p / 3.0) * (bias * bias)
     return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
 
 
@@ -207,32 +208,22 @@ def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ps, where, qs
 
 
-def _closed_rows(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked rows of ``_rows_at`` for the closed forms: each row's p, its
-    (1 - 2p/3) ** 2 and its q."""
-    ps, where, qs = _rows_at(p, q_values)
-    # Python's ** 2 (libm pow), not numpy's x * x: they differ in the last bit on some x
-    squares = np.array([(1.0 - 2.0 * x / 3.0) ** 2 for x in ps.tolist()])
-    return ps[where], squares[where], qs
-
-
-def _analytic_chunk(p: np.ndarray, squares: np.ndarray, qs: np.ndarray) -> np.ndarray:
+def _analytic_chunk(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
     flip = 2.0 * p / 3.0
+    kept, bias = 1.0 - flip, 1.0 - 2.0 * qs
     s_in = _binary_entropy_rows(qs)
-    s_out = _binary_entropy_rows(qs + flip * (1.0 - 2.0 * qs))
-    radicand = squares - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
+    s_out = _binary_entropy_rows(qs + flip * bias)
+    radicand = kept * kept - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
     delta = np.sqrt(np.maximum(radicand, 0.0))
     spectrum = np.stack(
         [
             flip * (1.0 - qs),
             flip * qs,
-            np.maximum((1.0 - flip + delta) / 2.0, 0.0),
-            np.maximum((1.0 - flip - delta) / 2.0, 0.0),
+            np.maximum((kept + delta) / 2.0, 0.0),
+            np.maximum((kept - delta) / 2.0, 0.0),
         ]
     )
-    # Python's ** 2, as for the squares of p
-    squares = np.fromiter((x ** 2 for x in (1.0 - 2.0 * qs).tolist()), float, qs.size)
-    fidelity = 1.0 - p + (p / 3.0) * squares
+    fidelity = 1.0 - p + (p / 3.0) * (bias * bias)
     return np.stack([s_in, s_out, _shannon_rows(spectrum), fidelity])
 
 
@@ -241,11 +232,13 @@ def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
 
     p is one float for every q, or an array aligned with the q list; each
     distinct p is checked once, and the q list as one array.  The scalar
-    form's operations in its order, with ``math.log2`` and Python's ``** 2``
-    per entry, so every entry equals the scalar one bit for bit.  The scalar
-    form stays the point objective: on one q it is the faster call.
+    form's operations in its order, squares as products, with only
+    ``math.log2`` run per entry, so every entry equals the scalar one bit for
+    bit.  The scalar form stays the point objective: on one q it is the
+    faster call.
     """
-    columns = _chunked_rows(_analytic_chunk, *_closed_rows(p, q_values))
+    ps, where, qs = _rows_at(p, q_values)
+    columns = _chunked_rows(_analytic_chunk, ps[where], qs)
     return ChannelTranscript.from_entropies(*columns)
 
 
@@ -290,8 +283,8 @@ def classical_use_transcript_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_transcript`` at every (p, q) row at once, p as in
     ``analytic_transcript_rows``: (mutual, loss) arrays, each entry equal to the
     scalar one bit for bit."""
-    ps, _, qs = _closed_rows(p, q_values)
-    return tuple(_chunked_rows(_classical_closed_chunk, ps, qs))
+    ps, where, qs = _rows_at(p, q_values)
+    return tuple(_chunked_rows(_classical_closed_chunk, ps[where], qs))
 
 
 def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
@@ -335,6 +328,7 @@ def _dephasing_rows(p, q_values, chunk) -> np.ndarray:
     distinct p, checked once, and no channel built."""
     ps, where, qs = _rows_at(p, q_values)
     table = _dephasing_branches(ps)
+    _check_complete(table)
     return _chunked_rows(lambda w, q: chunk(table[w], q), where, qs)
 
 

@@ -22,6 +22,7 @@ from .qmat import (
     _at_least,
     _check_residual,
     _one_row,
+    _real,
     _schmidt_spectra,
     clamp_spectrum,
     partial_trace,
@@ -35,7 +36,13 @@ def _plog2p(p: float) -> float:
 
 
 def _shannon(probs) -> float:
-    return -sum(_plog2p(float(p)) for p in np.ravel(probs))
+    """-sum p log2 p over the entries of ``probs``, added left to right from 0.0 and
+    then negated, as ``_shannon_rows`` adds them.  Not the built-in ``sum``: from
+    Python 3.12 on it compensates float sums, and the twins would then differ."""
+    total = 0.0
+    for p in np.ravel(probs).tolist():
+        total += _plog2p(p)
+    return -total
 
 
 def binary_entropy(p: float) -> float:
@@ -86,7 +93,7 @@ def relative_entropy_binary(p: float, r: float) -> float:
     the quantity infinite whenever p differs from it.
     """
     p = _unit_interval(p, "probability")
-    r = float(r)
+    r = _real(r, "reference")
     if not 0.0 < r < 1.0:
         raise ValueError(f"degenerate reference {r!r}: need 0 < r < 1")
     out = 0.0
@@ -98,8 +105,9 @@ def relative_entropy_binary(p: float, r: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy of the clamped eigenvalue spectrum of a density matrix, in bits."""
-    return _shannon(clamp_spectrum(rho.spectrum))
+    """Entropy of the clamped eigenvalue spectrum of a density matrix, in bits: the
+    one-row call of ``_spectrum_entropies``."""
+    return float(_spectrum_entropies(rho.spectrum))
 
 
 def _row_entropies(amps: np.ndarray, keeps: Sequence[tuple[int, ...]]) -> np.ndarray:

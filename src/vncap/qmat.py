@@ -29,14 +29,24 @@ PURITY_ATOL = 1e-9  # |1 - largest eigenvalue| of a pure-state projector
 UNIT_SLACK = 1e-12  # unit-interval values this far outside [0, 1] are rounding dust
 
 
+def _real(x, name: str) -> float:
+    """``x`` as a float.  Strings, bytes, bools (numpy's too), complex values, None
+    and every other non-real input raise ValueError "<name> must be a real number"."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
     """``x`` as a float in [0, 1].
 
     Values at most ``slack`` outside the interval are clamped into it; values
-    further out, NaN and +-inf raise ValueError "<name> <x> outside [0, 1]".
+    further out, NaN and +-inf raise ValueError "<name> <x> outside [0, 1]",
+    and non-real inputs raise ``_real``'s ValueError.
     """
-    x = float(x)
-    if 0.0 < x < 1.0:  # the common case, kept cheap: it runs on every probability
+    if type(x) is not float:  # floats, the common case, skip the type check
+        x = _real(x, name)
+    if 0.0 < x < 1.0:  # kept cheap: it runs on every probability
         return x
     if not -slack <= x <= 1.0 + slack:
         raise ValueError(f"{name} {x!r} outside [0, 1]")
@@ -44,11 +54,16 @@ def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
 
 
 def _flat(values) -> np.ndarray:
-    """``values`` as a 1-d float array; any other shape raises ValueError."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"expected a flat list of numbers, got shape {values.shape}")
-    return values
+    """``values`` as a 1-d float array.  Any other shape raises ValueError, and so
+    do entries that ``_real`` refuses: a dtype that is not real, or a bool in a
+    list, which numpy would read as a number beside the others."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
+    listed = set() if isinstance(values, np.ndarray) else set(map(type, values))
+    if array.dtype.kind not in "iuf" or not listed.isdisjoint((bool, np.bool_)):
+        raise ValueError("expected real numbers, not strings, bools, complex values or None")
+    return array.astype(np.float64, copy=False)
 
 
 def _unit_intervals(values, name: str) -> np.ndarray:

@@ -18,6 +18,7 @@ from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
     _branches,
+    _fano_rows,
     _from_branches,
     _send_rows,
     apply_channel,
@@ -574,7 +575,8 @@ class TestStackedKernel:
     @pytest.mark.parametrize("use", ["quantum", "classical"])
     def test_default_dephasing_sweep_builds_no_channel(self, monkeypatch, use):
         """The sweep's 16 p become one branch table, checked once, and no channel;
-        a capacity solve builds the one channel of its golden-section steps."""
+        a capacity solve builds the one channel of its golden-section steps, and
+        ``dephasing_kraus`` checks its one-row table once, in ``KrausChannel``."""
         builds, checks = [], []
         post_init, check = KrausChannel.__post_init__, channel._check_complete
 
@@ -593,6 +595,9 @@ class TestStackedKernel:
         assert (len(builds), checks) == (0, [16])
         assert cli.main(["capacity", "--channel", "dephasing", "--use", use, "--p", "0.37"]) == 0
         assert len(builds) == 1
+        checks.clear()
+        depolarizing.dephasing_kraus(0.37)
+        assert (len(builds), checks) == (2, [1])
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
         """The 101 grid points take 3 eigensolves; the 43 golden-section steps
@@ -783,6 +788,13 @@ class TestQuantumFanoBound:
         assert quantum_fano_bound(0.8, 2) == pytest.approx(
             2 * binary_entropy(0.2), abs=1e-12
         )
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_is_the_one_row_call_of_the_rows(self, d):
+        """One implementation: the scalar bound equals the rows' entry bit for bit."""
+        fidelities = np.linspace(0.0, 1.0, 20001)
+        rows = [x.hex() for x in _fano_rows(fidelities, d).tolist()]
+        assert [quantum_fano_bound(f, d).hex() for f in fidelities.tolist()] == rows
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="code dimension"):

@@ -3,6 +3,7 @@ import pytest
 
 from vncap.qmat import DensityMatrix, PureState, random_unitary, tensor
 from vncap.entropy import (
+    _spectrum_entropies,
     binary_entropy,
     check_prob_vector,
     classical_fano_bound,
@@ -127,6 +128,18 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho_out) == pytest.approx(
             0.9043814577244939, abs=1e-9
         )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_is_the_one_row_call_of_the_stacked_kernel(self, dim):
+        """One implementation: the entropy of a density matrix is the kernel's
+        clamp-and-log2 of its spectrum, bit for bit."""
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            wishart = z @ z.conj().T
+            rho = DensityMatrix(wishart / np.trace(wishart).real)
+            expected = float(_spectrum_entropies(rho.spectrum))
+            assert von_neumann_entropy(rho).hex() == expected.hex()
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(22)

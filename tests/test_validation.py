@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vncap import cli, qmat
@@ -36,6 +36,7 @@ from vncap.channel import KrausChannel, dilation_channel, identity_channel, quan
 from vncap.depolarizing import (
     LOG2_3,
     DepolParams,
+    analytic_transcript_rows,
     classical_capacity,
     classical_use_channel_simulation,
     dephasing_kraus,
@@ -84,6 +85,9 @@ BAD_FLAG_P = st.one_of(
     st.floats(max_value=-5e-324, allow_infinity=False),
 )
 BAD_TOL = st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_infinity=False))
+# Not real numbers: refused with ValueError, never read as one.  The CLI tests
+# leave them out: argparse turns a flag into a float before the library sees it.
+NOT_REAL = ["0.3", b"0.1", True, False, np.True_, None, 1j, complex(0.3, 0.0)]
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 BAD_ENTRY = st.sampled_from(
     [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)]
@@ -96,6 +100,17 @@ MIXED_PAIR = DensityMatrix(np.eye(4) / 4, (2, 2))
 
 def h2(p):
     return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+
+
+def with_examples(name, values):
+    """A hypothesis ``@example`` for each value, so every one of them runs."""
+
+    def decorate(test):
+        for value in values:
+            test = example(**{name: value})(test)
+        return test
+
+    return decorate
 
 
 SCALAR_ENTRY_POINTS = {
@@ -114,6 +129,10 @@ SCALAR_ENTRY_POINTS = {
     "mixture_axiom_slacks.weight": lambda x: mixture_axiom_slacks(
         dephasing_kraus(0.2), depolarizing_kraus(0.3), MIXED, MIXED, x
     ),
+    "asymptotic_consistency.p": lambda x: asymptotic_consistency(x, [25], "classical"),
+    "analytic_transcript_rows.p": lambda x: analytic_transcript_rows(x, [0.2]),
+    "analytic_transcript_rows.q list": lambda x: analytic_transcript_rows(0.3, [0.2, x]),
+    "analytic_transcript_rows.q array": lambda x: analytic_transcript_rows(0.3, np.array([x])),
 }
 
 
@@ -218,6 +237,13 @@ class TestLibraryRefusals:
         with pytest.raises(ValueError):
             SCALAR_ENTRY_POINTS[name](x)
 
+    @pytest.mark.parametrize("x", NOT_REAL, ids=repr)
+    # shannon_entropy's entry computes 1 - x itself
+    @pytest.mark.parametrize("name", sorted(set(SCALAR_ENTRY_POINTS) - {"shannon_entropy"}))
+    def test_scalar_entry_points_refuse_non_reals(self, name, x):
+        with pytest.raises(ValueError, match="real number"):
+            SCALAR_ENTRY_POINTS[name](x)
+
     @pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
     @FIXED
     @given(bad=BAD_ENTRY, index=st.integers(min_value=0, max_value=15))
@@ -227,6 +253,7 @@ class TestLibraryRefusals:
 
     @FIXED
     @given(tol=BAD_TOL)
+    @with_examples("tol", NOT_REAL)
     def test_tolerances_must_be_positive_and_finite(self, tol):
         for call in (
             lambda: maximize_scalar_on_unit_interval(lambda q: q, tol),
