@@ -53,6 +53,7 @@ from .qmat import (
     _at_least,
     _check_normalized,
     _check_unitary,
+    _numbers,
     _random_unitaries,
     _real,
     _unit_interval,
@@ -137,7 +138,8 @@ def maximize_scalar_on_unit_interval(
 
     def checked(q: float, value) -> float:
         nonlocal evals
-        value = float(value)
+        if type(value) is not float:  # floats, the common case, skip the type check
+            value = _real(value, "objective value")
         evals += 1
         if not math.isfinite(value):
             raise ValueError(f"non-finite objective value {value!r} at q={q!r}")
@@ -147,7 +149,10 @@ def maximize_scalar_on_unit_interval(
         return checked(q, f(q))
 
     grid = CAPACITY_GRID
-    values = list(map(f, grid) if rows is None else rows(grid))
+    if rows is None:
+        values = list(map(f, grid))
+    else:  # read as one array; its entries, as floats, skip the type check
+        values = _numbers(rows(grid), "objective value", 1, "iuf").tolist()
     if len(values) != len(grid):
         raise ValueError(f"expected {len(grid)} grid values, got {len(values)}")
     values = [checked(q, v) for q, v in zip(grid, values)]

@@ -56,6 +56,8 @@ from .qmat import (
     _at_least,
     _check_residual,
     _check_unitary,
+    _dimension,
+    _numbers,
     clamp_spectrum,
     _unit_interval,
     _unit_intervals,
@@ -79,7 +81,7 @@ class KrausChannel:
     def __post_init__(self):
         if not len(self.operators):
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = _as_complex_array(self.operators, 3)  # one (m, d, d) stack
+        ops = _as_complex_array(self.operators, "Kraus operators", 3)  # one (m, d, d) stack
         _check_complete(ops.swapaxes(0, 1)[np.newaxis])
         object.__setattr__(self, "operators", tuple(ops))
 
@@ -155,7 +157,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
     """The noiseless channel: one identity Kraus operator, a one-dimensional environment."""
-    return KrausChannel((np.eye(_at_least(dim, 1, "dimension"), dtype=np.complex128),))
+    return KrausChannel((np.eye(_dimension(dim), dtype=np.complex128),))
 
 
 def _purify_rows(mats: np.ndarray) -> np.ndarray:
@@ -223,7 +225,7 @@ def _chunked_rows(chunk_rows, *columns: np.ndarray) -> np.ndarray:
 def _diagonal_amps(weights) -> np.ndarray:
     """The (N, d, d) amplitude stack sum_i sqrt(w_i) |i>_Q |i>_R of an (N, d) weight
     stack: a purification of each diag(w), with R a copy of Q."""
-    roots = np.sqrt(np.asarray(weights, dtype=np.float64))
+    roots = np.sqrt(weights)
     n, d = roots.shape
     amps = np.zeros((n, d, d), dtype=np.complex128)
     amps.reshape(n, d * d)[:, :: d + 1] = roots  # the diagonal of each row
@@ -381,13 +383,6 @@ def _slack_columns(t: ChannelTranscript, code_dim: int) -> dict:
     }
 
 
-def _has_bool(value) -> bool:
-    """True if a JSON ``true``/``false`` sits anywhere in ``value`` (numpy would read it as 1/0)."""
-    return isinstance(value, bool) or (
-        isinstance(value, (list, tuple)) and any(map(_has_bool, value))
-    )
-
-
 def kraus_channel_from_json(source: str | dict) -> KrausChannel:
     """Load a channel from the JSON form {"kraus": [[[re, im], ...], ...]}.
 
@@ -397,13 +392,9 @@ def kraus_channel_from_json(source: str | dict) -> KrausChannel:
     data = json.loads(source) if isinstance(source, str) else source
     if not isinstance(data, dict) or "kraus" not in data:
         raise ValueError('missing "kraus" key')
-    try:
-        pairs = np.array(data["kraus"])  # (operators, entries, 2) when well formed
-    except ValueError:  # numpy refuses ragged nesting
-        pairs = None
-    malformed = pairs is None or pairs.dtype.kind not in "iuf" or _has_bool(data["kraus"])
-    if malformed or pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise ValueError('"kraus" must list operators of equal size, each a list of [re, im] numbers')
+    pairs = _numbers(data["kraus"], '"kraus"', 3, "iuf")  # (operators, entries, 2)
+    if pairs.shape[2] != 2:
+        raise ValueError(f'"kraus": expected [re, im] pairs, got shape {pairs.shape}')
     m, size = pairs.shape[:2]
     d = math.isqrt(size)
     if d * d != size:

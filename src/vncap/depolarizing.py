@@ -56,7 +56,7 @@ from .qmat import (
     PureState,
     basis_state,
     tensor,
-    _flat,
+    _numbers,
     _unit_interval,
     _unit_intervals,
 )
@@ -195,10 +195,10 @@ def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (ps, where, qs): the checked distinct p, row n's at ``ps[where[n]]``,
     and the checked q array.  p is checked before q, as ``DepolParams`` does.
     """
-    if np.ndim(p) == 0:  # one p for every row
+    if isinstance(p, (list, tuple, np.ndarray)):
+        distinct, where = np.unique(_numbers(p, "error probability", 1, "iuf"), return_inverse=True)
+    else:  # one p for every row
         distinct, where = [p], None
-    else:
-        distinct, where = np.unique(_flat(p), return_inverse=True)
     ps = np.array([_unit_interval(x, "error probability") for x in distinct])
     qs = _unit_intervals(q_values, "mixing parameter")
     if where is None:

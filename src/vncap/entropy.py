@@ -21,6 +21,7 @@ from .qmat import (
     _as_count,
     _at_least,
     _check_residual,
+    _numbers,
     _one_row,
     _real,
     _schmidt_spectra,
@@ -72,8 +73,8 @@ def _binary_entropy_rows(values: np.ndarray) -> np.ndarray:
 
 
 def check_prob_vector(probs) -> np.ndarray:
-    """Validate entries in [0, 1] summing to 1 (within 1e-10); returns an array."""
-    vec = np.asarray(probs, dtype=np.float64).ravel()
+    """Validate a flat list of entries in [0, 1] summing to 1 (within 1e-10); returns an array."""
+    vec = _numbers(probs, "probability vector", 1, "iuf").astype(np.float64, copy=False)
     if vec.size == 0:
         raise ValueError("empty probability vector")
     clamped = _unit_intervals(vec, "probability vector entry")
@@ -279,9 +280,7 @@ def venn3(rho_abc: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn
 
 def classical_mutual_information(joint) -> float:
     """Mutual information H(X) + H(Y) - H(X,Y) of a joint probability table."""
-    table = np.asarray(joint, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError(f"joint distribution must be a 2-d table, got shape {table.shape}")
+    table = _numbers(joint, "joint distribution", 2, "iuf").astype(np.float64, copy=False)
     check_prob_vector(table.ravel())
     h_x = _shannon(table.sum(axis=1))
     h_y = _shannon(table.sum(axis=0))

@@ -53,17 +53,25 @@ def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
     return 0.0 if x <= 0.0 else 1.0
 
 
-def _flat(values) -> np.ndarray:
-    """``values`` as a 1-d float array.  Any other shape raises ValueError, and so
-    do entries that ``_real`` refuses: a dtype that is not real, or a bool in a
-    list, which numpy would read as a number beside the others."""
-    array = np.asarray(values)
-    if array.ndim != 1:
-        raise ValueError(f"expected a flat list of numbers, got shape {array.shape}")
-    listed = set() if isinstance(values, np.ndarray) else set(map(type, values))
-    if array.dtype.kind not in "iuf" or not listed.isdisjoint((bool, np.bool_)):
-        raise ValueError("expected real numbers, not strings, bools, complex values or None")
-    return array.astype(np.float64, copy=False)
+def _numbers(values, name: str, ndim: int | None, kinds: str) -> np.ndarray:
+    """The one reader of an outside list or array: ``values`` as numpy reads it, with
+    ``ndim`` axes (None: any) and a dtype kind in ``kinds`` ("iuf" real, "iufc" complex).
+    Ragged nesting, strings, bytes, None, bools and a bool beside numbers in a list, at
+    any depth, raise ValueError "<name>: ...".  An ndarray is judged by its dtype alone."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting, e.g. matrices of mixed shape
+        raise ValueError(f"{name}: entries have mixed shapes or are not numbers") from None
+    if ndim is not None and array.ndim != ndim:
+        axes = "a flat list of numbers" if ndim == 1 else f"{ndim} axes"
+        raise ValueError(f"{name}: expected {axes}, got shape {array.shape}")
+    if array.dtype.kind not in kinds or not (
+        isinstance(values, np.ndarray)
+        or {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).ravel().tolist()))
+    ):
+        numbers = "numbers" if "c" in kinds else "real numbers"
+        raise ValueError(f"{name}: expected {numbers}, not strings, bytes, bools or None")
+    return array
 
 
 def _unit_intervals(values, name: str) -> np.ndarray:
@@ -73,7 +81,7 @@ def _unit_intervals(values, name: str) -> np.ndarray:
     refused entry (NaN included) raises the scalar's ValueError, and every
     entry is clamped as the scalar clamps it.
     """
-    values = _flat(values)
+    values = _numbers(values, name, 1, "iuf").astype(np.float64, copy=False)
     if values.size and not 0.0 < values.min() <= values.max() < 1.0:
         for extreme in (values.min(), values.max()):
             _unit_interval(extreme, name)
@@ -100,6 +108,21 @@ def _at_least(x, low: int, name: str) -> int:
     return count
 
 
+# The largest dimension of a random unitary, identity channel or basis state,
+# far above the 16 that the package, its tests and demos ask for at most.  At
+# the cap a random unitary is a 16 MB complex matrix whose QR takes 0.6 s on
+# one x86-64 core; the work grows as the cube of the dimension.
+MAX_DIMENSION = 1024
+
+
+def _dimension(x) -> int:
+    """``x`` as a dimension, an integer in [1, MAX_DIMENSION], checked before any allocation."""
+    dim = _at_least(x, 1, "dimension")
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension {dim} exceeds the cap of {MAX_DIMENSION}")
+    return dim
+
+
 def _check_residual(resid, atol: float, what: str) -> None:
     """Raise ValueError("<what> (residual ...)") unless ``resid <= atol``; NaN fails."""
     resid = float(resid)
@@ -107,17 +130,17 @@ def _check_residual(resid, atol: float, what: str) -> None:
         raise ValueError(f"{what} (residual {resid:.3e}, tolerance {atol:.0e})")
 
 
-def _as_complex_array(values, ndim: int) -> np.ndarray:
-    """A read-only complex copy of ``values``: a vector, a square matrix or a stack of
-    square matrices (``ndim`` axes, the last two equal), all entries finite."""
-    try:
-        arr = np.array(values, dtype=np.complex128, copy=True)
-    except ValueError:  # numpy refuses ragged nesting, e.g. matrices of mixed shape
-        raise ValueError("entries have mixed shapes or are not numbers") from None
-    if arr.ndim != ndim or len(set(arr.shape[-2:])) > 1:
-        raise ValueError(f"expected {ndim} axes, the last two equal, got shape {arr.shape}")
+def _as_complex_array(values, name: str, ndim: int | None) -> np.ndarray:
+    """A read-only complex copy of ``values``, read by ``_numbers``, all entries finite:
+    a square matrix or a stack of them (``ndim`` axes, the last two equal), or with
+    ``ndim=None`` an array of any shape, flattened into a vector."""
+    arr = _numbers(values, name, ndim, "iufc").astype(np.complex128)  # always a copy
+    if ndim is None:
+        arr = arr.ravel()
+    elif arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{name}: expected square matrices, the last two equal, got {arr.shape}")
     if not np.isfinite(arr).all():  # every matrix entry point, before any residual
-        raise ValueError("array has non-finite (NaN or infinite) entries")
+        raise ValueError(f"{name}: array has non-finite (NaN or infinite) entries")
     arr.setflags(write=False)
     return arr
 
@@ -160,7 +183,7 @@ class PureState:
     dims: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        amps = _as_complex_array(np.ravel(self.amplitudes), 1)
+        amps = _as_complex_array(self.amplitudes, "state amplitudes", None)
         dims = self.dims if self.dims is not None else (amps.size,)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _check_dims(dims, amps.size))
@@ -192,7 +215,7 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = _as_complex_array(self.matrix, 2)
+        mat = _as_complex_array(self.matrix, "density matrix", 2)
         spectrum = _hermitian_spectrum(mat)
         dims = self.dims if self.dims is not None else (mat.shape[0],)
         object.__setattr__(self, "matrix", mat)
@@ -209,7 +232,7 @@ class DensityMatrix:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` as the slower-varying (leftmost) factor."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    return np.kron(_numbers(a, "factor a", None, "iufc"), _numbers(b, "factor b", None, "iufc"))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -224,7 +247,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if ``m`` is not a finite square matrix, Hermitian within tolerance.
     """
-    return _hermitian_spectrum(_as_complex_array(m, 2))
+    return _hermitian_spectrum(_as_complex_array(m, "matrix", 2))
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
@@ -241,7 +264,7 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     0, after which each spectrum is renormalized to sum to 1.  Values below the
     floor indicate genuine non-positivity and raise.
     """
-    vals = np.asarray(values, dtype=np.float64)
+    vals = _numbers(values, "spectrum", None, "iuf").astype(np.float64, copy=False)
     if vals.size:
         _check_residual(-vals.min(), -EIGENVALUE_FLOOR, "negative eigenvalue below the clamp floor")
     clamped = np.where(vals < 0.0, 0.0, vals)
@@ -328,7 +351,7 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
 def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
     """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL:
     one matrix, or with ``ndim=3`` a stack of them, all checked at once."""
-    u = _as_complex_array(u, ndim)
+    u = _as_complex_array(u, "unitary", ndim)
     resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
     _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u
@@ -337,7 +360,7 @@ def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
 def _random_unitaries(dim: int, seeds) -> np.ndarray:
     """``random_unitary(dim, seed)`` for every seed: an (N, dim, dim) stack from one
     stacked QR and phase fix."""
-    dim = _at_least(dim, 1, "dimension")
+    dim = _dimension(dim)
     z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
     for row, seed in zip(z, seeds):
         rng = np.random.default_rng(seed)
@@ -360,7 +383,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:
     """Computational basis vector |index> of the given dimension."""
-    dim, index = _as_count(dim, "dimension"), _as_count(index, "basis index")
+    dim, index = _dimension(dim), _as_count(index, "basis index")
     if not 0 <= index < dim:
         raise ValueError(f"bad basis index {index} for dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)

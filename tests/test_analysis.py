@@ -88,6 +88,21 @@ class TestScalarMaximizer:
             maximize_scalar_on_unit_interval(
                 lambda q: float("nan") if q > 0.5 else q
             )
+        # Not real numbers: ValueError, never TypeError, on the grid and in the rows.
+        for bad in (None, "0.7", b"0.7", 1j, complex(0.7, 0.0), True, np.True_):
+            with pytest.raises(ValueError, match="objective value must be a real number"):
+                maximize_scalar_on_unit_interval(lambda q: bad if q > 0.5 else q)
+            with pytest.raises(ValueError, match="objective value"):
+                maximize_scalar_on_unit_interval(lambda q: q, rows=lambda qs: [bad] * len(qs))
+        # The CLI's objectives return Python floats and np.float64 row entries.
+        def peak(q):
+            return -abs(q - 0.3)
+
+        expected = maximize_scalar_on_unit_interval(peak)
+        assert maximize_scalar_on_unit_interval(lambda q: np.float64(peak(q))) == expected
+        assert maximize_scalar_on_unit_interval(
+            peak, rows=lambda qs: np.array([peak(q) for q in qs])
+        ) == expected
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):

@@ -82,3 +82,108 @@ def test_orphan_check_sees_each_kind_of_reference():
         "d._TYPED",
         "d._WRITTEN",
     ]
+
+
+ARRAY_READERS = {"asarray", "array", "asanyarray", "ascontiguousarray"}
+
+
+def _params(func: ast.FunctionDef) -> set[str]:
+    """The names of ``func``'s parameters that its body never rebinds."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    rebound = {
+        node.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    return names - rebound
+
+
+def _is_raw(node: ast.expr, params: set[str], post_init: bool) -> bool:
+    """True if ``node`` is a parameter, an item of one, or in a ``__post_init__``
+    a field ``self.<name>``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in params
+    return (
+        post_init
+        and isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def raw_array_reads(sources: dict[str, str]) -> list[str]:
+    """``module.function`` of every public function, public method or dataclass
+    ``__post_init__`` in ``sources`` that passes one of its own parameters, or an
+    item of one, straight to ``np.asarray``/``np.array`` (or their kin), instead
+    of reading it through ``qmat._numbers``."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        scopes = [(None, node) for node in tree.body]
+        scopes += [
+            (cls.name, node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        ]
+        for owner, func in scopes:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            post_init = owner is not None and func.name == "__post_init__"
+            if func.name.startswith("_") and not post_init:
+                continue
+            params = _params(func)
+            for call in ast.walk(func):
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "np"
+                    and call.func.attr in ARRAY_READERS
+                    and call.args
+                ):
+                    continue
+                if _is_raw(call.args[0], params, post_init):
+                    name = func.name if owner is None else f"{owner}.{func.name}"
+                    found.append(f"{module}.{name}")
+                    break
+    return sorted(found)
+
+
+def test_every_outside_array_is_read_by_the_one_reader():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert raw_array_reads(sources) == []
+
+
+def test_raw_array_check_sees_each_kind_of_read():
+    sources = {
+        "a": "import numpy as np\n"
+        "def direct(x): return np.asarray(x)\n"
+        "def typed(x): return np.array(x, dtype=float)\n"
+        "def item(d): return np.asarray(d['key'][0])\n"
+        "def _private(x): return np.asarray(x)\n"
+        "def rebound(x):\n    x = check(x)\n    return np.asarray(x)\n"
+        "def wrapped(x): return np.array([x])\n"
+        "def local(x):\n    y = f(x)\n    return np.asarray(y)\n"
+        "def nested(x):\n    def inner(): return np.ascontiguousarray(x)\n    return inner\n",
+        "b": "import numpy as np\n"
+        "class C:\n"
+        "    def __post_init__(self): self.m = np.asarray(self.m)\n"
+        "    def public(self, v): return np.asanyarray(v)\n"
+        "    def _helper(self, v): return np.asarray(v)\n"
+        "class D:\n"
+        "    def __post_init__(self): self.m = read(self.m)\n"
+        "    def method(self): return np.asarray(self.m)\n",
+    }
+    assert raw_array_reads(sources) == [
+        "a.direct",
+        "a.item",
+        "a.nested",
+        "a.typed",
+        "b.C.__post_init__",
+        "b.C.public",
+    ]

@@ -10,7 +10,9 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,15 +34,27 @@ from vncap.analysis import (
     search_coherent_info_violations,
     _sphere_volume,
 )
-from vncap.channel import KrausChannel, dilation_channel, identity_channel, quantum_fano_bound
+from vncap.channel import (
+    KrausChannel,
+    diagonal_transcripts,
+    dilation_channel,
+    identity_channel,
+    kraus_channel_from_json,
+    quantum_fano_bound,
+)
 from vncap.depolarizing import (
     LOG2_3,
     DepolParams,
     analytic_transcript_rows,
     classical_capacity,
+    classical_use_channel_rows,
     classical_use_channel_simulation,
+    classical_use_transcript_rows,
+    dephasing_classical_rows,
     dephasing_kraus,
+    dephasing_transcript_rows,
     depolarizing_kraus,
+    kholevo_chi,
     quantum_capacity,
     superdense_scenario,
 )
@@ -48,6 +62,7 @@ from vncap.entropy import (
     _shannon,
     binary_entropy,
     classical_fano_bound,
+    classical_mutual_information,
     pure_subsystem_entropy,
     relative_entropy_binary,
     shannon_entropy,
@@ -55,6 +70,7 @@ from vncap.entropy import (
     von_neumann_entropy,
 )
 from vncap.qmat import (
+    MAX_DIMENSION,
     UNIT_SLACK,
     DensityMatrix,
     PureState,
@@ -64,6 +80,7 @@ from vncap.qmat import (
     partial_trace,
     pure_subsystem_spectrum,
     random_unitary,
+    tensor,
     _unit_interval,
 )
 
@@ -142,17 +159,98 @@ def _with_entry(matrix, index, value):
     return out
 
 
+EYE2, EYE4 = np.eye(2).tolist(), np.eye(4).tolist()
+
+# The entry points that read a complex array and check its entries finite:
+# name -> (the call on that array, a valid one as nested lists, the argument's
+# name, with which every refusal of the one reader, ``qmat._numbers``, starts).
 MATRIX_ENTRY_POINTS = {
-    "PureState": lambda bad, i: PureState(_with_entry([1.0, 0.0], i, bad)),
-    "DensityMatrix": lambda bad, i: DensityMatrix(_with_entry(np.eye(2) / 2, i, bad)),
-    "KrausChannel": lambda bad, i: KrausChannel((_with_entry(np.eye(2), i, bad),)),
-    "dilation_channel": lambda bad, i: dilation_channel(
-        _with_entry(np.eye(4), i, bad), 2, basis_state(2, 0)
-    ),
-    "apply_unitary": lambda bad, i: apply_unitary(
-        _with_entry(np.eye(2), i, bad), basis_state(2, 0)
-    ),
+    "PureState": (PureState, [1.0, 0.0], "state amplitudes"),
+    "DensityMatrix": (DensityMatrix, [[0.5, 0.0], [0.0, 0.5]], "density matrix"),
+    "KrausChannel": (KrausChannel, [EYE2], "Kraus operators"),
+    "dilation_channel": (lambda u: dilation_channel(u, 2, basis_state(2, 0)), EYE4, "unitary"),
+    "apply_unitary": (lambda u: apply_unitary(u, basis_state(2, 0)), EYE2, "unitary"),
 }
+
+ROW_FUNCTIONS = (
+    analytic_transcript_rows,
+    classical_use_transcript_rows,
+    dephasing_transcript_rows,
+    dephasing_classical_rows,
+)
+DEPHASING = dephasing_kraus(0.2)
+# Every other public entry point that reads a list or array, in the same form.
+# The first three take complex entries; the others refuse them.
+ARRAY_ENTRY_POINTS = {
+    "hermitian_eigenvalues": (hermitian_eigenvalues, EYE2, "matrix"),
+    "tensor.a": (lambda a: tensor(a, EYE2), EYE2, "factor a"),
+    "tensor.b": (lambda b: tensor(EYE2, b), EYE2, "factor b"),
+    "clamp_spectrum": (clamp_spectrum, [0.5, 0.5], "spectrum"),
+    "shannon_entropy": (shannon_entropy, [0.5, 0.5], "probability vector"),
+    "kholevo_chi": (lambda p: kholevo_chi(p, [MIXED, MIXED]), [0.5, 0.5], "probability vector"),
+    "classical_mutual_information": (
+        classical_mutual_information,
+        [[0.5, 0.0], [0.0, 0.5]],
+        "joint distribution",
+    ),
+    "kraus_channel_from_json": (
+        lambda pairs: kraus_channel_from_json({"kraus": pairs}),
+        [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+        '"kraus"',
+    ),
+    "diagonal_transcripts": (
+        lambda q: diagonal_transcripts(DEPHASING, q),
+        [0.2, 0.3],
+        "mixing parameter",
+    ),
+    "classical_use_channel_rows": (
+        lambda q: classical_use_channel_rows(DEPHASING, q),
+        [0.2, 0.3],
+        "mixing parameter",
+    ),
+    **{
+        f"{rows.__name__}.p": (
+            lambda p, rows=rows: rows(p, [0.2, 0.3]),
+            [0.1, 0.2],
+            "error probability",
+        )
+        for rows in ROW_FUNCTIONS
+    },
+    **{
+        f"{rows.__name__}.q": (lambda q, rows=rows: rows(0.3, q), [0.2, 0.3], "mixing parameter")
+        for rows in ROW_FUNCTIONS
+    },
+}
+TAKE_COMPLEX = {*MATRIX_ENTRY_POINTS, "hermitian_eigenvalues", "tensor.a", "tensor.b"}
+
+
+def _with_leaf(value, leaf):
+    """Nested lists ``value`` with their first innermost entry replaced by ``leaf``."""
+    if isinstance(value, list):
+        return [_with_leaf(value[0], leaf), *value[1:]]
+    return leaf
+
+
+def _non_numbers(name, value):
+    """(label, refused variant of ``value``) pairs for the entry point ``name``: each
+    ``NOT_REAL`` entry (no complex ones where complex entries are taken) in
+    place of one entry and one level deeper, a bool array, an object array
+    holding None, and ragged nesting."""
+    depth = np.ndim(value)
+    for leaf in NOT_REAL:
+        if not (name in TAKE_COMPLEX and isinstance(leaf, complex)):
+            yield f"{leaf!r} at depth {depth}", _with_leaf(value, leaf)
+            yield f"{leaf!r} at depth {depth + 1}", [_with_leaf(value, leaf)]
+    yield "bool array", np.array(value, dtype=bool)
+    yield "object array holding None", np.array(_with_leaf(value, None), dtype=object)
+    yield "ragged", _with_leaf(value, [0.5, 0.5])
+
+
+NON_NUMBER_CASES = [
+    pytest.param(call, bad, argument, id=f"{name}-{label}")
+    for name, (call, value, argument) in {**MATRIX_ENTRY_POINTS, **ARRAY_ENTRY_POINTS}.items()
+    for label, bad in _non_numbers(name, value)
+]
 
 # The stacked (m, d, d) check of KrausChannel: each refusal and its message.
 KRAUS_STACK_REFUSALS = {
@@ -248,8 +346,32 @@ class TestLibraryRefusals:
     @FIXED
     @given(bad=BAD_ENTRY, index=st.integers(min_value=0, max_value=15))
     def test_matrix_entry_points_refuse_non_finite_entries(self, name, bad, index):
+        call, value, _ = MATRIX_ENTRY_POINTS[name]
         with pytest.raises(ValueError):
-            MATRIX_ENTRY_POINTS[name](bad, index)
+            call(_with_entry(value, index, bad))
+
+    @pytest.mark.parametrize("call, bad, argument", NON_NUMBER_CASES)
+    def test_array_entry_points_refuse_non_numbers(self, call, bad, argument):
+        """Refused by the one reader, whose message starts with the argument's name."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{re.escape(argument)}: "):
+                call(bad)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_unitary(MAX_DIMENSION + 1, 0),
+            lambda: identity_channel(MAX_DIMENSION + 1),
+            lambda: basis_state(MAX_DIMENSION + 1, 0),
+        ],
+        ids=["random_unitary", "identity_channel", "basis_state"],
+    )
+    def test_dimensions_above_the_cap_are_refused_before_any_allocation(self, build, monkeypatch):
+        for name in ("empty", "zeros", "eye"):
+            monkeypatch.setattr(np, name, lambda *args, **kwargs: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_DIMENSION}"):
+            build()
 
     @FIXED
     @given(tol=BAD_TOL)
