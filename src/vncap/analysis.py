@@ -77,6 +77,12 @@ MAX_N_LIST = 16  # block lengths in one asymptotic_consistency call
 # already small against the per-trial work.
 TRIAL_CHUNK = 32
 
+# Golden-section steps per rows call when the capacity optimizer looks ahead:
+# one call takes the up to 2**5 - 1 = 31 points the next 5 steps can visit.
+# Depths 4 to 6 ran the dephasing capacities equally fast; each step more
+# doubles the points of a call.
+LOOKAHEAD_DEPTH = 5
+
 
 def _check_tolerance(tol: float) -> None:
     if not 0.0 < _real(tol, "tolerance") < math.inf:
@@ -115,8 +121,37 @@ class AuditReport:
     max_negative_slack: float
 
 
+def _golden_step(lo: float, hi: float, c: float, d: float, left: bool) -> tuple:
+    """One golden-section step on the bracket [lo, hi] with inner points c < d:
+    ``left`` (f(c) >= f(d)) keeps [lo, d], d becoming the old c, and else [c, hi],
+    c becoming the old d.  Returns the new (lo, hi, c, d) and the new inner point."""
+    if left:
+        hi, d = d, c
+        c = hi - _INV_GOLD * (hi - lo)
+        return lo, hi, c, d, c
+    lo, c = c, d
+    d = lo + _INV_GOLD * (hi - lo)
+    return lo, hi, c, d, d
+
+
+def _golden_tree(bracket: tuple, outcomes: tuple, depth: int, tol: float) -> list[float]:
+    """Every point that the next ``depth`` steps from ``bracket`` = (lo, hi, c, d)
+    can visit, the first step going each way in ``outcomes``: 2**depth - 1 points
+    at most for one outcome.  A path ends where hi - lo <= tol, as the search does."""
+    points = []
+    if depth and bracket[1] - bracket[0] > tol:
+        for left in outcomes:
+            *after, point = _golden_step(*bracket, left)
+            points.append(point)
+            points += _golden_tree(tuple(after), (True, False), depth - 1, tol)
+    return points
+
+
 def maximize_scalar_on_unit_interval(
-    f: Callable[[float], float], tol: float = 1e-10, rows: Callable | None = None
+    f: Callable[[float], float],
+    tol: float = 1e-10,
+    rows: Callable | None = None,
+    lookahead: bool = False,
 ) -> CapacityResult:
     """Maximize f over q in [0, 1]: 101-point grid scan, then golden-section.
 
@@ -126,14 +161,25 @@ def maximize_scalar_on_unit_interval(
     maxima (like q = 0.5 for symmetric channels) are reported exactly.
 
     ``rows(qs)``, if given, returns f on a whole list of q at once; the grid
-    scan calls it once, on ``CAPACITY_GRID``, in place of f, and its values
-    count as evaluations, checked alike.  ``tol``, at least
-    ``sys.float_info.epsilon``, is checked before any evaluation.
+    scan calls it once, on ``CAPACITY_GRID``, in place of f.  With
+    ``lookahead`` (which needs ``rows``) the golden-section steps run on rows
+    too: ``LOOKAHEAD_DEPTH`` steps at a time, one rows call takes every point
+    those steps can visit (the first comparison is known, so 2**depth - 1 at
+    most; the first call adds the two starting points and the next depth - 1
+    steps either way), and the steps are replayed on the looked-up values.  f
+    then evaluates only the refined midpoint.  An evaluation is a value the
+    search reads: each grid value, each point a step visits, the midpoint.
+    Only those are counted and checked, so a result, its count and its errors
+    are the same with or without ``lookahead`` when rows(qs) equals f at each q,
+    and a bad value at a point no step visits is never read.  ``tol``, at
+    least ``sys.float_info.epsilon``, is checked before any evaluation.
     """
     _check_tolerance(tol)
     eps = sys.float_info.epsilon
     if tol < eps:  # the interval cannot shrink below one ulp
         raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
+    if lookahead and rows is None:
+        raise ValueError("lookahead needs rows")
     evals = 0
 
     def checked(q: float, value) -> float:
@@ -145,16 +191,15 @@ def maximize_scalar_on_unit_interval(
             raise ValueError(f"non-finite objective value {value!r} at q={q!r}")
         return value
 
-    def evaluate(q: float) -> float:
-        return checked(q, f(q))
+    def batch(qs: Sequence[float], what: str) -> list:
+        """rows(qs), read as one array; its entries, as floats, skip the type check."""
+        values = _numbers(rows(qs), "objective value", 1, "iuf").tolist()
+        if len(values) != len(qs):
+            raise ValueError(f"expected {len(qs)} {what} values, got {len(values)}")
+        return values
 
     grid = CAPACITY_GRID
-    if rows is None:
-        values = list(map(f, grid))
-    else:  # read as one array; its entries, as floats, skip the type check
-        values = _numbers(rows(grid), "objective value", 1, "iuf").tolist()
-    if len(values) != len(grid):
-        raise ValueError(f"expected {len(grid)} grid values, got {len(values)}")
+    values = list(map(f, grid)) if rows is None else batch(grid, "grid")
     values = [checked(q, v) for q, v in zip(grid, values)]
     best = max(values)
     tied = [q for q, v in zip(grid, values) if v >= best - _TIE_ATOL]
@@ -166,18 +211,30 @@ def maximize_scalar_on_unit_interval(
     lo, hi = max(0.0, q_grid - 0.01), min(1.0, q_grid + 0.01)
     c = hi - _INV_GOLD * (hi - lo)
     d = lo + _INV_GOLD * (hi - lo)
+    ahead: dict[float, float] = {}  # look-ahead values, read when a step visits them
+
+    def look_ahead(qs: list[float]) -> None:
+        qs = list(dict.fromkeys(qs))
+        ahead.update(zip(qs, batch(qs, "look-ahead")))
+
+    def evaluate(q: float) -> float:
+        return checked(q, ahead[q] if lookahead else f(q))
+
+    if lookahead:
+        look_ahead([c, d, *_golden_tree((lo, hi, c, d), (True, False), LOOKAHEAD_DEPTH - 1, tol)])
     fc, fd = evaluate(c), evaluate(d)
     while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLD * (hi - lo)
-            fc = evaluate(c)
+        left = fc >= fd
+        *after, point = _golden_step(lo, hi, c, d, left)
+        if lookahead and point not in ahead:
+            look_ahead(_golden_tree((lo, hi, c, d), (left,), LOOKAHEAD_DEPTH, tol))
+        lo, hi, c, d = after
+        if left:
+            fd, fc = fc, evaluate(c)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLD * (hi - lo)
-            fd = evaluate(d)
+            fc, fd = fd, evaluate(d)
     q_ref = 0.5 * (lo + hi)
-    v_ref = evaluate(q_ref)
+    v_ref = checked(q_ref, f(q_ref))
     if v_ref > v_grid + _TIE_ATOL:
         return CapacityResult(v_ref, q_ref, evals)
     return CapacityResult(v_grid, q_grid, evals)
@@ -260,18 +317,14 @@ def inequality_slacks(
     All slacks are nonnegative when the implementation is correct.  The
     one-row call of the stacked audit routine.
     """
-    d = rho_single.dim
+    b1, b2, d = _branches(ch1, "ch1"), _branches(ch2, "ch2"), rho_single.dim
     if not ch1.input_dim == ch2.input_dim == d or rho_pair.dim != d * d:
         raise ValueError(
             f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
             f"inputs on {d} and {rho_pair.dim}"
         )
-    rows = _inequality_rows(
-        _branches(ch1),
-        _branches(ch2),
-        _purify_rows(rho_single.matrix[np.newaxis]),
-        _purify_rows(rho_pair.matrix[np.newaxis]),
-    )
+    single, pair = (_purify_rows(rho.matrix[np.newaxis]) for rho in (rho_single, rho_pair))
+    rows = _inequality_rows(b1, b2, single, pair)
     return _one_row(rows)
 
 
@@ -319,18 +372,13 @@ def mixture_axiom_slacks(
     The one-row call of the stacked audit routine.
     """
     w = _unit_interval(weight, "mixture weight")
+    b1, b2 = _branches(ch1, "ch1"), _branches(ch2, "ch2")
     if not ch1.input_dim == ch2.input_dim == rho1.dim == rho2.dim:
         raise ValueError(
             f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
             f"inputs on {rho1.dim} and {rho2.dim}"
         )
-    rows = _mixture_rows(
-        _branches(ch1),
-        _branches(ch2),
-        rho1.matrix[np.newaxis],
-        rho2.matrix[np.newaxis],
-        np.array([w]),
-    )
+    rows = _mixture_rows(b1, b2, rho1.matrix[np.newaxis], rho2.matrix[np.newaxis], np.array([w]))
     return _one_row(rows)
 
 

@@ -58,6 +58,7 @@ from .qmat import (
     _check_unitary,
     _dimension,
     _numbers,
+    _real,
     clamp_spectrum,
     _unit_interval,
     _unit_intervals,
@@ -79,9 +80,10 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not len(self.operators):
+        empty = isinstance(self.operators, (tuple, list)) and not self.operators
+        ops = None if empty else _as_complex_array(self.operators, "Kraus operators", 3)
+        if empty or not len(ops):  # read, an empty list would fail the 3-axis check
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = _as_complex_array(self.operators, "Kraus operators", 3)  # one (m, d, d) stack
         _check_complete(ops.swapaxes(0, 1)[np.newaxis])
         object.__setattr__(self, "operators", tuple(ops))
 
@@ -182,8 +184,14 @@ def purify(rho_q: DensityMatrix) -> PureState:
     return PureState(_purify_rows(rho_q.matrix[np.newaxis])[0], (rho_q.dim, rho_q.dim))
 
 
-def _branches(ch: KrausChannel) -> np.ndarray:
-    """The one-row stack B[0, q_out, k, q_in]: B[0, :, k, :] is the k-th Kraus operator."""
+def _branches(ch: KrausChannel, name: str = "channel") -> np.ndarray:
+    """The one-row stack B[0, q_out, k, q_in]: B[0, :, k, :] is the k-th Kraus operator.
+
+    The one channel-type check: every entry point that takes a channel reads it
+    here, before anything else of it, and anything but a ``KrausChannel`` raises
+    ValueError "<name> must be a KrausChannel"."""
+    if not isinstance(ch, KrausChannel):
+        raise ValueError(f"{name} must be a KrausChannel, got {type(ch).__name__}")
     return np.stack(ch.operators, axis=1)[np.newaxis]
 
 
@@ -245,10 +253,10 @@ def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
     from ``purify``'s purification by a unitary on R, which changes no entry,
     so the rows agree with ``run_channel`` to rounding.
     """
+    branches = _branches(ch)
     if ch.input_dim != 2:
         raise ValueError("diagonal inputs diag(q, 1 - q) need a single-qubit channel")
     qs = _unit_intervals(q_values, "mixing parameter")
-    branches = _branches(ch)
     return ChannelTranscript.from_entropies(
         *_chunked_rows(lambda q: _diagonal_chunk(branches, q), qs)
     )
@@ -256,11 +264,11 @@ def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """The output density matrix sum_k K_k rho K_k^dag (factor layout preserved)."""
+    branches = _branches(ch)[0]
     if ch.input_dim != rho.dim:
         raise ValueError(
             f"dimension mismatch: channel is {ch.input_dim}-dim, state is {rho.dim}-dim"
         )
-    branches = _branches(ch)[0]
     out = np.einsum("akb,bc,dkc->ad", branches, rho.matrix, branches.conj())
     return DensityMatrix(out, rho.dims)
 
@@ -279,10 +287,10 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
         ChannelTranscript, or (ChannelTranscript, PureState) with
         ``return_state=True``.
     """
-    d = rho_q.dim
+    branches, d = _branches(ch), rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
-    columns, out = _transcript_rows(_branches(ch), _purify_rows(rho_q.matrix[np.newaxis]))
+    columns, out = _transcript_rows(branches, _purify_rows(rho_q.matrix[np.newaxis]))
     transcript = ChannelTranscript.from_entropies(*columns[:, 0].tolist())
     if return_state:
         return transcript, PureState(out[0], out.shape[1:])  # (Q', R, E'), its norm checked
@@ -320,11 +328,12 @@ def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     so the branch register is E1 (tensor) E2, E1 slowest.  The one-row call of
     ``_chain_rows``.
     """
+    b1, b2 = _branches(ch1, "ch1"), _branches(ch2, "ch2")
     if ch1.input_dim != ch2.input_dim:
         raise ValueError(
             f"dimension mismatch: {ch1.input_dim}-dim output into {ch2.input_dim}-dim channel"
         )
-    return _from_branches(_chain_rows(_branches(ch1), _branches(ch2)))
+    return _from_branches(_chain_rows(b1, b2))
 
 
 def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
@@ -334,7 +343,7 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     the input is Q1 (tensor) Q2 and the branch register E1 (tensor) E2, the first
     factor slowest in each.  The one-row call of ``_parallel_rows``.
     """
-    return _from_branches(_parallel_rows(_branches(ch1), _branches(ch2)))
+    return _from_branches(_parallel_rows(_branches(ch1, "ch1"), _branches(ch2, "ch2")))
 
 
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
@@ -366,8 +375,12 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
 
     Covers the triangle bounds 0 <= L <= 2 min(S, S_e) and the exchange-entropy
     Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1), half the
-    quantum-code Fano bound at code dimension d_Q d_R.
+    quantum-code Fano bound at code dimension d_Q d_R.  Each entry of ``t`` is read
+    by ``_real``, so anything but a real number raises ValueError.
     """
+    if not isinstance(t, ChannelTranscript):
+        raise ValueError(f"transcript must be a ChannelTranscript, got {type(t).__name__}")
+    t = ChannelTranscript(*(_real(value, f"transcript {key}") for key, value in vars(t).items()))
     return {key: float(slack) for key, slack in _slack_columns(t, d_q * d_r).items()}
 
 

@@ -69,14 +69,17 @@ USES = {
     "classical": ("p,q,mutual,loss", 0),  # mutual
 }
 
-# Channel families: (channel, use) -> (point, rows, closed_form).  point(p) is the
-# capacity objective at one p: the function of q that gives the tuple
-# (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for classical use.
-# rows(p, qs) gives those columns as arrays over aligned p and q arrays, or over
-# a q list at one p, each distinct p checked once and the q array as a whole; the
-# closed form is the capacity's.  The rows come from the array closed forms and the stacked kernels;
-# the points stay scalar, so capacity's golden-section steps run the scalar
-# closed forms and ``run_channel``.  Each rows entry looks its function up on
+# Channel families: (channel, use) -> (point, rows, closed_form, lookahead).
+# point(p) is the capacity objective at one p: the function of q that gives the
+# tuple (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for classical
+# use.  rows(p, qs) gives those columns as arrays over aligned p and q arrays, or
+# over a q list at one p, each distinct p checked once and the q array as a whole;
+# the closed form is the capacity's.  The rows come from the array closed forms
+# and the stacked kernels.  capacity's grid runs on rows; its golden-section steps
+# run on rows too where lookahead is set (the dephasing pair, whose scalar point
+# is a whole run_channel or classical-use simulation), and on the scalar closed
+# forms otherwise, which cost a tenth of a one-row call.  point evaluates the
+# refined midpoint either way.  Each rows entry looks its function up on
 # ``depolarizing`` at call time, so a wrapper installed on the module (perfbench's
 # tracer, a test's monkeypatch) sees the call.
 
@@ -108,31 +111,38 @@ FAMILIES = {
         _depolarizing_quantum,
         lambda p, qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
         depolarizing.quantum_capacity,
+        False,
     ),
     ("depolarizing", "classical"): (
         _depolarizing_classical,
         lambda p, qs: depolarizing.classical_use_transcript_rows(p, qs),
         depolarizing.classical_capacity,
+        False,
     ),
     ("dephasing", "quantum"): (
         _dephasing_quantum,
         lambda p, qs: _quantum_columns(depolarizing.dephasing_transcript_rows(p, qs)),
         depolarizing.dephasing_mutual,
+        True,
     ),
     ("dephasing", "classical"): (
         _dephasing_classical,
         lambda p, qs: depolarizing.dephasing_classical_rows(p, qs),
         lambda p: 1.0,  # dephasing is lossless for classical bits
+        True,
     ),
 }
 
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
-    point, rows, closed_form = FAMILIES[args.channel, args.use]
+    point, rows, closed_form, lookahead = FAMILIES[args.channel, args.use]
     objective, column = point(p), USES[args.use][1]
     result = analysis.maximize_scalar_on_unit_interval(
-        lambda q: objective(q)[column], args.tol, rows=lambda qs: rows(p, qs)[column]
+        lambda q: objective(q)[column],
+        args.tol,
+        rows=lambda qs: rows(p, qs)[column],
+        lookahead=lookahead,
     )
     closed = closed_form(p)
     print(f"channel: {args.channel}")

@@ -315,10 +315,10 @@ def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
     The inputs are one (N, 2, 2, 2) amplitude stack on (Q, X, R), sent by the
     stacked kernel of ``channel.diagonal_transcripts``.
     """
+    branches = _branches(ch)
     if ch.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
     qs = _unit_intervals(q_values, "mixing parameter")
-    branches = _branches(ch)
     return tuple(_chunked_rows(lambda q: _classical_chunk(branches, q), qs))
 
 

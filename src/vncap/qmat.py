@@ -132,13 +132,16 @@ def _check_residual(resid, atol: float, what: str) -> None:
 
 def _as_complex_array(values, name: str, ndim: int | None) -> np.ndarray:
     """A read-only complex copy of ``values``, read by ``_numbers``, all entries finite:
-    a square matrix or a stack of them (``ndim`` axes, the last two equal), or with
-    ``ndim=None`` an array of any shape, flattened into a vector."""
+    a square matrix of dimension at least 1 or a stack of them (``ndim`` axes, the
+    last two equal), or with ``ndim=None`` an array of any shape, flattened into a
+    vector."""
     arr = _numbers(values, name, ndim, "iufc").astype(np.complex128)  # always a copy
     if ndim is None:
         arr = arr.ravel()
     elif arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name}: expected square matrices, the last two equal, got {arr.shape}")
+    elif not arr.shape[-1]:
+        raise ValueError(f"{name}: expected dimension >= 1, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # every matrix entry point, before any residual
         raise ValueError(f"{name}: array has non-finite (NaN or infinite) entries")
     arr.setflags(write=False)

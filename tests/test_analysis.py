@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from vncap import analysis, channel, qmat
+from vncap import analysis, channel, cli, qmat
 from vncap.qmat import DensityMatrix, PureState
 from vncap.channel import ChannelTranscript, chain, identity_channel, run_channel
 from vncap.entropy import pure_subsystem_entropy
@@ -163,6 +163,100 @@ class TestPrecomputedGrid:
         for tol in (0.0, -1e-3, math.nan, math.inf, sys.float_info.epsilon / 2):
             with pytest.raises(ValueError, match="tolerance"):
                 maximize_scalar_on_unit_interval(lambda q: 0.0, tol, rows=rows)
+
+
+# The look-ahead's p grid: 0, 0.01, ..., 1 and 100 seeded random p.
+LOOKAHEAD_PS = [i / 100 for i in range(101)] + np.random.default_rng(19).random(100).tolist()
+
+
+def _bits(result: CapacityResult) -> tuple:
+    return result.value.hex(), result.argmax_q.hex(), result.evaluations
+
+
+def _peak(q):
+    return -((q - 0.37) ** 2)
+
+
+def _rows_of(f):
+    return lambda qs: [f(q) for q in qs]
+
+
+class TestLookAhead:
+    """``lookahead`` steps the golden section through rows calls and replays it."""
+
+    @pytest.mark.parametrize("family", sorted(cli.FAMILIES), ids="-".join)
+    def test_equals_the_sequential_steps_bit_for_bit(self, family):
+        """Every CLI family, with and without look-ahead: the same CapacityResult, its
+        evaluation count included, and with look-ahead one point call, at the midpoint."""
+        point, rows, _, _ = cli.FAMILIES[family]
+        column = cli.USES[family[1]][1]
+        for p in LOOKAHEAD_PS:
+            objective, calls = point(p), []
+
+            def f(q):
+                calls.append(q)
+                return objective(q)[column]
+
+            def search(lookahead):
+                calls.clear()
+                return maximize_scalar_on_unit_interval(
+                    f, rows=lambda qs: rows(p, qs)[column], lookahead=lookahead
+                )
+
+            sequential = search(False)
+            assert _bits(search(True)) == _bits(sequential), p
+            assert len(calls) == (sequential.evaluations > 101), p  # 0 on a flat grid
+
+    def test_values_are_read_only_where_a_step_visits(self):
+        """A NaN at a look-ahead point that no step visits goes unseen; a NaN at a
+        visited point raises the sequential search's error."""
+        visited, batches = [], []
+        sequential = maximize_scalar_on_unit_interval(
+            lambda q: visited.append(q) or _peak(q), rows=_rows_of(_peak)
+        )
+
+        def rows(qs):
+            batches.append(list(qs))
+            return [_peak(q) for q in qs]
+
+        ahead = maximize_scalar_on_unit_interval(_peak, rows=rows, lookahead=True)
+        assert _bits(ahead) == _bits(sequential)
+        assert batches[0] == list(CAPACITY_GRID)
+        looked_up = [q for batch in batches[1:] for q in batch]
+        assert max(map(len, batches[1:])) <= 2**analysis.LOOKAHEAD_DEPTH
+        steps = visited[:-1]  # the last point is the midpoint, which f evaluates
+        assert set(steps) <= set(looked_up) and visited[-1] not in looked_up
+        unvisited = [q for q in looked_up if q not in visited]
+        assert unvisited
+
+        def nan_at(q_bad):
+            return lambda q: math.nan if q == q_bad else _peak(q)
+
+        for q_bad in (unvisited[0], unvisited[len(unvisited) // 2], unvisited[-1]):
+            result = maximize_scalar_on_unit_interval(
+                _peak, rows=_rows_of(nan_at(q_bad)), lookahead=True
+            )
+            assert _bits(result) == _bits(sequential)
+        for q_bad in (steps[0], steps[1], steps[len(steps) // 2], steps[-1], visited[-1]):
+            with pytest.raises(ValueError, match="non-finite objective value nan") as expected:
+                maximize_scalar_on_unit_interval(nan_at(q_bad), rows=_rows_of(_peak))
+            with pytest.raises(ValueError) as got:
+                maximize_scalar_on_unit_interval(
+                    nan_at(q_bad), rows=_rows_of(nan_at(q_bad)), lookahead=True
+                )
+            assert str(got.value) == str(expected.value)
+            assert str(got.value) == f"non-finite objective value nan at q={q_bad!r}"
+
+    def test_refuses_a_wrong_length_look_ahead(self):
+        def rows(qs):
+            return [_peak(q) for q in qs][: 101 if len(qs) == 101 else -1]
+
+        with pytest.raises(ValueError, match="look-ahead values"):
+            maximize_scalar_on_unit_interval(_peak, rows=rows, lookahead=True)
+
+    def test_needs_rows(self):
+        with pytest.raises(ValueError, match="lookahead needs rows"):
+            maximize_scalar_on_unit_interval(_peak, lookahead=True)
 
 
 class TestMaximizeCapacity:

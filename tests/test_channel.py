@@ -13,7 +13,7 @@ from vncap.qmat import (
     tensor,
 )
 from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
-from vncap import channel, cli, depolarizing
+from vncap import analysis, channel, cli, depolarizing
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
@@ -600,16 +600,25 @@ class TestStackedKernel:
         assert (len(builds), checks) == (2, [1])
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
-        """The 101 grid points take 3 eigensolves; the 43 golden-section steps
-        each run run_channel on a diagonal density matrix."""
-        runs = []
+        """The 101 grid points are one row call of 3 eigensolves; the 42
+        golden-section steps look ahead through 8 more row calls of 3 each, and
+        only the refined midpoint runs run_channel on a diagonal density matrix."""
+        runs, batches = [], []
         monkeypatch.setattr(cli, "run_channel", lambda *a: runs.append(1) or run_channel(*a))
+        rows_of = depolarizing.dephasing_transcript_rows
+        monkeypatch.setattr(
+            depolarizing,
+            "dephasing_transcript_rows",
+            lambda p, qs: batches.append(len(qs)) or rows_of(p, qs),
+        )
         counts = eigensolve_counts(monkeypatch)
         assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 0
         assert "evaluations: 144" in capsys.readouterr().out
-        assert len(runs) == 144 - 101
-        # each step: the density matrix's spectrum, purify's eigh, three entropies
-        assert counts == {"eigvalsh": 3 + 4 * 43, "eigh": 43, "density": 43}
+        assert len(runs) == 1
+        assert batches[0] == 101 and len(batches) == 1 + 8
+        assert max(batches[1:]) <= 2**analysis.LOOKAHEAD_DEPTH
+        # the midpoint: the density matrix's spectrum, purify's eigh, three entropies
+        assert counts == {"eigvalsh": 3 * 9 + 4, "eigh": 1, "density": 1}
 
     def test_capacity_refuses_a_nan_in_the_batched_grid(self, monkeypatch, capsys):
         rows_of = depolarizing.dephasing_transcript_rows

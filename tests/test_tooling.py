@@ -7,7 +7,13 @@ fails this check.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vncap"
 
@@ -187,3 +193,47 @@ def test_raw_array_check_sees_each_kind_of_read():
         "b.C.__post_init__",
         "b.C.public",
     ]
+
+
+ROOT = SRC.parents[1]
+WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench/run.py, imported as the harness runs it: its directory and ``src/``
+    on the path, one BLAS thread unless set.  The path, the environment and
+    ``sys.modules`` are put back afterwards."""
+    modules = set(sys.modules)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        patch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        patch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up there
+        spec.loader.exec_module(run)
+        yield run
+    bench = str(ROOT / "perfbench")
+    for name in set(sys.modules) - modules:  # perfbench's own: checks, spans, speed, ...
+        if str(getattr(sys.modules[name], "__file__", "")).startswith(bench):
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in WORKLOADS])
+def test_every_listed_per_layer_metric_has_a_value(perfbench, workload):
+    """One block untraced and one traced, as ``run.py --trace 1`` runs its two halves:
+    every per-layer metric that BENCHMARK.json lists has a value on every workload.
+    ``run.py`` exits 1 when one has none."""
+    blocks = perfbench.block_stream(workload, 7)
+    untraced = perfbench.run_phase(blocks, 0.0)  # a zero budget stops after one block
+    tracer = perfbench.Tracer(perfbench.vncap)
+    tracer.install()
+    try:
+        traced = perfbench.run_phase(blocks, 0.0, tracer)
+    finally:
+        tracer.uninstall()
+    assert (untraced.blocks, traced.blocks) == (1, 1)
+    assert untraced.failures == traced.failures == []
+    metrics = perfbench.per_layer(tracer, traced, untraced)
+    listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in listed if metrics.get(m["name"], (None,))[0] is None] == []

@@ -29,18 +29,25 @@ from vncap.analysis import (
     audit_axioms,
     audit_inequalities,
     hamming_holds,
+    inequality_slacks,
     maximize_scalar_on_unit_interval,
     mixture_axiom_slacks,
     search_coherent_info_violations,
     _sphere_volume,
 )
 from vncap.channel import (
+    ChannelTranscript,
     KrausChannel,
+    apply_channel,
+    chain,
     diagonal_transcripts,
     dilation_channel,
     identity_channel,
     kraus_channel_from_json,
+    parallel,
     quantum_fano_bound,
+    run_channel,
+    transcript_slacks,
 )
 from vncap.depolarizing import (
     LOG2_3,
@@ -255,6 +262,10 @@ NON_NUMBER_CASES = [
 # The stacked (m, d, d) check of KrausChannel: each refusal and its message.
 KRAUS_STACK_REFUSALS = {
     "empty": ((), "at least one Kraus operator"),
+    "empty list": ([], "at least one Kraus operator"),
+    "empty stack": (np.zeros((0, 2, 2)), "at least one Kraus operator"),
+    "dimension 0": (np.zeros((1, 0, 0)), "Kraus operators: expected dimension >= 1"),
+    "not a stack": (5, "Kraus operators: expected 3 axes"),
     "mixed shapes": ((np.eye(2) / 2, np.eye(3) / 2), "mixed shapes"),
     "mixed ranks": ((np.eye(2), np.ones(2)), "mixed shapes"),
     "not square": ((np.ones((2, 3)),), "last two equal"),
@@ -262,6 +273,50 @@ KRAUS_STACK_REFUSALS = {
     "inf": ((np.eye(2), np.diag([0.0, math.inf])), "non-finite"),
     "not trace preserving": ((np.eye(2) / 2, np.eye(2) / 2), "trace preserving"),
 }
+
+# Square matrices of dimension 0: name -> (the call, the argument's name).
+ZERO_DIMENSION = {
+    "DensityMatrix": (lambda: DensityMatrix(np.zeros((0, 0))), "density matrix"),
+    "KrausChannel": (lambda: KrausChannel(np.zeros((1, 0, 0))), "Kraus operators"),
+    "hermitian_eigenvalues": (lambda: hermitian_eigenvalues(np.zeros((0, 0))), "matrix"),
+    "dilation_channel": (
+        lambda: dilation_channel(np.zeros((0, 0)), 1, basis_state(1, 0)),
+        "unitary",
+    ),
+}
+
+# Every public slot that takes a channel: name -> (the call on that slot, its name).
+CHANNEL_SLOTS = {
+    "chain.ch1": (lambda ch: chain(ch, DEPHASING), "ch1"),
+    "chain.ch2": (lambda ch: chain(DEPHASING, ch), "ch2"),
+    "parallel.ch1": (lambda ch: parallel(ch, DEPHASING), "ch1"),
+    "parallel.ch2": (lambda ch: parallel(DEPHASING, ch), "ch2"),
+    "run_channel": (lambda ch: run_channel(ch, MIXED), "channel"),
+    "apply_channel": (lambda ch: apply_channel(ch, MIXED), "channel"),
+    "diagonal_transcripts": (lambda ch: diagonal_transcripts(ch, [0.2]), "channel"),
+    "classical_use_channel_rows": (lambda ch: classical_use_channel_rows(ch, [0.2]), "channel"),
+    "classical_use_channel_simulation": (
+        lambda ch: classical_use_channel_simulation(ch, 0.2),
+        "channel",
+    ),
+    "inequality_slacks.ch1": (
+        lambda ch: inequality_slacks(ch, DEPHASING, MIXED, MIXED_PAIR),
+        "ch1",
+    ),
+    "inequality_slacks.ch2": (
+        lambda ch: inequality_slacks(DEPHASING, ch, MIXED, MIXED_PAIR),
+        "ch2",
+    ),
+    "mixture_axiom_slacks.ch1": (
+        lambda ch: mixture_axiom_slacks(ch, DEPHASING, MIXED, MIXED, 0.5),
+        "ch1",
+    ),
+    "mixture_axiom_slacks.ch2": (
+        lambda ch: mixture_axiom_slacks(DEPHASING, ch, MIXED, MIXED, 0.5),
+        "ch2",
+    ),
+}
+NOT_CHANNELS = ["x", 5, None, np.eye(2), [EYE2], DEPHASING.operators]
 
 # Counts must be integers; none is truncated or rounded.
 NON_INTEGER_COUNTS = {
@@ -483,6 +538,32 @@ class TestLibraryRefusals:
         operators, message = KRAUS_STACK_REFUSALS[name]
         with pytest.raises(ValueError, match=message):
             KrausChannel(operators)
+
+    @pytest.mark.parametrize("name", sorted(ZERO_DIMENSION))
+    def test_dimension_zero_is_refused(self, name):
+        call, argument = ZERO_DIMENSION[name]
+        with pytest.raises(ValueError, match=f"^{argument}: expected dimension >= 1"):
+            call()
+
+    @pytest.mark.parametrize("bad", NOT_CHANNELS, ids=lambda bad: type(bad).__name__)
+    @pytest.mark.parametrize("name", sorted(CHANNEL_SLOTS))
+    def test_channel_slots_refuse_non_channels(self, name, bad):
+        call, slot = CHANNEL_SLOTS[name]
+        with pytest.raises(ValueError, match=f"^{slot} must be a KrausChannel"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", NOT_REAL + [[0.5], np.array([0.5, 0.5])], ids=repr)
+    def test_transcript_slacks_read_each_entry_as_a_real(self, bad):
+        fields = [0.5] * 7
+        for index in range(7):
+            transcript = ChannelTranscript(*fields[:index], bad, *fields[index + 1 :])
+            with pytest.raises(ValueError, match="^transcript .* must be a real number"):
+                transcript_slacks(transcript)
+        with pytest.raises(ValueError, match="^transcript must be a ChannelTranscript"):
+            transcript_slacks(fields)
+        # numpy reals are read as floats, to the same slacks
+        as_numpy = ChannelTranscript(*map(np.float64, fields))
+        assert transcript_slacks(as_numpy) == transcript_slacks(ChannelTranscript(*fields))
 
 
 class TestInRangeValuesUnchanged:
