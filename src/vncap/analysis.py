@@ -13,7 +13,9 @@ parallel pairs are composed on the Kraus branches (16 branches on a 2- or
 implementation bug, never physics; the audit exists to catch the former.
 
 The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
-densities and weights are drawn in the seeded per-trial order; its unitaries
+densities and weights are drawn in the seeded per-trial order, each trial's
+seeds in one generator call and its weights in another, and the chunk's
+weights are normalized at once; its unitaries
 come from one stacked QR and get one unitarity check, its channels are
 composed as (T, ...) branch stacks with one completeness check per stack, its
 inputs enter the one transcript kernel as amplitude stacks (the diagonal
@@ -52,6 +54,7 @@ from .qmat import (
     _as_count,
     _at_least,
     _check_normalized,
+    _check_state,
     _check_unitary,
     _numbers,
     _random_unitaries,
@@ -317,7 +320,10 @@ def inequality_slacks(
     All slacks are nonnegative when the implementation is correct.  The
     one-row call of the stacked audit routine.
     """
-    b1, b2, d = _branches(ch1, "ch1"), _branches(ch2, "ch2"), rho_single.dim
+    b1, b2 = _branches(ch1, "ch1"), _branches(ch2, "ch2")
+    _check_state(rho_single, DensityMatrix, "rho_single")
+    _check_state(rho_pair, DensityMatrix, "rho_pair")
+    d = rho_single.dim
     if not ch1.input_dim == ch2.input_dim == d or rho_pair.dim != d * d:
         raise ValueError(
             f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
@@ -373,6 +379,8 @@ def mixture_axiom_slacks(
     """
     w = _unit_interval(weight, "mixture weight")
     b1, b2 = _branches(ch1, "ch1"), _branches(ch2, "ch2")
+    _check_state(rho1, DensityMatrix, "rho1")
+    _check_state(rho2, DensityMatrix, "rho2")
     if not ch1.input_dim == ch2.input_dim == rho1.dim == rho2.dim:
         raise ValueError(
             f"dimension mismatch: channels on {ch1.input_dim} and {ch2.input_dim} dims, "
@@ -390,13 +398,16 @@ def _coherent_concavity_rows(
     return i_mix - (w * i_1 + (1.0 - w) * i_2)
 
 
-def _draw_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
+def _draw_seeds(rng: np.random.Generator, n: int) -> list[int]:
+    """n seeds in one generator call, each the one ``int(rng.integers(0, 2**63))`` draws."""
+    return rng.integers(0, 2**63, size=n).tolist()
 
 
-def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
-    weights = rng.random(n) + 1e-12
-    return weights / weights.sum()
+def _normalized(draws: np.ndarray) -> np.ndarray:
+    """Weights from a stack of ``rng.random`` draws: each row shifted by 1e-12, then
+    divided by its sum, all rows at once."""
+    weights = draws + 1e-12
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
@@ -423,16 +434,20 @@ def _chunks(trials: int):
 
 def _inequality_chunks(seed: int, trials: int):
     """Per chunk of trials: each trial's parameters and the slack arrays of
-    ``_inequality_rows``, the draws in the seeded per-trial order."""
+    ``_inequality_rows``, the draws in the seeded per-trial order.
+
+    Each trial draws its two channel seeds in one call and the weights of its
+    single (2) and pair (4) inputs in another; the chunk's weights are
+    normalized at once.
+    """
     rng = np.random.default_rng(seed)
     for chunk in _chunks(trials):
-        seeds, singles, pairs = [], [], []
-        for _ in chunk:
-            seeds += [_draw_seed(rng), _draw_seed(rng)]  # ch1, ch2
-            singles.append(_draw_weights(rng, 2))
-            pairs.append(_draw_weights(rng, 4))
+        seeds, draws = [], np.empty((len(chunk), 6))
+        for row in draws:
+            seeds += _draw_seeds(rng, 2)  # ch1, ch2
+            rng.random(out=row)
         branches = _random_dilations(seeds)
-        single, pair = _diagonal_amps(singles), _diagonal_amps(pairs)
+        single, pair = (_diagonal_amps(_normalized(w)) for w in (draws[:, :2], draws[:, 2:]))
         slacks = _inequality_rows(branches[0::2], branches[1::2], single, pair)
         yield [{"trial": i} for i in chunk], slacks
 
@@ -440,23 +455,25 @@ def _inequality_chunks(seed: int, trials: int):
 def _mixture_chunks(seed: int, trials: int, channels: int, score):
     """Per chunk of trials: each trial's parameters and ``score(branches, rho1, rho2, w)``.
 
-    Each trial draws ``channels`` channels, two densities (weights, then seed)
-    and a weight, in the seeded per-trial order; ``branches`` holds the
+    Each trial draws its ``channels`` channel seeds in one call, two densities
+    (weights, then seed) and a weight, in the seeded per-trial order; the
+    chunk's density weights are normalized at once.  ``branches`` holds the
     channels trial-major.
     """
     rng = np.random.default_rng(seed)
     for chunk in _chunks(trials):
-        seeds, weights, density_seeds, ws = [], [], [], []
-        for _ in chunk:
-            seeds += [_draw_seed(rng) for _ in range(channels)]
-            for _ in range(2):
-                weights.append(_draw_weights(rng, 2))
-                density_seeds.append(_draw_seed(rng))
-            ws.append(float(rng.uniform(0.05, 0.95)))
-        rhos = _random_densities(np.array(weights), density_seeds)
+        seeds, density_seeds = [], []
+        draws, ws = np.empty((len(chunk), 2, 2)), np.empty(len(chunk))  # (trial, rho, weight)
+        for i, pair in enumerate(draws):
+            seeds += _draw_seeds(rng, channels)
+            for row in pair:
+                rng.random(out=row)
+                density_seeds += _draw_seeds(rng, 1)
+            ws[i] = rng.uniform(0.05, 0.95)
+        rhos = _random_densities(_normalized(draws.reshape(2 * len(chunk), 2)), density_seeds)
         rho1, rho2 = (np.stack([rho.matrix for rho in rhos[i::2]]) for i in (0, 1))
-        slacks = score(_random_dilations(seeds), rho1, rho2, np.array(ws))
-        yield [{"trial": i, "weight": w} for i, w in zip(chunk, ws)], slacks
+        slacks = score(_random_dilations(seeds), rho1, rho2, ws)
+        yield [{"trial": i, "weight": w} for i, w in zip(chunk, ws.tolist())], slacks
 
 
 def _axiom_chunks(seed: int, trials: int):

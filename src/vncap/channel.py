@@ -9,13 +9,15 @@ B[n, q_out, k, q_in], B[n, :, k, :] the k-th Kraus operator of row n:
 ``_branches`` gives a channel's one-row stack and ``_from_branches`` turns one
 back into a channel.  Each of these is the one-row call of a routine on
 (N, ...) stacks (``_dilation_branches``, ``_chain_rows``, ``_parallel_rows``),
-which the audits call with a chunk of trials at once.
+which the audits call with a chunk of trials at once.  The stacked kernels
+contract on reshaped stacks with batched ``matmul`` calls (BLAS), and
+``_parallel_rows``, which sums over nothing, is one broadcast product.
 
 Every transcript comes from one kernel, ``_transcript_rows``: a stack of
-pure inputs on Q (tensor) R goes through one ``einsum`` against a branch stack
-(one row broadcast to every input, or one per input), Q through the isometry
-|q> -> sum_k K_k|q> |k>_E' into the branch register E', and all entropic
-quantities are read off each row's |Q'R'E'>:
+pure inputs on Q (tensor) R goes through one batched ``matmul`` against a
+branch stack (one row broadcast to every input, or one per input), Q through
+the isometry |q> -> sum_k K_k|q> |k>_E' into the branch register E', and all
+entropic quantities are read off each row's |Q'R'E'>:
 
     s_in   S      entropy of the reference (= input entropy)
     s_out  S'     entropy of the channel output
@@ -55,6 +57,7 @@ from .qmat import (
     _as_count,
     _at_least,
     _check_residual,
+    _check_state,
     _check_unitary,
     _dimension,
     _numbers,
@@ -122,8 +125,10 @@ class ChannelTranscript:
 def _check_complete(branches: np.ndarray) -> None:
     """Raise unless each branch tensor of an (N, a, k, b) stack is trace preserving,
     sum_k B_k^dag B_k = I."""
-    total = np.einsum("nakb,nakc->nbc", branches.conj(), branches)
-    resid = np.max(np.abs(total - np.eye(branches.shape[-1])), initial=0.0)  # NaN fails
+    n, a, k, b = branches.shape
+    flat = branches.reshape(n, a * k, b)
+    total = flat.conj().swapaxes(1, 2) @ flat
+    resid = np.max(np.abs(total - np.eye(b)), initial=0.0)  # NaN fails
     _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
 
 
@@ -149,6 +154,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
     ``_dilation_branches``.
     """
     u = _check_unitary(u_qe)
+    _check_state(env_initial, PureState, "env_initial")
     env_dim = _as_count(env_dim, "environment dimension")
     if env_dim < 1 or u.shape[0] % env_dim:
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
@@ -181,6 +187,7 @@ def purify(rho_q: DensityMatrix) -> PureState:
     dimension: the one-row call of ``_purify_rows``.  Tracing out R recovers
     the input within 1e-10.
     """
+    _check_state(rho_q, DensityMatrix, "rho_q")
     return PureState(_purify_rows(rho_q.matrix[np.newaxis])[0], (rho_q.dim, rho_q.dim))
 
 
@@ -200,9 +207,16 @@ def _send_rows(branches: np.ndarray, amps: np.ndarray) -> np.ndarray:
     factor 0 (Q) is sent and the branch register E' is appended last.
 
     ``branches`` is an (N, a, k, b) stack with one branch tensor per row, or a
-    one-row stack, which einsum broadcasts to every row.
+    one-row stack, which matmul broadcasts to every row.  One batched matmul of
+    each row's (a k, b) branch matrix with its (b, rest) amplitude matrix; the
+    result is a view with E' moved last.  Every size is explicit, so empty
+    stacks work.
     """
-    return np.einsum("nakb,nb...->na...k", branches, amps)
+    (nb, a, k, b), n, rest = branches.shape, amps.shape[0], amps.shape[2:]
+    size = math.prod(rest)
+    out = branches.reshape(nb, a * k, b) @ amps.reshape(n, b, size)
+    rows = out.shape[0]
+    return out.reshape(rows, a, k, size).swapaxes(2, 3).reshape(rows, a, *rest, k)
 
 
 def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +226,8 @@ def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     Returns the (4, N) columns S, S', S_e, F_e and the (N, Q', R, E') output stack.
     """
     out = _send_rows(branches, amps)
-    overlap = np.einsum("nar,nark->nk", amps.conj(), out)  # <QR| out, per branch
+    (n, a, r), k = amps.shape, out.shape[-1]
+    overlap = (amps.conj().reshape(n, 1, a * r) @ out.reshape(n, a * r, k))[:, 0]  # <QR| out
     fidelity = np.einsum("nk,nk->n", overlap, overlap.conj()).real
     entropies = _row_entropies(out, ((1,), (0,), (2,)))
     return np.vstack([entropies, fidelity]), out
@@ -265,6 +280,7 @@ def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """The output density matrix sum_k K_k rho K_k^dag (factor layout preserved)."""
     branches = _branches(ch)[0]
+    _check_state(rho, DensityMatrix, "rho")
     if ch.input_dim != rho.dim:
         raise ValueError(
             f"dimension mismatch: channel is {ch.input_dim}-dim, state is {rho.dim}-dim"
@@ -287,7 +303,9 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
         ChannelTranscript, or (ChannelTranscript, PureState) with
         ``return_state=True``.
     """
-    branches, d = _branches(ch), rho_q.dim
+    branches = _branches(ch)
+    _check_state(rho_q, DensityMatrix, "rho_q")
+    d = rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
     columns, out = _transcript_rows(branches, _purify_rows(rho_q.matrix[np.newaxis]))
@@ -299,6 +317,8 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
 
 def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -> float:
     """Overlap <QR| rho_out |QR> of a pure joint input with the evolved joint state."""
+    _check_state(rho_qr_in, DensityMatrix, "rho_qr_in")
+    _check_state(rho_qr_out, DensityMatrix, "rho_qr_out")
     _check_residual(
         abs(rho_qr_in.spectrum[0] - 1.0), PURITY_ATOL, "input is not a pure-state projector"
     )
@@ -310,15 +330,19 @@ def entanglement_fidelity(rho_qr_in: DensityMatrix, rho_qr_out: DensityMatrix) -
 def _chain_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """ch2(ch1(.)) for each row of the (N, d, m1, d) and (N, d, m2, d) branch stacks:
     B[n, a, (e, g), b] = sum_c B2[n, a, g, c] B1[n, c, e, b], E1 the slower index."""
-    n, d, m1, _ = b1.shape
-    return np.einsum("nagc,nceb->naegb", b2, b1).reshape(n, d, m1 * b2.shape[2], d)
+    (n1, d, m1, _), m2 = b1.shape, b2.shape[2]
+    out = b2.reshape(b2.shape[0], d * m2, d) @ b1.reshape(n1, d, m1 * d)  # (N, (a, g), (e, b))
+    n = out.shape[0]
+    return out.reshape(n, d, m2, m1, d).swapaxes(2, 3).reshape(n, d, m1 * m2, d)
 
 
 def _parallel_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """ch1 (tensor) ch2 for each row of two branch stacks:
     B[n, (a, c), (e, g), (b, d)] = B1[n, a, e, b] B2[n, c, g, d], the first factor slowest."""
-    (n, d1, m1, _), (d2, m2) = b1.shape, b2.shape[1:3]
-    return np.einsum("naeb,ncgd->nacegbd", b1, b2).reshape(n, d1 * d2, m1 * m2, d1 * d2)
+    (d1, m1), (d2, m2) = b1.shape[1:3], b2.shape[1:3]
+    new = np.newaxis
+    out = b1[:, :, new, :, new, :, new] * b2[:, new, :, new, :, new, :]  # (n, a, c, e, g, b, d)
+    return out.reshape(out.shape[0], d1 * d2, m1 * m2, d1 * d2)
 
 
 def chain(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:

@@ -56,6 +56,7 @@ from .qmat import (
     PureState,
     basis_state,
     tensor,
+    _check_state,
     _numbers,
     _unit_interval,
     _unit_intervals,
@@ -348,6 +349,8 @@ def kholevo_chi(probs, outputs) -> float:
     """chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i) for an output ensemble."""
     vec = check_prob_vector(probs)
     outputs = list(outputs)
+    for i, rho in enumerate(outputs):
+        _check_state(rho, DensityMatrix, f"outputs[{i}]")
     if len(outputs) != vec.size:
         raise ValueError(
             f"length mismatch: {vec.size} probabilities vs {len(outputs)} outputs"

@@ -21,6 +21,7 @@ from .qmat import (
     _as_count,
     _at_least,
     _check_residual,
+    _check_state,
     _numbers,
     _one_row,
     _real,
@@ -108,6 +109,7 @@ def relative_entropy_binary(p: float, r: float) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the clamped eigenvalue spectrum of a density matrix, in bits: the
     one-row call of ``_spectrum_entropies``."""
+    _check_state(rho, DensityMatrix, "rho")
     return float(_spectrum_entropies(rho.spectrum))
 
 
@@ -238,6 +240,7 @@ def venn2(rho_ab: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn2
         split: two disjoint groups of factor indices covering all factors,
             e.g. ``((0,), (1, 2))``.
     """
+    _check_state(rho_ab, DensityMatrix, "rho_ab")
     group_a, group_b = _check_partition(rho_ab.dims, split, 2)
     s_a = _group_entropy(rho_ab, group_a)
     s_b = _group_entropy(rho_ab, group_b)
@@ -259,6 +262,7 @@ def venn3(rho_abc: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn
     S(A|BC) = S(ABC) - S(BC), S(A:B|C) = S(AC) + S(BC) - S(C) - S(ABC), and
     the center S(A:B:C) = S(A) + S(B) + S(C) - S(AB) - S(AC) - S(BC) + S(ABC).
     """
+    _check_state(rho_abc, DensityMatrix, "rho_abc")
     ga, gb, gc = _check_partition(rho_abc.dims, split, 3)
     s_a = _group_entropy(rho_abc, ga)
     s_b = _group_entropy(rho_abc, gb)

@@ -151,9 +151,11 @@ def _as_complex_array(values, name: str, ndim: int | None) -> np.ndarray:
 def _check_normalized(amps: np.ndarray) -> None:
     """Raise unless each row ``amps[n]`` of a stack of state vectors has norm 1 within
     NORM_ATOL; ``PureState`` runs it as a one-row call."""
-    flat = amps.reshape(amps.shape[0], -1)
-    norms = np.sqrt(np.einsum("ni,ni->n", flat.conj(), flat).real)
-    _check_residual(np.abs(norms - 1.0).max(), NORM_ATOL, "state vector is not normalized")
+    n, size = amps.shape[0], math.prod(amps.shape[1:])
+    flat = amps.reshape(n, 1, size)
+    norms = np.sqrt((flat.conj() @ flat.swapaxes(1, 2))[:, 0, 0].real)
+    resid = np.abs(norms - 1.0).max(initial=0.0)
+    _check_residual(resid, NORM_ATOL, "state vector is not normalized")
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
@@ -233,6 +235,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _check_state(state, kind: type, name: str) -> None:
+    """The one state-type check: every public slot that takes a ``DensityMatrix`` or a
+    ``PureState`` (``kind``) runs it first, and anything else raises ValueError
+    "<name> must be a <kind>"."""
+    if not isinstance(state, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(state).__name__}")
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with ``a`` as the slower-varying (leftmost) factor."""
     return np.kron(_numbers(a, "factor a", None, "iufc"), _numbers(b, "factor b", None, "iufc"))
@@ -291,6 +301,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     Raises:
         ValueError: "bad subsystem index" for out-of-range/duplicate indices.
     """
+    _check_state(rho, DensityMatrix, "rho")
     dims = rho.dims
     n = len(dims)
     kept = tuple(sorted(_check_indices(keep, n)))
@@ -306,7 +317,9 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def _one_row(psi: PureState, keep: Iterable[int]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``psi`` as a one-row stack for the stacked routines, and ``keep`` checked and sorted."""
+    """``psi``, checked a PureState, as a one-row stack for the stacked routines, and
+    ``keep`` checked and sorted."""
+    _check_state(psi, PureState, "psi")
     return psi.amplitudes.reshape(1, *psi.dims), tuple(sorted(_check_indices(keep, len(psi.dims))))
 
 
@@ -362,14 +375,13 @@ def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
 
 def _random_unitaries(dim: int, seeds) -> np.ndarray:
     """``random_unitary(dim, seed)`` for every seed: an (N, dim, dim) stack from one
-    stacked QR and phase fix."""
+    stacked QR and phase fix.  Each seed's generator fills its real parts, then its
+    imaginary parts, with one ``standard_normal`` call."""
     dim = _dimension(dim)
-    z = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for row, seed in zip(z, seeds):
-        rng = np.random.default_rng(seed)
-        row.real = rng.standard_normal((dim, dim))
-        row.imag = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    parts = np.empty((len(seeds), 2, dim, dim))
+    for row, seed in zip(parts, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
     phases = np.diagonal(r, axis1=1, axis2=2)
     return q * (phases / np.abs(phases))[:, np.newaxis, :]
 

@@ -24,6 +24,14 @@ dephasing p, the rows stacked p-major.  ``dephasing_branches_per_p`` is the
 dephasing branch table as it was built before one stacked construction: one
 channel's operators per p, each stacked into its branch tensor.
 
+The einsum forms of the stacked contractions, which batched ``matmul`` calls
+and one broadcast product replaced, are kept to check those against:
+``einsum_send_rows``, ``einsum_overlaps``, ``einsum_chain_rows``,
+``einsum_parallel_rows``, ``einsum_completeness_residual`` and
+``einsum_norm_residual``.  So are the audits' per-trial draw loops, one
+generator call per number and each trial's weights normalized on their own
+(``inequality_draws``, ``mixture_draws``), to check the bulk draws against.
+
 ``random_dilation``, ``random_diagonal`` and ``random_density`` draw one
 channel or input from a generator the way the audits draw them, through the
 library's stacked draws, for tests that need a single random draw.
@@ -323,32 +331,35 @@ def scalar_coherent_slack(
     return i_mix - i_parts
 
 
-def random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
-    """One random qubit dilation, drawn as the audits draw each channel."""
-    return _from_branches(analysis._random_dilations([analysis._draw_seed(rng)], env_dim))
-
-
-def random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
-    """One random diagonal density matrix on ``dims``, drawn as the audits draw its weights."""
-    weights = analysis._draw_weights(rng, math.prod(dims))
-    return DensityMatrix(np.diag(weights.astype(np.complex128)), dims)
-
-
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """One random density matrix: weights, then the seed of its eigenbasis, as the audits draw."""
-    weights = analysis._draw_weights(rng, dim)[np.newaxis]
-    return analysis._random_densities(weights, [analysis._draw_seed(rng)])[0]
-
-
-def _draw_dilation(rng: np.random.Generator) -> KrausChannel:
-    seed = int(rng.integers(0, 2**63))
-    return dilation_channel(seeded_unitary(8, seed), 4, basis_state(4, 0))
+def _draw_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63))
 
 
 def _draw_weights(rng: np.random.Generator, n: int) -> np.ndarray:
     weights = rng.random(n) + 1e-12
     weights /= weights.sum()
     return weights
+
+
+def random_dilation(rng: np.random.Generator, env_dim: int = 4) -> KrausChannel:
+    """One random qubit dilation, drawn as the audits draw each channel."""
+    return _from_branches(analysis._random_dilations([_draw_seed(rng)], env_dim))
+
+
+def random_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
+    """One random diagonal density matrix on ``dims``, drawn as the audits draw its weights."""
+    weights = _draw_weights(rng, math.prod(dims))
+    return DensityMatrix(np.diag(weights.astype(np.complex128)), dims)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """One random density matrix: weights, then the seed of its eigenbasis, as the audits draw."""
+    weights = _draw_weights(rng, dim)[np.newaxis]
+    return analysis._random_densities(weights, [_draw_seed(rng)])[0]
+
+
+def _draw_dilation(rng: np.random.Generator) -> KrausChannel:
+    return dilation_channel(seeded_unitary(8, _draw_seed(rng)), 4, basis_state(4, 0))
 
 
 def _draw_diagonal(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
@@ -394,3 +405,67 @@ def coherent_trials(seed: int, trials: int) -> list[tuple[float, float]]:
         w = float(rng.uniform(0.05, 0.95))
         out.append((w, scalar_coherent_slack(ch, rho1, rho2, w)))
     return out
+
+
+def einsum_send_rows(branches: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``channel._send_rows`` as one einsum:
+    out[n, a, ..., k] = sum_b B[n, a, k, b] amps[n, b, ...]."""
+    return np.einsum("nakb,nb...->na...k", branches, amps)
+
+
+def einsum_overlaps(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """<QR| out per branch of each row, as ``channel._transcript_rows`` reads its fidelity."""
+    return np.einsum("nar,nark->nk", amps.conj(), out)
+
+
+def einsum_chain_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``channel._chain_rows`` as one einsum."""
+    n, d, m1, _ = np.broadcast_shapes(b1.shape[:1], b2.shape[:1]) + b1.shape[1:]
+    return np.einsum("nagc,nceb->naegb", b2, b1).reshape(n, d, m1 * b2.shape[2], d)
+
+
+def einsum_parallel_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``channel._parallel_rows`` as one einsum."""
+    (n,) = np.broadcast_shapes(b1.shape[:1], b2.shape[:1])
+    (d1, m1), (d2, m2) = b1.shape[1:3], b2.shape[1:3]
+    return np.einsum("naeb,ncgd->nacegbd", b1, b2).reshape(n, d1 * d2, m1 * m2, d1 * d2)
+
+
+def einsum_completeness_residual(branches: np.ndarray) -> float:
+    """max |sum_k B_k^dag B_k - I| over an (N, a, k, b) branch stack, as one einsum."""
+    total = np.einsum("nakb,nakc->nbc", branches.conj(), branches)
+    return float(np.max(np.abs(total - np.eye(branches.shape[-1])), initial=0.0))
+
+
+def einsum_norm_residual(amps: np.ndarray) -> float:
+    """max ||psi_n| - 1| over a stack of state vectors, the squared norms as one einsum."""
+    flat = amps.reshape(amps.shape[0], math.prod(amps.shape[1:]))
+    norms = np.sqrt(np.einsum("ni,ni->n", flat.conj(), flat).real)
+    return float(np.abs(norms - 1.0).max(initial=0.0))
+
+
+def inequality_draws(seed: int, trials: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The draws of ``audit_inequalities``, one trial and one number at a time: the
+    channel seeds (ch1, ch2 per trial), and the (T, 2) single and (T, 4) pair weights."""
+    rng = np.random.default_rng(seed)
+    seeds, singles, pairs = [], [], []
+    for _ in range(trials):
+        seeds += [_draw_seed(rng), _draw_seed(rng)]
+        singles.append(_draw_weights(rng, 2))
+        pairs.append(_draw_weights(rng, 4))
+    return seeds, np.array(singles), np.array(pairs)
+
+
+def mixture_draws(seed: int, trials: int, channels: int):
+    """The draws of ``audit_axioms`` (2 channels) or the coherent search (1), one trial
+    and one number at a time: the channel seeds, the (2T, 2) density weights (rho1,
+    rho2 per trial), their seeds, and the T mixture weights."""
+    rng = np.random.default_rng(seed)
+    seeds, weights, density_seeds, ws = [], [], [], []
+    for _ in range(trials):
+        seeds += [_draw_seed(rng) for _ in range(channels)]
+        for _ in range(2):
+            weights.append(_draw_weights(rng, 2))
+            density_seeds.append(_draw_seed(rng))
+        ws.append(float(rng.uniform(0.05, 0.95)))
+    return seeds, np.array(weights), density_seeds, ws

@@ -557,6 +557,70 @@ class TestStackedAudits:
         assert violations[0][1] is not violations[1][1]  # one fresh dict per violation
 
 
+def recorded(monkeypatch, name: str) -> list:
+    """Every call of ``analysis.<name>`` from here on, as (args, result)."""
+    calls, original = [], getattr(analysis, name)
+
+    def record(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, name, record)
+    return calls
+
+
+class TestBulkDraws:
+    """The chunked audits draw each trial's seeds in one generator call and its
+    weights in another, and normalize a chunk's weights at once.  Their seeds,
+    weights, densities and unitaries equal reference.py's per-trial draw loops, one
+    call per number, bit for bit, across chunk boundaries."""
+
+    @staticmethod
+    def unitaries_equal_seeded(calls, dim: int) -> list[int]:
+        """The seeds of every ``_random_unitaries(dim, seeds)`` call, in order, each of
+        its unitaries checked against the per-seed two-draw construction."""
+        seeds = []
+        for (d, chunk_seeds), us in calls:
+            if d == dim:
+                for seed, u in zip(chunk_seeds, us):
+                    assert u.tobytes() == reference.seeded_unitary(dim, seed).tobytes()
+                seeds += chunk_seeds
+        return seeds
+
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 200])
+    def test_inequality_chunks(self, monkeypatch, trials):
+        unitaries = recorded(monkeypatch, "_random_unitaries")
+        amps = recorded(monkeypatch, "_diagonal_amps")
+        chunks = list(analysis._inequality_chunks(7, trials))
+        seeds, singles, pairs = reference.inequality_draws(7, trials)
+        assert len(chunks) == len(unitaries) == math.ceil(trials / analysis.TRIAL_CHUNK)
+        assert self.unitaries_equal_seeded(unitaries, 8) == seeds
+        weights = [np.concatenate([args[0] for args, _ in amps[i::2]]) for i in (0, 1)]
+        assert weights[0].tobytes() == singles.tobytes()
+        assert weights[1].tobytes() == pairs.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 200])
+    @pytest.mark.parametrize(
+        "chunks_of, channels", [(analysis._axiom_chunks, 2), (analysis._coherent_chunks, 1)]
+    )
+    def test_mixture_chunks(self, monkeypatch, trials, chunks_of, channels):
+        one_row = analysis._random_densities
+        unitaries = recorded(monkeypatch, "_random_unitaries")
+        densities = recorded(monkeypatch, "_random_densities")
+        chunks = list(chunks_of(7, trials))
+        seeds, weights, density_seeds, ws = reference.mixture_draws(7, trials, channels)
+        assert len(chunks) == len(densities) == math.ceil(trials / analysis.TRIAL_CHUNK)
+        assert self.unitaries_equal_seeded(unitaries, 8) == seeds
+        assert self.unitaries_equal_seeded(unitaries, 2) == density_seeds
+        assert [p["weight"] for params, _ in chunks for p in params] == ws
+        drawn = np.concatenate([args[0] for args, _ in densities])
+        assert drawn.tobytes() == weights.tobytes()
+        rhos = [rho for _, chunk_rhos in densities for rho in chunk_rhos]
+        for rho, w, seed in zip(rhos, weights, density_seeds, strict=True):
+            one = one_row(w[np.newaxis], [seed])[0]
+            assert rho.matrix.tobytes() == one.matrix.tobytes()
+
+
 class TestAuditAxioms:
     def test_clean_audit(self):
         report = audit_axioms(seed=7, trials=40)

@@ -13,7 +13,7 @@ from vncap.qmat import (
     tensor,
 )
 from vncap.entropy import binary_entropy, pure_subsystem_entropy, venn2
-from vncap import analysis, channel, cli, depolarizing
+from vncap import analysis, channel, cli, depolarizing, qmat
 from vncap.channel import (
     ChannelTranscript,
     KrausChannel,
@@ -53,6 +53,12 @@ from reference import (
     as_dilation,
     classical_use_contraction,
     dilation_from_kraus,
+    einsum_chain_rows,
+    einsum_completeness_residual,
+    einsum_norm_residual,
+    einsum_overlaps,
+    einsum_parallel_rows,
+    einsum_send_rows,
     promote_unitary,
     scalar_run_channel,
 )
@@ -632,6 +638,104 @@ class TestStackedKernel:
         assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "non-finite objective value nan at q=0.07" in err
+
+
+def complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def checked_residuals(monkeypatch, module, check, stack) -> list[float]:
+    """The residuals that ``check(stack)`` hands to ``module._check_residual``."""
+    seen = []
+    monkeypatch.setattr(module, "_check_residual", lambda resid, *_: seen.append(float(resid)))
+    check(stack)
+    return seen
+
+
+# (rows of the branch stack, rows of the amplitude stack or second branch stack):
+# empty, one row, per-row stacks, and a one-row stack broadcast to 0 or 5 rows.
+ROWS = [(0, 0), (1, 1), (5, 5), (1, 0), (1, 5), (5, 1)]
+
+
+class TestMatmulContractions:
+    """The batched-matmul contractions against their einsum forms in reference.py, on
+    seeded random complex stacks."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("nb, n", [rows for rows in ROWS if rows != (5, 1)])
+    def test_send_rows(self, d, nb, n):
+        rng = np.random.default_rng(100 * d + 10 * nb + n)
+        branches = complex_stack(rng, nb, d, 3, d)
+        for rest in ((), (d,), (2, d)):  # a bare input, (Q, R) and (Q, X, R) rows
+            amps = complex_stack(rng, n, d, *rest)
+            expected = einsum_send_rows(branches, amps)
+            out = _send_rows(branches, amps)
+            assert out.shape == expected.shape == (n, d, *rest, 3)
+            assert np.abs(out - expected).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("nb, n", [rows for rows in ROWS if rows != (5, 1)])
+    def test_transcript_overlaps(self, d, nb, n):
+        """The fidelity column, sum_k |<QR| out_k|^2, of normalized random inputs."""
+        rng = np.random.default_rng(200 + 100 * d + 10 * nb + n)
+        branches = complex_stack(rng, nb, d, 3, d)
+        amps = complex_stack(rng, n, d, d)
+        amps /= np.linalg.norm(amps.reshape(n, d * d), axis=1)[:, np.newaxis, np.newaxis]
+        columns, out = channel._transcript_rows(branches, amps)
+        overlaps = einsum_overlaps(amps, einsum_send_rows(branches, amps))
+        fidelity = (overlaps * overlaps.conj()).sum(axis=1).real
+        assert columns.shape == (4, n)
+        assert np.abs(out - einsum_send_rows(branches, amps)).max(initial=0.0) <= 1e-12
+        assert np.abs(columns[3] - fidelity).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n1, n2", ROWS)
+    def test_chain_rows(self, d, n1, n2):
+        rng = np.random.default_rng(300 + 100 * d + 10 * n1 + n2)
+        b1, b2 = complex_stack(rng, n1, d, 3, d), complex_stack(rng, n2, d, 2, d)
+        expected = einsum_chain_rows(b1, b2)
+        out = channel._chain_rows(b1, b2)
+        assert out.shape == expected.shape == (max(n1, n2) * (n1 * n2 > 0), d, 6, d)
+        assert np.abs(out - expected).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("n1, n2", ROWS)
+    def test_parallel_rows(self, d1, d2, n1, n2):
+        """One product per entry and no sum.  numpy's complex multiply may fuse a
+        multiply-add where einsum rounds twice, so general complex entries agree to
+        rounding; real-valued stacks, like the CLI's Kraus branches, exactly (a zero
+        imaginary part may differ in sign)."""
+        rng = np.random.default_rng(400 + 10 * d1 + d2 + 1000 * n1 + 100 * n2)
+        b1, b2 = complex_stack(rng, n1, d1, 3, d1), complex_stack(rng, n2, d2, 2, d2)
+        expected = einsum_parallel_rows(b1, b2)
+        out = channel._parallel_rows(b1, b2)
+        assert out.shape == expected.shape == (max(n1, n2) * (n1 * n2 > 0), d1 * d2, 6, d1 * d2)
+        assert (np.abs(out - expected) <= 4 * np.finfo(float).eps * np.abs(expected)).all()
+        b1, b2 = b1.real + 0j, b2.real + 0j
+        assert np.array_equal(channel._parallel_rows(b1, b2), einsum_parallel_rows(b1, b2))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_check_complete_residuals(self, monkeypatch, d, n):
+        """Random stacks, far from complete, and random dilations, complete to rounding."""
+        rng = np.random.default_rng(500 + 10 * d + n)
+        us = qmat._random_unitaries(4 * d, rng.integers(0, 2**62, size=n).tolist())
+        complete = channel._dilation_branches(us, 4, basis_state(4, 0))
+        for stack in (complex_stack(rng, n, d, 3, d), complete):
+            seen = checked_residuals(monkeypatch, channel, channel._check_complete, stack)
+            assert len(seen) == 1
+            assert abs(seen[0] - einsum_completeness_residual(stack)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_check_normalized_residuals(self, monkeypatch, d, n):
+        rng = np.random.default_rng(600 + 10 * d + n)
+        raw = complex_stack(rng, n, d, 2, d)
+        normalized = raw / np.linalg.norm(raw.reshape(n, 2 * d * d), axis=1)[:, None, None, None]
+        for stack in (raw, normalized):
+            seen = checked_residuals(monkeypatch, qmat, qmat._check_normalized, stack)
+            assert len(seen) == 1
+            assert abs(seen[0] - einsum_norm_residual(stack)) <= 1e-12
 
 
 class TestEntanglementFidelity:

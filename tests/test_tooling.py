@@ -195,6 +195,67 @@ def test_raw_array_check_sees_each_kind_of_read():
     ]
 
 
+# The stacked kernels that run as batched matmul calls or a broadcast product.
+MATMUL_KERNELS = {
+    "_send_rows",
+    "_chain_rows",
+    "_parallel_rows",
+    "_check_complete",
+    "_check_normalized",
+}
+
+
+def _calls_einsum(func: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            or isinstance(node.func, ast.Name)
+            and node.func.id == "einsum"
+        )
+        for node in ast.walk(func)
+    )
+
+
+def einsum_kernels(sources: dict[str, str], names: set[str]) -> tuple[list[str], list[str]]:
+    """``module.function`` of every module-level function in ``sources`` named in
+    ``names`` that calls ``einsum`` (``np.einsum`` or a bare imported one), nested
+    functions included; and the names that no module defines."""
+    found, defined = [], set()
+    for module, text in sources.items():
+        for func in ast.parse(text).body:
+            if isinstance(func, ast.FunctionDef) and func.name in names:
+                defined.add(func.name)
+                if _calls_einsum(func):
+                    found.append(f"{module}.{func.name}")
+    return sorted(found), sorted(names - defined)
+
+
+def test_matmul_kernels_call_no_einsum():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert einsum_kernels(sources, MATMUL_KERNELS) == ([], [])
+
+
+def test_einsum_check_sees_each_kind_of_call():
+    sources = {
+        "a": "import numpy as np\n"
+        "def _send_rows(b, x): return np.einsum('nakb,nb->nak', b, x)\n"
+        "def other(x): return np.einsum('i->', x)\n",
+        "b": "from numpy import einsum\n"
+        "def _chain_rows(x, y):\n"
+        "    def inner(): return einsum('i,i', x, y)\n"
+        "    return inner()\n",
+        "c": "import numpy as np\n"
+        "def _parallel_rows(x, y): return x[:, None] * y\n"
+        "def _check_complete(b): return np.matmul(b.conj().T, b)\n"
+        "class K:\n"
+        "    def _check_normalized(self): return np.einsum('i', self)\n",
+    }
+    names = {"_send_rows", "_chain_rows", "_parallel_rows", "_check_complete", "_gone"}
+    assert einsum_kernels(sources, names) == (["a._send_rows", "b._chain_rows"], ["_gone"])
+
+
 ROOT = SRC.parents[1]
 WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
 

@@ -42,9 +42,11 @@ from vncap.channel import (
     chain,
     diagonal_transcripts,
     dilation_channel,
+    entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
     parallel,
+    purify,
     quantum_fano_bound,
     run_channel,
     transcript_slacks,
@@ -74,6 +76,7 @@ from vncap.entropy import (
     relative_entropy_binary,
     shannon_entropy,
     venn2,
+    venn3,
     von_neumann_entropy,
 )
 from vncap.qmat import (
@@ -85,6 +88,7 @@ from vncap.qmat import (
     clamp_spectrum,
     hermitian_eigenvalues,
     partial_trace,
+    pure_marginal,
     pure_subsystem_spectrum,
     random_unitary,
     tensor,
@@ -317,6 +321,67 @@ CHANNEL_SLOTS = {
     ),
 }
 NOT_CHANNELS = ["x", 5, None, np.eye(2), [EYE2], DEPHASING.operators]
+
+# Every public slot that takes a state: name -> (the call on that slot, its name, a
+# state the call accepts there).  The state's type is the one the slot takes.
+ZERO = basis_state(2, 0)
+STATE_SLOTS = {
+    "partial_trace": (lambda st: partial_trace(st, (0,)), "rho", MIXED_PAIR),
+    "pure_marginal": (lambda st: pure_marginal(st, (0,)), "psi", ZERO),
+    "pure_subsystem_spectrum": (lambda st: pure_subsystem_spectrum(st, (0,)), "psi", ZERO),
+    "pure_subsystem_entropy": (lambda st: pure_subsystem_entropy(st, (0,)), "psi", ZERO),
+    "von_neumann_entropy": (von_neumann_entropy, "rho", MIXED),
+    "venn2": (lambda st: venn2(st, ((0,), (1,))), "rho_ab", MIXED_PAIR),
+    "venn3": (
+        lambda st: venn3(st, ((0,), (1,), (2,))),
+        "rho_abc",
+        DensityMatrix(np.eye(8) / 8, (2, 2, 2)),
+    ),
+    "dilation_channel": (
+        lambda st: dilation_channel(np.eye(2), 1, st),
+        "env_initial",
+        basis_state(1, 0),
+    ),
+    "purify": (purify, "rho_q", MIXED),
+    "apply_channel": (lambda st: apply_channel(DEPHASING, st), "rho", MIXED),
+    "run_channel": (lambda st: run_channel(DEPHASING, st), "rho_q", MIXED),
+    "entanglement_fidelity.rho_qr_in": (
+        lambda st: entanglement_fidelity(st, ZERO.projector()),
+        "rho_qr_in",
+        ZERO.projector(),
+    ),
+    "entanglement_fidelity.rho_qr_out": (
+        lambda st: entanglement_fidelity(ZERO.projector(), st),
+        "rho_qr_out",
+        MIXED,
+    ),
+    "inequality_slacks.rho_single": (
+        lambda st: inequality_slacks(DEPHASING, DEPHASING, st, MIXED_PAIR),
+        "rho_single",
+        MIXED,
+    ),
+    "inequality_slacks.rho_pair": (
+        lambda st: inequality_slacks(DEPHASING, DEPHASING, MIXED, st),
+        "rho_pair",
+        MIXED_PAIR,
+    ),
+    "mixture_axiom_slacks.rho1": (
+        lambda st: mixture_axiom_slacks(DEPHASING, DEPHASING, st, MIXED, 0.5),
+        "rho1",
+        MIXED,
+    ),
+    "mixture_axiom_slacks.rho2": (
+        lambda st: mixture_axiom_slacks(DEPHASING, DEPHASING, MIXED, st, 0.5),
+        "rho2",
+        MIXED,
+    ),
+    "kholevo_chi.outputs": (
+        lambda st: kholevo_chi([0.5, 0.5], [MIXED, st]),
+        r"outputs\[1\]",
+        MIXED,
+    ),
+}
+NOT_STATES = ["x", 5, None, np.eye(2) / 2, [[0.5, 0.0], [0.0, 0.5]], DEPHASING]
 
 # Counts must be integers; none is truncated or rounded.
 NON_INTEGER_COUNTS = {
@@ -551,6 +616,23 @@ class TestLibraryRefusals:
         call, slot = CHANNEL_SLOTS[name]
         with pytest.raises(ValueError, match=f"^{slot} must be a KrausChannel"):
             call(bad)
+
+    @pytest.mark.parametrize("bad", NOT_STATES, ids=lambda bad: type(bad).__name__)
+    @pytest.mark.parametrize("name", sorted(STATE_SLOTS))
+    def test_state_slots_refuse_non_states(self, name, bad):
+        call, slot, state = STATE_SLOTS[name]
+        with pytest.raises(ValueError, match=f"^{slot} must be a {type(state).__name__}, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(STATE_SLOTS))
+    def test_state_slots_take_their_state_type_only(self, name):
+        """Each slot accepts its state, and refuses a PureState where a DensityMatrix
+        goes, and the other way round."""
+        call, slot, state = STATE_SLOTS[name]
+        call(state)
+        wrong = ZERO if isinstance(state, DensityMatrix) else MIXED
+        with pytest.raises(ValueError, match=f"^{slot} must be a {type(state).__name__}, got "):
+            call(wrong)
 
     @pytest.mark.parametrize("bad", NOT_REAL + [[0.5], np.array([0.5, 0.5])], ids=repr)
     def test_transcript_slacks_read_each_entry_as_a_real(self, bad):
