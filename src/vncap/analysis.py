@@ -1,8 +1,10 @@
 """Capacity maximization, randomized inequality audits, and Hamming bounds.
 
-The optimizer works over the diagonal input family rho(q) = diag(q, 1-q);
-results are therefore diagonal-family capacities and make no claim about
-maximization over arbitrary inputs for channels without the relevant symmetry.
+The optimizer works over the diagonal input family rho(q) = diag(q, 1-q).  For the
+depolarizing and dephasing channels its peak is the maximum over every qubit input
+(both are covariant, and the mutual entanglement is concave); the acceptance suite
+checks that against seeded random inputs and ensembles to 1e-12.  For other
+channels the results are diagonal-family capacities only.
 
 The audits draw seeded random 8x8 unitaries on a qubit and a 4-dim
 environment, each read once into its four Kraus branches by
@@ -56,6 +58,7 @@ from .qmat import (
     _check_normalized,
     _check_state,
     _check_unitary,
+    _flag,
     _numbers,
     _random_unitaries,
     _real,
@@ -181,6 +184,7 @@ def maximize_scalar_on_unit_interval(
     eps = sys.float_info.epsilon
     if tol < eps:  # the interval cannot shrink below one ulp
         raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
+    lookahead = _flag(lookahead, "lookahead")
     if lookahead and rows is None:
         raise ValueError("lookahead needs rows")
     evals = 0

@@ -60,6 +60,7 @@ from .qmat import (
     _check_state,
     _check_unitary,
     _dimension,
+    _flag,
     _numbers,
     _real,
     clamp_spectrum,
@@ -305,6 +306,7 @@ def run_channel(ch: KrausChannel, rho_q: DensityMatrix, return_state: bool = Fal
     """
     branches = _branches(ch)
     _check_state(rho_q, DensityMatrix, "rho_q")
+    return_state = _flag(return_state, "return_state")
     d = rho_q.dim
     if ch.input_dim != d:
         raise ValueError(f"dimension mismatch: channel is {ch.input_dim}-dim, state is {d}-dim")
@@ -399,13 +401,14 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
 
     Covers the triangle bounds 0 <= L <= 2 min(S, S_e) and the exchange-entropy
     Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1), half the
-    quantum-code Fano bound at code dimension d_Q d_R.  Each entry of ``t`` is read
-    by ``_real``, so anything but a real number raises ValueError.
+    quantum-code Fano bound at code dimension d_Q d_R.  Each entry of ``t`` must be a
+    real number (read by ``_real``) and ``d_q`` and ``d_r`` integers >= 1, or ValueError.
     """
     if not isinstance(t, ChannelTranscript):
         raise ValueError(f"transcript must be a ChannelTranscript, got {type(t).__name__}")
     t = ChannelTranscript(*(_real(value, f"transcript {key}") for key, value in vars(t).items()))
-    return {key: float(slack) for key, slack in _slack_columns(t, d_q * d_r).items()}
+    code_dim = _at_least(d_q, 1, "d_q") * _at_least(d_r, 1, "d_r")
+    return {key: float(slack) for key, slack in _slack_columns(t, code_dim).items()}
 
 
 def _slack_columns(t: ChannelTranscript, code_dim: int) -> dict:

@@ -166,28 +166,36 @@ def build_dilation(params: DepolParams) -> tuple[KrausChannel, PureState]:
     return dilation_channel(u, 4, env), q_basis(params.q)[2]
 
 
-def analytic_transcript(params: DepolParams) -> ChannelTranscript:
-    """The full transcript from closed forms alone (no linear algebra).
+def _analytic(p, q, ops):
+    """(S, S', S_e, F_e) of ``analytic_transcript`` at p and q, on floats or on aligned
+    row arrays.  ``ops`` holds the only operations that differ between the two: binary
+    entropy, Shannon entropy, maximum and square root (``_ROW_OPS`` on arrays).  Squares
+    are products: ``** 2`` runs libm ``pow`` on floats, which can differ in the last bit.
 
-    The environment spectrum is {2p/3 (1-q), 2pq/3, (1 - 2p/3 +- Delta)/2}
-    with Delta^2 = (1 - 2p/3)^2 - (16/3) p (1-p) q (1-q); the radicand is
-    clamped at 0 since it can dip to -1e-16 numerically near its zeros.
+    The environment spectrum is {2p/3 (1-q), 2pq/3, (1 - 2p/3 +- Delta)/2} with
+    Delta^2 = (1 - 2p/3)^2 - (16/3) p (1-p) q (1-q); the radicand is clamped at 0
+    since it can dip to -1e-16 numerically near its zeros.
     """
-    p, q = params.p, params.q
+    h2, shannon, maximum, sqrt = ops
     flip = 2.0 * p / 3.0
     kept, bias = 1.0 - flip, 1.0 - 2.0 * q
-    s_in = binary_entropy(q)
-    s_out = binary_entropy(q + flip * bias)
+    s_in, s_out = h2(q), h2(q + flip * bias)
     radicand = kept * kept - (16.0 / 3.0) * p * (1.0 - p) * q * (1.0 - q)
-    delta = math.sqrt(max(0.0, radicand))
-    spectrum = [
-        flip * (1.0 - q),
-        flip * q,
-        max(0.0, (kept + delta) / 2.0),
-        max(0.0, (kept - delta) / 2.0),
-    ]
+    delta = sqrt(maximum(0.0, radicand))
+    spectrum = [flip * (1.0 - q), flip * q]
+    spectrum += [maximum(0.0, (kept + delta) / 2.0), maximum(0.0, (kept - delta) / 2.0)]
     fidelity = 1.0 - p + (p / 3.0) * (bias * bias)
-    return ChannelTranscript.from_entropies(s_in, s_out, _shannon(spectrum), fidelity)
+    return s_in, s_out, shannon(spectrum), fidelity
+
+
+_ROW_OPS = (_binary_entropy_rows, _shannon_rows, np.maximum, np.sqrt)
+
+
+def analytic_transcript(params: DepolParams) -> ChannelTranscript:
+    """The full transcript from closed forms alone: ``_analytic`` on floats."""
+    # The float ops are read per call, so a wrapper installed on binary_entropy sees it.
+    ops = (binary_entropy, _shannon, max, math.sqrt)
+    return ChannelTranscript.from_entropies(*_analytic(params.p, params.q, ops))
 
 
 def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,37 +217,16 @@ def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ps, where, qs
 
 
-def _analytic_chunk(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    flip = 2.0 * p / 3.0
-    kept, bias = 1.0 - flip, 1.0 - 2.0 * qs
-    s_in = _binary_entropy_rows(qs)
-    s_out = _binary_entropy_rows(qs + flip * bias)
-    radicand = kept * kept - (16.0 / 3.0) * p * (1.0 - p) * qs * (1.0 - qs)
-    delta = np.sqrt(np.maximum(radicand, 0.0))
-    spectrum = np.stack(
-        [
-            flip * (1.0 - qs),
-            flip * qs,
-            np.maximum((kept + delta) / 2.0, 0.0),
-            np.maximum((kept - delta) / 2.0, 0.0),
-        ]
-    )
-    fidelity = 1.0 - p + (p / 3.0) * (bias * bias)
-    return np.stack([s_in, s_out, _shannon_rows(spectrum), fidelity])
-
-
 def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
     """``analytic_transcript`` at every (p, q) row at once: one array per entry.
 
     p is one float for every q, or an array aligned with the q list; each
-    distinct p is checked once, and the q list as one array.  The scalar
-    form's operations in its order, squares as products, with only
-    ``math.log2`` run per entry, so every entry equals the scalar one bit for
-    bit.  The scalar form stays the point objective: on one q it is the
-    faster call.
+    distinct p is checked once, and the q list as one array.  Both forms run
+    ``_analytic``, so every entry equals the scalar one bit for bit.  The
+    scalar form stays the point objective: on one q it is the faster call.
     """
     ps, where, qs = _rows_at(p, q_values)
-    columns = _chunked_rows(_analytic_chunk, ps[where], qs)
+    columns = _chunked_rows(lambda p, q: _analytic(p, q, _ROW_OPS), ps[where], qs)
     return ChannelTranscript.from_entropies(*columns)
 
 
@@ -255,37 +242,32 @@ def classical_capacity(p: float) -> float:
     return 1.0 - binary_entropy(2.0 * p / 3.0)
 
 
-def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
-    """(mutual information, classical loss) for a q-biased classical bit, closed form.
+def _classical(p, q, ops):
+    """(mutual information, classical loss) of ``classical_use_transcript`` at p and q,
+    on floats or on aligned row arrays, ``ops`` as in ``_analytic``.
 
     The loss is the four-term Shannon entropy of the traced joint distribution
     minus the output entropy H2[q + (2p/3)(1 - 2q)]; the mutual information is
     the source entropy H2[q] minus the loss.
     """
-    p, q = params.p, params.q
+    h2, shannon, _, _ = ops
     flip = 2.0 * p / 3.0
     joint = [flip * (1.0 - q), flip * q, (1.0 - flip) * (1.0 - q), (1.0 - flip) * q]
-    s_out = binary_entropy(q + flip * (1.0 - 2.0 * q))
-    loss = _shannon(joint) - s_out
-    return binary_entropy(q) - loss, loss
+    loss = shannon(joint) - h2(q + flip * (1.0 - 2.0 * q))
+    return h2(q) - loss, loss
 
 
-def _classical_closed_chunk(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    flip = 2.0 * p / 3.0
-    joint = np.stack(
-        [flip * (1.0 - qs), flip * qs, (1.0 - flip) * (1.0 - qs), (1.0 - flip) * qs]
-    )
-    s_out = _binary_entropy_rows(qs + flip * (1.0 - 2.0 * qs))
-    loss = _shannon_rows(joint) - s_out
-    return np.stack([_binary_entropy_rows(qs) - loss, loss])
+def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
+    """(mutual information, classical loss) of a q-biased classical bit: ``_classical``."""
+    return _classical(params.p, params.q, (binary_entropy, _shannon, max, math.sqrt))
 
 
 def classical_use_transcript_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_transcript`` at every (p, q) row at once, p as in
-    ``analytic_transcript_rows``: (mutual, loss) arrays, each entry equal to the
-    scalar one bit for bit."""
+    ``analytic_transcript_rows``: (mutual, loss) arrays.  Both forms run
+    ``_classical``, so each entry equals the scalar one bit for bit."""
     ps, where, qs = _rows_at(p, q_values)
-    return tuple(_chunked_rows(_classical_closed_chunk, ps[where], qs))
+    return tuple(_chunked_rows(lambda p, q: _classical(p, q, _ROW_OPS), ps[where], qs))
 
 
 def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:

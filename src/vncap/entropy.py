@@ -8,7 +8,9 @@ than tautologies.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,12 +55,14 @@ def binary_entropy(p: float) -> float:
     return -_plog2p(p) - _plog2p(1.0 - p)
 
 
-def _shannon_rows(probs: np.ndarray) -> np.ndarray:
-    """``_shannon`` of each column of a (k, N) array of distributions, bit for bit.
+def _shannon_rows(probs) -> np.ndarray:
+    """``_shannon`` of each column of a (k, N) array of distributions, or of a list of
+    k aligned rows, bit for bit.
 
     The terms are summed in the scalar's order and their logarithms come from
     ``math.log2``, which ``np.log2`` differs from in the last bit on some inputs.
     """
+    probs = np.asarray(probs)
     terms = np.zeros_like(probs)
     positive = probs > 0.0
     kept = probs[positive]
@@ -173,6 +177,14 @@ class EntropyVenn2:
     mutual: float
 
 
+# The parties of each region of ``EntropyVenn3``, in its field order.
+_REGION_PARTIES = {
+    "cond_a": "a", "cond_b": "b", "cond_c": "c",
+    "mutual_ab": "ab", "mutual_ac": "ac", "mutual_bc": "bc",
+    "center": "abc",
+}
+
+
 @dataclass(frozen=True)
 class EntropyVenn3:
     """The seven regions of a tripartite entropy diagram for parties (A, B, C).
@@ -191,45 +203,20 @@ class EntropyVenn3:
     mutual_bc: float
     center: float
 
-    @property
-    def s_a(self) -> float:
-        return self.cond_a + self.mutual_ab + self.mutual_ac + self.center
+    def _joint(self, parties: str) -> float:
+        """The joint entropy of ``parties``: the regions whose parties meet them, added
+        left to right in field order.  Not the built-in ``sum``, which compensates
+        float sums from Python 3.12 on and turns a -0.0 total into 0.0."""
+        meet = [getattr(self, r) for r, its in _REGION_PARTIES.items() if set(its) & set(parties)]
+        return functools.reduce(operator.add, meet)
 
-    @property
-    def s_b(self) -> float:
-        return self.cond_b + self.mutual_ab + self.mutual_bc + self.center
-
-    @property
-    def s_c(self) -> float:
-        return self.cond_c + self.mutual_ac + self.mutual_bc + self.center
-
-    @property
-    def s_ab(self) -> float:
-        return (
-            self.cond_a + self.cond_b
-            + self.mutual_ab + self.mutual_ac + self.mutual_bc + self.center
-        )
-
-    @property
-    def s_ac(self) -> float:
-        return (
-            self.cond_a + self.cond_c
-            + self.mutual_ab + self.mutual_ac + self.mutual_bc + self.center
-        )
-
-    @property
-    def s_bc(self) -> float:
-        return (
-            self.cond_b + self.cond_c
-            + self.mutual_ab + self.mutual_ac + self.mutual_bc + self.center
-        )
-
-    @property
-    def s_abc(self) -> float:
-        return (
-            self.cond_a + self.cond_b + self.cond_c
-            + self.mutual_ab + self.mutual_ac + self.mutual_bc + self.center
-        )
+    s_a = property(lambda self: self._joint("a"))
+    s_b = property(lambda self: self._joint("b"))
+    s_c = property(lambda self: self._joint("c"))
+    s_ab = property(lambda self: self._joint("ab"))
+    s_ac = property(lambda self: self._joint("ac"))
+    s_bc = property(lambda self: self._joint("bc"))
+    s_abc = property(lambda self: self._joint("abc"))
 
 
 def venn2(rho_ab: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn2:

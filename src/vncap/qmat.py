@@ -37,6 +37,13 @@ def _real(x, name: str) -> float:
     return float(x)
 
 
+def _flag(x, name: str) -> bool:
+    """``x`` as a bool; anything but a ``bool`` or ``np.bool_`` raises ValueError."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {x!r}")
+    return bool(x)
+
+
 def _unit_interval(x, name: str, slack: float = UNIT_SLACK) -> float:
     """``x`` as a float in [0, 1].
 
@@ -142,10 +149,16 @@ def _as_complex_array(values, name: str, ndim: int | None) -> np.ndarray:
         raise ValueError(f"{name}: expected square matrices, the last two equal, got {arr.shape}")
     elif not arr.shape[-1]:
         raise ValueError(f"{name}: expected dimension >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # every matrix entry point, before any residual
-        raise ValueError(f"{name}: array has non-finite (NaN or infinite) entries")
+    _check_finite(arr, name)  # every matrix entry point, before any residual
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite(array: np.ndarray, name: str) -> np.ndarray:
+    """``array``, refused with ValueError "<name>: ..." if any entry is NaN or infinite."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: array has non-finite (NaN or infinite) entries")
+    return array
 
 
 def _check_normalized(amps: np.ndarray) -> None:
@@ -244,8 +257,10 @@ def _check_state(state, kind: type, name: str) -> None:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the slower-varying (leftmost) factor."""
-    return np.kron(_numbers(a, "factor a", None, "iufc"), _numbers(b, "factor b", None, "iufc"))
+    """Kronecker product with ``a`` as the slower-varying (leftmost) factor; NaN or inf raises."""
+    a = _check_finite(_numbers(a, "factor a", None, "iufc"), "factor a")
+    b = _check_finite(_numbers(b, "factor b", None, "iufc"), "factor b")
+    return np.kron(a, b)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -275,14 +290,15 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
 
     Values in ``[EIGENVALUE_FLOOR, 0)`` are numerical jitter and are clamped to
     0, after which each spectrum is renormalized to sum to 1.  Values below the
-    floor indicate genuine non-positivity and raise.
+    floor indicate genuine non-positivity and raise, as do NaN and infinities.
     """
     vals = _numbers(values, "spectrum", None, "iuf").astype(np.float64, copy=False)
+    _check_finite(vals, "spectrum")
     if vals.size:
         _check_residual(-vals.min(), -EIGENVALUE_FLOOR, "negative eigenvalue below the clamp floor")
     clamped = np.where(vals < 0.0, 0.0, vals)
     total = clamped.sum(axis=-1, keepdims=True)
-    if not total.min(initial=math.inf) > 0.0:  # every row; vals passed the NaN-proof check
+    if not total.min(initial=math.inf) > 0.0:  # every row
         raise ValueError("spectrum sums to zero after clamping")
     return clamped / total
 

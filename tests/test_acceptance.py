@@ -15,6 +15,9 @@ import numpy as np
 from vncap.qmat import DensityMatrix, pure_marginal
 from vncap.entropy import binary_entropy
 from vncap.channel import (
+    _branches,
+    _purify_rows,
+    _transcript_rows,
     chain,
     identity_channel,
     parallel,
@@ -30,6 +33,8 @@ from vncap.depolarizing import (
     classical_use_ensemble,
     classical_use_transcript,
     dephasing_kraus,
+    dephasing_mutual,
+    depolarizing_kraus,
     kholevo_chi,
     quantum_capacity,
     superdense_scenario,
@@ -269,3 +274,75 @@ def test_criterion_11_finite_rates_below_asymptote():
 def test_criterion_12_axiom_spot_checks():
     report = audit_axioms(seed=42, trials=100, tol=1e-9)
     _verdict(12, "concavity and convexity spot-checks", list(report.violations))
+
+
+CAPACITY_P = [i / 20.0 for i in range(21)]
+HALF = np.eye(2)[np.newaxis] / 2.0  # I/2, where the diagonal family peaks
+
+
+def _output_entropies(kraus, mats):
+    """(S, S', S_e) of each (2, 2) density matrix of a stack through ``kraus``: the
+    stacked transcript kernel on the purifications."""
+    return _transcript_rows(_branches(kraus), _purify_rows(mats))[0][:3]
+
+
+def _random_inputs(rng, n):
+    """n seeded random full-rank qubit inputs: Ginibre draws G G^dag / tr, each mixed
+    with I/2 at a log-uniform weight in [1e-8, 1] so that the neighbourhood of the
+    peak is drawn too."""
+    g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    rho = g @ g.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+    weight = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1, 1))
+    return weight * rho + (1.0 - weight) * HALF
+
+
+def test_criterion_13_capacities_hold_for_every_input():
+    """The mutual entanglement I = S + S' - S_e of every input stays at or below the
+    capacity that the diagonal family reaches at I/2: quantum_capacity(p) for the
+    depolarizing channel and dephasing_mutual(p) for the dephasing channel.  Both
+    channels are covariant and I is concave in the input, so averaging an input over
+    the symmetry cannot lower I; here 2,000 seeded random full-rank inputs at 21 p
+    check it to 1e-12, and I/2 (the first row) reaches each capacity."""
+    inputs = np.concatenate([HALF, _random_inputs(np.random.default_rng(13), 2000)])
+    failures = []
+    for p in CAPACITY_P:
+        for name, kraus, capacity in (
+            ("depolarizing", depolarizing_kraus(p), quantum_capacity(p)),
+            ("dephasing", dephasing_kraus(p), dephasing_mutual(p)),
+        ):
+            s_in, s_out, s_env = _output_entropies(kraus, inputs)
+            excess = s_in + s_out - s_env - capacity
+            if excess.max() > 1e-12 or excess[0] < -1e-12:
+                failures.append((name, p, float(excess.max()), float(excess[0])))
+    _verdict(13, "capacities bound the mutual entanglement of every input", failures)
+
+
+def test_criterion_14_classical_capacity_bounds_every_ensemble():
+    """The Kholevo chi of every pure-state ensemble through the depolarizing channel,
+    S(L(sum_i w_i psi_i)) - sum_i w_i S(L(psi_i)), stays at or below
+    classical_capacity(p) = 1 - H2(2p/3): 600 seeded random ensembles of 2 to 4
+    states at 21 p, to 1e-12.  The first ensemble, |0> and |1> at weight 1/2 each,
+    reaches it."""
+    rng = np.random.default_rng(14)
+    sizes = np.concatenate([[2], rng.integers(2, 5, 600)])
+    owner = np.repeat(np.arange(sizes.size), sizes)  # the ensemble of each state
+    vecs = rng.standard_normal((owner.size, 2)) + 1j * rng.standard_normal((owner.size, 2))
+    vecs[:2] = np.eye(2)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = rng.uniform(0.05, 1.0, owner.size)
+    weights[:2] = 1.0
+    weights /= np.bincount(owner, weights)[owner]
+    pure = vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
+    mixed = np.zeros((sizes.size, 2, 2), dtype=complex)
+    np.add.at(mixed, owner, weights[:, np.newaxis, np.newaxis] * pure)
+    failures = []
+    for p in CAPACITY_P:
+        kraus = depolarizing_kraus(p)
+        chi = _output_entropies(kraus, mixed)[1] - np.bincount(
+            owner, weights * _output_entropies(kraus, pure)[1]
+        )
+        excess = chi - classical_capacity(p)
+        if excess.max() > 1e-12 or excess[0] < -1e-12:
+            failures.append((p, float(excess.max()), float(excess[0])))
+    _verdict(14, "the classical capacity bounds the Kholevo chi of every ensemble", failures)

@@ -165,7 +165,9 @@ SCALAR_ENTRY_POINTS = {
 
 
 def _with_entry(matrix, index, value):
-    out = np.array(matrix, dtype=np.complex128)
+    """A copy of ``matrix`` with one entry replaced: complex, unless ``matrix`` is an
+    array of another dtype."""
+    out = np.array(matrix, dtype=getattr(matrix, "dtype", np.complex128))
     out.flat[index % out.size] = value
     return out
 
@@ -233,6 +235,8 @@ ARRAY_ENTRY_POINTS = {
     },
 }
 TAKE_COMPLEX = {*MATRIX_ENTRY_POINTS, "hermitian_eigenvalues", "tensor.a", "tensor.b"}
+# The array entry points besides MATRIX_ENTRY_POINTS that refuse NaN and +-inf entries.
+FINITE_ARRAY_ENTRY_POINTS = ("hermitian_eigenvalues", "tensor.a", "tensor.b", "clamp_spectrum")
 
 
 def _with_leaf(value, leaf):
@@ -383,6 +387,21 @@ STATE_SLOTS = {
 }
 NOT_STATES = ["x", 5, None, np.eye(2) / 2, [[0.5, 0.0], [0.0, 0.5]], DEPHASING]
 
+# Every public flag: name -> the call with that flag.  Only bool and np.bool_ are flags.
+FLAG_SLOTS = {
+    "return_state": lambda flag: run_channel(DEPHASING, MIXED, return_state=flag),
+    "lookahead": lambda flag: maximize_scalar_on_unit_interval(
+        lambda q: q, rows=lambda qs: list(qs), lookahead=flag
+    ),
+}
+NOT_FLAGS = ["no", "yes", "", 0, 1, 1.0, None, np.int64(1), [True]]
+
+# (d_q, d_r, the factor refused): ``transcript_slacks`` checks each factor itself.
+MIXED_RUN = run_channel(DEPHASING, MIXED)
+BAD_CODE_FACTORS = [
+    (-2, -2, "d_q"), (True, 4, "d_q"), (0.5, 8, "d_q"), (2, 0, "d_r"), (4, False, "d_r")
+]
+
 # Counts must be integers; none is truncated or rounded.
 NON_INTEGER_COUNTS = {
     "audit_axioms(nan)": lambda: audit_axioms(1, math.nan),
@@ -421,6 +440,13 @@ NON_INTEGER_COUNTS = {
     "HammingQuery(True, True, False)": lambda: HammingQuery(True, True, False, "classical"),
     "asymptotic_consistency([True])": lambda: asymptotic_consistency(0.1, [True], "classical"),
     "random_unitary(2, seed=True)": lambda: random_unitary(2, True),
+    # each code-space factor of the Fano slack, not only their product
+    **{
+        f"transcript_slacks(d_q={d_q}, d_r={d_r})": lambda d_q=d_q, d_r=d_r: transcript_slacks(
+            MIXED_RUN, d_q, d_r
+        )
+        for d_q, d_r, _ in BAD_CODE_FACTORS
+    },
 }
 
 # Factor indices and dimensions must be integers too; none is truncated.
@@ -462,12 +488,14 @@ class TestLibraryRefusals:
         with pytest.raises(ValueError, match="real number"):
             SCALAR_ENTRY_POINTS[name](x)
 
-    @pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted({*MATRIX_ENTRY_POINTS, *FINITE_ARRAY_ENTRY_POINTS}))
     @FIXED
     @given(bad=BAD_ENTRY, index=st.integers(min_value=0, max_value=15))
     def test_matrix_entry_points_refuse_non_finite_entries(self, name, bad, index):
-        call, value, _ = MATRIX_ENTRY_POINTS[name]
-        with pytest.raises(ValueError):
+        call, value, argument = {**MATRIX_ENTRY_POINTS, **ARRAY_ENTRY_POINTS}[name]
+        if name not in TAKE_COMPLEX:  # a real array, with NaN or +-inf in the entry
+            value, bad = np.array(value, dtype=float), abs(bad) if isinstance(bad, complex) else bad
+        with pytest.raises(ValueError, match=f"^{re.escape(argument)}: "):
             call(_with_entry(value, index, bad))
 
     @pytest.mark.parametrize("call, bad, argument", NON_NUMBER_CASES)
@@ -544,6 +572,11 @@ class TestLibraryRefusals:
         with pytest.raises(ValueError, match="integer"):
             NON_INTEGER_COUNTS[name]()
 
+    @pytest.mark.parametrize("d_q, d_r, factor", BAD_CODE_FACTORS)
+    def test_transcript_slacks_name_the_refused_factor(self, d_q, d_r, factor):
+        with pytest.raises(ValueError, match=f"^{factor} must be an integer"):
+            transcript_slacks(MIXED_RUN, d_q, d_r)
+
     @pytest.mark.parametrize("name", sorted(NON_INTEGER_FACTORS))
     def test_non_integer_factors_are_refused(self, name):
         with pytest.raises(ValueError, match="integer"):
@@ -616,6 +649,17 @@ class TestLibraryRefusals:
         call, slot = CHANNEL_SLOTS[name]
         with pytest.raises(ValueError, match=f"^{slot} must be a KrausChannel"):
             call(bad)
+
+    @pytest.mark.parametrize("bad", NOT_FLAGS, ids=repr)
+    @pytest.mark.parametrize("name", sorted(FLAG_SLOTS))
+    def test_flags_refuse_non_bools(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a bool, got "):
+            FLAG_SLOTS[name](bad)
+
+    @pytest.mark.parametrize("name", sorted(FLAG_SLOTS))
+    def test_flags_take_numpy_bools(self, name):
+        for flag in (False, True):
+            assert repr(FLAG_SLOTS[name](np.bool_(flag))) == repr(FLAG_SLOTS[name](flag))
 
     @pytest.mark.parametrize("bad", NOT_STATES, ids=lambda bad: type(bad).__name__)
     @pytest.mark.parametrize("name", sorted(STATE_SLOTS))
