@@ -59,6 +59,7 @@ from .qmat import (
     _check_state,
     _check_unitary,
     _flag,
+    _integers,
     _numbers,
     _random_unitaries,
     _real,
@@ -610,6 +611,7 @@ def hamming_holds(query: HammingQuery) -> tuple[bool, float]:
     2^k sum_{i<=t} s^i C(n, i) <= 2^(space n), big-integer exact; the slack is
     the log2 ratio of the right side to the left.
     """
+    _check_state(query, HammingQuery, "query")
     syndromes, space = _mode(query.mode)
     volume = _sphere_volume(query.n, query.t, syndromes)
     exponent = space * query.n
@@ -642,9 +644,7 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
     syndromes, space = _mode(mode)
-    if len(n_list) > MAX_N_LIST:
-        raise ValueError(f"{len(n_list)} block lengths exceed the cap of {MAX_N_LIST}")
-    n_list = [_as_count(n, "block length") for n in n_list]
+    n_list = _integers(n_list, "block length", MAX_N_LIST)  # the length first, then entries
     for n in n_list:  # all of them before any work
         if not 10 <= n <= MAX_BLOCK_LENGTH:
             raise ValueError(f"block length must be in [10, {MAX_BLOCK_LENGTH}], got {n}")

@@ -198,8 +198,7 @@ def _branches(ch: KrausChannel, name: str = "channel") -> np.ndarray:
     The one channel-type check: every entry point that takes a channel reads it
     here, before anything else of it, and anything but a ``KrausChannel`` raises
     ValueError "<name> must be a KrausChannel"."""
-    if not isinstance(ch, KrausChannel):
-        raise ValueError(f"{name} must be a KrausChannel, got {type(ch).__name__}")
+    _check_state(ch, KrausChannel, name)
     return np.stack(ch.operators, axis=1)[np.newaxis]
 
 
@@ -389,6 +388,7 @@ def _fano_rows(fidelity, code_dim: int) -> np.ndarray:
 
 def transcript_identity_residuals(t: ChannelTranscript) -> dict[str, float]:
     """Absolute residuals of the defining transcript identities."""
+    _check_state(t, ChannelTranscript, "transcript")
     return {
         "loss_balance": abs(t.loss - (t.s_env + t.s_in - t.s_out)),
         "mutual_split": abs(t.mutual_entanglement + t.loss - 2.0 * t.s_in),
@@ -404,8 +404,7 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     quantum-code Fano bound at code dimension d_Q d_R.  Each entry of ``t`` must be a
     real number (read by ``_real``) and ``d_q`` and ``d_r`` integers >= 1, or ValueError.
     """
-    if not isinstance(t, ChannelTranscript):
-        raise ValueError(f"transcript must be a ChannelTranscript, got {type(t).__name__}")
+    _check_state(t, ChannelTranscript, "transcript")
     t = ChannelTranscript(*(_real(value, f"transcript {key}") for key, value in vars(t).items()))
     code_dim = _at_least(d_q, 1, "d_q") * _at_least(d_r, 1, "d_r")
     return {key: float(slack) for key, slack in _slack_columns(t, code_dim).items()}
@@ -445,6 +444,7 @@ def kraus_channel_from_json(source: str | dict) -> KrausChannel:
 
 def kraus_channel_to_json(ch: KrausChannel) -> str:
     """Serialize a Kraus channel to the JSON import format."""
+    _check_state(ch, KrausChannel, "channel")
     payload = {
         "kraus": [
             [[float(z.real), float(z.imag)] for z in op.ravel()] for op in ch.operators

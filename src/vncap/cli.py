@@ -38,10 +38,6 @@ def _fmt(x: float) -> str:
     return "%.12g" % (0.0 if x == 0 else float(x))
 
 
-def _diag_qubit(q: float) -> DensityMatrix:
-    return DensityMatrix(np.diag([q, 1.0 - q]).astype(np.complex128), (2,))
-
-
 def _parse_range(text: str, flag: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -70,63 +66,48 @@ USES = {
 }
 
 # Channel families: (channel, use) -> (point, rows, closed_form, lookahead).
-# point(p) is the capacity objective at one p: the function of q that gives the
-# tuple (S, S', S_e, L, I_Q, F_e) for quantum use, (mutual, loss) for classical
-# use.  rows(p, qs) gives those columns as arrays over aligned p and q arrays, or
-# over a q list at one p, each distinct p checked once and the q array as a whole;
-# the closed form is the capacity's.  The rows come from the array closed forms
-# and the stacked kernels.  capacity's grid runs on rows; its golden-section steps
-# run on rows too where lookahead is set (the dephasing pair, whose scalar point
-# is a whole run_channel or classical-use simulation), and on the scalar closed
-# forms otherwise, which cost a tenth of a one-row call.  point evaluates the
-# refined midpoint either way.  Each rows entry looks its function up on
-# ``depolarizing`` at call time, so a wrapper installed on the module (perfbench's
-# tracer, a test's monkeypatch) sees the call.
+# point(p, q) is the capacity objective at one (p, q): (S, S', S_e, L, I_Q, F_e)
+# for quantum use, (mutual, loss) for classical use.  rows(p, qs) gives those
+# columns as arrays over aligned p and q arrays, or over a q list at one p (each
+# distinct p checked once, the q array as a whole), from the array closed forms
+# and the stacked kernels; closed_form(p) is the capacity's.  capacity's grid runs
+# on rows, and so do its golden-section steps where lookahead is set (the dephasing
+# pair, whose point is a whole run_channel or classical-use simulation); otherwise
+# they run on the scalar closed forms, which cost a tenth of a one-row call.  point
+# evaluates the refined midpoint either way.  Every entry looks its function up on
+# ``depolarizing`` at call time, so a wrapper installed there (perfbench's tracer,
+# a test's monkeypatch) sees the call.
 
 
 def _quantum_columns(t) -> tuple:
     return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
 
 
-def _depolarizing_quantum(p: float):
-    return lambda q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q)))
-
-
-def _depolarizing_classical(p: float):
-    return lambda q: depolarizing.classical_use_transcript(DepolParams(p, q))
-
-
-def _dephasing_quantum(p: float):
-    kraus = depolarizing.dephasing_kraus(p)
-    return lambda q: _quantum_columns(run_channel(kraus, _diag_qubit(q)))
-
-
-def _dephasing_classical(p: float):
-    kraus = depolarizing.dephasing_kraus(p)
-    return lambda q: depolarizing.classical_use_channel_simulation(kraus, q)
-
-
 FAMILIES = {
     ("depolarizing", "quantum"): (
-        _depolarizing_quantum,
+        lambda p, q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))),
         lambda p, qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
-        depolarizing.quantum_capacity,
+        lambda p: depolarizing.quantum_capacity(p),
         False,
     ),
     ("depolarizing", "classical"): (
-        _depolarizing_classical,
+        lambda p, q: depolarizing.classical_use_transcript(DepolParams(p, q)),
         lambda p, qs: depolarizing.classical_use_transcript_rows(p, qs),
-        depolarizing.classical_capacity,
+        lambda p: depolarizing.classical_capacity(p),
         False,
     ),
     ("dephasing", "quantum"): (
-        _dephasing_quantum,
+        lambda p, q: _quantum_columns(
+            run_channel(depolarizing.dephasing_kraus(p), DensityMatrix(np.diag([q, 1.0 - q])))
+        ),
         lambda p, qs: _quantum_columns(depolarizing.dephasing_transcript_rows(p, qs)),
-        depolarizing.dephasing_mutual,
+        lambda p: depolarizing.dephasing_mutual(p),
         True,
     ),
     ("dephasing", "classical"): (
-        _dephasing_classical,
+        lambda p, q: depolarizing.classical_use_channel_simulation(
+            depolarizing.dephasing_kraus(p), q
+        ),
         lambda p, qs: depolarizing.dephasing_classical_rows(p, qs),
         lambda p: 1.0,  # dephasing is lossless for classical bits
         True,
@@ -137,20 +118,19 @@ FAMILIES = {
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
     point, rows, closed_form, lookahead = FAMILIES[args.channel, args.use]
-    objective, column = point(p), USES[args.use][1]
+    column = USES[args.use][1]
     result = analysis.maximize_scalar_on_unit_interval(
-        lambda q: objective(q)[column],
+        lambda q: point(p, q)[column],
         args.tol,
         rows=lambda qs: rows(p, qs)[column],
         lookahead=lookahead,
     )
-    closed = closed_form(p)
     print(f"channel: {args.channel}")
     print(f"use: {args.use}")
     print(f"p: {_fmt(p)}")
     print(f"capacity: {_fmt(result.value)}")
     print(f"argmax_q: {_fmt(result.argmax_q)}")
-    print(f"closed_form: {_fmt(closed)}")
+    print(f"closed_form: {_fmt(closed_form(p))}")
     print(f"evaluations: {result.evaluations}")
     if args.channel == "depolarizing" and p > 0.75:
         print("note: p exceeds 3/4, beyond the fully depolarizing point")

@@ -58,6 +58,7 @@ from .qmat import (
     tensor,
     _check_state,
     _numbers,
+    _sequence,
     _unit_interval,
     _unit_intervals,
 )
@@ -141,6 +142,7 @@ def dilation_unitary(params: DepolParams) -> tuple[np.ndarray, PureState]:
     sqrt(1-p) psi_minus(q) + sqrt(p/3) (phi_minus + phi_plus + psi_plus), all
     at the same q, so the branch weights are (1-p, p/3, p/3, p/3).
     """
+    _check_state(params, DepolParams, "params")
     phi_minus, phi_plus, psi_minus, psi_plus = q_basis(params.q)
     branches = (
         (np.eye(2, dtype=np.complex128), psi_minus),
@@ -193,6 +195,7 @@ _ROW_OPS = (_binary_entropy_rows, _shannon_rows, np.maximum, np.sqrt)
 
 def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     """The full transcript from closed forms alone: ``_analytic`` on floats."""
+    _check_state(params, DepolParams, "params")
     # The float ops are read per call, so a wrapper installed on binary_entropy sees it.
     ops = (binary_entropy, _shannon, max, math.sqrt)
     return ChannelTranscript.from_entropies(*_analytic(params.p, params.q, ops))
@@ -259,6 +262,7 @@ def _classical(p, q, ops):
 
 def classical_use_transcript(params: DepolParams) -> tuple[float, float]:
     """(mutual information, classical loss) of a q-biased classical bit: ``_classical``."""
+    _check_state(params, DepolParams, "params")
     return _classical(params.p, params.q, (binary_entropy, _shannon, max, math.sqrt))
 
 
@@ -270,7 +274,7 @@ def classical_use_transcript_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_chunked_rows(lambda p, q: _classical(p, q, _ROW_OPS), ps[where], qs))
 
 
-def classical_use_channel_simulation(ch, q: float) -> tuple[float, float]:
+def classical_use_channel_simulation(ch: KrausChannel, q: float) -> tuple[float, float]:
     """Classical use of any single-qubit channel, simulated exactly.
 
     The classical bit is recorded in an ancilla X and purified by R: the
@@ -292,7 +296,7 @@ def _classical_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.stack([s_out + s_r - s_joint, s_joint - s_out])
 
 
-def classical_use_channel_rows(ch, q_values) -> tuple[np.ndarray, np.ndarray]:
+def classical_use_channel_rows(ch: KrausChannel, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_channel_simulation`` for every q at once: (mutual, loss) arrays.
 
     The inputs are one (N, 2, 2, 2) amplitude stack on (Q, X, R), sent by the
@@ -330,7 +334,7 @@ def dephasing_classical_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
 def kholevo_chi(probs, outputs) -> float:
     """chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i) for an output ensemble."""
     vec = check_prob_vector(probs)
-    outputs = list(outputs)
+    outputs = _sequence(outputs, "outputs", "DensityMatrix states")
     for i, rho in enumerate(outputs):
         _check_state(rho, DensityMatrix, f"outputs[{i}]")
     if len(outputs) != vec.size:
@@ -350,6 +354,7 @@ def kholevo_chi(probs, outputs) -> float:
 
 def classical_use_ensemble(params: DepolParams):
     """The channel-output ensemble {1-q: L(|1><1|), q: L(|0><0|)} of classical use."""
+    _check_state(params, DepolParams, "params")
     ch = depolarizing_kraus(params.p)
     one = basis_state(2, 1).projector()
     zero = basis_state(2, 0).projector()

@@ -9,6 +9,7 @@ than tautologies.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,12 +21,13 @@ from .qmat import (
     PROB_SUM_ATOL,
     DensityMatrix,
     PureState,
-    _as_count,
     _at_least,
     _check_residual,
     _check_state,
+    _integers,
     _numbers,
     _one_row,
+    _sequence,
     _real,
     _schmidt_spectra,
     clamp_spectrum,
@@ -144,20 +146,19 @@ def pure_subsystem_entropy(psi: PureState, keep: Iterable[int]) -> float:
     return float(_row_entropies(amps, (kept,))[0, 0])
 
 
-def _check_partition(dims: tuple[int, ...], split: Sequence[Sequence[int]], parts: int):
-    groups = [tuple(_as_count(i, "subsystem index") for i in g) for g in split]
+def _union_entropies(rho: DensityMatrix, split: Sequence[Sequence[int]], parts: int) -> list:
+    """S of every union of the ``parts`` groups of ``split``, checked to partition the factors
+    of ``rho``, in ``itertools.combinations`` order: each group, each pair, ..., all of them."""
+    groups = [_integers(g, "subsystem index") for g in _sequence(split, "split", "integer lists")]
     if len(groups) != parts:
         raise ValueError(f"bad partition: expected {parts} groups, got {len(groups)}")
     flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(len(dims))):
-        raise ValueError(f"bad partition {groups} of {len(dims)} factors")
+    if sorted(flat) != list(range(len(rho.dims))):
+        raise ValueError(f"bad partition {groups} of {len(rho.dims)} factors")
     if any(not g for g in groups):
         raise ValueError("bad partition: empty group")
-    return groups
-
-
-def _group_entropy(rho: DensityMatrix, group: Sequence[int]) -> float:
-    return von_neumann_entropy(partial_trace(rho, group))
+    unions = (sum(u, ()) for n in range(1, parts + 1) for u in itertools.combinations(groups, n))
+    return [von_neumann_entropy(partial_trace(rho, union)) for union in unions]
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,7 @@ def venn2(rho_ab: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn2
             e.g. ``((0,), (1, 2))``.
     """
     _check_state(rho_ab, DensityMatrix, "rho_ab")
-    group_a, group_b = _check_partition(rho_ab.dims, split, 2)
-    s_a = _group_entropy(rho_ab, group_a)
-    s_b = _group_entropy(rho_ab, group_b)
-    s_ab = von_neumann_entropy(rho_ab)
+    s_a, s_b, s_ab = _union_entropies(rho_ab, split, 2)
     return EntropyVenn2(
         s_a=s_a,
         s_b=s_b,
@@ -250,14 +248,7 @@ def venn3(rho_abc: DensityMatrix, split: Sequence[Sequence[int]]) -> EntropyVenn
     the center S(A:B:C) = S(A) + S(B) + S(C) - S(AB) - S(AC) - S(BC) + S(ABC).
     """
     _check_state(rho_abc, DensityMatrix, "rho_abc")
-    ga, gb, gc = _check_partition(rho_abc.dims, split, 3)
-    s_a = _group_entropy(rho_abc, ga)
-    s_b = _group_entropy(rho_abc, gb)
-    s_c = _group_entropy(rho_abc, gc)
-    s_ab = _group_entropy(rho_abc, tuple(ga) + tuple(gb))
-    s_ac = _group_entropy(rho_abc, tuple(ga) + tuple(gc))
-    s_bc = _group_entropy(rho_abc, tuple(gb) + tuple(gc))
-    s_abc = von_neumann_entropy(rho_abc)
+    s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc = _union_entropies(rho_abc, split, 3)
     return EntropyVenn3(
         cond_a=s_abc - s_bc,
         cond_b=s_abc - s_ac,

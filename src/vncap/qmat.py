@@ -107,6 +107,24 @@ def _as_count(x, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
+def _sequence(values, name: str, kind: str, cap: int | None = None) -> tuple:
+    """``values`` as a tuple, its length checked against ``cap`` before any entry is read; an
+    int, None, a generator or anything else without a length raises ValueError."""
+    try:
+        size = len(values)
+    except TypeError:
+        got = type(values).__name__
+        raise ValueError(f"{name} must be a sequence of {kind}, got {got}") from None
+    if cap is not None and size > cap:
+        raise ValueError(f"{name} has {size} entries, above the cap of {cap}")
+    return tuple(values)
+
+
+def _integers(values, name: str, cap: int | None = None) -> tuple[int, ...]:
+    """The one reader of an integer sequence: the "<name> list", each entry an ``_as_count``."""
+    return tuple(_as_count(v, name) for v in _sequence(values, f"{name} list", "integers", cap))
+
+
 def _at_least(x, low: int, name: str) -> int:
     """``_as_count(x, name)``, refused with ValueError unless it is at least ``low``."""
     count = _as_count(x, name)
@@ -172,7 +190,7 @@ def _check_normalized(amps: np.ndarray) -> None:
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    dims = tuple(_as_count(d, "subsystem dimension") for d in dims)
+    dims = _integers(dims, "subsystem dimension")
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"bad subsystem dimensions {dims}")
     if math.prod(dims) != size:
@@ -181,7 +199,7 @@ def _check_dims(dims, size: int) -> tuple[int, ...]:
 
 
 def _check_indices(indices, n_factors: int) -> tuple[int, ...]:
-    idx = tuple(_as_count(i, "subsystem index") for i in indices)
+    idx = _integers(indices, "subsystem index")
     if not idx or len(set(idx)) != len(idx):
         raise ValueError(f"bad subsystem index set {idx}")
     if any(i < 0 or i >= n_factors for i in idx):
@@ -249,18 +267,18 @@ class DensityMatrix:
 
 
 def _check_state(state, kind: type, name: str) -> None:
-    """The one state-type check: every public slot that takes a ``DensityMatrix`` or a
-    ``PureState`` (``kind``) runs it first, and anything else raises ValueError
-    "<name> must be a <kind>"."""
+    """The one object-type check, run first by every public slot that takes one of the
+    package's classes (``kind``): anything else raises ValueError "<name> must be a <kind>"."""
     if not isinstance(state, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {type(state).__name__}")
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the slower-varying (leftmost) factor; NaN or inf raises."""
+    """Kronecker product, ``a`` the slower-varying (leftmost) factor; NaN, inf or overflow raise."""
     a = _check_finite(_numbers(a, "factor a", None, "iufc"), "factor a")
     b = _check_finite(_numbers(b, "factor b", None, "iufc"), "factor b")
-    return np.kron(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: refused, no warning first
+        return _check_finite(np.kron(a, b), "tensor product")
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -290,14 +308,15 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
 
     Values in ``[EIGENVALUE_FLOOR, 0)`` are numerical jitter and are clamped to
     0, after which each spectrum is renormalized to sum to 1.  Values below the
-    floor indicate genuine non-positivity and raise, as do NaN and infinities.
+    floor indicate genuine non-positivity and raise, as do NaN, infinities and overflows.
     """
     vals = _numbers(values, "spectrum", None, "iuf").astype(np.float64, copy=False)
     _check_finite(vals, "spectrum")
     if vals.size:
         _check_residual(-vals.min(), -EIGENVALUE_FLOOR, "negative eigenvalue below the clamp floor")
     clamped = np.where(vals < 0.0, 0.0, vals)
-    total = clamped.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # overflow: refused, no warning first
+        total = _check_finite(clamped.sum(axis=-1, keepdims=True), "spectrum sum")
     if not total.min(initial=math.inf) > 0.0:  # every row
         raise ValueError("spectrum sums to zero after clamping")
     return clamped / total

@@ -191,11 +191,11 @@ class TestLookAhead:
         point, rows, _, _ = cli.FAMILIES[family]
         column = cli.USES[family[1]][1]
         for p in LOOKAHEAD_PS:
-            objective, calls = point(p), []
+            calls = []
 
             def f(q):
                 calls.append(q)
-                return objective(q)[column]
+                return point(p, q)[column]
 
             def search(lookahead):
                 calls.clear()

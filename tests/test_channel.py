@@ -514,7 +514,7 @@ class TestStackedKernel:
         ch = STACKED_CHANNELS[name]
         rows = diagonal_transcripts(ch, STACKED_Q)
         for i, q in enumerate(STACKED_Q):
-            scalar = run_channel(ch, cli._diag_qubit(q))
+            scalar = run_channel(ch, DensityMatrix(np.diag([q, 1.0 - q])))
             for field in ChannelTranscript.__dataclass_fields__:
                 got, expected = getattr(rows, field)[i], getattr(scalar, field)
                 assert abs(got - expected) <= 1e-12, (field, q)

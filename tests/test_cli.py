@@ -180,6 +180,31 @@ def _grid(p_range: str, q_range: str):
     return p_values, q_values, grid
 
 
+# family -> the ``depolarizing`` functions behind its point, rows and closed form.
+CALL_TIME_FUNCTIONS = {
+    ("depolarizing", "quantum"): (
+        "analytic_transcript",
+        "analytic_transcript_rows",
+        "quantum_capacity",
+    ),
+    ("depolarizing", "classical"): (
+        "classical_use_transcript",
+        "classical_use_transcript_rows",
+        "classical_capacity",
+    ),
+    ("dephasing", "quantum"): (
+        "dephasing_kraus",
+        "dephasing_transcript_rows",
+        "dephasing_mutual",
+    ),
+    ("dephasing", "classical"): (
+        "classical_use_channel_simulation",
+        "dephasing_classical_rows",
+        None,
+    ),
+}
+
+
 class TestWholeGridSweep:
     """A sweep sends its whole (p, q) grid, p-major, through one row call."""
 
@@ -264,17 +289,36 @@ class TestWholeGridSweep:
     def test_rows_are_looked_up_at_call_time(self, monkeypatch, family):
         """A sweep calls its family's row function through the ``depolarizing`` module,
         so a wrapper installed there, as perfbench's tracer installs one, sees it."""
-        name = {
-            ("depolarizing", "quantum"): "analytic_transcript_rows",
-            ("depolarizing", "classical"): "classical_use_transcript_rows",
-            ("dephasing", "quantum"): "dephasing_transcript_rows",
-            ("dephasing", "classical"): "dephasing_classical_rows",
-        }[family]
+        name = CALL_TIME_FUNCTIONS[family][1]
         calls, rows = [], getattr(depolarizing, name)
         monkeypatch.setattr(depolarizing, name, lambda *a: calls.append(len(a[1])) or rows(*a))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sweep", "--channel", family[0], "--use", family[1]]) == 0
         assert calls == [16 * 51]
+
+
+@pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+def test_capacity_looks_up_every_function_at_call_time(monkeypatch, family):
+    """A capacity request reaches its family's point, rows and closed-form function
+    through the ``depolarizing`` module: a wrapper installed there sees each call,
+    and the closed form it returns is the one printed.  Dephasing's classical
+    capacity is the constant 1, with no function behind it."""
+    point, rows, closed_form = CALL_TIME_FUNCTIONS[family]
+    calls = collections.Counter()
+    for name in (point, rows):
+        function = getattr(depolarizing, name)
+        monkeypatch.setattr(
+            depolarizing, name, lambda *a, f=function, n=name: calls.update([n]) or f(*a)
+        )
+    if closed_form is not None:
+        monkeypatch.setattr(depolarizing, closed_form, lambda p: calls.update(["closed"]) or 7.5)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["capacity", "--channel", family[0], "--use", family[1], "--p", "0.3"]
+        assert cli.main(argv) == 0
+    assert calls[point] >= 1 and calls[rows] >= 1
+    if closed_form is not None:
+        assert calls["closed"] == 1 and "closed_form: 7.5\n" in out.getvalue()
 
 
 class TestAuditCommand:

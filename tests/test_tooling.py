@@ -256,6 +256,119 @@ def test_einsum_check_sees_each_kind_of_call():
     assert einsum_kernels(sources, names) == (["a._send_rows", "b._chain_rows"], ["_gone"])
 
 
+# The package's classes: a public parameter annotated with one must reach the one
+# object-type check, ``qmat._check_state``, itself or through the checks that run it.
+PACKAGE_CLASSES = {
+    "DensityMatrix",
+    "PureState",
+    "KrausChannel",
+    "DepolParams",
+    "ChannelTranscript",
+    "HammingQuery",
+}
+TYPE_CHECKS = {("qmat", "_check_state"), ("channel", "_branches"), ("qmat", "_one_row")}
+
+
+def _positional(func: ast.FunctionDef) -> list[str]:
+    return [a.arg for a in func.args.posonlyargs + func.args.args]
+
+
+def _class_name(annotation) -> str | None:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value
+    return annotation.id if isinstance(annotation, ast.Name) else None
+
+
+def unchecked_slots(sources: dict[str, str]) -> list[str]:
+    """``module.function.parameter`` of every parameter of a public module-level function
+    in ``sources``, annotated with one of ``PACKAGE_CLASSES``, that never reaches a type
+    check: the function does not pass it, as it stands, as the first argument of one of
+    ``TYPE_CHECKS``, nor at a position or keyword whose parameter reaches one in
+    another function of ``sources``.  Calls resolve through ``from .module import``
+    and ``module.name``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    funcs, scopes = {}, {}
+    for module, tree in trees.items():
+        scope = scopes[module] = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                funcs[module, node.name] = node
+                scope[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                scope.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+
+    def callee(module: str, func: ast.expr):
+        if isinstance(func, ast.Name):
+            return scopes[module].get(func.id)
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return (func.value.id, func.attr) if func.value.id in trees else None
+        return None
+
+    reached = {(key, _positional(funcs[key])[0]) for key in TYPE_CHECKS if key in funcs}
+    grew = True
+    while grew:  # until no parameter newly reaches a check
+        grew = False
+        for key, func in funcs.items():
+            own = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+            for call in ast.walk(func):
+                target = isinstance(call, ast.Call) and callee(key[0], call.func)
+                if target not in funcs:
+                    continue
+                passed = list(zip(_positional(funcs[target]), call.args))
+                passed += [(kw.arg, kw.value) for kw in call.keywords]
+                for param, arg in passed:
+                    slot = (key, getattr(arg, "id", None))
+                    if (target, param) in reached and slot[1] in own and slot not in reached:
+                        reached.add(slot)
+                        grew = True
+    return sorted(
+        f"{module}.{name}.{arg.arg}"
+        for (module, name), func in funcs.items()
+        if not name.startswith("_")
+        for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        if _class_name(arg.annotation) in PACKAGE_CLASSES
+        and ((module, name), arg.arg) not in reached
+    )
+
+
+def test_every_object_slot_reaches_the_type_check():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unchecked_slots(sources) == []
+
+
+def test_type_check_guard_sees_each_kind_of_slot():
+    sources = {
+        "qmat": "def _check_state(state, kind, name): pass\n"
+        "def _one_row(psi, keep): _check_state(psi, PureState, 'psi')\n"
+        "def direct(rho: DensityMatrix): _check_state(rho, DensityMatrix, 'rho')\n"
+        "def other_slot(rho: DensityMatrix, x): _check_state(x, DensityMatrix, 'x')\n"
+        "def via_one_row(psi: 'PureState', keep): return _one_row(psi, keep)\n"
+        "def never(psi: PureState): return psi.dims\n"
+        "def _private(rho: DensityMatrix): return rho\n"
+        "def unrelated(x: int, y: dict): return x\n",
+        "channel": "from .qmat import _check_state\n"
+        "def _branches(ch, name='channel'): return ch.operators\n"
+        "def through_branches(ch: KrausChannel): return _branches(ch)\n"
+        "def through_rows(ch: KrausChannel, q): return rows(ch, q)\n"
+        "def rows(ch: KrausChannel, qs): return _branches(ch)\n"
+        "def by_keyword(t: ChannelTranscript): return take(1, t=t)\n"
+        "def take(x, t): _check_state(t, ChannelTranscript, 't')\n"
+        "def rebuilt(t: ChannelTranscript): return take(1, t=ChannelTranscript(t))\n",
+        "depolarizing": "from . import qmat\n"
+        "def attribute(params: DepolParams): qmat._check_state(params, DepolParams, 'p')\n"
+        "def field_only(params: DepolParams): return qmat.direct(params.q)\n"
+        "def keyword_only(*, query: HammingQuery): return query\n"
+        "def checked_keyword(*, q: HammingQuery): qmat._check_state(q, HammingQuery, 'q')\n",
+    }
+    assert unchecked_slots(sources) == [
+        "channel.rebuilt.t",
+        "depolarizing.field_only.params",
+        "depolarizing.keyword_only.query",
+        "qmat.never.psi",
+        "qmat.other_slot.rho",
+    ]
+
+
 ROOT = SRC.parents[1]
 WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
 

@@ -45,24 +45,31 @@ from vncap.channel import (
     entanglement_fidelity,
     identity_channel,
     kraus_channel_from_json,
+    kraus_channel_to_json,
     parallel,
     purify,
     quantum_fano_bound,
     run_channel,
+    transcript_identity_residuals,
     transcript_slacks,
 )
 from vncap.depolarizing import (
     LOG2_3,
     DepolParams,
+    analytic_transcript,
     analytic_transcript_rows,
+    build_dilation,
     classical_capacity,
     classical_use_channel_rows,
     classical_use_channel_simulation,
+    classical_use_ensemble,
+    classical_use_transcript,
     classical_use_transcript_rows,
     dephasing_classical_rows,
     dephasing_kraus,
     dephasing_transcript_rows,
     depolarizing_kraus,
+    dilation_unitary,
     kholevo_chi,
     quantum_capacity,
     superdense_scenario,
@@ -293,6 +300,8 @@ ZERO_DIMENSION = {
     ),
 }
 
+MIXED_RUN = run_channel(DEPHASING, MIXED)
+
 # Every public slot that takes a channel: name -> (the call on that slot, its name).
 CHANNEL_SLOTS = {
     "chain.ch1": (lambda ch: chain(ch, DEPHASING), "ch1"),
@@ -387,6 +396,22 @@ STATE_SLOTS = {
 }
 NOT_STATES = ["x", 5, None, np.eye(2) / 2, [[0.5, 0.0], [0.0, 0.5]], DEPHASING]
 
+# Every public slot that takes another of the package's objects: name -> (the call on
+# that slot, its name, an object the call accepts there).
+PARAMS = DepolParams(0.1, 0.3)
+OBJECT_SLOTS = {
+    "analytic_transcript": (analytic_transcript, "params", PARAMS),
+    "classical_use_transcript": (classical_use_transcript, "params", PARAMS),
+    "dilation_unitary": (dilation_unitary, "params", PARAMS),
+    "build_dilation": (build_dilation, "params", PARAMS),
+    "classical_use_ensemble": (classical_use_ensemble, "params", PARAMS),
+    "transcript_identity_residuals": (transcript_identity_residuals, "transcript", MIXED_RUN),
+    "transcript_slacks": (transcript_slacks, "transcript", MIXED_RUN),
+    "kraus_channel_to_json": (kraus_channel_to_json, "channel", DEPHASING),
+    "hamming_holds": (hamming_holds, "query", HammingQuery(5, 1, 1, "quantum")),
+}
+NOT_OBJECTS = ["x", None, 0.1, (0.1, 0.3), (5, 1, 1, "quantum"), {"p": 0.1, "q": 0.3}, MIXED]
+
 # Every public flag: name -> the call with that flag.  Only bool and np.bool_ are flags.
 FLAG_SLOTS = {
     "return_state": lambda flag: run_channel(DEPHASING, MIXED, return_state=flag),
@@ -397,7 +422,6 @@ FLAG_SLOTS = {
 NOT_FLAGS = ["no", "yes", "", 0, 1, 1.0, None, np.int64(1), [True]]
 
 # (d_q, d_r, the factor refused): ``transcript_slacks`` checks each factor itself.
-MIXED_RUN = run_channel(DEPHASING, MIXED)
 BAD_CODE_FACTORS = [
     (-2, -2, "d_q"), (True, 4, "d_q"), (0.5, 8, "d_q"), (2, 0, "d_r"), (4, False, "d_r")
 ]
@@ -439,6 +463,11 @@ NON_INTEGER_COUNTS = {
     "audit_inequalities(seed=False)": lambda: audit_inequalities(False, 1),
     "HammingQuery(True, True, False)": lambda: HammingQuery(True, True, False, "classical"),
     "asymptotic_consistency([True])": lambda: asymptotic_consistency(0.1, [True], "classical"),
+    # a block-length list is a sequence with a length, read before any entry
+    "asymptotic_consistency(5)": lambda: asymptotic_consistency(0.1, 5, "quantum"),
+    "asymptotic_consistency(generator)": lambda: asymptotic_consistency(
+        0.1, (n for n in (25, 50)), "quantum"
+    ),
     "random_unitary(2, seed=True)": lambda: random_unitary(2, True),
     # each code-space factor of the Fano slack, not only their product
     **{
@@ -470,6 +499,16 @@ NON_INTEGER_FACTORS = {
     "PureState(dims=(True, 2))": lambda: PureState([1, 0], (True, 2)),
     "partial_trace(keep=(False,))": lambda: partial_trace(MIXED_PAIR, (False,)),
     "basis_state(2, True)": lambda: basis_state(2, True),
+    # index, dimension and partition lists are sequences, not single integers
+    "partial_trace(keep=5)": lambda: partial_trace(MIXED_PAIR, 5),
+    "pure_marginal(keep=0)": lambda: pure_marginal(BELL, 0),
+    "pure_subsystem_entropy(keep=0)": lambda: pure_subsystem_entropy(BELL, 0),
+    "venn2(split=5)": lambda: venn2(MIXED_PAIR, 5),
+    "venn2(split=(0, 1))": lambda: venn2(MIXED_PAIR, (0, 1)),
+    "venn3(split=(0, 1, 2))": lambda: venn3(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), (0, 1, 2)),
+    "PureState(dims=5)": lambda: PureState([1, 0], 5),
+    "DensityMatrix(dims=2)": lambda: DensityMatrix(np.eye(2) / 2, 2),
+    "basis_state(dims=5)": lambda: basis_state(2, 0, 5),
 }
 
 
@@ -677,6 +716,41 @@ class TestLibraryRefusals:
         wrong = ZERO if isinstance(state, DensityMatrix) else MIXED
         with pytest.raises(ValueError, match=f"^{slot} must be a {type(state).__name__}, got "):
             call(wrong)
+
+    @pytest.mark.parametrize("bad", NOT_OBJECTS, ids=lambda bad: type(bad).__name__)
+    @pytest.mark.parametrize("name", sorted(OBJECT_SLOTS))
+    def test_object_slots_refuse_other_kinds(self, name, bad):
+        call, slot, good = OBJECT_SLOTS[name]
+        with pytest.raises(ValueError, match=f"^{slot} must be a {type(good).__name__}, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("name", sorted(OBJECT_SLOTS))
+    def test_object_slots_take_their_kind(self, name):
+        call, _, good = OBJECT_SLOTS[name]
+        call(good)
+
+    @pytest.mark.parametrize(
+        "bad", [5, None, (rho for rho in [MIXED])], ids=lambda bad: type(bad).__name__
+    )
+    def test_kholevo_outputs_must_be_a_sequence(self, bad):
+        with pytest.raises(ValueError, match="^outputs must be a sequence of DensityMatrix"):
+            kholevo_chi([1.0], bad)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: clamp_spectrum([1e308, 1e308]),
+            lambda: clamp_spectrum([[0.5, 0.5], [1e308, 1e308]]),
+            lambda: tensor([1e200], [1e200]),
+            lambda: tensor([1e200 + 1e200j], [1e200 + 1e200j]),
+        ],
+        ids=["clamp_spectrum", "clamp_spectrum-row", "tensor", "tensor-complex"],
+    )
+    def test_overflow_is_refused_before_any_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
     @pytest.mark.parametrize("bad", NOT_REAL + [[0.5], np.array([0.5, 0.5])], ids=repr)
     def test_transcript_slacks_read_each_entry_as_a_real(self, bad):
