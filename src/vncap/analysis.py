@@ -68,6 +68,8 @@ from .qmat import (
 )
 
 _TIE_ATOL = 1e-12
+AUDIT_TOL = 1e-9  # default slack tolerance of the audits (and of ``audit --tol``)
+CAPACITY_TOL = 1e-10  # default optimizer tolerance on q (and of ``capacity --tol``)
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 CAPACITY_GRID = tuple(i / 100.0 for i in range(101))  # the optimizer's grid scan
 
@@ -156,7 +158,7 @@ def _golden_tree(bracket: tuple, outcomes: tuple, depth: int, tol: float) -> lis
 
 def maximize_scalar_on_unit_interval(
     f: Callable[[float], float],
-    tol: float = 1e-10,
+    tol: float = CAPACITY_TOL,
     rows: Callable | None = None,
     lookahead: bool = False,
 ) -> CapacityResult:
@@ -508,7 +510,7 @@ def _scan(chunks, tol: float) -> tuple[list, float]:
     return violations, worst
 
 
-def audit_inequalities(seed: int, trials: int, tol: float = 1e-9) -> AuditReport:
+def audit_inequalities(seed: int, trials: int, tol: float = AUDIT_TOL) -> AuditReport:
     """Audit every framework inequality over seeded random channels.
 
     Each trial draws two random single-qubit dilations (4-dim environments), a
@@ -521,7 +523,7 @@ def audit_inequalities(seed: int, trials: int, tol: float = 1e-9) -> AuditReport
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
 
-def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport:
+def audit_axioms(seed: int, trials: int = 100, tol: float = AUDIT_TOL) -> AuditReport:
     """Spot-check concavity in the input and convexity in the channel map.
 
     Each trial draws two random channels, two random densities, and a weight,
@@ -533,7 +535,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = 1e-9) -> AuditReport
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
 
-def search_coherent_info_violations(seed: int, trials: int, tol: float = 1e-9) -> tuple:
+def search_coherent_info_violations(seed: int, trials: int, tol: float = AUDIT_TOL) -> tuple:
     """Search random mixtures for failures of coherent-information concavity.
 
     The coherent information S - L is known not to share the concavity axiom

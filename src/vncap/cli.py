@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, depolarizing
+from .analysis import AUDIT_TOL, CAPACITY_TOL
 from .channel import STACK_ROWS, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
@@ -236,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "capacity", parents=[channel_use], help="maximize mutual information over the input mix q"
     )
     cap.add_argument("--p", type=float, required=True, help="error probability")
-    cap.add_argument("--tol", type=float, default=1e-10, help="optimizer tolerance on q")
+    cap.add_argument("--tol", type=float, default=CAPACITY_TOL, help="optimizer tolerance on q")
 
     sweep = sub.add_parser(
         "sweep", parents=[channel_use], help="emit a (p, q) grid of transcripts as CSV"
@@ -247,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="randomized inequality audit, JSON report")
     audit.add_argument("--trials", type=int, default=200)
     audit.add_argument("--seed", type=int, default=None, help="defaults to VN_SEED or 42")
-    audit.add_argument("--tol", type=float, default=1e-9)
+    audit.add_argument("--tol", type=float, default=AUDIT_TOL)
 
     ham = sub.add_parser("hamming", help="sphere-packing verdicts and rate bounds")
     ham.add_argument("--mode", choices=tuple(analysis.MODES), required=True)

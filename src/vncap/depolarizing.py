@@ -25,6 +25,7 @@ to convey two classical bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,6 @@ from .qmat import (
     DensityMatrix,
     PureState,
     basis_state,
-    tensor,
     _check_state,
     _numbers,
     _sequence,
@@ -68,7 +68,9 @@ LOG2_3 = math.log2(3.0)
 BIT_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PHASE_FLIP = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 BIT_PHASE_FLIP = BIT_FLIP @ PHASE_FLIP  # [[0, 1], [-1, 0]]
-for _m in (BIT_FLIP, PHASE_FLIP, BIT_PHASE_FLIP):
+# Flips k = identity, bit flip, bit-phase flip, phase flip as one (q_out, k, q_in) table.
+_FLIPS = np.stack([np.eye(2, dtype=np.complex128), BIT_FLIP, BIT_PHASE_FLIP, PHASE_FLIP], axis=1)
+for _m in (BIT_FLIP, PHASE_FLIP, BIT_PHASE_FLIP, _FLIPS):
     _m.setflags(write=False)
 
 
@@ -93,38 +95,42 @@ class SuperdenseReport:
     p: float
 
 
+def _q_basis_rows(q: float) -> np.ndarray:
+    """The q-basis of a checked q as one (4, 2, 2) amplitude table, rows in ``q_basis``
+    order (phi_minus, phi_plus, psi_minus, psi_plus)."""
+    a, b = math.sqrt(1.0 - q), math.sqrt(q)
+    rows = [[a, 0.0, 0.0, -b], [b, 0.0, 0.0, a], [0.0, -b, a, 0.0], [0.0, a, b, 0.0]]
+    return np.array(rows, dtype=np.complex128).reshape(4, 2, 2)
+
+
 def q_basis(q: float) -> tuple[PureState, PureState, PureState, PureState]:
     """The orthonormal two-qubit family (phi_minus, phi_plus, psi_minus, psi_plus)."""
-    q = _unit_interval(q, "mixing parameter")
-    a, b = math.sqrt(1.0 - q), math.sqrt(q)
-    dims = (2, 2)
-    phi_minus = PureState([a, 0.0, 0.0, -b], dims)
-    phi_plus = PureState([b, 0.0, 0.0, a], dims)
-    psi_minus = PureState([0.0, -b, a, 0.0], dims)
-    psi_plus = PureState([0.0, a, b, 0.0], dims)
-    return phi_minus, phi_plus, psi_minus, psi_plus
+    rows = _q_basis_rows(_unit_interval(q, "mixing parameter"))
+    return tuple(PureState(row, (2, 2)) for row in rows)
 
 
-def depolarizing_kraus(p: float) -> KrausChannel:
-    """Kraus form {1-p: identity, p/3 each: bit / bit-phase / phase flip}."""
-    p = _unit_interval(p, "error probability")
-    return KrausChannel(
-        (
-            math.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
-            math.sqrt(p / 3.0) * BIT_FLIP,
-            math.sqrt(p / 3.0) * BIT_PHASE_FLIP,
-            math.sqrt(p / 3.0) * PHASE_FLIP,
-        )
-    )
+def _pauli_branches(flips: np.ndarray, *weights: np.ndarray) -> np.ndarray:
+    """B[n, q_out, k, q_in] = sqrt(w_k[n]) flips[:, k, :] of K checked weight rows, not yet
+    checked complete: one broadcast multiply in that order.  An einsum would turn the -0.0 of
+    0 * (-1) at p = 0 into +0.0, and a swapped view would be copied per chunk."""
+    return np.sqrt(np.stack(weights, axis=1))[:, np.newaxis, :, np.newaxis] * flips
+
+
+def _depolarizing_branches(ps: np.ndarray) -> np.ndarray:
+    """The branch stack of each checked p: weights (1-p, p/3, p/3, p/3) on all four flips."""
+    return _pauli_branches(_FLIPS, 1.0 - ps, *[ps / 3.0] * 3)
 
 
 def _dephasing_branches(ps: np.ndarray) -> np.ndarray:
-    """The (P, 2, 2, 2) branch stack {sqrt(1-p) identity, sqrt(p) phase flip} of each
-    checked p, not yet checked complete.  Broadcast multiplies, not an einsum product:
-    that would turn the -0.0 of 0 * (-1) at p = 0 into +0.0."""
-    ps = ps[:, np.newaxis, np.newaxis]
-    ops = (np.sqrt(1.0 - ps) * np.eye(2, dtype=np.complex128), np.sqrt(ps) * PHASE_FLIP)
-    return np.stack(ops, axis=2)  # (P, q_out, k, q_in)
+    """The branch stack of each checked p: weights (1-p, p) on the identity and phase flip."""
+    return _pauli_branches(_FLIPS[:, ::3], 1.0 - ps, ps)
+
+
+def depolarizing_kraus(p: float) -> KrausChannel:
+    """Kraus form {1-p: identity, p/3 each: bit / bit-phase / phase flip}:
+    ``_depolarizing_branches`` of one p, checked complete by ``KrausChannel``."""
+    p = _unit_interval(p, "error probability")
+    return _from_branches(_depolarizing_branches(np.array([p])))
 
 
 def dephasing_kraus(p: float) -> KrausChannel:
@@ -143,29 +149,19 @@ def dilation_unitary(params: DepolParams) -> tuple[np.ndarray, PureState]:
     at the same q, so the branch weights are (1-p, p/3, p/3, p/3).
     """
     _check_state(params, DepolParams, "params")
-    phi_minus, phi_plus, psi_minus, psi_plus = q_basis(params.q)
-    branches = (
-        (np.eye(2, dtype=np.complex128), psi_minus),
-        (BIT_FLIP, phi_minus),
-        (BIT_PHASE_FLIP, phi_plus),
-        (PHASE_FLIP, psi_plus),
-    )
+    phi_minus, phi_plus, psi_minus, psi_plus = _q_basis_rows(params.q).reshape(4, 4)
     u = np.zeros((8, 8), dtype=np.complex128)
-    for op, env_state in branches:
-        proj = np.outer(env_state.amplitudes, env_state.amplitudes.conj())
-        u += tensor(op, proj)
-    env = (
-        math.sqrt(1.0 - params.p) * psi_minus.amplitudes
-        + math.sqrt(params.p / 3.0)
-        * (phi_minus.amplitudes + phi_plus.amplitudes + psi_plus.amplitudes)
-    )
+    for k, env_state in enumerate((psi_minus, phi_minus, phi_plus, psi_plus)):
+        u += np.kron(_FLIPS[:, k], np.outer(env_state, env_state.conj()))
+    kept, flipped = math.sqrt(1.0 - params.p), math.sqrt(params.p / 3.0)
+    env = kept * psi_minus + flipped * (phi_minus + phi_plus + psi_plus)
     return u, PureState(env, (4,))
 
 
 def build_dilation(params: DepolParams) -> tuple[KrausChannel, PureState]:
     """The channel of ``dilation_unitary``, plus the entangled input |psi_minus(q)>."""
     u, env = dilation_unitary(params)
-    return dilation_channel(u, 4, env), q_basis(params.q)[2]
+    return dilation_channel(u, 4, env), PureState(_q_basis_rows(params.q)[2], (2, 2))
 
 
 def _analytic(p, q, ops):
@@ -334,19 +330,17 @@ def dephasing_classical_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
 def kholevo_chi(probs, outputs) -> float:
     """chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i) for an output ensemble."""
     vec = check_prob_vector(probs)
+    if isinstance(outputs, Set):  # paired with probs in hash order, which can change per run
+        raise ValueError(f"outputs must be an ordered sequence, got {type(outputs).__name__}")
     outputs = _sequence(outputs, "outputs", "DensityMatrix states")
     for i, rho in enumerate(outputs):
         _check_state(rho, DensityMatrix, f"outputs[{i}]")
     if len(outputs) != vec.size:
-        raise ValueError(
-            f"length mismatch: {vec.size} probabilities vs {len(outputs)} outputs"
-        )
+        raise ValueError(f"length mismatch: {vec.size} probabilities vs {len(outputs)} outputs")
     if len({rho.dim for rho in outputs}) > 1:
         raise ValueError(f"dimension mismatch: output dimensions {[rho.dim for rho in outputs]}")
     dims = outputs[0].dims
-    mix = DensityMatrix(
-        sum(p * rho.matrix for p, rho in zip(vec, outputs)), dims
-    )
+    mix = DensityMatrix(sum(p * rho.matrix for p, rho in zip(vec, outputs)), dims)
     return von_neumann_entropy(mix) - sum(
         float(p) * von_neumann_entropy(rho) for p, rho in zip(vec, outputs)
     )
@@ -378,8 +372,9 @@ def superdense_scenario(p: float) -> SuperdenseReport:
     both equal the q = 1/2 mutual entanglement of the channel.
     """
     p = _unit_interval(p, "error probability")
-    bells = np.stack([b.amplitudes.reshape(2, 2) for b in q_basis(0.5)])
-    columns, out = _transcript_rows(_branches(depolarizing_kraus(p)), bells)
+    branches = _depolarizing_branches(np.array([p]))
+    _check_complete(branches)
+    columns, out = _transcript_rows(branches, _q_basis_rows(0.5))
     runs = ChannelTranscript.from_entropies(*columns)
     halves = out.reshape(4, 4, -1)  # each run's (Q', R, E') as a (Q'R, E') matrix M
     rho_bar = DensityMatrix(np.einsum("cik,cjk->ij", halves, halves.conj()) / 4.0, (2, 2))

@@ -24,6 +24,12 @@ dephasing p, the rows stacked p-major.  ``dephasing_branches_per_p`` is the
 dephasing branch table as it was built before one stacked construction: one
 channel's operators per p, each stacked into its branch tensor.
 
+The depolarizing constructions as they were before one flip table and one
+q-basis amplitude table served them are kept to pin those bit for bit:
+``per_operator_depolarizing_kraus`` (a float times each flip),
+``pure_state_q_basis`` (four ``PureState`` objects) and
+``tensor_loop_dilation_unitary`` (one ``tensor`` per branch, on those states).
+
 The einsum forms of the stacked contractions, which batched ``matmul`` calls
 and one broadcast product replaced, are kept to check those against:
 ``einsum_send_rows``, ``einsum_overlaps``, ``einsum_chain_rows``,
@@ -62,6 +68,7 @@ from vncap.qmat import (
     _check_unitary,
     basis_state,
     clamp_spectrum,
+    tensor,
 )
 
 
@@ -227,6 +234,49 @@ def dephasing_branches_per_p(p_values) -> np.ndarray:
     identity, flip = np.eye(2, dtype=np.complex128), depolarizing.PHASE_FLIP
     ops = [(math.sqrt(1.0 - p) * identity, math.sqrt(p) * flip) for p in p_values]
     return np.stack([np.stack(pair, axis=1) for pair in ops])
+
+
+def per_operator_depolarizing_kraus(p: float) -> KrausChannel:
+    """Kraus form {1-p: identity, p/3 each: bit / bit-phase / phase flip}, one product each."""
+    return KrausChannel(
+        (
+            math.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
+            math.sqrt(p / 3.0) * depolarizing.BIT_FLIP,
+            math.sqrt(p / 3.0) * depolarizing.BIT_PHASE_FLIP,
+            math.sqrt(p / 3.0) * depolarizing.PHASE_FLIP,
+        )
+    )
+
+
+def pure_state_q_basis(q: float) -> tuple[PureState, PureState, PureState, PureState]:
+    """(phi_minus, phi_plus, psi_minus, psi_plus), each built as its own ``PureState``."""
+    a, b = math.sqrt(1.0 - q), math.sqrt(q)
+    dims = (2, 2)
+    phi_minus = PureState([a, 0.0, 0.0, -b], dims)
+    phi_plus = PureState([b, 0.0, 0.0, a], dims)
+    psi_minus = PureState([0.0, -b, a, 0.0], dims)
+    psi_plus = PureState([0.0, a, b, 0.0], dims)
+    return phi_minus, phi_plus, psi_minus, psi_plus
+
+
+def tensor_loop_dilation_unitary(p: float, q: float) -> tuple[np.ndarray, PureState]:
+    """``dilation_unitary`` summed branch by branch, flip (tensor) q-basis projector."""
+    phi_minus, phi_plus, psi_minus, psi_plus = pure_state_q_basis(q)
+    branches = (
+        (np.eye(2, dtype=np.complex128), psi_minus),
+        (depolarizing.BIT_FLIP, phi_minus),
+        (depolarizing.BIT_PHASE_FLIP, phi_plus),
+        (depolarizing.PHASE_FLIP, psi_plus),
+    )
+    u = np.zeros((8, 8), dtype=np.complex128)
+    for op, env_state in branches:
+        proj = np.outer(env_state.amplitudes, env_state.amplitudes.conj())
+        u += tensor(op, proj)
+    env = (
+        math.sqrt(1.0 - p) * psi_minus.amplitudes
+        + math.sqrt(p / 3.0) * (phi_minus.amplitudes + phi_plus.amplitudes + psi_plus.amplitudes)
+    )
+    return u, PureState(env, (4,))
 
 
 def seeded_unitary(dim: int, seed: int) -> np.ndarray:

@@ -45,7 +45,16 @@ from vncap.depolarizing import (
     superdense_threshold,
 )
 
-from reference import apply_unitary, dephasing_branches_per_p
+from reference import (
+    apply_unitary,
+    dephasing_branches_per_p,
+    per_operator_depolarizing_kraus,
+    pure_state_q_basis,
+    tensor_loop_dilation_unitary,
+)
+
+# A dense p (or q) grid with both ends and the floats next to them.
+EDGE_GRID = np.concatenate([np.linspace(0.0, 1.0, 2001), [5e-324, 1.0 - 2.0**-53]]).tolist()
 
 
 class TestQBasis:
@@ -89,6 +98,56 @@ class TestQBasis:
             q_basis(1 - q)[3].amplitudes,
             atol=1e-12,
         )
+
+
+def record_constructions(monkeypatch) -> list[str]:
+    """The class name of every channel and state built from now on, in order."""
+    built = []
+    for cls in (KrausChannel, PureState, DensityMatrix):
+        post_init = cls.__post_init__
+
+        def recorded(self, _post_init=post_init):
+            _post_init(self)
+            built.append(type(self).__name__)
+
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+    return built
+
+
+class TestTables:
+    """The flip table and the q-basis table against the per-object constructions
+    they replaced, bit for bit, signed zeros included."""
+
+    def test_depolarizing_kraus_equals_the_per_operator_construction(self):
+        for p in EDGE_GRID:
+            got, want = depolarizing_kraus(p), per_operator_depolarizing_kraus(p)
+            assert np.stack(got.operators).tobytes() == np.stack(want.operators).tobytes()
+        # The -0.0 of 0 * (-1) at p = 0, in the bit-phase and phase flips.
+        assert np.signbit(np.stack(depolarizing_kraus(0.0).operators).real).sum() == 2
+
+    def test_q_basis_equals_the_pure_state_construction(self):
+        for q in EDGE_GRID:
+            for got, want in zip(q_basis(q), pure_state_q_basis(q), strict=True):
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+                assert got.dims == want.dims == (2, 2)
+
+    def test_dilation_unitary_equals_the_tensor_loop(self):
+        for p in EDGE_GRID[::40] + EDGE_GRID[-2:]:
+            for q in EDGE_GRID[::100] + EDGE_GRID[-2:]:
+                u, env = dilation_unitary(DepolParams(p, q))
+                u_ref, env_ref = tensor_loop_dilation_unitary(p, q)
+                assert u.tobytes() == u_ref.tobytes()
+                assert env.amplitudes.tobytes() == env_ref.amplitudes.tobytes()
+                entangled = build_dilation(DepolParams(p, q))[1].amplitudes
+                assert entangled.tobytes() == pure_state_q_basis(q)[2].amplitudes.tobytes()
+
+    def test_dilation_builds_only_the_states_it_returns(self, monkeypatch):
+        built = record_constructions(monkeypatch)
+        dilation_unitary(DepolParams(0.3, 0.2))
+        assert built == ["PureState"]
+        built.clear()
+        build_dilation(DepolParams(0.3, 0.2))
+        assert sorted(built) == ["KrausChannel", "PureState", "PureState"]
 
 
 class TestKrausFamilies:
@@ -589,17 +648,12 @@ class TestSuperdense:
             assert np.abs(np.subtract(got, expected)).max() <= 1e-12
 
     def test_builds_no_lifted_channel(self, monkeypatch):
-        input_dims = []
-        post_init = KrausChannel.__post_init__
-
-        def recorded(self):
-            post_init(self)
-            input_dims.append(self.input_dim)
-
-        monkeypatch.setattr(KrausChannel, "__post_init__", recorded)
+        """No channel and no Bell state object: the branch table meets the q = 1/2
+        amplitude table directly.  The one object is the mean output rho_bar."""
+        built = record_constructions(monkeypatch)
         monkeypatch.setattr(depolarizing, "apply_channel", None)  # any call would raise
         superdense_scenario(0.3)
-        assert input_dims == [2]
+        assert built == ["DensityMatrix"]
 
     def test_threshold_value(self):
         threshold = superdense_threshold()

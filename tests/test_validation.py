@@ -737,6 +737,21 @@ class TestLibraryRefusals:
             kholevo_chi([1.0], bad)
 
     @pytest.mark.parametrize(
+        "unordered",
+        [set, frozenset, lambda states: dict.fromkeys(states).keys()],
+        ids=["set", "frozenset", "dict_keys"],
+    )
+    def test_kholevo_outputs_must_be_ordered(self, unordered):
+        """A set would pair the probabilities with the states in hash order."""
+        pure = ZERO.projector()
+        with pytest.raises(ValueError, match="^outputs must be an ordered sequence, got "):
+            kholevo_chi([0.9, 0.1], unordered([pure, MIXED]))
+        ordered = [pure, MIXED]
+        chi = kholevo_chi([0.9, 0.1], ordered)
+        assert kholevo_chi([0.9, 0.1], tuple(ordered)) == chi
+        assert kholevo_chi([0.9, 0.1], np.array(ordered, dtype=object)) == chi
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda: clamp_spectrum([1e308, 1e308]),
