@@ -35,8 +35,29 @@ DEFAULT_N_LIST = "25,50,100,200"
 MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one sweep
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """The text of each float in ``values``: 12 significant digits, -0 as 0, by one ``%``."""
+    values = values + 0.0  # -0.0 + 0.0 is 0.0
+    return ("\n".join(["%.12g"] * len(values)) % tuple(values.tolist())).split("\n")
+
+
 def _fmt(x: float) -> str:
-    return "%.12g" % (0.0 if x == 0 else float(x))
+    return _texts(np.array([x], dtype=float))[0]
+
+
+def _csv_chunks(table: np.ndarray):
+    """The CSV text of ``table``, one string per chunk of STACK_ROWS rows.
+
+    A chunk formats each of its distinct values once, by ``_texts``, and gathers
+    the texts through the inverse index: a sweep repeats each p and q on many
+    rows, so a default grid holds about a third as many distinct values as cells.
+    """
+    for i in range(0, len(table), STACK_ROWS):
+        chunk = table[i : i + STACK_ROWS]
+        values, inverse = np.unique(chunk, return_inverse=True)  # -0.0 and 0.0 are one value
+        # flat, whatever shape this numpy gives the axis=None inverse; one list, no list per row
+        cells = np.array(_texts(values), dtype=object)[inverse.ravel()].tolist()
+        yield "\n".join(map(",".join, zip(*[iter(cells)] * chunk.shape[1])))
 
 
 def _parse_range(text: str, flag: str) -> list[float]:
@@ -144,16 +165,12 @@ def cmd_sweep(args) -> int:
     rows = len(p_values) * len(q_values)
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep row count {rows} exceeds the cap of {MAX_SWEEP_ROWS}")
-    header = USES[args.use][0]
-    line = ",".join(["%.12g"] * (header.count(",") + 1))  # _fmt of each column
     ps = np.repeat(p_values, len(q_values))  # the grid p-major, q fast, as printed
     qs = np.tile(q_values, len(p_values))
-    columns = (ps, qs, *FAMILIES[args.channel, args.use][1](ps, qs))
-    table = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0: _fmt prints -0 as 0
-    print(header)
-    for i in range(0, rows, STACK_ROWS):  # the text of one chunk at a time, one % each
-        chunk = table[i : i + STACK_ROWS]
-        print("\n".join([line] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    table = np.column_stack((ps, qs, *FAMILIES[args.channel, args.use][1](ps, qs)))
+    print(USES[args.use][0])
+    for text in _csv_chunks(table):  # the text of one chunk at a time, as _fmt prints
+        print(text)
     return 0
 
 

@@ -23,6 +23,9 @@ grid: one row call per p over the whole q list, one shared branch tensor per
 dephasing p, the rows stacked p-major.  ``dephasing_branches_per_p`` is the
 dephasing branch table as it was built before one stacked construction: one
 channel's operators per p, each stacked into its branch tensor.
+``per_chunk_csv`` is the sweep's CSV text as it was printed before each
+chunk formatted its distinct values once: one ``%`` per chunk over the
+joined row formats, every cell formatted where it stands.
 
 The depolarizing constructions as they were before one flip table and one
 q-basis amplitude table served them are kept to pin those bit for bit:
@@ -226,6 +229,14 @@ def per_p_sweep(channel: str, use: str, p_values, q_values) -> np.ndarray:
         return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
 
     return np.concatenate([np.array(at(p)) for p in p_values], axis=1)
+
+
+def per_chunk_csv(table: np.ndarray, stack_rows: int) -> list[str]:
+    """The CSV text of a float table, one string per chunk of ``stack_rows`` rows."""
+    table = table + 0.0  # -0.0 + 0.0 is 0.0
+    line = ",".join(["%.12g"] * table.shape[1])
+    chunks = (table[i : i + stack_rows] for i in range(0, len(table), stack_rows))
+    return ["\n".join([line] * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks]
 
 
 def dephasing_branches_per_p(p_values) -> np.ndarray:

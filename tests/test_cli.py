@@ -12,7 +12,7 @@ import pytest
 
 from vncap import analysis, channel, cli, depolarizing, entropy, qmat
 
-from reference import per_p_sweep
+from reference import per_chunk_csv, per_p_sweep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -319,6 +319,81 @@ def test_capacity_looks_up_every_function_at_call_time(monkeypatch, family):
     assert calls[point] >= 1 and calls[rows] >= 1
     if closed_form is not None:
         assert calls["closed"] == 1 and "closed_form: 7.5\n" in out.getvalue()
+
+
+DENSE_GRID = ("--p-range", "0:1:0.01", "--q-range", "0:1:0.01")  # 101 x 101 = 10,201 rows
+
+
+def _edge_table() -> np.ndarray:
+    """Nine rows of four cells, three chunks of three rows: first the signed zeros,
+    the smallest subnormal, 1e-300, 1e300 and neighbours one ulp apart; then a
+    chunk whose every cell is the value that ends the first (a value repeated
+    across a chunk edge); then a chunk whose every cell differs."""
+    shared = 2.0 / 3.0
+    x, big = 0.1, 1e300
+    specials = [
+        [-0.0, 0.0, 5e-324, -5e-324],
+        [1e-300, big, np.nextafter(big, 0.0), -1.5],
+        [x, np.nextafter(x, 1.0), np.nextafter(x, 0.0), shared],
+    ]
+    differs = np.random.default_rng(24).uniform(-2.0, 2.0, (3, 4)).tolist()
+    return np.array(specials + [[shared] * 4] * 3 + differs)
+
+
+class TestDistinctValueText:
+    """A sweep chunk formats each of its distinct values once and gathers the texts;
+    it prints what formatting every cell where it stands printed."""
+
+    @pytest.mark.parametrize("stack_rows", [channel.STACK_ROWS, 7, 1])
+    @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
+    def test_dense_grid_prints_the_per_cell_text(self, monkeypatch, capsys, family, stack_rows):
+        """On the 10,201-row grid (3 chunks at 4096 rows), the helper's chunks and the
+        whole ``sweep`` output equal the per-cell route's bytes."""
+        _, _, (ps, qs) = _grid(*DENSE_GRID[1::2])
+        table = np.column_stack((ps, qs, *cli.FAMILIES[family][1](ps, qs)))
+        expected = per_chunk_csv(table, stack_rows)
+        assert len(expected) == -(-10201 // stack_rows)
+        monkeypatch.setattr(cli, "STACK_ROWS", stack_rows)
+        assert list(cli._csv_chunks(table)) == expected
+
+        assert cli.main(["sweep", "--channel", family[0], "--use", family[1], *DENSE_GRID]) == 0
+        header = cli.USES[family[1]][0]
+        assert capsys.readouterr().out == "\n".join([header, *expected]) + "\n"
+
+    @pytest.mark.parametrize("stack_rows", [3, 1, channel.STACK_ROWS])
+    def test_edge_values(self, monkeypatch, stack_rows):
+        table = _edge_table()
+        chunks = table.reshape(3, 3, 4)
+        assert np.signbit(table[0, 0]) and not np.signbit(table[0, 1])
+        assert table[1, 2] == np.nextafter(table[1, 1], 0.0) != table[1, 1]
+        assert table[2, 3] == table[3, 0] and len(np.unique(chunks[1])) == 1
+        assert len(np.unique(chunks[2])) == 12
+        monkeypatch.setattr(cli, "STACK_ROWS", stack_rows)
+        got = list(cli._csv_chunks(table))
+        assert got == per_chunk_csv(table, stack_rows)
+        assert "\n".join(got).split("\n", 1)[0] == "0,0,4.94065645841e-324,-4.94065645841e-324"
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        """Per chunk, ``_texts`` receives the chunk's distinct values, -0.0 and 0.0 as
+        one; the one-ulp neighbours stay apart even where their texts agree."""
+        table = _edge_table()
+        texts, seen = cli._texts, []
+        monkeypatch.setattr(cli, "_texts", lambda values: seen.append(values) or texts(values))
+        monkeypatch.setattr(cli, "STACK_ROWS", 3)
+        list(cli._csv_chunks(table))
+        assert [len(values) for values in seen] == [11, 1, 12]
+        for values, chunk in zip(seen, table.reshape(3, 3, 4)):
+            assert values.tolist() == sorted(set(chunk.ravel().tolist()))
+
+    def test_fmt_prints_each_value_as_the_sweep(self, monkeypatch):
+        """``_fmt`` and the sweep share one number format and one -0 rule."""
+        table = _edge_table()
+        monkeypatch.setattr(cli, "STACK_ROWS", 3)
+        lines = "\n".join(cli._csv_chunks(table)).split("\n")
+        assert lines == [",".join(cli._fmt(v) for v in row) for row in table.tolist()]
+        for zero in (-0.0, 0.0, np.float64(-0.0), 0):
+            assert cli._fmt(zero) == "0"
+        assert cli._fmt(-5e-324) == "-4.94065645841e-324"
 
 
 class TestAuditCommand:

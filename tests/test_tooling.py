@@ -256,6 +256,38 @@ def test_einsum_check_sees_each_kind_of_call():
     assert einsum_kernels(sources, names) == (["a._send_rows", "b._chain_rows"], ["_gone"])
 
 
+def number_formats(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of every string constant in ``sources`` that spells the output
+    number format ``.12g``: a ``%`` template, a ``format`` spec or an f-string spec."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".12g" in node.value
+    )
+
+
+def test_one_number_format_in_src():
+    """``cli._texts`` holds the only ``%.12g``; ``_fmt`` and the sweep both print
+    through it."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = number_formats(sources)
+    assert len(found) == 1 and found[0].startswith("cli:")
+    assert '"%.12g"' in sources["cli"]
+
+
+def test_number_format_check_sees_each_spelling():
+    sources = {
+        "a": 'def _texts(v): return "%.12g" % v\n'
+        "# a comment that names %.12g is not code\n"
+        'def short(v): return "%.6g" % v\n',
+        "b": 'def again(x): return "p: %.12g" % x\n'
+        "def spec(x): return format(x, '.12g')\n",
+        "c": 'def fstring(x): return f"{x:.12g}"\n',
+    }
+    assert number_formats(sources) == ["a:1", "b:1", "b:2", "c:1"]
+
+
 # The package's classes: a public parameter annotated with one must reach the one
 # object-type check, ``qmat._check_state``, itself or through the checks that run it.
 PACKAGE_CLASSES = {
