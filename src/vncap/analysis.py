@@ -64,7 +64,6 @@ from .qmat import (
     _random_unitaries,
     _real,
     _unit_interval,
-    basis_state,
 )
 
 _TIE_ATOL = 1e-12
@@ -421,7 +420,7 @@ def _random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
     """The (N, 2, env_dim, 2) branch stack of one random qubit dilation per seed:
     one stacked QR, one unitarity check and one completeness check."""
     us = _check_unitary(_random_unitaries(2 * env_dim, seeds), 3)
-    branches = _dilation_branches(us, env_dim, basis_state(env_dim, 0))
+    branches = _dilation_branches(us, np.eye(1, env_dim, dtype=np.complex128)[0])  # |0>
     _check_complete(branches)
     return branches
 

@@ -133,12 +133,12 @@ def _check_complete(branches: np.ndarray) -> None:
     _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
 
 
-def _dilation_branches(us: np.ndarray, env_dim: int, env_initial: PureState) -> np.ndarray:
-    """The branch stack B[n, q', k, q] = <k| U_n (|q> tensor |env_initial>) of an
-    (N, d dE, d dE) stack of unitaries on Q (tensor) E, E the fast factor."""
-    n, d = us.shape[0], us.shape[1] // env_dim
-    shape = (n, d, env_dim, d, env_dim)
-    return np.einsum("nakbe,e->nakb", us.reshape(shape), env_initial.amplitudes)
+def _dilation_branches(us: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """The branch stack B[n, q', k, q] = <k| U_n (|q> tensor |env>) of an
+    (N, d dE, d dE) stack of unitaries on Q (tensor) E, E the fast factor, and
+    the dE amplitudes ``env`` of the environment's initial state."""
+    n, d, e = us.shape[0], us.shape[1] // env.size, env.size
+    return np.einsum("nakbe,e->nakb", us.reshape(n, d, e, d, e), env)
 
 
 def _from_branches(branches: np.ndarray) -> KrausChannel:
@@ -161,7 +161,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
         raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
-    return _from_branches(_dilation_branches(u[np.newaxis], env_dim, env_initial))
+    return _from_branches(_dilation_branches(u[np.newaxis], env_initial.amplitudes))
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:

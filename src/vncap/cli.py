@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``capacity``, ``sweep``, ``audit``, ``hamming``, ``superdense``.
-All numeric output uses 12 significant digits with a dot decimal separator
-and is deterministic (audits are seeded; ``VN_SEED`` overrides the default
-seed, an explicit ``--seed`` beats both).  Exit codes: 0 success, 1 audit
+Text output prints every number with 12 significant digits and a dot decimal
+separator; ``audit``'s JSON prints its numbers at full precision.  All output
+is deterministic (audits are seeded; ``VN_SEED`` overrides the default seed,
+an explicit ``--seed`` beats both).  Exit codes: 0 success, 1 audit
 violation, 2 usage error.
 """
 
@@ -28,6 +29,7 @@ DEFAULT_SEED = 42
 DEFAULT_P_RANGE = "0:0.75:0.05"
 DEFAULT_Q_RANGE = "0:1:0.02"
 DEFAULT_N_LIST = "25,50,100,200"
+_NUMBER = "%.12g"  # every number of the text output: 12 significant digits
 
 # The one CLI-only work cap, well above every default and benchmark request
 # (16 x 51 grids); the library has no sweep.  At the cap a sweep runs under a
@@ -36,13 +38,14 @@ MAX_SWEEP_ROWS = 100_000  # points in one --p-range/--q-range, and rows of one s
 
 
 def _texts(values: np.ndarray) -> list[str]:
-    """The text of each float in ``values``: 12 significant digits, -0 as 0, by one ``%``."""
+    """The text of each float in ``values``: ``_NUMBER``, -0 as 0, by one ``%``."""
     values = values + 0.0  # -0.0 + 0.0 is 0.0
-    return ("\n".join(["%.12g"] * len(values)) % tuple(values.tolist())).split("\n")
+    return ("\n".join([_NUMBER] * len(values)) % tuple(values.tolist())).split("\n")
 
 
 def _fmt(x: float) -> str:
-    return _texts(np.array([x], dtype=float))[0]
+    """The text of one number, as ``_texts`` gives it."""
+    return _NUMBER % (x + 0.0)
 
 
 def _csv_chunks(table: np.ndarray):
@@ -94,11 +97,13 @@ USES = {
 # distinct p checked once, the q array as a whole), from the array closed forms
 # and the stacked kernels; closed_form(p) is the capacity's.  capacity's grid runs
 # on rows, and so do its golden-section steps where lookahead is set (the dephasing
-# pair, whose point is a whole run_channel or classical-use simulation); otherwise
-# they run on the scalar closed forms, which cost a tenth of a one-row call.  point
-# evaluates the refined midpoint either way.  Every entry looks its function up on
-# ``depolarizing`` at call time, so a wrapper installed there (perfbench's tracer,
-# a test's monkeypatch) sees the call.
+# pair, whose point runs a kernel); otherwise they run on the scalar closed forms,
+# which cost a tenth of a one-row call.  point evaluates the refined midpoint either
+# way.  The dephasing classical point is the one-point call of its rows; the quantum
+# one runs run_channel on a DensityMatrix, the one DensityMatrix that a `simulated`
+# benchmark request builds and perfbench's listed qmat.density_us times.  Every
+# entry looks its function up on ``depolarizing`` at call time, so a wrapper
+# installed there (perfbench's tracer, a test's monkeypatch) sees the call.
 
 
 def _quantum_columns(t) -> tuple:
@@ -127,9 +132,7 @@ FAMILIES = {
         True,
     ),
     ("dephasing", "classical"): (
-        lambda p, q: depolarizing.classical_use_channel_simulation(
-            depolarizing.dephasing_kraus(p), q
-        ),
+        lambda p, q: [c[0] for c in depolarizing.dephasing_classical_rows(p, (q,))],
         lambda p, qs: depolarizing.dephasing_classical_rows(p, qs),
         lambda p: 1.0,  # dephasing is lossless for classical bits
         True,
@@ -190,9 +193,7 @@ def cmd_audit(args) -> int:
     report = analysis.audit_inequalities(_resolve_seed(args), args.trials, args.tol)
     payload = {
         "trials": report.trials,
-        "violations": [
-            [key, params, slack] for key, params, slack in report.violations
-        ],
+        "violations": report.violations,  # tuples encode as JSON arrays
         "max_negative_slack": report.max_negative_slack,
     }
     print(json.dumps(payload))

@@ -55,7 +55,6 @@ from .entropy import (
 from .qmat import (
     DensityMatrix,
     PureState,
-    basis_state,
     _check_state,
     _numbers,
     _sequence,
@@ -350,8 +349,8 @@ def classical_use_ensemble(params: DepolParams):
     """The channel-output ensemble {1-q: L(|1><1|), q: L(|0><0|)} of classical use."""
     _check_state(params, DepolParams, "params")
     ch = depolarizing_kraus(params.p)
-    one = basis_state(2, 1).projector()
-    zero = basis_state(2, 0).projector()
+    one = DensityMatrix(np.diag([0.0, 1.0]))
+    zero = DensityMatrix(np.diag([1.0, 0.0]))
     probs = np.array([1.0 - params.q, params.q])
     return probs, [apply_channel(ch, one), apply_channel(ch, zero)]
 

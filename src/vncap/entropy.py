@@ -42,11 +42,11 @@ def _plog2p(p: float) -> float:
 
 
 def _shannon(probs) -> float:
-    """-sum p log2 p over the entries of ``probs``, added left to right from 0.0 and
-    then negated, as ``_shannon_rows`` adds them.  Not the built-in ``sum``: from
-    Python 3.12 on it compensates float sums, and the twins would then differ."""
+    """-sum p log2 p over the entries of a flat sequence ``probs``, added left to right
+    from 0.0 and then negated, as ``_shannon_rows`` adds them.  Not the built-in ``sum``:
+    from Python 3.12 on it compensates float sums, and the twins would then differ."""
     total = 0.0
-    for p in np.ravel(probs).tolist():
+    for p in probs:
         total += _plog2p(p)
     return -total
 
@@ -91,7 +91,7 @@ def check_prob_vector(probs) -> np.ndarray:
 
 def shannon_entropy(probs) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    return _shannon(check_prob_vector(probs))
+    return _shannon(check_prob_vector(probs).tolist())
 
 
 def relative_entropy_binary(p: float, r: float) -> float:
@@ -264,9 +264,9 @@ def classical_mutual_information(joint) -> float:
     """Mutual information H(X) + H(Y) - H(X,Y) of a joint probability table."""
     table = _numbers(joint, "joint distribution", 2, "iuf").astype(np.float64, copy=False)
     check_prob_vector(table.ravel())
-    h_x = _shannon(table.sum(axis=1))
-    h_y = _shannon(table.sum(axis=0))
-    h_xy = _shannon(table)
+    h_x = _shannon(table.sum(axis=1).tolist())
+    h_y = _shannon(table.sum(axis=0).tolist())
+    h_xy = _shannon(table.ravel().tolist())
     return h_x + h_y - h_xy
 
 

@@ -41,6 +41,15 @@ and one broadcast product replaced, are kept to check those against:
 generator call per number and each trial's weights normalized on their own
 (``inequality_draws``, ``mixture_draws``), to check the bulk draws against.
 
+The routes that built arrays and states only to read them back are kept to
+pin their replacements bit for bit: ``ravel_shannon`` (the Shannon sum over
+``np.ravel(probs).tolist()``), ``basis_state_random_dilations`` (|0> read from
+``basis_state``) and ``projector_classical_use_ensemble`` (the inputs built as
+basis-state projectors).
+
+``record_constructions`` records the class of every channel and state built
+while a test runs, for tests that count them.
+
 ``random_dilation``, ``random_diagonal`` and ``random_density`` draw one
 channel or input from a generator the way the audits draw them, through the
 library's stacked draws, for tests that need a single random draw.
@@ -59,16 +68,19 @@ from vncap.channel import (
     KrausChannel,
     _branches,
     _from_branches,
+    apply_channel,
     diagonal_transcripts,
     dilation_channel,
     purify,
     quantum_fano_bound,
 )
+from vncap.entropy import _plog2p
 from vncap.qmat import (
     DensityMatrix,
     PureState,
     _check_indices,
     _check_unitary,
+    _random_unitaries,
     basis_state,
     clamp_spectrum,
     tensor,
@@ -530,3 +542,42 @@ def mixture_draws(seed: int, trials: int, channels: int):
             density_seeds.append(_draw_seed(rng))
         ws.append(float(rng.uniform(0.05, 0.95)))
     return seeds, np.array(weights), density_seeds, ws
+
+
+def ravel_shannon(probs) -> float:
+    """The Shannon sum as it read any array-like: flattened, then made floats, by
+    ``np.ravel(probs).tolist()``, the terms added left to right from 0.0."""
+    total = 0.0
+    for p in np.ravel(probs).tolist():
+        total += _plog2p(p)
+    return -total
+
+
+def basis_state_random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
+    """``analysis._random_dilations`` with the environment's |0> read from
+    ``basis_state(env_dim, 0)``, before the completeness check."""
+    us = _check_unitary(_random_unitaries(2 * env_dim, seeds), 3)
+    shape = (len(seeds), 2, env_dim, 2, env_dim)
+    return np.einsum("nakbe,e->nakb", us.reshape(shape), basis_state(env_dim, 0).amplitudes)
+
+
+def projector_classical_use_ensemble(params: depolarizing.DepolParams):
+    """``depolarizing.classical_use_ensemble`` with its inputs |1><1| and |0><0| built
+    as ``basis_state`` projectors."""
+    ch = depolarizing.depolarizing_kraus(params.p)
+    inputs = [basis_state(2, 1).projector(), basis_state(2, 0).projector()]
+    return np.array([1.0 - params.q, params.q]), [apply_channel(ch, rho) for rho in inputs]
+
+
+def record_constructions(monkeypatch) -> list[str]:
+    """The class name of every channel and state built from now on, in order."""
+    built = []
+    for cls in (KrausChannel, PureState, DensityMatrix):
+        post_init = cls.__post_init__
+
+        def recorded(self, _post_init=post_init):
+            _post_init(self)
+            built.append(type(self).__name__)
+
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+    return built

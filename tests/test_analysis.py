@@ -621,6 +621,28 @@ class TestBulkDraws:
             assert rho.matrix.tobytes() == one.matrix.tobytes()
 
 
+class TestPlainAmplitudes:
+    """The audits read |0> and their channels from plain arrays: no ``PureState`` is
+    built, and the branch stacks equal the ``basis_state`` route (reference.py's
+    ``basis_state_random_dilations``) bit for bit."""
+
+    @pytest.mark.parametrize("env_dim", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_random_dilations_equal_the_basis_state_route(self, env_dim, n):
+        seeds = np.random.default_rng(900 + n).integers(0, 2**63, size=n).tolist()
+        got = analysis._random_dilations(seeds, env_dim)
+        want = reference.basis_state_random_dilations(seeds, env_dim)
+        assert got.shape == want.shape == (n, 2, env_dim, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_audits_build_no_pure_state(self, monkeypatch):
+        built = reference.record_constructions(monkeypatch)
+        audit_inequalities(seed=4, trials=200)
+        assert built == []
+        audit_axioms(seed=4, trials=45)
+        assert built == ["DensityMatrix"] * 90
+
+
 class TestAuditAxioms:
     def test_clean_audit(self):
         report = audit_axioms(seed=7, trials=40)

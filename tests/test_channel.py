@@ -581,8 +581,9 @@ class TestStackedKernel:
     @pytest.mark.parametrize("use", ["quantum", "classical"])
     def test_default_dephasing_sweep_builds_no_channel(self, monkeypatch, use):
         """The sweep's 16 p become one branch table, checked once, and no channel;
-        a capacity solve builds the one channel of its golden-section steps, and
-        ``dephasing_kraus`` checks its one-row table once, in ``KrausChannel``."""
+        a capacity solve builds the one channel of its quantum midpoint and none for
+        classical use, and ``dephasing_kraus`` checks its one-row table once, in
+        ``KrausChannel``."""
         builds, checks = [], []
         post_init, check = KrausChannel.__post_init__, channel._check_complete
 
@@ -600,10 +601,11 @@ class TestStackedKernel:
         assert cli.main(["sweep", "--channel", "dephasing", "--use", use]) == 0
         assert (len(builds), checks) == (0, [16])
         assert cli.main(["capacity", "--channel", "dephasing", "--use", use, "--p", "0.37"]) == 0
-        assert len(builds) == 1
+        midpoint = 1 if use == "quantum" else 0
+        assert len(builds) == midpoint
         checks.clear()
         depolarizing.dephasing_kraus(0.37)
-        assert (len(builds), checks) == (2, [1])
+        assert (len(builds), checks) == (midpoint + 1, [1])
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
         """The 101 grid points are one row call of 3 eigensolves; the 42
@@ -720,7 +722,7 @@ class TestMatmulContractions:
         """Random stacks, far from complete, and random dilations, complete to rounding."""
         rng = np.random.default_rng(500 + 10 * d + n)
         us = qmat._random_unitaries(4 * d, rng.integers(0, 2**62, size=n).tolist())
-        complete = channel._dilation_branches(us, 4, basis_state(4, 0))
+        complete = channel._dilation_branches(us, basis_state(4, 0).amplitudes)
         for stack in (complex_stack(rng, n, d, 3, d), complete):
             seen = checked_residuals(monkeypatch, channel, channel._check_complete, stack)
             assert len(seen) == 1

@@ -198,7 +198,7 @@ CALL_TIME_FUNCTIONS = {
         "dephasing_mutual",
     ),
     ("dephasing", "classical"): (
-        "classical_use_channel_simulation",
+        "dephasing_classical_rows",
         "dephasing_classical_rows",
         None,
     ),
@@ -394,6 +394,30 @@ class TestDistinctValueText:
         for zero in (-0.0, 0.0, np.float64(-0.0), 0):
             assert cli._fmt(zero) == "0"
         assert cli._fmt(-5e-324) == "-4.94065645841e-324"
+        # ints and numpy scalars print as the float a one-element array holds
+        ints = (1, -7, 2**53 + 1, 10**20, True, np.int64(-3), np.int32(12), np.uint8(200))
+        floats = (np.float64(2.5), np.float32(0.1), np.float32(-0.0), np.float16(1e-3))
+        for value in ints + floats:
+            assert cli._fmt(value) == cli._texts(np.array([value], dtype=float))[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[["capacity", "--channel", c, "--use", u, "--p", "0.3"] for c, u in FAMILY_KEYS],
+            ["superdense", "--p", "0.2", "--threshold"],
+            ["hamming", "--mode", "quantum", "--p", "0.1", "--n", "5", "--k", "1", "--t", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_single_values_are_formatted_without_texts(self, monkeypatch, argv):
+        """``capacity``, ``superdense`` and ``hamming`` print each number by ``_fmt``
+        alone; only the sweep formats arrays."""
+        calls, texts = [], cli._texts
+        monkeypatch.setattr(cli, "_texts", lambda values: calls.append(values) or texts(values))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert calls == [] and out.getvalue()
 
 
 class TestAuditCommand:
@@ -421,6 +445,25 @@ class TestAuditCommand:
             "audit", "--trials", "10", "--seed", "7", env_extra={"VN_SEED": "9"}
         )
         assert plain.stdout == overridden.stdout
+
+    def test_violations_print_as_json_arrays(self, monkeypatch, capsys):
+        """Each violation prints as [id, parameters, slack], the slack at full
+        precision, and a violation exits 1."""
+        report = analysis.AuditReport(
+            trials=3,
+            violations=(
+                ("chain:loss_nonneg", {"trial": 0}, -1.2345678901234568e-10),
+                ("forward_dpi", {"trial": 2}, -0.5),
+            ),
+            max_negative_slack=-0.5,
+        )
+        monkeypatch.setattr(analysis, "audit_inequalities", lambda seed, trials, tol: report)
+        assert cli.main(["audit", "--trials", "3"]) == 1
+        assert capsys.readouterr().out == (
+            '{"trials": 3, "violations": [["chain:loss_nonneg", {"trial": 0}, '
+            '-1.2345678901234568e-10], ["forward_dpi", {"trial": 2}, -0.5]], '
+            '"max_negative_slack": -0.5}\n'
+        )
 
     def test_rejects_zero_trials(self):
         proc = run_cli("audit", "--trials", "0")

@@ -49,7 +49,9 @@ from reference import (
     apply_unitary,
     dephasing_branches_per_p,
     per_operator_depolarizing_kraus,
+    projector_classical_use_ensemble,
     pure_state_q_basis,
+    record_constructions,
     tensor_loop_dilation_unitary,
 )
 
@@ -100,20 +102,6 @@ class TestQBasis:
         )
 
 
-def record_constructions(monkeypatch) -> list[str]:
-    """The class name of every channel and state built from now on, in order."""
-    built = []
-    for cls in (KrausChannel, PureState, DensityMatrix):
-        post_init = cls.__post_init__
-
-        def recorded(self, _post_init=post_init):
-            _post_init(self)
-            built.append(type(self).__name__)
-
-        monkeypatch.setattr(cls, "__post_init__", recorded)
-    return built
-
-
 class TestTables:
     """The flip table and the q-basis table against the per-object constructions
     they replaced, bit for bit, signed zeros included."""
@@ -148,6 +136,40 @@ class TestTables:
         built.clear()
         build_dilation(DepolParams(0.3, 0.2))
         assert sorted(built) == ["KrausChannel", "PureState", "PureState"]
+
+
+class TestNoRoundTrips:
+    """Values read from the row kernel or from plain arrays, not from channels and
+    states built only to be read back: bit for bit the routes they replaced."""
+
+    def test_one_point_classical_rows_equal_the_channel_simulation(self):
+        """The dephasing classical capacity point, at p and q in {i/40} and the floats
+        next to the ends."""
+        grid = [i / 40 for i in range(41)] + [5e-324, 1.0 - 2.0**-53]
+        point = cli.FAMILIES["dephasing", "classical"][0]
+        for p in grid:
+            for q in grid:
+                want = classical_use_channel_simulation(dephasing_kraus(p), q)
+                assert [float(v).hex() for v in point(p, q)] == [v.hex() for v in want]
+
+    def test_classical_use_ensemble_equals_the_projector_route(self):
+        for p in EDGE_GRID[::50] + EDGE_GRID[-2:]:
+            for q in EDGE_GRID[::200] + EDGE_GRID[-2:]:
+                params = DepolParams(p, q)
+                probs, outputs = classical_use_ensemble(params)
+                probs_ref, outputs_ref = projector_classical_use_ensemble(params)
+                assert probs.tobytes() == probs_ref.tobytes()
+                for rho, ref in zip(outputs, outputs_ref, strict=True):
+                    assert rho.matrix.tobytes() == ref.matrix.tobytes()
+                    assert rho.spectrum.tobytes() == ref.spectrum.tobytes()
+                    assert rho.dims == ref.dims == (2,)
+                chi, chi_ref = kholevo_chi(probs, outputs), kholevo_chi(probs_ref, outputs_ref)
+                assert chi.hex() == chi_ref.hex()
+
+    def test_classical_use_ensemble_builds_no_pure_state(self, monkeypatch):
+        built = record_constructions(monkeypatch)
+        classical_use_ensemble(DepolParams(0.3, 0.2))
+        assert built == ["KrausChannel"] + ["DensityMatrix"] * 4
 
 
 class TestKrausFamilies:

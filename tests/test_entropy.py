@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vncap import entropy
 from vncap.qmat import DensityMatrix, PureState, random_unitary, tensor
 from vncap.entropy import (
+    _shannon,
     _spectrum_entropies,
     binary_entropy,
     check_prob_vector,
@@ -17,6 +19,8 @@ from vncap.entropy import (
 )
 from vncap.channel import apply_channel
 from vncap.depolarizing import LOG2_3, depolarizing_kraus, q_basis
+
+from reference import ravel_shannon
 
 
 def random_density(rng, dim, dims=None):
@@ -77,6 +81,56 @@ class TestShannonEntropy:
         for vec in ([-0.0, 1.0], [-1e-13, 1.0 + 1e-13]):
             got = check_prob_vector(vec)
             assert got.tolist() == [0.0, 1.0] and not np.signbit(got).any()
+
+
+def _distributions(rng, count: int) -> list[list[float]]:
+    """``count`` random distributions of 1 to 6 entries, some entries 0 or subnormal,
+    then the edge cases by hand."""
+    out = []
+    for _ in range(count):
+        w = rng.random(int(rng.integers(1, 7)))
+        w[rng.random(w.size) < 0.2] = 0.0
+        w[rng.random(w.size) < 0.1] = 5e-324
+        out.append((w / w.sum()).tolist() if w.sum() > 1e-300 else [1.0])
+    return out + [[1.0], [0.0, 1.0], [0.5, 0.5], [0.25] * 4, [1.0 - 2.0**-53, 2.0**-53]]
+
+
+class TestFlatSequences:
+    """``_shannon`` adds the entries of a flat sequence as given, and the public
+    entropies pass it lists: bit for bit the ``np.ravel`` route it replaced
+    (reference.py's ``ravel_shannon``), each result a Python float."""
+
+    def test_shannon_of_a_list(self):
+        for probs in _distributions(np.random.default_rng(11), 300):
+            got, want = _shannon(probs), ravel_shannon(probs)
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_shannon_reads_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(entropy, "np", None)
+        assert _shannon([0.25, 0.25, 0.5, 0.0]) == 1.5
+
+    def test_shannon_entropy(self):
+        for probs in _distributions(np.random.default_rng(12), 300):
+            for given in (probs, tuple(probs), np.array(probs)):
+                got = shannon_entropy(given)
+                assert type(got) is float
+                assert got.hex() == ravel_shannon(check_prob_vector(given)).hex()
+        assert shannon_entropy([0, 1, 0]) == ravel_shannon(np.array([0.0, 1.0, 0.0]))
+
+    def test_classical_mutual_information(self):
+        rng = np.random.default_rng(13)
+        tables = [rng.random(shape) for shape in [(1, 1), (2, 2), (3, 4), (1, 5), (6, 2)] * 20]
+        for t in tables:
+            t[rng.random(t.shape) < 0.2] = 0.0
+        tables = [t / t.sum() for t in tables if t.sum() > 0.0]
+        tables += [np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([[0, 1], [0, 0]])]
+        for table in tables:
+            for given in (table, table.tolist()):
+                got = classical_mutual_information(given)
+                flt = np.asarray(table, dtype=np.float64)
+                want = ravel_shannon(flt.sum(axis=1)) + ravel_shannon(flt.sum(axis=0))
+                want -= ravel_shannon(flt)
+                assert type(got) is float and got.hex() == want.hex()
 
 
 class TestRelativeEntropyBinary:

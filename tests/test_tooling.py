@@ -268,7 +268,7 @@ def number_formats(sources: dict[str, str]) -> list[str]:
 
 
 def test_one_number_format_in_src():
-    """``cli._texts`` holds the only ``%.12g``; ``_fmt`` and the sweep both print
+    """``cli._NUMBER`` holds the only ``%.12g``; ``_fmt`` and the sweep both print
     through it."""
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = number_formats(sources)
@@ -286,6 +286,62 @@ def test_number_format_check_sees_each_spelling():
         "c": 'def fstring(x): return f"{x:.12g}"\n',
     }
     assert number_formats(sources) == ["a:1", "b:1", "b:2", "c:1"]
+
+
+# The pure-state constructors.  Inside the package a state is built only to be
+# handed back to the caller; a kernel reads plain amplitude arrays.
+STATE_BUILDERS = {"PureState", "basis_state"}
+
+
+def unreturned_states(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of every ``PureState(...)`` or ``basis_state(...)`` call in
+    ``sources`` that lies outside every ``return`` value, or whose attribute is read
+    (``basis_state(2, 0).amplitudes``): a state built only to be read back."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        returned = {
+            id(node)
+            for ret in ast.walk(tree)
+            if isinstance(ret, ast.Return) and ret.value is not None
+            for node in ast.walk(ret.value)
+        }
+        read = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in STATE_BUILDERS and (id(call) not in returned or id(call) in read):
+                found.append((module, call.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_states_are_built_only_to_be_returned():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreturned_states(sources) == []
+
+
+def test_state_check_sees_each_kind_of_build():
+    sources = {
+        "a": "def bare(x):\n"
+        "    PureState(x)\n"
+        "    return x\n"
+        "def bound(x):\n"
+        "    psi = qmat.basis_state(2, 0)\n"
+        "    return psi\n"
+        "def read():\n"
+        "    return basis_state(2, 1).projector()\n",
+        "b": "def pair(u, env):\n"
+        "    return u, PureState(env, (4,))\n"
+        "def states(rows):\n"
+        "    return tuple(PureState(row, (2, 2)) for row in rows)\n"
+        "def lazy(rows):\n"
+        "    return (basis_state(2, i) for i in rows)\n"
+        "def typed(psi):\n"
+        "    return isinstance(psi, PureState)\n",
+    }
+    assert unreturned_states(sources) == ["a:2", "a:5", "a:8"]
 
 
 # The package's classes: a public parameter annotated with one must reach the one
