@@ -142,16 +142,22 @@ def _golden_step(lo: float, hi: float, c: float, d: float, left: bool) -> tuple:
     return lo, hi, c, d, d
 
 
-def _golden_tree(bracket: tuple, outcomes: tuple, depth: int, tol: float) -> list[float]:
+def _frontier(bracket: tuple, outcomes: tuple, depth: int, tol: float) -> list[float]:
     """Every point that the next ``depth`` steps from ``bracket`` = (lo, hi, c, d)
     can visit, the first step going each way in ``outcomes``: 2**depth - 1 points
-    at most for one outcome.  A path ends where hi - lo <= tol, as the search does."""
-    points = []
-    if depth and bracket[1] - bracket[0] > tol:
-        for left in outcomes:
-            *after, point = _golden_step(*bracket, left)
-            points.append(point)
-            points += _golden_tree(tuple(after), (True, False), depth - 1, tol)
+    at most for one outcome.  A path ends where hi - lo <= tol, as the search does.
+    Listed one level per step: each open bracket of a level steps each way in
+    ``outcomes`` for the first level and both ways after."""
+    level, points, ways = [(*bracket, None)], [], outcomes  # as _golden_step returns them
+    for _ in range(depth):
+        level = [
+            _golden_step(lo, hi, c, d, left)
+            for lo, hi, c, d, _ in level
+            if hi - lo > tol
+            for left in ways
+        ]
+        points += [step[4] for step in level]
+        ways = (True, False)
     return points
 
 
@@ -174,9 +180,10 @@ def maximize_scalar_on_unit_interval(
     too: ``LOOKAHEAD_DEPTH`` steps at a time, one rows call takes every point
     those steps can visit (the first comparison is known, so 2**depth - 1 at
     most; the first call adds the two starting points and the next depth - 1
-    steps either way), and the steps are replayed on the looked-up values.  f
-    then evaluates only the refined midpoint.  An evaluation is a value the
-    search reads: each grid value, each point a step visits, the midpoint.
+    steps either way, as ``_frontier`` lists them, passed to rows as one
+    float64 array), and the steps are replayed on the looked-up values.  f then
+    evaluates only the refined midpoint.  An evaluation is a value the search
+    reads: each grid value, each point a step visits, the midpoint.
     Only those are counted and checked, so a result, its count and its errors
     are the same with or without ``lookahead`` when rows(qs) equals f at each q,
     and a bad value at a point no step visits is never read.  ``tol``, at
@@ -224,19 +231,19 @@ def maximize_scalar_on_unit_interval(
 
     def look_ahead(qs: list[float]) -> None:
         qs = list(dict.fromkeys(qs))
-        ahead.update(zip(qs, batch(qs, "look-ahead")))
+        ahead.update(zip(qs, batch(np.array(qs), "look-ahead")))
 
     def evaluate(q: float) -> float:
         return checked(q, ahead[q] if lookahead else f(q))
 
     if lookahead:
-        look_ahead([c, d, *_golden_tree((lo, hi, c, d), (True, False), LOOKAHEAD_DEPTH - 1, tol)])
+        look_ahead([c, d, *_frontier((lo, hi, c, d), (True, False), LOOKAHEAD_DEPTH - 1, tol)])
     fc, fd = evaluate(c), evaluate(d)
     while hi - lo > tol:
         left = fc >= fd
         *after, point = _golden_step(lo, hi, c, d, left)
         if lookahead and point not in ahead:
-            look_ahead(_golden_tree((lo, hi, c, d), (left,), LOOKAHEAD_DEPTH, tol))
+            look_ahead(_frontier((lo, hi, c, d), (left,), LOOKAHEAD_DEPTH, tol))
         lo, hi, c, d = after
         if left:
             fd, fc = fc, evaluate(c)

@@ -16,12 +16,13 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from . import analysis, depolarizing
 from .analysis import AUDIT_TOL, CAPACITY_TOL
-from .channel import STACK_ROWS, run_channel
+from .channel import STACK_ROWS, ChannelTranscript, _diagonal_chunk, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
 
@@ -90,24 +91,32 @@ USES = {
     "classical": ("p,q,mutual,loss", 0),  # mutual
 }
 
-# Channel families: (channel, use) -> (point, rows, closed_form, lookahead).
+# Channel families: (channel, use) -> (point, rows, closed_form, rows_at).
 # point(p, q) is the capacity objective at one (p, q): (S, S', S_e, L, I_Q, F_e)
 # for quantum use, (mutual, loss) for classical use.  rows(p, qs) gives those
-# columns as arrays over aligned p and q arrays, or over a q list at one p (each
-# distinct p checked once, the q array as a whole), from the array closed forms
-# and the stacked kernels; closed_form(p) is the capacity's.  capacity's grid runs
-# on rows, and so do its golden-section steps where lookahead is set (the dephasing
-# pair, whose point runs a kernel); otherwise they run on the scalar closed forms,
-# which cost a tenth of a one-row call.  point evaluates the refined midpoint either
-# way.  The dephasing classical point is the one-point call of its rows; the quantum
-# one runs run_channel on a DensityMatrix, the one DensityMatrix that a `simulated`
-# benchmark request builds and perfbench's listed qmat.density_us times.  Every
-# entry looks its function up on ``depolarizing`` at call time, so a wrapper
-# installed there (perfbench's tracer, a test's monkeypatch) sees the call.
+# columns as arrays over aligned p and q arrays, or over a q list at one p, from
+# the array closed forms and the stacked kernels; closed_form(p) is the capacity's.
+# rows_at(p), set for the dephasing pair, whose point runs a kernel, is rows bound
+# to one p by ``depolarizing._dephasing_rows``, which checks p and builds and checks
+# its branch table once: capacity binds it once per solve and runs its grid and its
+# look-ahead golden-section steps on it.  The depolarizing pair's grid runs on rows
+# and its steps on the scalar closed forms, which cost a tenth of a one-row call.
+# point evaluates the refined midpoint either way: for dephasing classical use the
+# one-point call of its rows, for quantum use run_channel on a DensityMatrix, the
+# one DensityMatrix that a `simulated` benchmark request builds and perfbench's
+# listed qmat.density_us times.  Every entry looks its function up on
+# ``depolarizing`` at call time, rows_at once per solve, so a wrapper installed
+# there (perfbench's tracer, a test's monkeypatch) sees the call.
 
 
 def _quantum_columns(t) -> tuple:
     return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
+
+
+def _dephasing_quantum_at(p) -> Callable:
+    """The dephasing quantum rows bound to p, as ``_quantum_columns``."""
+    rows = depolarizing._dephasing_rows(p, _diagonal_chunk)
+    return lambda qs: _quantum_columns(ChannelTranscript.from_entropies(*rows(qs)))
 
 
 FAMILIES = {
@@ -115,13 +124,13 @@ FAMILIES = {
         lambda p, q: _quantum_columns(depolarizing.analytic_transcript(DepolParams(p, q))),
         lambda p, qs: _quantum_columns(depolarizing.analytic_transcript_rows(p, qs)),
         lambda p: depolarizing.quantum_capacity(p),
-        False,
+        None,
     ),
     ("depolarizing", "classical"): (
         lambda p, q: depolarizing.classical_use_transcript(DepolParams(p, q)),
         lambda p, qs: depolarizing.classical_use_transcript_rows(p, qs),
         lambda p: depolarizing.classical_capacity(p),
-        False,
+        None,
     ),
     ("dephasing", "quantum"): (
         lambda p, q: _quantum_columns(
@@ -129,26 +138,27 @@ FAMILIES = {
         ),
         lambda p, qs: _quantum_columns(depolarizing.dephasing_transcript_rows(p, qs)),
         lambda p: depolarizing.dephasing_mutual(p),
-        True,
+        _dephasing_quantum_at,
     ),
     ("dephasing", "classical"): (
         lambda p, q: [c[0] for c in depolarizing.dephasing_classical_rows(p, (q,))],
         lambda p, qs: depolarizing.dephasing_classical_rows(p, qs),
         lambda p: 1.0,  # dephasing is lossless for classical bits
-        True,
+        lambda p: depolarizing._dephasing_rows(p, depolarizing._classical_chunk),
     ),
 }
 
 
 def cmd_capacity(args) -> int:
     p = _unit_interval(args.p, "--p", slack=0.0)
-    point, rows, closed_form, lookahead = FAMILIES[args.channel, args.use]
+    point, rows, closed_form, rows_at = FAMILIES[args.channel, args.use]
     column = USES[args.use][1]
+    at_p = functools.partial(rows, p) if rows_at is None else rows_at(p)
     result = analysis.maximize_scalar_on_unit_interval(
         lambda q: point(p, q)[column],
         args.tol,
-        rows=lambda qs: rows(p, qs)[column],
-        lookahead=lookahead,
+        rows=lambda qs: at_p(qs)[column],
+        lookahead=rows_at is not None,
     )
     print(f"channel: {args.channel}")
     print(f"use: {args.use}")

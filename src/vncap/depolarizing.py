@@ -25,7 +25,7 @@ to convey two classical bits.
 from __future__ import annotations
 
 import math
-from collections.abc import Set
+from collections.abc import Callable, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,23 +196,32 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
     return ChannelTranscript.from_entropies(*_analytic(params.p, params.q, ops))
 
 
-def _rows_at(p, q_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked rows of one p, or of a p array aligned with the q list.
-
-    Returns (ps, where, qs): the checked distinct p, row n's at ``ps[where[n]]``,
-    and the checked q array.  p is checked before q, as ``DepolParams`` does.
+def _rows_of(p, chunk, branches=None) -> Callable:
+    """The rows function of one p, or of a p array aligned with the q list:
+    ``chunk(x, qs)`` over the checked q array, x at each q's p either that p or,
+    given ``branches``, its row of the branch table ``branches(ps)``.  Each distinct
+    p is checked, and the table built and checked complete, here, once.  p is
+    checked before q, as ``DepolParams`` does.
     """
     if isinstance(p, (list, tuple, np.ndarray)):
         distinct, where = np.unique(_numbers(p, "error probability", 1, "iuf"), return_inverse=True)
-    else:  # one p for every row
+    else:  # one p for every row: its one row broadcasts over the q array
         distinct, where = [p], None
     ps = np.array([_unit_interval(x, "error probability") for x in distinct])
-    qs = _unit_intervals(q_values, "mixing parameter")
-    if where is None:
-        where = np.zeros(qs.size, dtype=np.intp)
-    elif where.size != qs.size:
-        raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
-    return ps, where, qs
+    per_p = ps
+    if branches is not None:  # a channel's: one table for the distinct p, checked once
+        per_p = branches(ps)
+        _check_complete(per_p)
+
+    def of(q_values) -> np.ndarray:
+        qs = _unit_intervals(q_values, "mixing parameter")
+        if where is None:
+            return _chunked_rows(lambda q: chunk(per_p, q), qs)
+        if where.size != qs.size:
+            raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
+        return _chunked_rows(lambda w, q: chunk(per_p[w], q), where, qs)
+
+    return of
 
 
 def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
@@ -223,8 +232,7 @@ def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
     ``_analytic``, so every entry equals the scalar one bit for bit.  The
     scalar form stays the point objective: on one q it is the faster call.
     """
-    ps, where, qs = _rows_at(p, q_values)
-    columns = _chunked_rows(lambda p, q: _analytic(p, q, _ROW_OPS), ps[where], qs)
+    columns = _rows_of(p, lambda p, q: _analytic(p, q, _ROW_OPS))(q_values)
     return ChannelTranscript.from_entropies(*columns)
 
 
@@ -265,8 +273,7 @@ def classical_use_transcript_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_transcript`` at every (p, q) row at once, p as in
     ``analytic_transcript_rows``: (mutual, loss) arrays.  Both forms run
     ``_classical``, so each entry equals the scalar one bit for bit."""
-    ps, where, qs = _rows_at(p, q_values)
-    return tuple(_chunked_rows(lambda p, q: _classical(p, q, _ROW_OPS), ps[where], qs))
+    return tuple(_rows_of(p, lambda p, q: _classical(p, q, _ROW_OPS))(q_values))
 
 
 def classical_use_channel_simulation(ch: KrausChannel, q: float) -> tuple[float, float]:
@@ -304,26 +311,24 @@ def classical_use_channel_rows(ch: KrausChannel, q_values) -> tuple[np.ndarray, 
     return tuple(_chunked_rows(lambda q: _classical_chunk(branches, q), qs))
 
 
-def _dephasing_rows(p, q_values, chunk) -> np.ndarray:
-    """``chunk(branches, qs)`` over the checked rows of ``_rows_at``, each row sent
-    through the branches of ``dephasing_kraus`` at its p: one branch table for the
-    distinct p, checked once, and no channel built."""
-    ps, where, qs = _rows_at(p, q_values)
-    table = _dephasing_branches(ps)
-    _check_complete(table)
-    return _chunked_rows(lambda w, q: chunk(table[w], q), where, qs)
+def _dephasing_rows(p, chunk) -> Callable:
+    """The rows function of p, as ``_rows_of`` binds it, ``chunk(branches, qs)`` sending
+    each row through the branches of ``dephasing_kraus`` at its p: one branch table
+    for the distinct p, built and checked when p is bound, and no channel built.  A
+    capacity solve binds its one p once and sends every q array through that row."""
+    return _rows_of(p, chunk, _dephasing_branches)
 
 
 def dephasing_transcript_rows(p, q_values) -> ChannelTranscript:
     """``diagonal_transcripts(dephasing_kraus(p), q_values)`` at every (p, q) row at
     once, p as in ``analytic_transcript_rows``."""
-    return ChannelTranscript.from_entropies(*_dephasing_rows(p, q_values, _diagonal_chunk))
+    return ChannelTranscript.from_entropies(*_dephasing_rows(p, _diagonal_chunk)(q_values))
 
 
 def dephasing_classical_rows(p, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_channel_rows(dephasing_kraus(p), q_values)`` at every (p, q)
     row at once, p as in ``analytic_transcript_rows``."""
-    return tuple(_dephasing_rows(p, q_values, _classical_chunk))
+    return tuple(_dephasing_rows(p, _classical_chunk)(q_values))
 
 
 def kholevo_chi(probs, outputs) -> float:

@@ -47,6 +47,10 @@ pin their replacements bit for bit: ``ravel_shannon`` (the Shannon sum over
 ``basis_state``) and ``projector_classical_use_ensemble`` (the inputs built as
 basis-state projectors).
 
+The capacity optimizer's look-ahead frontier as the recursive walk built it,
+before one level-by-level loop listed it, is kept to check that loop against:
+``golden_tree``.
+
 ``record_constructions`` records the class of every channel and state built
 while a test runs, for tests that count them.
 
@@ -581,3 +585,16 @@ def record_constructions(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(cls, "__post_init__", recorded)
     return built
+
+
+def golden_tree(bracket: tuple, outcomes: tuple, depth: int, tol: float) -> list[float]:
+    """Every point that the next ``depth`` steps from ``bracket`` = (lo, hi, c, d) can
+    visit, the first step going each way in ``outcomes``, by recursion: a path ends
+    where hi - lo <= tol."""
+    points = []
+    if depth and bracket[1] - bracket[0] > tol:
+        for left in outcomes:
+            *after, point = analysis._golden_step(*bracket, left)
+            points.append(point)
+            points += golden_tree(tuple(after), (True, False), depth - 1, tol)
+    return points

@@ -259,6 +259,43 @@ class TestLookAhead:
             maximize_scalar_on_unit_interval(_peak, lookahead=True)
 
 
+def _brackets(tol: float) -> list[tuple]:
+    """Golden-section brackets (lo, hi, c, d): fresh ones of width 0.02 (the search's
+    first), 1e-3, and 0.5 to 13 times ``tol``, at both ends of [0, 1] and inside it;
+    and every bracket of a search from [0.36, 0.38] whose steps alternate left and
+    right until the bracket ends."""
+    found = []
+    for width in (0.02, 1e-3, *(k * tol for k in (0.5, 1, 1.5, 2, 3, 5, 8, 13))):
+        for lo in (0.0, 0.37, 1.0 - width):
+            hi = lo + width
+            found.append((lo, hi, hi - analysis._INV_GOLD * width, lo + analysis._INV_GOLD * width))
+    lo, hi = 0.36, 0.38
+    bracket = (lo, hi, hi - analysis._INV_GOLD * (hi - lo), lo + analysis._INV_GOLD * (hi - lo))
+    while bracket[1] - bracket[0] > tol:
+        found.append(bracket)
+        *after, _ = analysis._golden_step(*bracket, len(found) % 2 == 0)
+        bracket = tuple(after)
+    return found + [bracket]
+
+
+class TestGoldenFrontier:
+    """The level-by-level look-ahead frontier lists the points of the recursive walk
+    it replaced, ``reference.golden_tree``, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [analysis.CAPACITY_TOL, 1e-6, sys.float_info.epsilon])
+    @pytest.mark.parametrize("outcomes", [(True,), (False,), (True, False)])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_same_points_as_the_recursive_walk(self, depth, outcomes, tol):
+        ended = 0
+        for bracket in _brackets(tol):
+            got = analysis._frontier(bracket, outcomes, depth, tol)
+            expected = reference.golden_tree(bracket, outcomes, depth, tol)
+            assert sorted(map(float.hex, got)) == sorted(map(float.hex, expected)), bracket
+            assert len(got) <= len(outcomes) * (2**depth - 1)
+            ended += len(got) < len(outcomes) * (2**depth - 1)
+        assert ended  # some paths end inside the frontier
+
+
 class TestMaximizeCapacity:
     def test_closed_form_family(self):
         result = maximize_scalar_on_unit_interval(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -609,16 +611,19 @@ class TestStackedKernel:
 
     def test_capacity_grid_is_one_batch(self, monkeypatch, capsys):
         """The 101 grid points are one row call of 3 eigensolves; the 42
-        golden-section steps look ahead through 8 more row calls of 3 each, and
-        only the refined midpoint runs run_channel on a diagonal density matrix."""
+        golden-section steps look ahead through 8 more row calls of 3 each, all
+        through the one rows function that ``_dephasing_rows`` binds to the solve's
+        p, and only the refined midpoint runs run_channel on a diagonal density
+        matrix."""
         runs, batches = [], []
         monkeypatch.setattr(cli, "run_channel", lambda *a: runs.append(1) or run_channel(*a))
-        rows_of = depolarizing.dephasing_transcript_rows
-        monkeypatch.setattr(
-            depolarizing,
-            "dephasing_transcript_rows",
-            lambda p, qs: batches.append(len(qs)) or rows_of(p, qs),
-        )
+        bind = depolarizing._dephasing_rows
+
+        def counted(p, chunk):
+            rows = bind(p, chunk)
+            return lambda qs: batches.append(len(qs)) or rows(qs)
+
+        monkeypatch.setattr(depolarizing, "_dephasing_rows", counted)
         counts = eigensolve_counts(monkeypatch)
         assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 0
         assert "evaluations: 144" in capsys.readouterr().out
@@ -629,17 +634,56 @@ class TestStackedKernel:
         assert counts == {"eigvalsh": 3 * 9 + 4, "eigh": 1, "density": 1}
 
     def test_capacity_refuses_a_nan_in_the_batched_grid(self, monkeypatch, capsys):
-        rows_of = depolarizing.dephasing_transcript_rows
+        bind = depolarizing._dephasing_rows
 
-        def with_nan(p, qs):
-            rows = rows_of(p, qs)
-            rows.mutual_entanglement[7] = np.nan
-            return rows
+        def with_nan_at(p, chunk):
+            rows_of = bind(p, chunk)
 
-        monkeypatch.setattr(depolarizing, "dephasing_transcript_rows", with_nan)
+            def with_nan(qs):
+                rows = rows_of(qs)  # S, S', S_e, F_e
+                rows[0, 7] = np.nan  # so I_Q = 2S - L at q = 0.07 too
+                return rows
+
+            return with_nan
+
+        monkeypatch.setattr(depolarizing, "_dephasing_rows", with_nan_at)
         assert cli.main(["capacity", "--channel", "dephasing", "--p", "0.37"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "non-finite objective value nan at q=0.07" in err
+
+    @pytest.mark.parametrize("use", ["quantum", "classical"])
+    def test_capacity_builds_one_branch_table_per_solve(self, monkeypatch, use):
+        """A dephasing capacity solve reads its p, builds its branch table and checks
+        that table complete once, for the grid and all 8 look-ahead calls.  The
+        refined midpoint builds the only other table: quantum use's ``dephasing_kraus``,
+        checked by ``KrausChannel``, or classical use's one-point rows call."""
+        calls = []
+        for module, name in [
+            (depolarizing, "_rows_of"),
+            (depolarizing, "_dephasing_branches"),
+            (depolarizing, "_check_complete"),
+            (channel, "_check_complete"),
+        ]:
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            )
+        point, *rest = cli.FAMILIES["dephasing", use]
+        midpoint = []  # the calls made before the midpoint
+        monkeypatch.setitem(
+            cli.FAMILIES,
+            ("dephasing", use),
+            (lambda p, q: midpoint.append(list(calls)) or point(p, q), *rest),
+        )
+        argv = ["capacity", "--channel", "dephasing", "--use", use, "--p", "0.37"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert "evaluations: 144" in out.getvalue()
+        table = ["_rows_of", "_dephasing_branches", "_check_complete"]
+        assert midpoint == [table]
+        assert calls[len(table) :] == (
+            ["_dephasing_branches", "_check_complete"] if use == "quantum" else table
+        )
 
 
 def complex_stack(rng, *shape):

@@ -299,11 +299,13 @@ class TestWholeGridSweep:
 
 @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
 def test_capacity_looks_up_every_function_at_call_time(monkeypatch, family):
-    """A capacity request reaches its family's point, rows and closed-form function
-    through the ``depolarizing`` module: a wrapper installed there sees each call,
-    and the closed form it returns is the one printed.  Dephasing's classical
-    capacity is the constant 1, with no function behind it."""
+    """A capacity request reaches its family's point, rows (or the binder of its rows)
+    and closed-form function through the ``depolarizing`` module: a wrapper installed
+    there sees each call, and the closed form it returns is the one printed.
+    Dephasing's classical capacity is the constant 1, with no function behind it."""
     point, rows, closed_form = CALL_TIME_FUNCTIONS[family]
+    if family[0] == "dephasing":  # capacity binds its rows to p through this one
+        rows = "_dephasing_rows"
     calls = collections.Counter()
     for name in (point, rows):
         function = getattr(depolarizing, name)
@@ -747,3 +749,42 @@ def test_output_is_byte_identical_to_recorded(args, exit_code, digest):
     proc = run_cli(*args)
     assert proc.returncode == exit_code, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# Dephasing capacity p values: 40 seeded draws in [0, 0.75], each passed as its
+# repr, then both ends of the range, its middle and p = 1.
+DEPHASING_CAPACITY_PS = [
+    *map(repr, np.random.default_rng(26).uniform(0.0, 0.75, 40).tolist()),
+    "0",
+    "0.5",
+    "0.75",
+    "1",
+]
+# use -> SHA-256 of the concatenated outputs, recorded before the change that added
+# this table; see the test's docstring for the rule and the versions.
+DEPHASING_CAPACITY_DIGESTS = {
+    "quantum": "eb40ed0dd409bd9dd650d6d642771cc36a3ca9170219b49816ec0529ea34b844",
+    "classical": "a93f43a06ac2e9cfdadc6dc9dd55a0aa4d436e00b0a8a8d51558cdb6b1df6665",
+}
+
+
+@pytest.mark.parametrize("use", sorted(DEPHASING_CAPACITY_DIGESTS))
+def test_dephasing_capacity_is_byte_identical_to_recorded(use):
+    """``capacity --channel dephasing --use <use> --p <p>`` for every p in
+    ``DEPHASING_CAPACITY_PS``, in order, by in-process ``cli.main`` calls: the
+    SHA-256 of the UTF-8 concatenation of f"{code}\\n{stdout}" over the calls, with
+    no separator, equals the recorded digest.  Every call exits 0 after 144
+    evaluations.
+
+    Recorded with Python 3.11.7 and numpy 2.4.6 on scipy-openblas 0.3.31.188.0 (one
+    BLAS thread; the output does not depend on the thread count).  Output carries
+    12 significant digits, so another numpy or BLAS build may move a last digit;
+    re-record only after checking that a changed digest is such a rounding
+    difference and not a change of behaviour.
+    """
+    text = ""
+    for p in DEPHASING_CAPACITY_PS:
+        code, out, _ = run_main("capacity", "--channel", "dephasing", "--use", use, "--p", p)
+        assert code == 0 and "evaluations: 144\n" in out, p
+        text += f"{code}\n{out}"
+    assert hashlib.sha256(text.encode()).hexdigest() == DEPHASING_CAPACITY_DIGESTS[use]

@@ -457,6 +457,87 @@ def test_type_check_guard_sees_each_kind_of_slot():
     ]
 
 
+# functools' memos.  A value that outlives one call would let a request read work
+# done for an earlier one; the one memo in the package is the CLI's parser.
+MEMOS = {"cache", "lru_cache", "cached_property"}
+ALLOWED_MEMO = ("cli", "_build_parser")
+
+
+def memo_uses(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of every use in ``sources`` of functools' ``cache``,
+    ``lru_cache`` or ``cached_property``, however spelled: an attribute of
+    ``functools`` or of an alias of it, or a name imported from it under any
+    alias; and of every ``from functools import *``.  The decorators of
+    ``cli._build_parser`` are exempt."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                for alias in node.names:
+                    if alias.name == "*":
+                        found.append((module, node.lineno))
+                    elif alias.name in MEMOS:
+                        names.add(alias.asname or alias.name)
+        exempt = {
+            id(part)
+            for func in tree.body
+            if (module, getattr(func, "name", None)) == ALLOWED_MEMO
+            for decorator in func.decorator_list
+            for part in ast.walk(decorator)
+        }
+        for node in ast.walk(tree):
+            attribute = (
+                isinstance(node, ast.Attribute)
+                and node.attr in MEMOS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            )
+            name = isinstance(node, ast.Name) and node.id in names
+            if (attribute or name) and id(node) not in exempt:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_no_memo_across_calls_in_src():
+    """Only ``cli._build_parser`` is memoized; a capacity solve's branch table is a
+    binding of that solve, not a cache that a later request could read."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert memo_uses(sources) == []
+    assert "@functools.cache" in sources["cli"]
+
+
+def test_memo_check_sees_each_spelling():
+    sources = {
+        "a": "import functools\n"
+        "@functools.cache\n"
+        "def table(p): return p\n"
+        "@functools.lru_cache(maxsize=4)\n"
+        "def rows(p): return p\n"
+        "reduce = functools.reduce\n",
+        "b": "import functools as ft\n"
+        "from functools import cache as memo, lru_cache, partial\n"
+        "class K:\n"
+        "    @ft.cached_property\n"
+        "    def x(self): return 1\n"
+        "@memo\n"
+        "def f(): pass\n"
+        "g = lru_cache()(f)\n"
+        "h = partial(f)\n",
+        "c": "from functools import *\n",
+        "cli": "import functools\n"
+        "@functools.cache\n"
+        "def _build_parser(): pass\n"
+        "@functools.lru_cache\n"
+        "def _other(): pass\n"
+        "def main(): return _build_parser()\n",
+    }
+    assert memo_uses(sources) == ["a:2", "a:4", "b:4", "b:6", "b:8", "c:1", "cli:4"]
+
+
 ROOT = SRC.parents[1]
 WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
 
