@@ -15,9 +15,11 @@ parallel pairs are composed on the Kraus branches (16 branches on a 2- or
 implementation bug, never physics; the audit exists to catch the former.
 
 The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
-densities and weights are drawn in the seeded per-trial order, each trial's
-seeds in one generator call and its weights in another, and the chunk's
-weights are normalized at once; its unitaries
+densities and weights are drawn in the seeded per-trial order, every trial
+taking a fixed number of raw words of the seed's stream, so one ``random_raw``
+call per chunk reads them all (``_seeds`` and ``_doubles`` read them as the
+generator's ``integers`` and ``random`` would), and the chunk's weights are
+normalized at once; its unitaries are seeded together by ``_random_unitaries``,
 come from one stacked QR and get one unitarity check, its channels are
 composed as (T, ...) branch stacks with one completeness check per stack, its
 inputs enter the one transcript kernel as amplitude stacks (the diagonal
@@ -411,9 +413,17 @@ def _coherent_concavity_rows(
     return i_mix - (w * i_1 + (1.0 - w) * i_2)
 
 
-def _draw_seeds(rng: np.random.Generator, n: int) -> list[int]:
-    """n seeds in one generator call, each the one ``int(rng.integers(0, 2**63))`` draws."""
-    return rng.integers(0, 2**63, size=n).tolist()
+def _seeds(raw: np.ndarray) -> list[int]:
+    """The seeds that ``int(rng.integers(0, 2**63))`` draws from these raw words:
+    each word shifted right by one, since Lemire's rejection threshold is 0 for a
+    range of 2**63 and no word is ever rejected."""
+    return (raw >> 1).ravel().tolist()
+
+
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that ``rng.random()`` draws from these raw words: the
+    top 53 bits of each, times 2**-53."""
+    return (raw >> 11) * 2.0**-53
 
 
 def _normalized(draws: np.ndarray) -> np.ndarray:
@@ -449,17 +459,16 @@ def _inequality_chunks(seed: int, trials: int):
     """Per chunk of trials: each trial's parameters and the slack arrays of
     ``_inequality_rows``, the draws in the seeded per-trial order.
 
-    Each trial draws its two channel seeds in one call and the weights of its
-    single (2) and pair (4) inputs in another; the chunk's weights are
-    normalized at once.
+    A trial takes 8 raw words of the seed's ``default_rng`` stream: its two
+    channel seeds, then the weights of its single (2) and pair (4) inputs.  A
+    chunk reads its words in one ``random_raw`` call, as ``integers(0, 2**63)``
+    and ``random`` would read them, and normalizes its weights at once.
     """
-    rng = np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
     for chunk in _chunks(trials):
-        seeds, draws = [], np.empty((len(chunk), 6))
-        for row in draws:
-            seeds += _draw_seeds(rng, 2)  # ch1, ch2
-            rng.random(out=row)
-        branches = _random_dilations(seeds)
+        raw = bits.random_raw(8 * len(chunk)).reshape(-1, 8)
+        draws = _doubles(raw[:, 2:])
+        branches = _random_dilations(_seeds(raw[:, :2]))  # ch1, ch2 per trial
         single, pair = (_diagonal_amps(_normalized(w)) for w in (draws[:, :2], draws[:, 2:]))
         slacks = _inequality_rows(branches[0::2], branches[1::2], single, pair)
         yield [{"trial": i} for i in chunk], slacks
@@ -468,24 +477,21 @@ def _inequality_chunks(seed: int, trials: int):
 def _mixture_chunks(seed: int, trials: int, channels: int, score):
     """Per chunk of trials: each trial's parameters and ``score(branches, rho1, rho2, w)``.
 
-    Each trial draws its ``channels`` channel seeds in one call, two densities
-    (weights, then seed) and a weight, in the seeded per-trial order; the
-    chunk's density weights are normalized at once.  ``branches`` holds the
-    channels trial-major.
+    A trial takes ``channels + 7`` raw words of the seed's ``default_rng``
+    stream: its channel seeds, then for each of its two densities two weights
+    and the seed of its eigenbasis, then the mixture weight, which is
+    ``uniform(0.05, 0.95)`` of its word.  A chunk reads its words in one
+    ``random_raw`` call and normalizes its density weights at once.
+    ``branches`` holds the channels trial-major.
     """
-    rng = np.random.default_rng(seed)
+    bits, words = np.random.default_rng(seed).bit_generator, channels + 7
     for chunk in _chunks(trials):
-        seeds, density_seeds = [], []
-        draws, ws = np.empty((len(chunk), 2, 2)), np.empty(len(chunk))  # (trial, rho, weight)
-        for i, pair in enumerate(draws):
-            seeds += _draw_seeds(rng, channels)
-            for row in pair:
-                rng.random(out=row)
-                density_seeds += _draw_seeds(rng, 1)
-            ws[i] = rng.uniform(0.05, 0.95)
-        rhos = _random_densities(_normalized(draws.reshape(2 * len(chunk), 2)), density_seeds)
+        raw = bits.random_raw(words * len(chunk)).reshape(-1, words)
+        densities = raw[:, channels:-1].reshape(2 * len(chunk), 3)  # (weight, weight, seed)
+        ws = 0.05 + (0.95 - 0.05) * _doubles(raw[:, -1])
+        rhos = _random_densities(_normalized(_doubles(densities[:, :2])), _seeds(densities[:, 2]))
         rho1, rho2 = (np.stack([rho.matrix for rho in rhos[i::2]]) for i in (0, 1))
-        slacks = score(_random_dilations(seeds), rho1, rho2, ws)
+        slacks = score(_random_dilations(_seeds(raw[:, :channels])), rho1, rho2, ws)
         yield [{"trial": i, "weight": w} for i, w in zip(chunk, ws.tolist())], slacks
 
 

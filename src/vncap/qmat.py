@@ -134,9 +134,10 @@ def _at_least(x, low: int, name: str) -> int:
 
 
 # The largest dimension of a random unitary, identity channel or basis state,
-# far above the 16 that the package, its tests and demos ask for at most.  At
-# the cap a random unitary is a 16 MB complex matrix whose QR takes 0.6 s on
-# one x86-64 core; the work grows as the cube of the dimension.
+# far above the 16 that the package, its tests and demos ask for at most, and
+# squared, the most entries of a ``tensor`` product.  At the cap a random
+# unitary is a 16 MB complex matrix whose QR takes 0.6 s on one x86-64 core;
+# the work grows as the cube of the dimension.
 MAX_DIMENSION = 1024
 
 
@@ -274,9 +275,15 @@ def _check_state(state, kind: type, name: str) -> None:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, ``a`` the slower-varying (leftmost) factor; NaN, inf or overflow raise."""
+    """Kronecker product, ``a`` the slower-varying (leftmost) factor; NaN, inf, overflow
+    and a product of more than MAX_DIMENSION**2 entries raise, the last before any
+    entry of it is allocated."""
     a = _check_finite(_numbers(a, "factor a", None, "iufc"), "factor a")
     b = _check_finite(_numbers(b, "factor b", None, "iufc"), "factor b")
+    if a.size * b.size > MAX_DIMENSION**2:  # one 1024 x 1024 matrix, 16 MB if complex
+        raise ValueError(
+            f"tensor product has {a.size * b.size} entries, above the cap of {MAX_DIMENSION**2}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: refused, no warning first
         return _check_finite(np.kron(a, b), "tensor product")
 
@@ -408,14 +415,73 @@ def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
     return u
 
 
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """The hash constant before each of n hash steps and after the last, as a
+    read-only (n + 1, 1) uint32 column: init, init * mult, ... mod 2**32."""
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    chain = np.array(chain, dtype=np.uint32)[:, np.newaxis]
+    chain.setflags(write=False)
+    return chain
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in 32-bit words:
+# the hash constants of the 16 steps that mix the entropy into a 4-word pool and
+# of the 8 that read the state words out of it, and the pool mixer's multipliers.
+_MIX_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_OUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step on each row of ``words`` (one row broadcasts), row k
+    taking the k-th step of ``chain``: xor the constant before it, multiply by the
+    one after it, fold the high half into the low."""
+    words = (words ^ chain[:-1]) * chain[1:]
+    return words ^ words >> 16
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every seed s in
+    [0, 2**64), as an (N, 4) uint64 array, in uint32 arithmetic on all seeds at once.
+
+    Each seed fills two entropy words, low then high; SeedSequence fills the missing
+    words of its 4-word pool with zeros, so a seed below 2**32 hashes as one word."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[:2] = seeds & 0xFFFFFFFF, seeds >> 32
+    pool = _hashmix(pool, _MIX_CHAIN[:5])
+    for src in range(4):  # each word hashed into the other three, in numpy's order
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[src], _MIX_CHAIN[4 + 3 * src : 8 + 3 * src])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    words = _hashmix(pool[[0, 1, 2, 3] * 2], _OUT_CHAIN).astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
+
+
 def _random_unitaries(dim: int, seeds) -> np.ndarray:
-    """``random_unitary(dim, seed)`` for every seed: an (N, dim, dim) stack from one
-    stacked QR and phase fix.  Each seed's generator fills its real parts, then its
-    imaginary parts, with one ``standard_normal`` call."""
+    """``random_unitary(dim, seed)`` for every seed below 2**64: an (N, dim, dim)
+    stack from one stacked QR and phase fix.  Each seed's ``default_rng`` stream
+    fills its real parts, then its imaginary parts, with one ``standard_normal``
+    call.  The streams come from one PCG64 built per call, set for each seed to
+    the state that seeding it gives: the seed's ``_seed_states`` words, read as
+    128-bit s and i, give inc = 2 i + 1 and state = (inc + s) * M + inc mod 2**128,
+    M being ``_PCG_MULT``.
+    """
     dim = _dimension(dim)
     parts = np.empty((len(seeds), 2, dim, dim))
-    for row, seed in zip(parts, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    bits = np.random.PCG64(0)  # its state is replaced before each draw
+    seeded = bits.state  # as after seeding: no buffered 32-bit word
+    normal = np.random.Generator(bits).standard_normal
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(parts, _seed_states(seeds).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {**seeded, "state": {"state": state, "inc": inc}}
+        normal(out=row)
     q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
     phases = np.diagonal(r, axis1=1, axis2=2)
     return q * (phases / np.abs(phases))[:, np.newaxis, :]
@@ -426,9 +492,12 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
     Deterministic per seed; the R-diagonal phases are divided out so the
     distribution does not depend on the QR sign convention.  The one-row call
-    of ``_random_unitaries``; ``seed`` must be an integer >= 0.
+    of ``_random_unitaries``; ``seed`` must be an integer in [0, 2**64).
     """
-    return _random_unitaries(dim, (_at_least(seed, 0, "seed"),))[0]
+    seed = _at_least(seed, 0, "seed")
+    if seed >= 1 << 64:
+        raise ValueError(f"seed must be an integer below 2**64, got {seed}")
+    return _random_unitaries(dim, (seed,))[0]
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:

@@ -607,8 +607,8 @@ def recorded(monkeypatch, name: str) -> list:
 
 
 class TestBulkDraws:
-    """The chunked audits draw each trial's seeds in one generator call and its
-    weights in another, and normalize a chunk's weights at once.  Their seeds,
+    """The chunked audits read each chunk's seeds and weights from one raw draw of
+    their generator, and normalize a chunk's weights at once.  Their seeds,
     weights, densities and unitaries equal reference.py's per-trial draw loops, one
     call per number, bit for bit, across chunk boundaries."""
 
@@ -656,6 +656,61 @@ class TestBulkDraws:
         for rho, w, seed in zip(rhos, weights, density_seeds, strict=True):
             one = one_row(w[np.newaxis], [seed])[0]
             assert rho.matrix.tobytes() == one.matrix.tobytes()
+
+
+def advanced(seed: int, words: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` with its stream ``words`` raw draws on."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(words)
+    return rng
+
+
+class TestDrawsPerTrial:
+    """Each audit trial takes a fixed number of raw 64-bit words of its seed's
+    ``default_rng`` stream: 8 per inequality trial, 9 per axiom trial and 8 per
+    coherent-search trial.  So ``bit_generator.advance(k * i)`` starts trial i, and
+    a trial can be replayed without drawing the ones before it.  Trial i's seeds
+    and weights in the chunked audits are drawn again from there, one number at a
+    time, and then the stream stands where trial i + 1 starts."""
+
+    TRIALS = (0, 1, 31, 32, 33, 199)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_inequality_trials(self, monkeypatch, seed):
+        unitaries = recorded(monkeypatch, "_random_unitaries")
+        amps = recorded(monkeypatch, "_diagonal_amps")
+        assert len(list(analysis._inequality_chunks(seed, 200))) == 7
+        seeds = [s for (_, chunk_seeds), _ in unitaries for s in chunk_seeds]
+        singles, pairs = (np.concatenate([args[0] for args, _ in amps[i::2]]) for i in (0, 1))
+        for i in self.TRIALS:
+            rng = advanced(seed, 8 * i)
+            assert [reference._draw_seed(rng) for _ in range(2)] == seeds[2 * i : 2 * i + 2]
+            assert reference._draw_weights(rng, 2).tobytes() == singles[i].tobytes()
+            assert reference._draw_weights(rng, 4).tobytes() == pairs[i].tobytes()
+            assert rng.bit_generator.state == advanced(seed, 8 * (i + 1)).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize(
+        "chunks_of, channels, words",
+        [(analysis._axiom_chunks, 2, 9), (analysis._coherent_chunks, 1, 8)],
+    )
+    def test_mixture_trials(self, monkeypatch, seed, chunks_of, channels, words):
+        unitaries = recorded(monkeypatch, "_random_unitaries")
+        densities = recorded(monkeypatch, "_random_densities")
+        params = [p for chunk_params, _ in chunks_of(seed, 200) for p in chunk_params]
+        seeds = {dim: [] for dim in (8, 2)}  # channel seeds, density seeds
+        for (dim, chunk_seeds), _ in unitaries:
+            seeds[dim] += chunk_seeds
+        weights = np.concatenate([args[0] for args, _ in densities])
+        for i in self.TRIALS:
+            rng = advanced(seed, words * i)
+            drawn = [reference._draw_seed(rng) for _ in range(channels)]
+            assert drawn == seeds[8][channels * i : channels * (i + 1)]
+            for j in (2 * i, 2 * i + 1):  # rho1, rho2
+                assert reference._draw_weights(rng, 2).tobytes() == weights[j].tobytes()
+                assert reference._draw_seed(rng) == seeds[2][j]
+            assert float(rng.uniform(0.05, 0.95)) == params[i]["weight"]
+            assert rng.bit_generator.state == advanced(seed, words * (i + 1)).bit_generator.state
 
 
 class TestPlainAmplitudes:

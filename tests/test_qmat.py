@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vncap import qmat
 from vncap.qmat import (
+    MAX_DIMENSION,
     DensityMatrix,
     PureState,
     basis_state,
@@ -15,7 +19,7 @@ from vncap.qmat import (
 )
 from vncap.depolarizing import BIT_FLIP, BIT_PHASE_FLIP, PHASE_FLIP, q_basis
 
-from reference import apply_unitary, promote_unitary
+from reference import apply_unitary, promote_unitary, seeded_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -55,6 +59,27 @@ class TestTensor:
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-13)
+
+    def test_products_above_the_entry_cap_are_refused_before_any_allocation(self):
+        """Two 70,000-entry vectors would ask ``np.kron`` for 4.9e9 entries (39 GB);
+        the refusal allocates nothing near one factor's size."""
+        a, b = np.ones(70_000), np.ones(70_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"above the cap of {MAX_DIMENSION**2}"):
+                tensor(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
+        with pytest.raises(ValueError, match="1049600 entries"):
+            tensor(np.ones(MAX_DIMENSION + 1), np.ones(MAX_DIMENSION))
+
+    def test_a_product_at_the_entry_cap_is_accepted(self):
+        assert tensor(np.ones(MAX_DIMENSION), np.ones((1, MAX_DIMENSION))).shape == (
+            1,
+            MAX_DIMENSION**2,
+        )
 
 
 class TestPartialTrace:
@@ -199,6 +224,37 @@ class TestRandomUnitary:
         b = random_unitary(6, 1234)
         assert np.array_equal(a, b)
         assert not np.allclose(a, random_unitary(6, 1235))
+
+
+# Seeds at the word edges of SeedSequence's entropy: one word, two words, the top.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+class TestSeededStreams:
+    """``_random_unitaries`` seeds every stream as ``np.random.default_rng(seed)``
+    does, without building a generator per seed: ``_seed_states`` is numpy's
+    SeedSequence hash on all seeds at once, and the unitaries equal the per-seed
+    construction bit for bit."""
+
+    def test_seed_states_equal_seed_sequence(self):
+        seeds = EDGE_SEEDS + np.random.default_rng(27).integers(0, 2**63, 2000).tolist()
+        seeds += np.random.default_rng(28).integers(0, 2**32, 200).tolist()  # one-word seeds
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        assert qmat._seed_states(seeds).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_unitaries_equal_the_per_seed_construction(self, dim):
+        seeds = EDGE_SEEDS + np.random.default_rng(dim).integers(0, 2**63, 40).tolist()
+        for seed, u in zip(seeds, qmat._random_unitaries(dim, seeds), strict=True):
+            assert u.tobytes() == seeded_unitary(dim, seed).tobytes()
+            assert random_unitary(dim, seed).tobytes() == u.tobytes()
+
+    def test_interleaved_calls_share_no_state(self):
+        """Calls whose streams alternate each still give the per-seed unitaries."""
+        first, second = [3, 2**40, 9], [2**64 - 1, 0, 11]
+        for dim, seeds in [(2, first), (8, second), (2, second), (8, first)]:
+            got = qmat._random_unitaries(dim, seeds)
+            assert got.tobytes() == np.array([seeded_unitary(dim, s) for s in seeds]).tobytes()
 
 
 class TestClampSpectrum:

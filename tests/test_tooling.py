@@ -538,6 +538,77 @@ def test_memo_check_sees_each_spelling():
     assert memo_uses(sources) == ["a:2", "a:4", "b:4", "b:6", "b:8", "c:1", "cli:4"]
 
 
+# numpy's seeding calls.  Each costs about 10 us, so the package seeds a stream
+# once per audit or per call and reads every per-seed stream from one PCG64.
+SEEDERS = {"default_rng", "PCG64", "SeedSequence"}
+
+
+def seeding_in_loops(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of every call in ``sources`` of ``default_rng``, ``PCG64`` or
+    ``SeedSequence`` (a bare name or an attribute) that runs once per pass of a
+    ``for`` or ``while`` loop or of a comprehension: in a loop's body, a ``while``
+    test, or a comprehension's element, conditions and inner ``for`` clauses, but
+    not in what runs once (a ``for``'s iterable, a comprehension's first one, an
+    ``else`` clause)."""
+    found = set()
+    for module, text in sources.items():
+        for loop in ast.walk(ast.parse(text)):
+            if isinstance(loop, (ast.For, ast.AsyncFor)):
+                parts = loop.body
+            elif isinstance(loop, ast.While):
+                parts = [loop.test, *loop.body]
+            elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                first, *rest = loop.generators
+                parts = [getattr(loop, key) for key in ("elt", "key", "value") if hasattr(loop, key)]
+                parts += [*first.ifs, *rest]
+            else:
+                continue
+            for call in (node for part in parts for node in ast.walk(part)):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in SEEDERS:
+                        found.add((module, call.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_no_seeding_inside_a_loop_in_src():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert seeding_in_loops(sources) == []
+    assert "default_rng" in sources["analysis"] and "PCG64" in sources["qmat"]
+
+
+def test_seeding_check_sees_each_kind_of_loop():
+    sources = {
+        "a": "import numpy as np\n"
+        "def per_seed(seeds, rows):\n"
+        "    for row, seed in zip(rows, seeds):\n"
+        "        np.random.default_rng(seed).random(out=row)\n"
+        "def listed(seeds):\n"
+        "    return [np.random.PCG64(s) for s in seeds]\n"
+        "def once(seed, n):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    for _ in range(n):\n"
+        "        yield rng.random()\n",
+        "b": "from numpy.random import SeedSequence, default_rng\n"
+        "def states(seeds):\n"
+        "    return {s: SeedSequence(s).generate_state(4) for s in seeds}\n"
+        "def spin(seed):\n"
+        "    while default_rng(seed).random() < 0.5:\n"
+        "        seed += 1\n"
+        "def read_once(seed):\n"
+        "    return [x for x in default_rng(seed).random(4)]\n"
+        "def inner(seeds):\n"
+        "    return [x for s in seeds for x in default_rng(s).random(2)]\n"
+        "def walk(seed):\n"
+        "    for x in default_rng(seed).random(3):\n"
+        "        print(x)\n"
+        "    else:\n"
+        "        default_rng(seed)\n",
+    }
+    assert seeding_in_loops(sources) == ["a:4", "a:6", "b:3", "b:5", "b:10"]
+
+
 ROOT = SRC.parents[1]
 WORKLOADS = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
 

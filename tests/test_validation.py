@@ -450,6 +450,8 @@ NON_INTEGER_COUNTS = {
     "random_unitary(2, seed=1.0)": lambda: random_unitary(2, 1.0),
     "random_unitary(2, seed=nan)": lambda: random_unitary(2, math.nan),
     "random_unitary(2, seed=-1)": lambda: random_unitary(2, -1),
+    # the seed's two 32-bit entropy words are all that random_unitary seeds from
+    "random_unitary(2, seed=2**64)": lambda: random_unitary(2, 2**64),
     "audit_inequalities(seed=1.5)": lambda: audit_inequalities(1.5, 1),
     "audit_inequalities(seed=-1)": lambda: audit_inequalities(-1, 1),
     "audit_axioms(seed=nan)": lambda: audit_axioms(math.nan, 1),
