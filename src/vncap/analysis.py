@@ -7,11 +7,11 @@ checks that against seeded random inputs and ensembles to 1e-12.  For other
 channels the results are diagonal-family capacities only.
 
 The audits draw seeded random 8x8 unitaries on a qubit and a 4-dim
-environment, each read once into its four Kraus branches by
-``dilation_channel``, run the channels singly, chained, and in parallel, and
-verify every inequality the transcript framework promises.  Chains and
-parallel pairs are composed on the Kraus branches (16 branches on a 2- or
-4-dim input).  A violation beyond tolerance always indicates an
+environment, each read once into its four Kraus branches as
+``dilation_channel`` reads them, run the channels singly, chained, and in
+parallel, and verify every inequality the transcript framework promises.
+Chains and parallel pairs are composed on the Kraus branches (16 branches on
+a 2- or 4-dim input).  A violation beyond tolerance always indicates an
 implementation bug, never physics; the audit exists to catch the former.
 
 The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
@@ -19,14 +19,16 @@ densities and weights are drawn in the seeded per-trial order, every trial
 taking a fixed number of raw words of the seed's stream, so one ``random_raw``
 call per chunk reads them all (``_seeds`` and ``_doubles`` read them as the
 generator's ``integers`` and ``random`` would), and the chunk's weights are
-normalized at once; its unitaries are seeded together by ``_random_unitaries``,
-come from one stacked QR and get one unitarity check, its channels are
-composed as (T, ...) branch stacks with one completeness check per stack, its
-inputs enter the one transcript kernel as amplitude stacks (the diagonal
-inputs of ``audit_inequalities`` written down by ``_diagonal_amps``, the
-mixtures purified by one stacked ``eigh``), and each output stack's
-fine-grained entropies are one ``_row_entropies`` call.  ``inequality_slacks``
-and ``mixture_axiom_slacks`` are the one-row calls of the stacked routines.
+normalized at once.  Its unitaries are seeded together by
+``_random_unitaries`` and come from one stacked QR of only the columns a
+dilation reads, which get one isometry check; its channels are composed as
+(T, ...) branch stacks with one completeness check per stack; its inputs
+enter the one transcript kernel as amplitude stacks (the diagonal inputs of
+``audit_inequalities`` written down by ``_diagonal_amps``, the mixtures
+purified by one stacked ``eigh``); each output stack's fine-grained
+entropies are one ``_row_entropies`` call, and the Fano bounds of the single
+and chained runs one ``_fano_rows`` call.  ``inequality_slacks`` and
+``mixture_axiom_slacks`` are the one-row calls of the stacked routines.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .channel import (
     _chain_rows,
     _check_complete,
     _diagonal_amps,
-    _dilation_branches,
     _fano_rows,
     _parallel_rows,
     _purify_rows,
@@ -57,9 +58,9 @@ from .qmat import (
     DensityMatrix,
     _as_count,
     _at_least,
+    _check_isometry,
     _check_normalized,
     _check_state,
-    _check_unitary,
     _flag,
     _integers,
     _numbers,
@@ -288,12 +289,13 @@ def _inequality_rows(
     t12, out12 = _runs(chained, single)
     tpar, out_par = _runs(par, pair)
 
-    slacks = {f"single:{key}": v for key, v in _slack_columns(t1, d * d).items()}
-    slacks.update({f"chain:{key}": v for key, v in _slack_columns(t12, d * d).items()})
+    fano, fano12 = _fano_rows(np.stack([t1.fidelity, t12.fidelity]), d * d)
+    slacks = {f"single:{key}": v for key, v in _slack_columns(t1, fano).items()}
+    slacks.update({f"chain:{key}": v for key, v in _slack_columns(t12, fano12).items()})
     slacks["forward_dpi"] = t1.mutual_entanglement - t12.mutual_entanglement
     slacks["forward_dpi_cap"] = 2.0 * t1.s_in - t1.mutual_entanglement
     slacks["loss_chaining"] = t12.loss - t1.loss
-    slacks["code_fano"] = _fano_rows(t12.fidelity, d * d) - t12.loss
+    slacks["code_fano"] = fano12 - t12.loss
 
     fine = out12.reshape(n, d, d, m1, m2)  # (Q2', R, E1', E2')
     # S(R E1'), and S(R E1' Q2') as S(E2') by purity
@@ -303,7 +305,8 @@ def _inequality_rows(
     slacks["reverse_dpi_cap"] = 2.0 * t12.s_out - mutual_re1_q2
 
     d_pair = pair.shape[1]
-    slacks.update({f"parallel:{k}": v for k, v in _slack_columns(tpar, d_pair**2).items()})
+    fano_par = _fano_rows(tpar.fidelity, d_pair**2)
+    slacks.update({f"parallel:{k}": v for k, v in _slack_columns(tpar, fano_par).items()})
     finep = out_par.reshape(n, d, b2.shape[1], d_pair, m1, m2)  # (Q1', Q2', R, E1', E2')
     keeps = ((0, 3), (0,), (3,), (1, 4), (1,), (4,))
     s_q1e1, s_q1, s_e1, s_q2e2, s_q2, s_e2 = _row_entropies(finep, keeps)
@@ -435,9 +438,12 @@ def _normalized(draws: np.ndarray) -> np.ndarray:
 
 def _random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
     """The (N, 2, env_dim, 2) branch stack of one random qubit dilation per seed:
-    one stacked QR, one unitarity check and one completeness check."""
-    us = _check_unitary(_random_unitaries(2 * env_dim, seeds), 3)
-    branches = _dilation_branches(us, np.eye(1, env_dim, dtype=np.complex128)[0])  # |0>
+    B[n, q', k, q] = U_n[(q', k), (q, 0)], the columns of U_n (q tensor |0>) of the
+    seed's random unitary on Q (tensor) E, E the fast factor.  Those are columns 0
+    and env_dim, so one stacked QR factors only the first env_dim + 1 columns; they
+    get one isometry check and the branches one completeness check."""
+    us = _check_isometry(_random_unitaries(2 * env_dim, seeds, env_dim + 1))
+    branches = np.ascontiguousarray(us[:, :, ::env_dim]).reshape(len(us), 2, env_dim, 2)
     _check_complete(branches)
     return branches
 

@@ -7,9 +7,9 @@ branches: ``chain`` and ``parallel`` contract the branch tensors into a
 ``KrausChannel``.  A channel reaches every kernel as a branch stack
 B[n, q_out, k, q_in], B[n, :, k, :] the k-th Kraus operator of row n:
 ``_branches`` gives a channel's one-row stack and ``_from_branches`` turns one
-back into a channel.  Each of these is the one-row call of a routine on
-(N, ...) stacks (``_dilation_branches``, ``_chain_rows``, ``_parallel_rows``),
-which the audits call with a chunk of trials at once.  The stacked kernels
+back into a channel.  ``chain`` and ``parallel`` are the one-row calls of
+routines on (N, ...) stacks (``_chain_rows``, ``_parallel_rows``), which the
+audits call with a chunk of trials at once.  The stacked kernels
 contract on reshaped stacks with batched ``matmul`` calls (BLAS), and
 ``_parallel_rows``, which sums over nothing, is one broadcast product.
 
@@ -407,18 +407,20 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     _check_state(t, ChannelTranscript, "transcript")
     t = ChannelTranscript(*(_real(value, f"transcript {key}") for key, value in vars(t).items()))
     code_dim = _at_least(d_q, 1, "d_q") * _at_least(d_r, 1, "d_r")
-    return {key: float(slack) for key, slack in _slack_columns(t, code_dim).items()}
+    fano = _fano_rows(t.fidelity, code_dim)
+    return {key: float(slack) for key, slack in _slack_columns(t, fano).items()}
 
 
-def _slack_columns(t: ChannelTranscript, code_dim: int) -> dict:
+def _slack_columns(t: ChannelTranscript, fano) -> dict:
     """``transcript_slacks`` of a transcript whose entries are floats or equal-length
-    arrays, one slack (or array of slacks) per id."""
-    fano = 0.5 * _fano_rows(t.fidelity, code_dim)
+    arrays, one slack (or array of slacks) per id; ``fano`` is the quantum-code Fano
+    bound of its fidelities, ``_fano_rows(t.fidelity, code_dim)``, which the audit
+    computes once for the exchange-entropy bound and the code bound."""
     return {
         "loss_nonneg": t.loss,
         "loss_le_2s_in": 2.0 * t.s_in - t.loss,
         "loss_le_2s_env": 2.0 * t.s_env - t.loss,
-        "schumacher_fano": fano - t.s_env,
+        "schumacher_fano": 0.5 * fano - t.s_env,
     }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, depolarizing
 from .analysis import AUDIT_TOL, CAPACITY_TOL
-from .channel import STACK_ROWS, ChannelTranscript, _diagonal_chunk, run_channel
+from .channel import STACK_ROWS, _diagonal_chunk, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
 
@@ -97,7 +97,8 @@ USES = {
 # columns as arrays over aligned p and q arrays, or over a q list at one p, from
 # the array closed forms and the stacked kernels; closed_form(p) is the capacity's.
 # rows_at(p), set for the dephasing pair, whose point runs a kernel, is rows bound
-# to one p by ``depolarizing._dephasing_rows``, which checks p and builds and checks
+# to one p (for quantum use only up to I_Q, the column a solve reads) by
+# ``depolarizing._dephasing_rows``, which checks p and builds and checks
 # its branch table once: capacity binds it once per solve and runs its grid and its
 # look-ahead golden-section steps on it.  The depolarizing pair's grid runs on rows
 # and its steps on the scalar closed forms, which cost a tenth of a one-row call.
@@ -114,9 +115,16 @@ def _quantum_columns(t) -> tuple:
 
 
 def _dephasing_quantum_at(p) -> Callable:
-    """The dephasing quantum rows bound to p, as ``_quantum_columns``."""
+    """The dephasing quantum rows bound to p, as ``_quantum_columns`` up to I_Q, the
+    one column a solve reads: L and I computed as ``from_entropies`` computes them."""
     rows = depolarizing._dephasing_rows(p, _diagonal_chunk)
-    return lambda qs: _quantum_columns(ChannelTranscript.from_entropies(*rows(qs)))
+
+    def columns(qs) -> tuple:
+        s_in, s_out, s_env, _ = rows(qs)
+        loss = s_env + s_in - s_out
+        return s_in, s_out, s_env, loss, 2.0 * s_in - loss
+
+    return columns
 
 
 FAMILIES = {

@@ -123,11 +123,15 @@ def _row_entropies(amps: np.ndarray, keeps: Sequence[tuple[int, ...]]) -> np.nda
     """out[j, n]: the entropy of row n's marginal over the factors ``keeps[j]`` of ``amps[n]``.
 
     The one Schmidt-spectrum entropy: ``_schmidt_spectra`` per marginal, the
-    spectra zero-padded into one stack, then one ``_spectrum_entropies`` over
-    all of them (a zero adds nothing).
+    spectra stacked as they are when they share one width and else zero-padded
+    to the widest, then one ``_spectrum_entropies`` over all of them (a zero adds
+    nothing).
     """
     spectra = [_schmidt_spectra(amps, keep) for keep in keeps]
-    probs = np.zeros((len(spectra), amps.shape[0], max(s.shape[1] for s in spectra)))
+    width = max(s.shape[1] for s in spectra)
+    if all(s.shape[1] == width for s in spectra):
+        return _spectrum_entropies(np.stack(spectra))
+    probs = np.zeros((len(spectra), amps.shape[0], width))
     for padded, spectrum in zip(probs, spectra):
         padded[:, : spectrum.shape[1]] = spectrum
     return _spectrum_entropies(probs)

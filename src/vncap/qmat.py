@@ -406,13 +406,23 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
     return _schmidt_spectra(*_one_row(psi, keep))[0]
 
 
-def _check_unitary(u: np.ndarray, ndim: int = 2) -> np.ndarray:
-    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL:
-    one matrix, or with ``ndim=3`` a stack of them, all checked at once."""
-    u = _as_complex_array(u, "unitary", ndim)
-    resid = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
+def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL."""
+    u = _as_complex_array(u, "unitary", 2)
+    resid = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
     _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
     return u
+
+
+def _check_isometry(v: np.ndarray) -> np.ndarray:
+    """An (N, a, b) stack of isometries, b <= a, as a read-only complex copy with
+    every entry finite, checked at once: V^dag V = I within UNITARY_ATOL, or
+    "matrix is not unitary" as ``_check_unitary`` refuses."""
+    v = _check_finite(_numbers(v, "unitary", 3, "iufc").astype(np.complex128), "unitary")
+    v.setflags(write=False)
+    resid = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[2])))
+    _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
+    return v
 
 
 def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
@@ -463,14 +473,17 @@ def _seed_states(seeds) -> np.ndarray:
     return (words[0::2] | words[1::2] << 32).T
 
 
-def _random_unitaries(dim: int, seeds) -> np.ndarray:
-    """``random_unitary(dim, seed)`` for every seed below 2**64: an (N, dim, dim)
-    stack from one stacked QR and phase fix.  Each seed's ``default_rng`` stream
-    fills its real parts, then its imaginary parts, with one ``standard_normal``
-    call.  The streams come from one PCG64 built per call, set for each seed to
-    the state that seeding it gives: the seed's ``_seed_states`` words, read as
-    128-bit s and i, give inc = 2 i + 1 and state = (inc + s) * M + inc mod 2**128,
-    M being ``_PCG_MULT``.
+def _random_unitaries(dim: int, seeds, columns: int | None = None) -> np.ndarray:
+    """``random_unitary(dim, seed)`` for every seed below 2**64, or its first
+    ``columns`` columns: an (N, dim, columns) stack from one stacked QR and phase
+    fix, all ``dim`` columns by default.  Each seed's ``default_rng`` stream fills
+    its real parts, then its imaginary parts, with one ``standard_normal`` call.
+    The streams come from one PCG64 built per call, set for each seed to the state
+    that seeding it gives: the seed's ``_seed_states`` words, read as 128-bit s and
+    i, give inc = 2 i + 1 and state = (inc + s) * M + inc mod 2**128, M being
+    ``_PCG_MULT``.  QR's first k columns and R-diagonal phases depend only on the
+    first k Gaussian columns, so only those are factored; on numpy's LAPACK they
+    come out bit for bit as the leading columns of the full unitary.
     """
     dim = _dimension(dim)
     parts = np.empty((len(seeds), 2, dim, dim))
@@ -482,6 +495,7 @@ def _random_unitaries(dim: int, seeds) -> np.ndarray:
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         bits.state = {**seeded, "state": {"state": state, "inc": inc}}
         normal(out=row)
+    parts = parts[..., :columns]  # all dim columns when columns is None
     q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
     phases = np.diagonal(r, axis1=1, axis2=2)
     return q * (phases / np.abs(phases))[:, np.newaxis, :]

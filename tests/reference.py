@@ -43,8 +43,9 @@ generator call per number and each trial's weights normalized on their own
 
 The routes that built arrays and states only to read them back are kept to
 pin their replacements bit for bit: ``ravel_shannon`` (the Shannon sum over
-``np.ravel(probs).tolist()``), ``basis_state_random_dilations`` (|0> read from
-``basis_state``) and ``projector_classical_use_ensemble`` (the inputs built as
+``np.ravel(probs).tolist()``), ``basis_state_random_dilations`` (every column of
+each unitary factored and checked, and |0> read from ``basis_state`` by an
+``einsum``) and ``projector_classical_use_ensemble`` (the inputs built as
 basis-state projectors).
 
 The capacity optimizer's look-ahead frontier as the recursive walk built it,
@@ -83,6 +84,7 @@ from vncap.qmat import (
     DensityMatrix,
     PureState,
     _check_indices,
+    _check_isometry,
     _check_unitary,
     _random_unitaries,
     basis_state,
@@ -558,9 +560,10 @@ def ravel_shannon(probs) -> float:
 
 
 def basis_state_random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
-    """``analysis._random_dilations`` with the environment's |0> read from
-    ``basis_state(env_dim, 0)``, before the completeness check."""
-    us = _check_unitary(_random_unitaries(2 * env_dim, seeds), 3)
+    """``analysis._random_dilations`` by the full-QR route: all 2 env_dim columns of
+    each unitary factored and checked, and the environment's |0> read from
+    ``basis_state(env_dim, 0)`` by an ``einsum``, before the completeness check."""
+    us = _check_isometry(_random_unitaries(2 * env_dim, seeds))
     shape = (len(seeds), 2, env_dim, 2, env_dim)
     return np.einsum("nakbe,e->nakb", us.reshape(shape), basis_state(env_dim, 0).amplitudes)
 

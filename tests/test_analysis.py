@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -412,19 +413,27 @@ class TestInequalitySlacks:
 
 class TestAuditInequalities:
     def test_trial_checks_only_the_two_drawn_unitaries(self, monkeypatch):
-        """One stacked check covers the two drawn unitaries of every trial in a chunk;
-        chain and parallel build no composite unitary, so nothing else is checked."""
+        """One stacked check covers the two drawn unitaries of every trial in a chunk,
+        on the 5 columns that are factored; chain and parallel build no composite
+        unitary, so nothing else is checked."""
         calls = []
-        check = qmat._check_unitary
 
-        def counted(u, *args):
-            calls.append(np.shape(u))
-            return check(u, *args)
+        def counted(check):
+            def record(u, *args):
+                calls.append(np.shape(u))
+                return check(u, *args)
 
-        for module in (qmat, channel, analysis):
-            monkeypatch.setattr(module, "_check_unitary", counted)
+            return record
+
+        for name, modules in (
+            ("_check_unitary", (qmat, channel)),
+            ("_check_isometry", (qmat, analysis)),
+        ):
+            check = counted(getattr(qmat, name))
+            for module in modules:
+                monkeypatch.setattr(module, name, check)
         audit_inequalities(seed=3, trials=5)
-        assert calls == [(10, 8, 8)]
+        assert calls == [(10, 8, 5)]
 
     def test_clean_audit(self):
         report = audit_inequalities(seed=11, trials=25)
@@ -473,6 +482,42 @@ STACKED_AUDITS = {
     "axioms": audit_axioms,
     "coherent": search_coherent_info_violations,
 }
+
+
+AUDIT_SLACK_SEEDS = (0, 3, 7, 42, 2**31 - 1)
+AUDIT_SLACK_DIGEST = "3238f94600d026d934d46219e186e258b6ff0e9d9b4854a93ab2f56cce7d178e"
+
+
+def audit_slack_text(seeds) -> str:
+    """Every slack array of ``_inequality_chunks(s, 100)``, ``_axiom_chunks(s, 70)``
+    and ``_coherent_chunks(s, 70)`` for each seed s, in that order: one line per
+    chunk and slack id, the id, a colon, then the ``float.hex`` of each slack
+    joined by commas."""
+    lines = []
+    for seed in seeds:
+        for chunks in (
+            analysis._inequality_chunks(seed, 100),
+            analysis._axiom_chunks(seed, 70),
+            analysis._coherent_chunks(seed, 70),
+        ):
+            for _, slacks in chunks:
+                for key, values in slacks.items():
+                    lines.append(f"{key}:{','.join(map(float.hex, values.tolist()))}\n")
+    return "".join(lines)
+
+
+def test_audit_slack_tables_are_bit_identical_to_recorded():
+    """The SHA-256 of the UTF-8 ``audit_slack_text`` over ``AUDIT_SLACK_SEEDS``
+    equals the recorded digest, so a last-bit change of any slack fails here,
+    though the default ``audit`` prints ``max_negative_slack: 0.0``.
+
+    Recorded with Python 3.11.7 and numpy 2.4.6 on scipy-openblas 0.3.31.188.0,
+    at one and at two BLAS threads alike.  Another numpy or BLAS build may move a
+    last bit; re-record only after checking that a changed digest is such a
+    rounding difference and not a change of behaviour.
+    """
+    text = audit_slack_text(AUDIT_SLACK_SEEDS)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SLACK_DIGEST
 
 
 class TestStackedAudits:
@@ -569,9 +614,10 @@ class TestStackedAudits:
     def test_every_drawn_unitary_is_checked(self, audit, corrupt, monkeypatch):
         draw = analysis._random_unitaries
 
-        def corrupted(dim, seeds):
-            us = draw(dim, seeds)
+        def corrupted(dim, seeds, *columns):
+            us = draw(dim, seeds, *columns)
             if dim == 8:  # a channel draw: spoil one unitary in the middle of the stack
+                assert us.shape == (len(seeds), 8, 5)  # the columns that are factored
                 us[len(us) // 2, 1, 2] = math.nan if corrupt == "non-finite" else 0.5
             return us
 
@@ -606,23 +652,30 @@ def recorded(monkeypatch, name: str) -> list:
     return calls
 
 
+# Columns factored per drawn unitary: a channel's 8 x 8 dilation the 5 that hold
+# its |0> columns, a density's 2 x 2 eigenbasis both.
+FACTORED = {8: 5, 2: 2}
+
+
+def drawn_seeds(calls) -> dict[int, list[int]]:
+    """The seeds of every recorded ``_random_unitaries`` call, per dimension, in
+    order.  Each drawn unitary is checked, bit for bit, against the leading
+    ``FACTORED[dim]`` columns of the per-seed two-draw construction."""
+    seeds = {dim: [] for dim in FACTORED}
+    for (dim, chunk_seeds, *_), us in calls:
+        assert us.shape == (len(chunk_seeds), dim, FACTORED[dim])
+        for seed, u in zip(chunk_seeds, us, strict=True):
+            want = reference.seeded_unitary(dim, seed)[:, : FACTORED[dim]]
+            assert u.tobytes() == want.tobytes()
+        seeds[dim] += chunk_seeds
+    return seeds
+
+
 class TestBulkDraws:
     """The chunked audits read each chunk's seeds and weights from one raw draw of
     their generator, and normalize a chunk's weights at once.  Their seeds,
     weights, densities and unitaries equal reference.py's per-trial draw loops, one
     call per number, bit for bit, across chunk boundaries."""
-
-    @staticmethod
-    def unitaries_equal_seeded(calls, dim: int) -> list[int]:
-        """The seeds of every ``_random_unitaries(dim, seeds)`` call, in order, each of
-        its unitaries checked against the per-seed two-draw construction."""
-        seeds = []
-        for (d, chunk_seeds), us in calls:
-            if d == dim:
-                for seed, u in zip(chunk_seeds, us):
-                    assert u.tobytes() == reference.seeded_unitary(dim, seed).tobytes()
-                seeds += chunk_seeds
-        return seeds
 
     @pytest.mark.parametrize("trials", [1, 31, 32, 33, 200])
     def test_inequality_chunks(self, monkeypatch, trials):
@@ -631,7 +684,7 @@ class TestBulkDraws:
         chunks = list(analysis._inequality_chunks(7, trials))
         seeds, singles, pairs = reference.inequality_draws(7, trials)
         assert len(chunks) == len(unitaries) == math.ceil(trials / analysis.TRIAL_CHUNK)
-        assert self.unitaries_equal_seeded(unitaries, 8) == seeds
+        assert drawn_seeds(unitaries)[8] == seeds
         weights = [np.concatenate([args[0] for args, _ in amps[i::2]]) for i in (0, 1)]
         assert weights[0].tobytes() == singles.tobytes()
         assert weights[1].tobytes() == pairs.tobytes()
@@ -647,8 +700,7 @@ class TestBulkDraws:
         chunks = list(chunks_of(7, trials))
         seeds, weights, density_seeds, ws = reference.mixture_draws(7, trials, channels)
         assert len(chunks) == len(densities) == math.ceil(trials / analysis.TRIAL_CHUNK)
-        assert self.unitaries_equal_seeded(unitaries, 8) == seeds
-        assert self.unitaries_equal_seeded(unitaries, 2) == density_seeds
+        assert drawn_seeds(unitaries) == {8: seeds, 2: density_seeds}
         assert [p["weight"] for params, _ in chunks for p in params] == ws
         drawn = np.concatenate([args[0] for args, _ in densities])
         assert drawn.tobytes() == weights.tobytes()
@@ -680,7 +732,7 @@ class TestDrawsPerTrial:
         unitaries = recorded(monkeypatch, "_random_unitaries")
         amps = recorded(monkeypatch, "_diagonal_amps")
         assert len(list(analysis._inequality_chunks(seed, 200))) == 7
-        seeds = [s for (_, chunk_seeds), _ in unitaries for s in chunk_seeds]
+        seeds = drawn_seeds(unitaries)[8]
         singles, pairs = (np.concatenate([args[0] for args, _ in amps[i::2]]) for i in (0, 1))
         for i in self.TRIALS:
             rng = advanced(seed, 8 * i)
@@ -698,9 +750,7 @@ class TestDrawsPerTrial:
         unitaries = recorded(monkeypatch, "_random_unitaries")
         densities = recorded(monkeypatch, "_random_densities")
         params = [p for chunk_params, _ in chunks_of(seed, 200) for p in chunk_params]
-        seeds = {dim: [] for dim in (8, 2)}  # channel seeds, density seeds
-        for (dim, chunk_seeds), _ in unitaries:
-            seeds[dim] += chunk_seeds
+        seeds = drawn_seeds(unitaries)  # channel seeds, density seeds
         weights = np.concatenate([args[0] for args, _ in densities])
         for i in self.TRIALS:
             rng = advanced(seed, words * i)
@@ -715,7 +765,8 @@ class TestDrawsPerTrial:
 
 class TestPlainAmplitudes:
     """The audits read |0> and their channels from plain arrays: no ``PureState`` is
-    built, and the branch stacks equal the ``basis_state`` route (reference.py's
+    built, and the branch stacks, sliced from env_dim + 1 factored columns, equal
+    the full-QR ``basis_state`` route (reference.py's
     ``basis_state_random_dilations``) bit for bit."""
 
     @pytest.mark.parametrize("env_dim", [1, 2, 4])

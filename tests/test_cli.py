@@ -323,6 +323,20 @@ def test_capacity_looks_up_every_function_at_call_time(monkeypatch, family):
         assert calls["closed"] == 1 and "closed_form: 7.5\n" in out.getvalue()
 
 
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.75, 1.0])
+def test_dephasing_quantum_rows_at_equal_the_transcript_columns(p):
+    """The dephasing quantum rows bound to p compute only the columns up to I_Q, with
+    ``from_entropies``' own operations: bit for bit the first five columns of the
+    transcript built from the same kernel's entropies."""
+    qs = np.linspace(0.0, 1.0, 31)
+    rows = depolarizing._dephasing_rows(p, channel._diagonal_chunk)
+    want = cli._quantum_columns(channel.ChannelTranscript.from_entropies(*rows(qs)))
+    got = cli._dephasing_quantum_at(p)(qs)
+    assert len(got) == 5 == cli.USES["quantum"][1] + 1
+    for column, expected in zip(got, want, strict=False):
+        assert column.tobytes() == expected.tobytes()
+
+
 DENSE_GRID = ("--p-range", "0:1:0.01", "--q-range", "0:1:0.01")  # 101 x 101 = 10,201 rows
 
 

@@ -195,13 +195,16 @@ def test_raw_array_check_sees_each_kind_of_read():
     ]
 
 
-# The stacked kernels that run as batched matmul calls or a broadcast product.
+# The stacked kernels that run as batched matmul calls or a broadcast product,
+# and the audits' dilation read, which slices its |0> columns out of an isometry.
 MATMUL_KERNELS = {
     "_send_rows",
     "_chain_rows",
     "_parallel_rows",
     "_check_complete",
     "_check_normalized",
+    "_random_dilations",
+    "_check_isometry",
 }
 
 

@@ -972,3 +972,43 @@ class TestCliRefusals:
         )
         assert code == 0 and out.count("\n") == 3
         assert 16 * 51 <= cli.MAX_SWEEP_ROWS and 200 <= MAX_TRIALS
+
+
+def _near_complete(residual: float) -> KrausChannel:
+    """The qubit channel sqrt(1 + residual) I: sum K^dag K - I is ``residual`` times I,
+    which ``KrausChannel`` accepts up to UNITARY_ATOL."""
+    return KrausChannel((math.sqrt(1.0 + residual) * np.eye(2),))
+
+
+class TestAcceptedChannelsRunEverywhere:
+    """Every entry point should run a channel that ``KrausChannel`` accepted.  Two
+    gaps are pinned strict, so that a fix shows up as XPASS:
+
+    - a channel of residual r scales output norms by about 1 + r/2, and the output
+      rows are checked normalized within NORM_ATOL (1e-12), so r = 1e-11 is
+      refused with "state vector is not normalized (residual 5.000e-12, ...)";
+    - the composite of two channels of residual r has residual about 2 r, so two
+      channels at 0.9e-10 compose to 1.8e-10, above UNITARY_ATOL.
+    """
+
+    def test_the_channels_are_accepted(self):
+        for residual in (1e-11, 0.9e-10):
+            assert _near_complete(residual).env_dim == 1
+        rho = DensityMatrix(np.diag([0.3, 0.7]))
+        assert run_channel(_near_complete(1e-11), rho).s_in > 0.0
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="outputs checked at NORM_ATOL")
+    @pytest.mark.parametrize("entry", ["inequality_slacks", "mixture_axiom_slacks", "run_state"])
+    def test_runs_a_channel_at_residual_1e_11(self, entry):
+        ch, rho = _near_complete(1e-11), DensityMatrix(np.diag([0.3, 0.7]))
+        if entry == "inequality_slacks":
+            inequality_slacks(ch, ch, rho, DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])))
+        elif entry == "mixture_axiom_slacks":
+            mixture_axiom_slacks(ch, ch, rho, rho, 0.3)
+        else:
+            run_channel(ch, rho, return_state=True)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="the residuals add up")
+    @pytest.mark.parametrize("compose", [chain, parallel], ids=["chain", "parallel"])
+    def test_composes_two_channels_at_residual_0_9e_10(self, compose):
+        compose(_near_complete(0.9e-10), _near_complete(0.9e-10))
