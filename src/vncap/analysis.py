@@ -16,19 +16,21 @@ implementation bug, never physics; the audit exists to catch the former.
 
 The trials run stacked, ``TRIAL_CHUNK`` at a time.  A chunk's channels,
 densities and weights are drawn in the seeded per-trial order, every trial
-taking a fixed number of raw words of the seed's stream, so one ``random_raw``
-call per chunk reads them all (``_seeds`` and ``_doubles`` read them as the
-generator's ``integers`` and ``random`` would), and the chunk's weights are
-normalized at once.  Its unitaries are seeded together by
-``_random_unitaries`` and come from one stacked QR of only the columns a
-dilation reads, which get one isometry check; its channels are composed as
-(T, ...) branch stacks with one completeness check per stack; its inputs
-enter the one transcript kernel as amplitude stacks (the diagonal inputs of
-``audit_inequalities`` written down by ``_diagonal_amps``, the mixtures
-purified by one stacked ``eigh``); each output stack's fine-grained
-entropies are one ``_row_entropies`` call, and the Fano bounds of the single
-and chained runs one ``_fano_rows`` call.  ``inequality_slacks`` and
-``mixture_axiom_slacks`` are the one-row calls of the stacked routines.
+taking a fixed number of raw words of the seed's stream, so the one loop over
+chunks, ``_trial_words``, reads a chunk's words in one ``random_raw`` call
+(``_seeds`` and ``_doubles`` read them as the generator's ``integers`` and
+``random`` would), and the chunk's weights are normalized at once.  Its
+unitaries are seeded together by ``_random_unitaries`` and come from one
+stacked QR of only the columns a dilation reads, which get one finite check
+and one isometry check, covering the branches' completeness too; its
+channels are composed as (T, ...) branch stacks with one completeness check
+per stack; its inputs enter the one transcript kernel as amplitude stacks
+(the diagonal inputs of ``audit_inequalities`` written down by
+``_diagonal_amps``, the mixtures purified by one stacked ``eigh``); each
+output stack's fine-grained entropies are one ``_row_entropies`` call, and
+the Fano bounds of the single and chained runs one ``_fano_rows`` call.
+``inequality_slacks`` and ``mixture_axiom_slacks`` are the one-row calls of
+the stacked routines.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .qmat import (
     DensityMatrix,
     _as_count,
     _at_least,
+    _check_finite,
     _check_isometry,
     _check_normalized,
     _check_state,
@@ -190,8 +193,13 @@ def maximize_scalar_on_unit_interval(
     Only those are counted and checked, so a result, its count and its errors
     are the same with or without ``lookahead`` when rows(qs) equals f at each q,
     and a bad value at a point no step visits is never read.  ``tol``, at
-    least ``sys.float_info.epsilon``, is checked before any evaluation.
+    least ``sys.float_info.epsilon``, is checked before any evaluation, as are
+    ``f``, which must be callable, and ``rows``, callable or None.
     """
+    if not callable(f):
+        raise ValueError(f"objective must be callable, got {type(f).__name__}")
+    if not (rows is None or callable(rows)):
+        raise ValueError(f"rows must be callable or None, got {type(rows).__name__}")
     _check_tolerance(tol)
     eps = sys.float_info.epsilon
     if tol < eps:  # the interval cannot shrink below one ulp
@@ -440,12 +448,13 @@ def _random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
     """The (N, 2, env_dim, 2) branch stack of one random qubit dilation per seed:
     B[n, q', k, q] = U_n[(q', k), (q, 0)], the columns of U_n (q tensor |0>) of the
     seed's random unitary on Q (tensor) E, E the fast factor.  Those are columns 0
-    and env_dim, so one stacked QR factors only the first env_dim + 1 columns; they
-    get one isometry check and the branches one completeness check."""
-    us = _check_isometry(_random_unitaries(2 * env_dim, seeds, env_dim + 1))
-    branches = np.ascontiguousarray(us[:, :, ::env_dim]).reshape(len(us), 2, env_dim, 2)
-    _check_complete(branches)
-    return branches
+    and env_dim, so one stacked QR factors only the first env_dim + 1 columns, which
+    are checked finite and get one isometry check.  The branches' completeness
+    matrix is the {0, env_dim} block of those columns' V^dag V, so that check covers
+    it too."""
+    us = _check_finite(_random_unitaries(2 * env_dim, seeds, env_dim + 1), "unitary")
+    _check_isometry(us, "matrix is not unitary")
+    return np.ascontiguousarray(us[:, :, ::env_dim]).reshape(len(us), 2, env_dim, 2)
 
 
 def _random_densities(weights: np.ndarray, seeds) -> list[DensityMatrix]:
@@ -455,24 +464,25 @@ def _random_densities(weights: np.ndarray, seeds) -> list[DensityMatrix]:
     return [DensityMatrix(m) for m in (us * weights[:, np.newaxis, :]) @ us.conj().swapaxes(1, 2)]
 
 
-def _chunks(trials: int):
-    """Consecutive trial ranges of at most TRIAL_CHUNK trials, covering range(trials)."""
+def _trial_words(seed: int, trials: int, words: int):
+    """Per chunk of at most TRIAL_CHUNK trials, covering range(trials): its trial range
+    and its (trials, words) block of raw words of the seed's ``default_rng`` stream,
+    each trial ``words`` words and each chunk one ``random_raw`` call."""
+    bits = np.random.default_rng(seed).bit_generator
     for start in range(0, trials, TRIAL_CHUNK):
-        yield range(start, min(start + TRIAL_CHUNK, trials))
+        chunk = range(start, min(start + TRIAL_CHUNK, trials))
+        yield chunk, bits.random_raw(words * len(chunk)).reshape(-1, words)
 
 
 def _inequality_chunks(seed: int, trials: int):
     """Per chunk of trials: each trial's parameters and the slack arrays of
     ``_inequality_rows``, the draws in the seeded per-trial order.
 
-    A trial takes 8 raw words of the seed's ``default_rng`` stream: its two
-    channel seeds, then the weights of its single (2) and pair (4) inputs.  A
-    chunk reads its words in one ``random_raw`` call, as ``integers(0, 2**63)``
-    and ``random`` would read them, and normalizes its weights at once.
+    A trial takes 8 raw words of ``_trial_words``: its two channel seeds, then the
+    weights of its single (2) and pair (4) inputs, read as ``integers(0, 2**63)``
+    and ``random`` would read them; a chunk's weights are normalized at once.
     """
-    bits = np.random.default_rng(seed).bit_generator
-    for chunk in _chunks(trials):
-        raw = bits.random_raw(8 * len(chunk)).reshape(-1, 8)
+    for chunk, raw in _trial_words(seed, trials, 8):
         draws = _doubles(raw[:, 2:])
         branches = _random_dilations(_seeds(raw[:, :2]))  # ch1, ch2 per trial
         single, pair = (_diagonal_amps(_normalized(w)) for w in (draws[:, :2], draws[:, 2:]))
@@ -483,16 +493,13 @@ def _inequality_chunks(seed: int, trials: int):
 def _mixture_chunks(seed: int, trials: int, channels: int, score):
     """Per chunk of trials: each trial's parameters and ``score(branches, rho1, rho2, w)``.
 
-    A trial takes ``channels + 7`` raw words of the seed's ``default_rng``
-    stream: its channel seeds, then for each of its two densities two weights
-    and the seed of its eigenbasis, then the mixture weight, which is
-    ``uniform(0.05, 0.95)`` of its word.  A chunk reads its words in one
-    ``random_raw`` call and normalizes its density weights at once.
-    ``branches`` holds the channels trial-major.
+    A trial takes ``channels + 7`` raw words of ``_trial_words``: its channel seeds,
+    then for each of its two densities two weights and the seed of its eigenbasis,
+    then the mixture weight, which is ``uniform(0.05, 0.95)`` of its word.  A
+    chunk's density weights are normalized at once.  ``branches`` holds the
+    channels trial-major.
     """
-    bits, words = np.random.default_rng(seed).bit_generator, channels + 7
-    for chunk in _chunks(trials):
-        raw = bits.random_raw(words * len(chunk)).reshape(-1, words)
+    for chunk, raw in _trial_words(seed, trials, channels + 7):
         densities = raw[:, channels:-1].reshape(2 * len(chunk), 3)  # (weight, weight, seed)
         ws = 0.05 + (0.95 - 0.05) * _doubles(raw[:, -1])
         rhos = _random_densities(_normalized(_doubles(densities[:, :2])), _seeds(densities[:, 2]))

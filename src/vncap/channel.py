@@ -50,12 +50,12 @@ import numpy as np
 from .entropy import _row_entropies, _spectrum_entropies
 from .qmat import (
     PURITY_ATOL,
-    UNITARY_ATOL,
     DensityMatrix,
     PureState,
     _as_complex_array,
     _as_count,
     _at_least,
+    _check_isometry,
     _check_residual,
     _check_state,
     _check_unitary,
@@ -125,20 +125,9 @@ class ChannelTranscript:
 
 def _check_complete(branches: np.ndarray) -> None:
     """Raise unless each branch tensor of an (N, a, k, b) stack is trace preserving,
-    sum_k B_k^dag B_k = I."""
+    sum_k B_k^dag B_k = I: the ``_check_isometry`` of its (N, a k, b) flattening."""
     n, a, k, b = branches.shape
-    flat = branches.reshape(n, a * k, b)
-    total = flat.conj().swapaxes(1, 2) @ flat
-    resid = np.max(np.abs(total - np.eye(b)), initial=0.0)  # NaN fails
-    _check_residual(resid, UNITARY_ATOL, "Kraus operators are not trace preserving")
-
-
-def _dilation_branches(us: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """The branch stack B[n, q', k, q] = <k| U_n (|q> tensor |env>) of an
-    (N, d dE, d dE) stack of unitaries on Q (tensor) E, E the fast factor, and
-    the dE amplitudes ``env`` of the environment's initial state."""
-    n, d, e = us.shape[0], us.shape[1] // env.size, env.size
-    return np.einsum("nakbe,e->nakb", us.reshape(n, d, e, d, e), env)
+    _check_isometry(branches.reshape(n, a * k, b), "Kraus operators are not trace preserving")
 
 
 def _from_branches(branches: np.ndarray) -> KrausChannel:
@@ -151,8 +140,7 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
     """The channel of a unitary U on Q (tensor) E, E starting in |env_initial>.
 
     Its branches are K_k = <k| U (. tensor |env_initial>), one per environment
-    basis state, with E the fast factor of U: the one-row call of
-    ``_dilation_branches``.
+    basis state, with E the fast factor of U: one ``einsum`` over E's input index.
     """
     u = _check_unitary(u_qe)
     _check_state(env_initial, PureState, "env_initial")
@@ -161,7 +149,8 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
         raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
-    return _from_branches(_dilation_branches(u[np.newaxis], env_initial.amplitudes))
+    u = u.reshape(-1, env_dim, len(u) // env_dim, env_dim)  # (Q', E', Q, E)
+    return KrausChannel(np.einsum("akbe,e->kab", u, env_initial.amplitudes))
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:

@@ -20,7 +20,7 @@ import numpy as np
 # The package's validation tolerances, all of them.  Every check below passes
 # when ``residual <= atol``, so a NaN residual always fails.
 HERMITIAN_ATOL = 1e-10  # max |M - M^dag| entry
-UNITARY_ATOL = 1e-10  # max |U U^dag - I| entry; also Kraus completeness |sum K^dag K - I|
+UNITARY_ATOL = 1e-10  # max |V^dag V - I| entry: U U^dag of a unitary, sum K^dag K of Kraus sets
 TRACE_ATOL = 1e-10  # |tr rho - 1|
 NORM_ATOL = 1e-12  # ||psi| - 1|
 EIGENVALUE_FLOOR = -1e-10  # eigenvalues in [floor, 0) are jitter; below the floor, an error
@@ -407,22 +407,22 @@ def pure_subsystem_spectrum(psi: PureState, keep: Iterable[int]) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
-    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL."""
+    """``u`` as a read-only complex copy, checked square and unitary within UNITARY_ATOL:
+    U U^dag = I, the ``_check_isometry`` of U^dag as a one-row stack, or "matrix is not
+    unitary"."""
     u = _as_complex_array(u, "unitary", 2)
-    resid = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
-    _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
+    _check_isometry(u.conj().T[np.newaxis], "matrix is not unitary")
     return u
 
 
-def _check_isometry(v: np.ndarray) -> np.ndarray:
-    """An (N, a, b) stack of isometries, b <= a, as a read-only complex copy with
-    every entry finite, checked at once: V^dag V = I within UNITARY_ATOL, or
-    "matrix is not unitary" as ``_check_unitary`` refuses."""
-    v = _check_finite(_numbers(v, "unitary", 3, "iufc").astype(np.complex128), "unitary")
-    v.setflags(write=False)
-    resid = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[2])))
-    _check_residual(resid, UNITARY_ATOL, "matrix is not unitary")
-    return v
+def _check_isometry(v: np.ndarray, what: str) -> None:
+    """The one orthonormality check: raise ValueError "<what> (residual ...)" unless
+    every matrix of an (N, a, b) complex stack has orthonormal columns, V^dag V = I
+    within UNITARY_ATOL; NaN fails.  A unitary, a trace-preserving Kraus set and a
+    dilation's drawn columns are all such a V.  It reads and copies nothing; callers
+    that refuse a non-finite entry as "non-finite" check that first."""
+    resid = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[2])), initial=0.0)
+    _check_residual(resid, UNITARY_ATOL, what)
 
 
 def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:

@@ -37,9 +37,11 @@ The einsum forms of the stacked contractions, which batched ``matmul`` calls
 and one broadcast product replaced, are kept to check those against:
 ``einsum_send_rows``, ``einsum_overlaps``, ``einsum_chain_rows``,
 ``einsum_parallel_rows``, ``einsum_completeness_residual`` and
-``einsum_norm_residual``.  So are the audits' per-trial draw loops, one
-generator call per number and each trial's weights normalized on their own
-(``inequality_draws``, ``mixture_draws``), to check the bulk draws against.
+``einsum_norm_residual``.  So is the stacked dilation read that
+``dilation_channel`` once ran as a one-row call, ``einsum_dilation_branches``,
+and the audits' per-trial draw loops, one generator call per number and each
+trial's weights normalized on their own (``inequality_draws``,
+``mixture_draws``), to check the bulk draws against.
 
 The routes that built arrays and states only to read them back are kept to
 pin their replacements bit for bit: ``ravel_shannon`` (the Shannon sum over
@@ -510,6 +512,15 @@ def einsum_parallel_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return np.einsum("naeb,ncgd->nacegbd", b1, b2).reshape(n, d1 * d2, m1 * m2, d1 * d2)
 
 
+def einsum_dilation_branches(us: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """The branch stack B[n, q', k, q] = <k| U_n (|q> tensor |env>) of an
+    (N, d dE, d dE) stack of unitaries on Q (tensor) E, E the fast factor, and
+    the dE amplitudes ``env`` of the environment's initial state, as one einsum:
+    ``channel.dilation_channel``'s operators, stacked, before it read one unitary."""
+    n, d, e = us.shape[0], us.shape[1] // env.size, env.size
+    return np.einsum("nakbe,e->nakb", us.reshape(n, d, e, d, e), env)
+
+
 def einsum_completeness_residual(branches: np.ndarray) -> float:
     """max |sum_k B_k^dag B_k - I| over an (N, a, k, b) branch stack, as one einsum."""
     total = np.einsum("nakb,nakc->nbc", branches.conj(), branches)
@@ -562,10 +573,10 @@ def ravel_shannon(probs) -> float:
 def basis_state_random_dilations(seeds, env_dim: int = 4) -> np.ndarray:
     """``analysis._random_dilations`` by the full-QR route: all 2 env_dim columns of
     each unitary factored and checked, and the environment's |0> read from
-    ``basis_state(env_dim, 0)`` by an ``einsum``, before the completeness check."""
-    us = _check_isometry(_random_unitaries(2 * env_dim, seeds))
-    shape = (len(seeds), 2, env_dim, 2, env_dim)
-    return np.einsum("nakbe,e->nakb", us.reshape(shape), basis_state(env_dim, 0).amplitudes)
+    ``basis_state(env_dim, 0)`` by ``einsum_dilation_branches``."""
+    us = _random_unitaries(2 * env_dim, seeds)
+    _check_isometry(us, "matrix is not unitary")
+    return einsum_dilation_branches(us, basis_state(env_dim, 0).amplitudes)
 
 
 def projector_classical_use_ensemble(params: depolarizing.DepolParams):

@@ -57,6 +57,7 @@ from reference import (
     dilation_from_kraus,
     einsum_chain_rows,
     einsum_completeness_residual,
+    einsum_dilation_branches,
     einsum_norm_residual,
     einsum_overlaps,
     einsum_parallel_rows,
@@ -156,6 +157,14 @@ class TestPurify:
         )
 
 
+def assert_stacked_einsum_operators(u: np.ndarray, env: PureState) -> None:
+    """``dilation_channel(u, env.dim, env)`` has the operators of the stacked einsum
+    route, bit for bit."""
+    want = einsum_dilation_branches(u[np.newaxis], env.amplitudes)[0].swapaxes(0, 1)
+    got = np.array(dilation_channel(u, env.dim, env).operators)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestRepresentationConversion:
     def test_identity_dilation_yields_single_kraus(self):
         for ch in (identity_channel(2), dilation_channel(np.eye(2), 1, basis_state(1, 0))):
@@ -172,6 +181,22 @@ class TestRepresentationConversion:
                 rho = random_density(rng, dim)
                 out = apply_channel(kr, rho).matrix
                 assert np.abs(out - reference_output(dil, rho)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "d, env_dim", [(1, 1), (1, 4), (2, 1), (2, 2), (2, 4), (4, 2), (2, 8), (8, 2), (4, 4), (3, 5)]
+    )
+    def test_dilation_channel_is_the_stacked_einsum(self, d, env_dim):
+        """The operators equal the one-row ``einsum_dilation_branches``, bit for bit, for
+        seeded unitaries and random environment states that are not basis states."""
+        rng = np.random.default_rng(40 + 20 * d + env_dim)
+        for seed in range(8):
+            env = complex_stack(rng, env_dim)
+            env = PureState(env / np.linalg.norm(env))
+            assert_stacked_einsum_operators(random_unitary(d * env_dim, 100 * d + seed), env)
+
+    @pytest.mark.parametrize("p, q", [(0.0, 0.5), (0.3, 0.2), (0.75, 0.0), (1.0, 0.9)])
+    def test_depolarizing_dilation_channel_is_the_stacked_einsum(self, p, q):
+        assert_stacked_einsum_operators(*dilation_unitary(DepolParams(p, q)))
 
     def test_dilation_from_kraus_matches_conjugation(self):
         rng = np.random.default_rng(33)
@@ -766,11 +791,21 @@ class TestMatmulContractions:
         """Random stacks, far from complete, and random dilations, complete to rounding."""
         rng = np.random.default_rng(500 + 10 * d + n)
         us = qmat._random_unitaries(4 * d, rng.integers(0, 2**62, size=n).tolist())
-        complete = channel._dilation_branches(us, basis_state(4, 0).amplitudes)
+        complete = einsum_dilation_branches(us, basis_state(4, 0).amplitudes)
         for stack in (complex_stack(rng, n, d, 3, d), complete):
-            seen = checked_residuals(monkeypatch, channel, channel._check_complete, stack)
+            seen = checked_residuals(monkeypatch, qmat, channel._check_complete, stack)
             assert len(seen) == 1
             assert abs(seen[0] - einsum_completeness_residual(stack)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_check_unitary_residual_is_u_u_dagger(self, monkeypatch, n):
+        """``_check_unitary`` checks U U^dag = I, not U^dag U: on seeded near-unitaries
+        the residual it hands on is the U U^dag one, bit for bit."""
+        rng = np.random.default_rng(700 + n)
+        for seed in range(20):
+            u = random_unitary(n, seed) + 1e-11 * complex_stack(rng, n, n)
+            seen = checked_residuals(monkeypatch, qmat, qmat._check_unitary, u)
+            assert seen == [float(np.max(np.abs(u @ u.conj().T - np.eye(n))))]
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [0, 1, 5])

@@ -259,6 +259,87 @@ def test_einsum_check_sees_each_kind_of_call():
     assert einsum_kernels(sources, names) == (["a._send_rows", "b._chain_rows"], ["_gone"])
 
 
+# The one orthonormality residual, max |V^dag V - I|: a unitary (U^dag as V), a
+# Kraus set's branch flattening and the audits' drawn columns all go through it.
+ONE_RESIDUAL = "qmat._check_isometry"
+
+
+def _is_eye(node: ast.expr) -> bool:
+    """True if ``node`` calls ``np.eye`` (any ``<x>.eye``) or a bare imported ``eye``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr == "eye"
+        or isinstance(node.func, ast.Name)
+        and node.func.id == "eye"
+    )
+
+
+def eye_subtractions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` (``module.Class.method`` for a method) of every function in
+    ``sources`` with an identity ``eye(...)`` on either side of a ``-``, or on the
+    right of a ``-=``; a nested function counts as the one it is nested in."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        scopes = [(None, node) for node in tree.body]
+        scopes += [
+            (cls.name, node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        ]
+        for owner, func in scopes:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            name = func.name if owner is None else f"{owner}.{func.name}"
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+                    operands = (node.value,)
+                else:
+                    continue
+                if any(map(_is_eye, operands)):
+                    found.add(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_one_orthonormality_residual_in_src():
+    """Only ``qmat._check_isometry`` subtracts an identity: every unitarity and
+    completeness check goes through it."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert eye_subtractions(sources) == [ONE_RESIDUAL]
+
+
+def test_eye_check_sees_each_kind_of_subtraction():
+    sources = {
+        "qmat": "import numpy as np\n"
+        "def _check_isometry(v): return v.T @ v - np.eye(v.shape[1])\n"
+        "def _check_unitary(u): return abs(u @ u.T - np.eye(len(u))).max()\n"
+        "def _plus(u): return u + np.eye(2)\n"
+        "def _ones(u): return u - np.ones(2)\n",
+        "a": "from numpy import eye\n"
+        "def left(x): return eye(2) - x\n"
+        "def nested(b):\n"
+        "    def inner(): return b - eye(3)\n"
+        "    return inner()\n"
+        "def augmented(t):\n    t -= eye(4)\n    return t\n"
+        "total = eye(2) - eye(2)\n",
+        "b": "import numpy as np\n"
+        "class K:\n"
+        "    def method(self): return self.m - np.eye(2)\n"
+        "    def other(self): return np.eye(2)\n",
+    }
+    assert eye_subtractions(sources) == [
+        "a.augmented",
+        "a.left",
+        "a.nested",
+        "b.K.method",
+        "qmat._check_isometry",
+        "qmat._check_unitary",
+    ]
+
+
 def number_formats(sources: dict[str, str]) -> list[str]:
     """``module:line`` of every string constant in ``sources`` that spells the output
     number format ``.12g``: a ``%`` template, a ``format`` spec or an f-string spec."""

@@ -421,6 +421,14 @@ FLAG_SLOTS = {
 }
 NOT_FLAGS = ["no", "yes", "", 0, 1, 1.0, None, np.int64(1), [True]]
 
+# Every public callable slot: name -> the call with that slot, given the objective
+# it may evaluate.  ``rows`` also takes None, for no batch function; the objective does not.
+CALLABLE_SLOTS = {
+    "objective": lambda bad, f: maximize_scalar_on_unit_interval(bad),
+    "rows": lambda bad, f: maximize_scalar_on_unit_interval(f, rows=bad),
+}
+NOT_CALLABLES = [5, "f", 0.5, np.float64(0.5), np.array([0.5]), [abs], {"q": 0.5}]
+
 # (d_q, d_r, the factor refused): ``transcript_slacks`` checks each factor itself.
 BAD_CODE_FACTORS = [
     (-2, -2, "d_q"), (True, 4, "d_q"), (0.5, 8, "d_q"), (2, 0, "d_r"), (4, False, "d_r")
@@ -701,6 +709,19 @@ class TestLibraryRefusals:
     def test_flags_take_numpy_bools(self, name):
         for flag in (False, True):
             assert repr(FLAG_SLOTS[name](np.bool_(flag))) == repr(FLAG_SLOTS[name](flag))
+
+    @pytest.mark.parametrize("bad", NOT_CALLABLES, ids=lambda bad: type(bad).__name__)
+    @pytest.mark.parametrize("name", sorted(CALLABLE_SLOTS))
+    def test_callable_slots_refuse_non_callables(self, name, bad):
+        """Refused with ValueError before the objective is evaluated once."""
+        evaluated = []
+        with pytest.raises(ValueError, match=f"^{name} must be callable"):
+            CALLABLE_SLOTS[name](bad, lambda q: evaluated.append(q) or q)
+        assert evaluated == []
+
+    def test_objective_refuses_none(self):
+        with pytest.raises(ValueError, match="^objective must be callable, got NoneType$"):
+            CALLABLE_SLOTS["objective"](None, None)
 
     @pytest.mark.parametrize("bad", NOT_STATES, ids=lambda bad: type(bad).__name__)
     @pytest.mark.parametrize("name", sorted(STATE_SLOTS))
