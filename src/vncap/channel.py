@@ -34,7 +34,8 @@ reference R with the stacked ``_purify_rows`` (``purify`` is its one-row
 call) and makes a one-row call.  Diagonal inputs need no eigensolve:
 ``_diagonal_amps`` writes their purifications sum_i sqrt(w_i)|ii> down
 directly, and ``diagonal_transcripts`` sends the paper's input family
-diag(q, 1 - q) for a whole q list that way, in chunks of ``STACK_ROWS`` rows.
+diag(q, 1 - q) for a whole q list that way.  Every q list is read once, and
+sent through a checked table in chunks of ``STACK_ROWS`` rows, by ``_bound_rows``.
 Sweeps, the capacity grid scan, classical use, superdense coding and the
 audits run through the stacked calls.
 """
@@ -222,18 +223,6 @@ def _transcript_rows(branches: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray
     return np.vstack([entropies, fidelity]), out
 
 
-def _chunked_rows(chunk_rows, *columns: np.ndarray) -> np.ndarray:
-    """``chunk_rows`` over aligned arrays of checked rows, STACK_ROWS rows at a time.
-
-    Each call gets the same slice of every column and returns one row of values
-    per quantity; the chunks are joined along the row axis.
-    """
-    starts = range(0, max(len(columns[0]), 1), STACK_ROWS)
-    return np.concatenate(
-        [chunk_rows(*(c[i : i + STACK_ROWS] for c in columns)) for i in starts], axis=1
-    )
-
-
 def _diagonal_amps(weights) -> np.ndarray:
     """The (N, d, d) amplitude stack sum_i sqrt(w_i) |i>_Q |i>_R of an (N, d) weight
     stack: a purification of each diag(w), with R a copy of Q."""
@@ -250,20 +239,36 @@ def _diagonal_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return _transcript_rows(branches, _diagonal_amps(np.array((qs, 1.0 - qs)).T))[0]
 
 
+def _bound_rows(chunk, table: np.ndarray, where: np.ndarray | None = None):
+    """The rows function of a checked ``table``, the one reader of a q list: it reads
+    the q list with ``_unit_intervals`` and joins ``chunk(x, qs)`` over STACK_ROWS q at
+    a time.  x is the table, its one row broadcast, or, given ``where`` (one table index
+    per q; a q list of another length is refused), the chunk's rows ``table[where]``."""
+
+    def rows(q_values) -> np.ndarray:
+        qs = _unit_intervals(q_values, "mixing parameter")
+        if where is not None and where.size != qs.size:
+            raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
+        at = [slice(i, i + STACK_ROWS) for i in range(0, max(qs.size, 1), STACK_ROWS)]
+        return np.concatenate(
+            [chunk(table if where is None else table[where[a]], qs[a]) for a in at], axis=1
+        )
+
+    return rows
+
+
 def diagonal_transcripts(ch: KrausChannel, q_values) -> ChannelTranscript:
     """``run_channel(ch, diag(q, 1 - q))`` for every q at once: one array per entry.
 
     Each input enters as sqrt(q)|00> + sqrt(1 - q)|11> on (Q, R).  It differs
     from ``purify``'s purification by a unitary on R, which changes no entry,
-    so the rows agree with ``run_channel`` to rounding.
+    so the rows agree with ``run_channel`` to rounding.  The channel's one-row
+    branch stack is bound by ``_bound_rows``, after the type and qubit checks.
     """
-    branches = _branches(ch)
+    rows = _bound_rows(_diagonal_chunk, _branches(ch))
     if ch.input_dim != 2:
         raise ValueError("diagonal inputs diag(q, 1 - q) need a single-qubit channel")
-    qs = _unit_intervals(q_values, "mixing parameter")
-    return ChannelTranscript.from_entropies(
-        *_chunked_rows(lambda q: _diagonal_chunk(branches, q), qs)
-    )
+    return ChannelTranscript.from_entropies(*rows(q_values))
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -16,13 +16,12 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
 
 import numpy as np
 
 from . import analysis, depolarizing
 from .analysis import AUDIT_TOL, CAPACITY_TOL
-from .channel import STACK_ROWS, _diagonal_chunk, run_channel
+from .channel import STACK_ROWS, ChannelTranscript, _diagonal_chunk, run_channel
 from .depolarizing import DepolParams
 from .qmat import DensityMatrix, _unit_interval
 
@@ -97,11 +96,13 @@ USES = {
 # columns as arrays over aligned p and q arrays, or over a q list at one p, from
 # the array closed forms and the stacked kernels; closed_form(p) is the capacity's.
 # rows_at(p), set for the dephasing pair, whose point runs a kernel, is rows bound
-# to one p (for quantum use only up to I_Q, the column a solve reads) by
-# ``depolarizing._dephasing_rows``, which checks p and builds and checks
-# its branch table once: capacity binds it once per solve and runs its grid and its
-# look-ahead golden-section steps on it.  The depolarizing pair's grid runs on rows
-# and its steps on the scalar closed forms, which cost a tenth of a one-row call.
+# to one p by ``depolarizing._dephasing_rows``, which checks p and builds and checks
+# its branch table once (for quantum use, as the inner lambda's default argument).
+# Its columns are rows' own, bit for bit: the quantum ones come from
+# ``ChannelTranscript.from_entropies``, the one place L and I are computed.
+# capacity binds it once per solve and runs its grid and look-ahead steps on it.
+# The depolarizing pair's grid runs on rows and its steps on the scalar closed
+# forms, which cost a tenth of a one-row call.
 # point evaluates the refined midpoint either way: for dephasing classical use the
 # one-point call of its rows, for quantum use run_channel on a DensityMatrix, the
 # one DensityMatrix that a `simulated` benchmark request builds and perfbench's
@@ -112,19 +113,6 @@ USES = {
 
 def _quantum_columns(t) -> tuple:
     return (t.s_in, t.s_out, t.s_env, t.loss, t.mutual_entanglement, t.fidelity)
-
-
-def _dephasing_quantum_at(p) -> Callable:
-    """The dephasing quantum rows bound to p, as ``_quantum_columns`` up to I_Q, the
-    one column a solve reads: L and I computed as ``from_entropies`` computes them."""
-    rows = depolarizing._dephasing_rows(p, _diagonal_chunk)
-
-    def columns(qs) -> tuple:
-        s_in, s_out, s_env, _ = rows(qs)
-        loss = s_env + s_in - s_out
-        return s_in, s_out, s_env, loss, 2.0 * s_in - loss
-
-    return columns
 
 
 FAMILIES = {
@@ -146,7 +134,9 @@ FAMILIES = {
         ),
         lambda p, qs: _quantum_columns(depolarizing.dephasing_transcript_rows(p, qs)),
         lambda p: depolarizing.dephasing_mutual(p),
-        _dephasing_quantum_at,
+        lambda p: lambda qs, rows=depolarizing._dephasing_rows(p, _diagonal_chunk): (
+            _quantum_columns(ChannelTranscript.from_entropies(*rows(qs)))
+        ),
     ),
     ("dephasing", "classical"): (
         lambda p, q: [c[0] for c in depolarizing.dephasing_classical_rows(p, (q,))],

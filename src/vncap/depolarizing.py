@@ -33,9 +33,9 @@ import numpy as np
 from .channel import (
     ChannelTranscript,
     KrausChannel,
+    _bound_rows,
     _branches,
     _check_complete,
-    _chunked_rows,
     _diagonal_chunk,
     _from_branches,
     _send_rows,
@@ -56,7 +56,6 @@ from .qmat import (
     DensityMatrix,
     PureState,
     _check_state,
-    _numbers,
     _sequence,
     _unit_interval,
     _unit_intervals,
@@ -198,37 +197,29 @@ def analytic_transcript(params: DepolParams) -> ChannelTranscript:
 
 def _rows_of(p, chunk, branches=None) -> Callable:
     """The rows function of one p, or of a p array aligned with the q list:
-    ``chunk(x, qs)`` over the checked q array, x at each q's p either that p or,
-    given ``branches``, its row of the branch table ``branches(ps)``.  Each distinct
-    p is checked, and the table built and checked complete, here, once.  p is
-    checked before q, as ``DepolParams`` does.
+    ``_bound_rows`` of ``chunk`` over a table with one row per distinct p, the p
+    themselves or, given ``branches``, the branch table ``branches(ps)``.
+
+    A p array is read as a q list is, by ``_unit_intervals``, and ``np.unique``
+    gives each q the index of its p's row.  The table is built and checked
+    complete here, once, and p is checked before q, as ``DepolParams`` does.
     """
     if isinstance(p, (list, tuple, np.ndarray)):
-        distinct, where = np.unique(_numbers(p, "error probability", 1, "iuf"), return_inverse=True)
+        ps, where = np.unique(_unit_intervals(p, "error probability"), return_inverse=True)
     else:  # one p for every row: its one row broadcasts over the q array
-        distinct, where = [p], None
-    ps = np.array([_unit_interval(x, "error probability") for x in distinct])
-    per_p = ps
+        ps, where = np.array([_unit_interval(p, "error probability")]), None
+    table = ps
     if branches is not None:  # a channel's: one table for the distinct p, checked once
-        per_p = branches(ps)
-        _check_complete(per_p)
-
-    def of(q_values) -> np.ndarray:
-        qs = _unit_intervals(q_values, "mixing parameter")
-        if where is None:
-            return _chunked_rows(lambda q: chunk(per_p, q), qs)
-        if where.size != qs.size:
-            raise ValueError(f"{where.size} error probabilities for {qs.size} mixing parameters")
-        return _chunked_rows(lambda w, q: chunk(per_p[w], q), where, qs)
-
-    return of
+        table = branches(ps)
+        _check_complete(table)
+    return _bound_rows(chunk, table, where)
 
 
 def analytic_transcript_rows(p, q_values) -> ChannelTranscript:
     """``analytic_transcript`` at every (p, q) row at once: one array per entry.
 
-    p is one float for every q, or an array aligned with the q list; each
-    distinct p is checked once, and the q list as one array.  Both forms run
+    p is one float for every q, or an array aligned with the q list, read as
+    the q list is read, by ``_unit_intervals``.  Both forms run
     ``_analytic``, so every entry equals the scalar one bit for bit.  The
     scalar form stays the point objective: on one q it is the faster call.
     """
@@ -301,21 +292,22 @@ def _classical_chunk(branches: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def classical_use_channel_rows(ch: KrausChannel, q_values) -> tuple[np.ndarray, np.ndarray]:
     """``classical_use_channel_simulation`` for every q at once: (mutual, loss) arrays.
 
-    The inputs are one (N, 2, 2, 2) amplitude stack on (Q, X, R), sent by the
-    stacked kernel of ``channel.diagonal_transcripts``.
+    The inputs are one (N, 2, 2, 2) amplitude stack on (Q, X, R) per chunk, sent
+    through the channel's one-row branch stack, which ``_bound_rows`` binds as
+    ``diagonal_transcripts`` binds it, after the type and qubit checks.
     """
-    branches = _branches(ch)
+    rows = _bound_rows(_classical_chunk, _branches(ch))
     if ch.input_dim != 2:
         raise ValueError("classical-use simulation expects a single-qubit channel")
-    qs = _unit_intervals(q_values, "mixing parameter")
-    return tuple(_chunked_rows(lambda q: _classical_chunk(branches, q), qs))
+    return tuple(rows(q_values))
 
 
 def _dephasing_rows(p, chunk) -> Callable:
     """The rows function of p, as ``_rows_of`` binds it, ``chunk(branches, qs)`` sending
     each row through the branches of ``dephasing_kraus`` at its p: one branch table
     for the distinct p, built and checked when p is bound, and no channel built.  A
-    capacity solve binds its one p once and sends every q array through that row."""
+    capacity solve binds its one p once and sends every q array through that row; a
+    sweep binds its p array, one table row per distinct p."""
     return _rows_of(p, chunk, _dephasing_branches)
 
 

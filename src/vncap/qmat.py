@@ -133,11 +133,12 @@ def _at_least(x, low: int, name: str) -> int:
     return count
 
 
-# The largest dimension of a random unitary, identity channel or basis state,
-# far above the 16 that the package, its tests and demos ask for at most, and
-# squared, the most entries of a ``tensor`` product.  At the cap a random
-# unitary is a 16 MB complex matrix whose QR takes 0.6 s on one x86-64 core;
-# the work grows as the cube of the dimension.
+# The largest dimension of a random unitary, identity channel or basis state and
+# side of a matrix read in, far above the 16 that the package, its tests and demos
+# ask for at most; squared, the most entries of a ``tensor`` product or array read
+# in.  At the cap a random unitary's QR takes 0.6 s on one x86-64 core, and the
+# worst accepted input, a 1024 x 1024 density matrix, is checked in under 0.4 s on
+# one Xeon core; the work grows as the cube of the dimension.
 MAX_DIMENSION = 1024
 
 
@@ -160,8 +161,13 @@ def _as_complex_array(values, name: str, ndim: int | None) -> np.ndarray:
     """A read-only complex copy of ``values``, read by ``_numbers``, all entries finite:
     a square matrix of dimension at least 1 or a stack of them (``ndim`` axes, the
     last two equal), or with ``ndim=None`` an array of any shape, flattened into a
-    vector."""
-    arr = _numbers(values, name, ndim, "iufc").astype(np.complex128)  # always a copy
+    vector.  A matrix side above MAX_DIMENSION, or more than MAX_DIMENSION**2
+    entries, is refused from the shape, before the copy."""
+    arr = _numbers(values, name, ndim, "iufc")
+    if arr.size > MAX_DIMENSION**2 or ndim is not None and max(arr.shape[-2:]) > MAX_DIMENSION:
+        cap = f"{MAX_DIMENSION} a side and {MAX_DIMENSION**2} entries"
+        raise ValueError(f"{name}: shape {arr.shape} is above the cap of {cap}")
+    arr = arr.astype(np.complex128)  # always a copy, made only below the cap
     if ndim is None:
         arr = arr.ravel()
     elif arr.shape[-1] != arr.shape[-2]:

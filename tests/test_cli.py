@@ -230,8 +230,8 @@ class TestWholeGridSweep:
     @pytest.mark.parametrize("family", FAMILY_KEYS, ids=FAMILY_IDS)
     def test_checks_each_p_and_q_once(self, monkeypatch, family):
         """Beyond the range parse's checks of each start and stop, a default sweep
-        checks each of its 16 p once and at most each of its 51 q once (the
-        extremes of the q array), and besides only the closed forms' entropy
+        checks at most each of its 16 p and each of its 51 q once (the extremes of
+        the p and q arrays, read alike), and besides only the closed forms' entropy
         arguments (the extremes of each array)."""
         p_values, q_values, _ = _grid(cli.DEFAULT_P_RANGE, cli.DEFAULT_Q_RANGE)
         checks = collections.Counter()
@@ -247,9 +247,9 @@ class TestWholeGridSweep:
         by_name = collections.defaultdict(dict)
         for (name, x), count in checks.items():
             by_name[name][x] = count
-        assert by_name.pop("error probability") == dict.fromkeys(p_values, 1)
-        q_checks = by_name.pop("mixing parameter")
-        assert set(q_checks) <= set(q_values) and set(q_checks.values()) == {1}
+        for name, values in (("error probability", p_values), ("mixing parameter", q_values)):
+            checks_of = by_name.pop(name)
+            assert set(checks_of) <= set(values) and set(checks_of.values()) == {1}
         for flag in ("--p-range", "--q-range"):
             for end in ("start", "stop"):
                 assert sum(by_name.pop(f"{flag} {end}").values()) == 1
@@ -323,17 +323,16 @@ def test_capacity_looks_up_every_function_at_call_time(monkeypatch, family):
         assert calls["closed"] == 1 and "closed_form: 7.5\n" in out.getvalue()
 
 
+@pytest.mark.parametrize("use", ["quantum", "classical"])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5, 0.75, 1.0])
-def test_dephasing_quantum_rows_at_equal_the_transcript_columns(p):
-    """The dephasing quantum rows bound to p compute only the columns up to I_Q, with
-    ``from_entropies``' own operations: bit for bit the first five columns of the
-    transcript built from the same kernel's entropies."""
+def test_dephasing_rows_at_equal_the_sweep_rows(p, use):
+    """A dephasing capacity's rows bound to p are the sweep's rows at that p: every
+    column, bit for bit."""
     qs = np.linspace(0.0, 1.0, 31)
-    rows = depolarizing._dephasing_rows(p, channel._diagonal_chunk)
-    want = cli._quantum_columns(channel.ChannelTranscript.from_entropies(*rows(qs)))
-    got = cli._dephasing_quantum_at(p)(qs)
-    assert len(got) == 5 == cli.USES["quantum"][1] + 1
-    for column, expected in zip(got, want, strict=False):
+    _, rows, _, rows_at = cli.FAMILIES["dephasing", use]
+    got, want = rows_at(p)(qs), rows(p, qs)
+    assert len(got) == len(want) == len(cli.USES[use][0].split(",")) - 2
+    for column, expected in zip(got, want, strict=True):
         assert column.tobytes() == expected.tobytes()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vncap.qmat import (
     DensityMatrix,
     PureState,
+    _unit_intervals,
     hermitian_eigenvalues,
     partial_trace,
     pure_marginal,
@@ -18,7 +19,7 @@ from vncap.qmat import (
 )
 from vncap import cli, depolarizing, entropy
 from vncap.entropy import binary_entropy, venn2, venn3
-from vncap.channel import KrausChannel, _branches, apply_channel, run_channel
+from vncap.channel import ChannelTranscript, KrausChannel, _branches, apply_channel, run_channel
 from vncap.depolarizing import (
     BIT_FLIP,
     BIT_PHASE_FLIP,
@@ -462,6 +463,31 @@ class TestTranscriptRows:
     @pytest.mark.parametrize("dust", [-1e-13, -0.0, 1.0 + 1e-13])
     def test_clamps_what_the_scalar_clamps(self, dust):
         assert _row_columns(dust, [0.3, dust]) == _scalar_columns(dust, [0.3, dust])
+
+    ROW_FUNCTIONS = (
+        analytic_transcript_rows,
+        classical_use_transcript_rows,
+        dephasing_transcript_rows,
+        dephasing_classical_rows,
+    )
+
+    def test_p_list_dust_gives_the_clamped_rows(self):
+        """A p list is read as a q list is: entries within dust of [0, 1] give the rows
+        of the clamped p, bit for bit, in every row function."""
+        dusty, clamped, qs = [-1e-13, 0.3, 1.0 + 1e-13, -0.0], [0.0, 0.3, 1.0, 0.0], [0.2] * 4
+        for rows in self.ROW_FUNCTIONS:
+            got, want = rows(dusty, qs), rows(clamped, qs)
+            if isinstance(got, ChannelTranscript):
+                got, want = vars(got).values(), vars(want).values()
+            assert np.array(list(got)).tobytes() == np.array(list(want)).tobytes()
+
+    @pytest.mark.parametrize("p", [[1.5, 0.2, -0.5], [np.nan, 0.2, 1.5], [1.5, np.nan, 0.2]])
+    def test_p_list_refusal_names_the_checked_extreme(self, p):
+        """A p list with two bad entries is refused naming the one that
+        ``_unit_intervals`` names, as a q list is."""
+        message = _refusal(lambda: _unit_intervals(p, "error probability"))
+        for rows in self.ROW_FUNCTIONS:
+            assert _refusal(lambda: rows(p, [0.3] * 3)) == message
 
     @pytest.mark.parametrize("p", [0.3, []])
     def test_empty_q_list(self, p):

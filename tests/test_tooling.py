@@ -274,33 +274,39 @@ def _is_eye(node: ast.expr) -> bool:
     )
 
 
-def eye_subtractions(sources: dict[str, str]) -> list[str]:
-    """``module.function`` (``module.Class.method`` for a method) of every function in
-    ``sources`` with an identity ``eye(...)`` on either side of a ``-``, or on the
-    right of a ``-=``; a nested function counts as the one it is nested in."""
-    found = set()
+def _functions(sources: dict[str, str]):
+    """(``module.function``, node) of every module-level function in ``sources``, and
+    (``module.Class.method``, node) of every method; a nested function is part of
+    the node it is nested in."""
     for module, text in sources.items():
         tree = ast.parse(text)
-        scopes = [(None, node) for node in tree.body]
+        scopes = [(module, node) for node in tree.body]
         scopes += [
-            (cls.name, node)
+            (f"{module}.{cls.name}", node)
             for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             for node in cls.body
         ]
         for owner, func in scopes:
-            if not isinstance(func, ast.FunctionDef):
+            if isinstance(func, ast.FunctionDef):
+                yield f"{owner}.{func.name}", func
+
+
+def eye_subtractions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` (``module.Class.method`` for a method) of every function in
+    ``sources`` with an identity ``eye(...)`` on either side of a ``-``, or on the
+    right of a ``-=``; a nested function counts as the one it is nested in."""
+    found = set()
+    for name, func in _functions(sources):
+        for node in ast.walk(func):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+                operands = (node.value,)
+            else:
                 continue
-            name = func.name if owner is None else f"{owner}.{func.name}"
-            for node in ast.walk(func):
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
-                    operands = (node.left, node.right)
-                elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
-                    operands = (node.value,)
-                else:
-                    continue
-                if any(map(_is_eye, operands)):
-                    found.add(f"{module}.{name}")
+            if any(map(_is_eye, operands)):
+                found.add(name)
     return sorted(found)
 
 
@@ -338,6 +344,71 @@ def test_eye_check_sees_each_kind_of_subtraction():
         "qmat._check_isometry",
         "qmat._check_unitary",
     ]
+
+
+# The one q-list binder, ``channel._bound_rows``: only it reads a q list, and only
+# it and the CSV printer, which prints a sweep in the same chunks, read STACK_ROWS.
+Q_LIST_READER = "channel._bound_rows"
+STACK_ROWS_READERS = [Q_LIST_READER, "cli._csv_chunks"]
+
+
+def _called(call: ast.Call) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``module.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def q_list_reads(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(the functions that read ``STACK_ROWS``, the functions that call
+    ``_unit_intervals`` with the name "mixing parameter"), each sorted
+    ``module.function``, a nested function counting as the one it is nested in.
+    ``STACK_ROWS`` is read as a name or as an attribute, and the name is passed
+    positionally or as ``name=``."""
+    stack_rows, q_lists = set(), set()
+    for name, func in _functions(sources):
+        for node in ast.walk(func):
+            if getattr(node, "id", getattr(node, "attr", None)) == "STACK_ROWS":
+                stack_rows.add(name)
+            elif isinstance(node, ast.Call) and _called(node) == "_unit_intervals":
+                names = [*node.args[1:], *(k.value for k in node.keywords if k.arg == "name")]
+                if any(getattr(arg, "value", None) == "mixing parameter" for arg in names):
+                    q_lists.add(name)
+    return sorted(stack_rows), sorted(q_lists)
+
+
+def test_one_q_list_binder_in_src():
+    """Every q list reaches its kernel through ``channel._bound_rows``, which reads it
+    and chunks it; no row function reads or chunks a q list of its own."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert q_list_reads(sources) == (STACK_ROWS_READERS, [Q_LIST_READER])
+
+
+def test_q_list_check_sees_each_kind_of_read():
+    sources = {
+        "channel": "STACK_ROWS = 4096\n"
+        "def _bound_rows(chunk, table):\n"
+        "    def rows(q_values):\n"
+        "        qs = _unit_intervals(q_values, 'mixing parameter')\n"
+        "        return [chunk(table, qs[i : i + STACK_ROWS]) for i in range(len(qs))]\n"
+        "    return rows\n"
+        "def _chunked(f, qs): return f(qs[:STACK_ROWS])\n",
+        "depolarizing": "from .channel import STACK_ROWS\n"
+        "def _rows_of(p, chunk):\n"
+        "    ps = _unit_intervals(p, 'error probability')\n"
+        "    def of(q_values):\n"
+        "        return chunk(ps, qmat._unit_intervals(q_values, name='mixing parameter'))\n"
+        "    return of\n"
+        "class Rows:\n"
+        "    def method(self, qs): return _unit_intervals(qs, 'mixing parameter')\n"
+        "def _p_only(p): return _unit_intervals(p, 'error probability')\n",
+        "cli": "from . import channel\n"
+        "def _csv_chunks(table): return table[: channel.STACK_ROWS]\n"
+        "def _named(q): return _unit_interval(q, 'mixing parameter')\n",
+    }
+    assert q_list_reads(sources) == (
+        ["channel._bound_rows", "channel._chunked", "cli._csv_chunks"],
+        ["channel._bound_rows", "depolarizing.Rows.method", "depolarizing._rows_of"],
+    )
 
 
 def number_formats(sources: dict[str, str]) -> list[str]:
@@ -392,11 +463,9 @@ def unreturned_states(sources: dict[str, str]) -> list[str]:
         }
         read = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
+            if not isinstance(call, ast.Call) or _called(call) not in STATE_BUILDERS:
                 continue
-            func = call.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in STATE_BUILDERS and (id(call) not in returned or id(call) in read):
+            if id(call) not in returned or id(call) in read:
                 found.append((module, call.lineno))
     return [f"{module}:{line}" for module, line in sorted(found)]
 
@@ -648,11 +717,8 @@ def seeding_in_loops(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             for call in (node for part in parts for node in ast.walk(part)):
-                if isinstance(call, ast.Call):
-                    func = call.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if name in SEEDERS:
-                        found.add((module, call.lineno))
+                if isinstance(call, ast.Call) and _called(call) in SEEDERS:
+                    found.add((module, call.lineno))
     return [f"{module}:{line}" for module, line in sorted(found)]
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,29 @@ KRAUS_STACK_REFUSALS = {
     "nan": ((np.eye(2) / 2, np.full((2, 2), math.nan)), "non-finite"),
     "inf": ((np.eye(2), np.diag([0.0, math.inf])), "non-finite"),
     "not trace preserving": ((np.eye(2) / 2, np.eye(2) / 2), "trace preserving"),
+}
+
+# One float input above the size cap per array slot, its complex copy 16 MB or
+# more: name -> (the call, the input's shape, the argument's name).
+SIDE, ENTRIES = MAX_DIMENSION + 1, MAX_DIMENSION**2 + 1
+OVERSIZED = {
+    "DensityMatrix": (DensityMatrix, (SIDE, SIDE), "density matrix"),
+    "DensityMatrix.one side": (DensityMatrix, (SIDE, 1000), "density matrix"),
+    "PureState": (PureState, (ENTRIES,), "state amplitudes"),
+    "KrausChannel": (KrausChannel, (1, SIDE, SIDE), "Kraus operators"),
+    "KrausChannel.entries": (KrausChannel, (SIDE, 32, 32), "Kraus operators"),
+    "kraus_channel_from_json": (
+        lambda pairs: kraus_channel_from_json({"kraus": pairs}),
+        (1, SIDE * SIDE, 2),
+        "Kraus operators",
+    ),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, (SIDE, SIDE), "matrix"),
+    "dilation_channel": (
+        lambda u: dilation_channel(u, 2, basis_state(2, 0)),
+        (2 * MAX_DIMENSION + 2, 2 * MAX_DIMENSION + 2),
+        "unitary",
+    ),
+    "apply_unitary": (lambda u: apply_unitary(u, basis_state(2, 0)), (SIDE, SIDE), "unitary"),
 }
 
 # Square matrices of dimension 0: name -> (the call, the argument's name).
@@ -685,6 +709,27 @@ class TestLibraryRefusals:
         operators, message = KRAUS_STACK_REFUSALS[name]
         with pytest.raises(ValueError, match=message):
             KrausChannel(operators)
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_oversized_arrays_are_refused_before_the_complex_copy(self, name):
+        """Refused from the shape: the refusal allocates under 1% of the input's
+        size, let alone its complex copy."""
+        call, shape, argument = OVERSIZED[name]
+        values = np.zeros(shape)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{argument}: shape .* above the cap"):
+                call(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 100
+
+    def test_arrays_at_the_size_cap_are_accepted(self):
+        assert PureState(np.full(MAX_DIMENSION**2, 1.0 / MAX_DIMENSION)).dim == MAX_DIMENSION**2
+        assert KrausChannel(np.eye(MAX_DIMENSION)[np.newaxis]).input_dim == MAX_DIMENSION
+        entries = np.tile(np.eye(32) / 32.0, (MAX_DIMENSION, 1, 1))  # MAX_DIMENSION**2 entries
+        assert KrausChannel(entries).env_dim == MAX_DIMENSION
 
     @pytest.mark.parametrize("name", sorted(ZERO_DIMENSION))
     def test_dimension_zero_is_refused(self, name):
