@@ -58,13 +58,13 @@ from .channel import (
 from .entropy import _row_entropies, relative_entropy_binary
 from .qmat import (
     DensityMatrix,
-    _as_count,
-    _at_least,
     _check_finite,
     _check_isometry,
     _check_normalized,
     _check_state,
+    _count,
     _flag,
+    _inside,
     _integers,
     _numbers,
     _random_unitaries,
@@ -98,18 +98,11 @@ TRIAL_CHUNK = 32
 LOOKAHEAD_DEPTH = 5
 
 
-def _check_tolerance(tol: float) -> None:
-    if not 0.0 < _real(tol, "tolerance") < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-
-
-def _check_audit_args(seed: int, trials: int, tol: float) -> tuple[int, int]:
-    seed = _at_least(seed, 0, "seed")
-    count = _as_count(trials, "trials")
-    if not 1 <= count <= MAX_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
-    _check_tolerance(tol)
-    return seed, count
+def _check_audit_args(seed: int, trials: int, tol: float) -> tuple[int, int, float]:
+    """An audit's seed, trial count and tolerance, checked; the tolerance as a float, since
+    the -tol of an unsigned numpy integer would wrap around."""
+    seed, trials = _count(seed, "seed", 0), _count(trials, "trials", 1, MAX_TRIALS)
+    return seed, trials, _inside(tol, "tolerance", 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -200,7 +193,7 @@ def maximize_scalar_on_unit_interval(
         raise ValueError(f"objective must be callable, got {type(f).__name__}")
     if not (rows is None or callable(rows)):
         raise ValueError(f"rows must be callable or None, got {type(rows).__name__}")
-    _check_tolerance(tol)
+    tol = _inside(tol, "tolerance", 0.0, math.inf)
     eps = sys.float_info.epsilon
     if tol < eps:  # the interval cannot shrink below one ulp
         raise ValueError(f"tolerance {tol!r} is below the float resolution {eps!r}")
@@ -543,7 +536,7 @@ def audit_inequalities(seed: int, trials: int, tol: float = AUDIT_TOL) -> AuditR
     parallel check, then scores ``inequality_slacks``; the trials run stacked,
     ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    seed, trials = _check_audit_args(seed, trials, tol)
+    seed, trials, tol = _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_inequality_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
@@ -555,7 +548,7 @@ def audit_axioms(seed: int, trials: int = 100, tol: float = AUDIT_TOL) -> AuditR
     and scores ``mixture_axiom_slacks``; the trials run stacked,
     ``TRIAL_CHUNK`` at a time.  Deterministic per seed.
     """
-    seed, trials = _check_audit_args(seed, trials, tol)
+    seed, trials, tol = _check_audit_args(seed, trials, tol)
     violations, worst = _scan(_axiom_chunks(seed, trials), tol)
     return AuditReport(trials=trials, violations=tuple(violations), max_negative_slack=worst)
 
@@ -569,7 +562,7 @@ def search_coherent_info_violations(seed: int, trials: int, tol: float = AUDIT_T
     only their first channel.  Returns the witnesses found (possibly none),
     each as (trial index, weight, slack).  Deterministic per seed.
     """
-    seed, trials = _check_audit_args(seed, trials, tol)
+    seed, trials, tol = _check_audit_args(seed, trials, tol)
     violations, _ = _scan(_coherent_chunks(seed, trials), tol)
     return tuple((params["trial"], params["weight"], slack) for _, params, slack in violations)
 
@@ -601,15 +594,10 @@ class HammingQuery:
 
     def __post_init__(self):
         _mode(self.mode)
-        for name in ("n", "k", "t"):
-            object.__setattr__(self, name, _as_count(getattr(self, name), f"invalid query: {name}"))
-        n_ok, k_ok = 1 <= self.n <= MAX_BLOCK_LENGTH, 1 <= self.k <= 2 * MAX_BLOCK_LENGTH
-        if not (n_ok and k_ok and 0 <= self.t <= self.n):
-            raise ValueError(
-                f"invalid query: need 1 <= n <= {MAX_BLOCK_LENGTH}, "
-                f"1 <= k <= {2 * MAX_BLOCK_LENGTH}, 0 <= t <= n, got "
-                f"(n={self.n}, k={self.k}, t={self.t})"
-            )
+        n = _count(self.n, "invalid query: n", 1, MAX_BLOCK_LENGTH)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", _count(self.k, "invalid query: k", 1, 2 * MAX_BLOCK_LENGTH))
+        object.__setattr__(self, "t", _count(self.t, "invalid query: t", 0, n))
 
 
 @dataclass(frozen=True)
@@ -667,14 +655,10 @@ def asymptotic_consistency(p: float, n_list: Sequence[int], mode: str) -> list[R
     onto it from above at O(log n / n): the sphere-packing count is an upper
     bound on codewords, and truncating it at finite n loosens it.
     """
-    p = _real(p, "p")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be strictly inside (0, 1), got {p!r}")
+    p = _inside(p, "p", 0.0, 1.0)
     syndromes, space = _mode(mode)
-    n_list = _integers(n_list, "block length", MAX_N_LIST)  # the length first, then entries
-    for n in n_list:  # all of them before any work
-        if not 10 <= n <= MAX_BLOCK_LENGTH:
-            raise ValueError(f"block length must be in [10, {MAX_BLOCK_LENGTH}], got {n}")
+    # the length first, then every entry, before any work
+    n_list = _integers(n_list, "block length", 10, MAX_BLOCK_LENGTH, MAX_N_LIST)
     rows = []
     for n in n_list:
         t = math.floor(p * n)

@@ -50,17 +50,16 @@ import numpy as np
 
 from .entropy import _row_entropies, _spectrum_entropies
 from .qmat import (
+    MAX_DIMENSION,
     PURITY_ATOL,
     DensityMatrix,
     PureState,
     _as_complex_array,
-    _as_count,
-    _at_least,
     _check_isometry,
     _check_residual,
     _check_state,
     _check_unitary,
-    _dimension,
+    _count,
     _flag,
     _numbers,
     _real,
@@ -145,8 +144,8 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
     """
     u = _check_unitary(u_qe)
     _check_state(env_initial, PureState, "env_initial")
-    env_dim = _as_count(env_dim, "environment dimension")
-    if env_dim < 1 or u.shape[0] % env_dim:
+    env_dim = _count(env_dim, "environment dimension", 1)
+    if u.shape[0] % env_dim:
         raise ValueError(f"environment dimension {env_dim} does not divide {u.shape[0]}")
     if env_initial.dim != env_dim:
         raise ValueError(f"environment state is {env_initial.dim}-dim, expected {env_dim}")
@@ -156,7 +155,8 @@ def dilation_channel(u_qe: np.ndarray, env_dim: int, env_initial: PureState) -> 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
     """The noiseless channel: one identity Kraus operator, a one-dimensional environment."""
-    return KrausChannel((np.eye(_dimension(dim), dtype=np.complex128),))
+    dim = _count(dim, "dimension", 1, MAX_DIMENSION)
+    return KrausChannel((np.eye(dim, dtype=np.complex128),))
 
 
 def _purify_rows(mats: np.ndarray) -> np.ndarray:
@@ -368,15 +368,15 @@ def parallel(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 def quantum_fano_bound(fidelity: float, code_dim: int) -> float:
     """Loss bound 2 [H2(F) + (1 - F) log2(d - 1)] for a d-dimensional code space:
     the one-row call of ``_fano_rows``, the code dimension checked first."""
-    d = _at_least(code_dim, 2, "code dimension")
+    d = _count(code_dim, "code dimension", 2)
     return float(_fano_rows(_unit_interval(fidelity, "fidelity"), d))
 
 
 def _fano_rows(fidelity, code_dim: int) -> np.ndarray:
-    """``quantum_fano_bound`` of each fidelity in an array: (F, 1 - F) is checked and
-    clamped as a spectrum, and H2(F) is its entropy."""
+    """``quantum_fano_bound`` of each fidelity in an array, at a checked code dimension:
+    (F, 1 - F) is checked and clamped as a spectrum, and H2(F) is its entropy."""
     probs = clamp_spectrum(np.stack([fidelity, 1.0 - fidelity], axis=-1))
-    log_term = math.log2(_at_least(code_dim, 2, "code dimension") - 1)
+    log_term = math.log2(code_dim - 1)
     return 2.0 * (_spectrum_entropies(probs) + probs[..., 1] * log_term)
 
 
@@ -396,11 +396,11 @@ def transcript_slacks(t: ChannelTranscript, d_q: int = 2, d_r: int = 2) -> dict[
     Covers the triangle bounds 0 <= L <= 2 min(S, S_e) and the exchange-entropy
     Fano bound S_e <= H2[F_e] + (1 - F_e) log2(d_Q d_R - 1), half the
     quantum-code Fano bound at code dimension d_Q d_R.  Each entry of ``t`` must be a
-    real number (read by ``_real``) and ``d_q`` and ``d_r`` integers >= 1, or ValueError.
+    real number (``_real``), ``d_q`` and ``d_r`` integers >= 1, d_Q d_R >= 2, or ValueError.
     """
     _check_state(t, ChannelTranscript, "transcript")
     t = ChannelTranscript(*(_real(value, f"transcript {key}") for key, value in vars(t).items()))
-    code_dim = _at_least(d_q, 1, "d_q") * _at_least(d_r, 1, "d_r")
+    code_dim = _count(_count(d_q, "d_q", 1) * _count(d_r, "d_r", 1), "code dimension", 2)
     fano = _fano_rows(t.fidelity, code_dim)
     return {key: float(slack) for key, slack in _slack_columns(t, fano).items()}
 

@@ -23,7 +23,7 @@ from . import analysis, depolarizing
 from .analysis import AUDIT_TOL, CAPACITY_TOL
 from .channel import STACK_ROWS, ChannelTranscript, _diagonal_chunk, run_channel
 from .depolarizing import DepolParams
-from .qmat import DensityMatrix, _unit_interval
+from .qmat import DensityMatrix, _inside, _unit_interval
 
 DEFAULT_SEED = 42
 DEFAULT_P_RANGE = "0:0.75:0.05"
@@ -73,8 +73,7 @@ def _parse_range(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag}: {exc}") from None
     start = _unit_interval(start, f"{flag} start", slack=0.0)
     stop = _unit_interval(stop, f"{flag} stop", slack=0.0)
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"{flag}: step must be positive and finite, got {step!r}")
+    step = _inside(step, f"{flag} step", 0.0, math.inf)
     if start > stop:
         raise ValueError(f"{flag}: empty range {text!r}")
     steps = (stop - start) / step + 1e-9  # +inf when the step is too small for a float

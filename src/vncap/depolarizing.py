@@ -200,11 +200,11 @@ def _rows_of(p, chunk, branches=None) -> Callable:
     ``_bound_rows`` of ``chunk`` over a table with one row per distinct p, the p
     themselves or, given ``branches``, the branch table ``branches(ps)``.
 
-    A p array is read as a q list is, by ``_unit_intervals``, and ``np.unique``
-    gives each q the index of its p's row.  The table is built and checked
+    A p list or array (not a 0-d one) is read as a q list is, by ``_unit_intervals``, and
+    ``np.unique`` gives each q the index of its p's row.  The table is built and checked
     complete here, once, and p is checked before q, as ``DepolParams`` does.
     """
-    if isinstance(p, (list, tuple, np.ndarray)):
+    if isinstance(p, (list, tuple)) or isinstance(p, np.ndarray) and p.ndim:
         ps, where = np.unique(_unit_intervals(p, "error probability"), return_inverse=True)
     else:  # one p for every row: its one row broadcasts over the q array
         ps, where = np.array([_unit_interval(p, "error probability")]), None

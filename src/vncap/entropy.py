@@ -21,14 +21,14 @@ from .qmat import (
     PROB_SUM_ATOL,
     DensityMatrix,
     PureState,
-    _at_least,
     _check_residual,
     _check_state,
+    _count,
+    _inside,
     _integers,
     _numbers,
     _one_row,
     _sequence,
-    _real,
     _schmidt_spectra,
     clamp_spectrum,
     partial_trace,
@@ -101,9 +101,7 @@ def relative_entropy_binary(p: float, r: float) -> float:
     the quantity infinite whenever p differs from it.
     """
     p = _unit_interval(p, "probability")
-    r = _real(r, "reference")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"degenerate reference {r!r}: need 0 < r < 1")
+    r = _inside(r, "reference", 0.0, 1.0)
     out = 0.0
     if p > 0.0:
         out += p * math.log2(p / r)
@@ -153,12 +151,14 @@ def pure_subsystem_entropy(psi: PureState, keep: Iterable[int]) -> float:
 def _union_entropies(rho: DensityMatrix, split: Sequence[Sequence[int]], parts: int) -> list:
     """S of every union of the ``parts`` groups of ``split``, checked to partition the factors
     of ``rho``, in ``itertools.combinations`` order: each group, each pair, ..., all of them."""
-    groups = [_integers(g, "subsystem index") for g in _sequence(split, "split", "integer lists")]
+    n = len(rho.dims)
+    split = _sequence(split, "split", "integer lists")
+    groups = [_integers(g, "subsystem index", 0, n - 1) for g in split]
     if len(groups) != parts:
         raise ValueError(f"bad partition: expected {parts} groups, got {len(groups)}")
     flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(len(rho.dims))):
-        raise ValueError(f"bad partition {groups} of {len(rho.dims)} factors")
+    if sorted(flat) != list(range(n)):
+        raise ValueError(f"bad partition {groups} of {n} factors")
     if any(not g for g in groups):
         raise ValueError("bad partition: empty group")
     unions = (sum(u, ()) for n in range(1, parts + 1) for u in itertools.combinations(groups, n))
@@ -276,6 +276,6 @@ def classical_mutual_information(joint) -> float:
 
 def classical_fano_bound(p_error: float, s: int) -> float:
     """Fano bound H2[p_err] + p_err log2(s - 1) on equivocation for s codewords."""
-    count = _at_least(s, 2, "codeword count")
+    count = _count(s, "codeword count", 2)
     p_error = _unit_interval(p_error, "error probability")
     return binary_entropy(p_error) + p_error * math.log2(count - 1)

@@ -30,11 +30,23 @@ UNIT_SLACK = 1e-12  # unit-interval values this far outside [0, 1] are rounding 
 
 
 def _real(x, name: str) -> float:
-    """``x`` as a float.  Strings, bytes, bools (numpy's too), complex values, None
-    and every other non-real input raise ValueError "<name> must be a real number"."""
+    """``x``, or the one number of a 0-d real array, as a float.  Strings, bytes, bools
+    (numpy's too), complex, None and other non-reals raise ValueError "<name> must be a
+    real number"."""
+    if isinstance(x, np.ndarray) and x.shape == () and x.dtype.kind in "iuf":
+        x = x[()]
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     return float(x)
+
+
+def _inside(x, name: str, low: float, high: float) -> float:
+    """The one open-interval reader: ``_real(x, name)``, refused with ValueError "<name>
+    must be a real number in (low, high), got <x>" unless low < x < high; NaN fails."""
+    value = _real(x, name)
+    if not low < value < high:
+        raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), got {value!r}")
+    return value
 
 
 def _flag(x, name: str) -> bool:
@@ -96,15 +108,18 @@ def _unit_intervals(values, name: str) -> np.ndarray:
     return values
 
 
-def _as_count(x, name: str) -> int:
-    """``x`` as an int; bools, floats (whole ones too), NaN and other non-integers
-    raise ValueError."""
+def _count(x, name: str, low: int, high: float = math.inf) -> int:
+    """The one count reader: ``x`` as an int in [low, high].  Bools, floats (whole ones
+    too), NaN, other non-integers and integers out of range raise ValueError "<name>
+    must be an integer in [low, high], got <x>" (">= low" when ``high`` is inf)."""
     try:
-        if isinstance(x, bool):  # operator.index takes bools
-            raise TypeError
-        return operator.index(x)
+        count = None if isinstance(x, bool) else operator.index(x)  # index takes bools
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+        count = None
+    if count is None or not low <= count <= high:
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {x!r}")
+    return count
 
 
 def _sequence(values, name: str, kind: str, cap: int | None = None) -> tuple:
@@ -120,17 +135,11 @@ def _sequence(values, name: str, kind: str, cap: int | None = None) -> tuple:
     return tuple(values)
 
 
-def _integers(values, name: str, cap: int | None = None) -> tuple[int, ...]:
-    """The one reader of an integer sequence: the "<name> list", each entry an ``_as_count``."""
-    return tuple(_as_count(v, name) for v in _sequence(values, f"{name} list", "integers", cap))
-
-
-def _at_least(x, low: int, name: str) -> int:
-    """``_as_count(x, name)``, refused with ValueError unless it is at least ``low``."""
-    count = _as_count(x, name)
-    if count < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
-    return count
+def _integers(values, name: str, low: int, high=math.inf, cap=None) -> tuple[int, ...]:
+    """The one reader of an integer sequence: the "<name> list", each entry a ``_count``
+    in [low, high]."""
+    items = _sequence(values, f"{name} list", "integers", cap)
+    return tuple(_count(v, name, low, high) for v in items)
 
 
 # The largest dimension of a random unitary, identity channel or basis state and
@@ -140,14 +149,6 @@ def _at_least(x, low: int, name: str) -> int:
 # worst accepted input, a 1024 x 1024 density matrix, is checked in under 0.4 s on
 # one Xeon core; the work grows as the cube of the dimension.
 MAX_DIMENSION = 1024
-
-
-def _dimension(x) -> int:
-    """``x`` as a dimension, an integer in [1, MAX_DIMENSION], checked before any allocation."""
-    dim = _at_least(x, 1, "dimension")
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"dimension {dim} exceeds the cap of {MAX_DIMENSION}")
-    return dim
 
 
 def _check_residual(resid, atol: float, what: str) -> None:
@@ -197,20 +198,18 @@ def _check_normalized(amps: np.ndarray) -> None:
 
 
 def _check_dims(dims, size: int) -> tuple[int, ...]:
-    dims = _integers(dims, "subsystem dimension")
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"bad subsystem dimensions {dims}")
+    dims = _integers(dims, "subsystem dimension", 1)
+    if not dims:
+        raise ValueError("bad subsystem dimensions ()")
     if math.prod(dims) != size:
         raise ValueError(f"subsystem dimensions {dims} do not multiply to {size}")
     return dims
 
 
 def _check_indices(indices, n_factors: int) -> tuple[int, ...]:
-    idx = _integers(indices, "subsystem index")
+    idx = _integers(indices, "subsystem index", 0, n_factors - 1)
     if not idx or len(set(idx)) != len(idx):
         raise ValueError(f"bad subsystem index set {idx}")
-    if any(i < 0 or i >= n_factors for i in idx):
-        raise ValueError(f"bad subsystem index in {idx}: state has {n_factors} factors")
     return idx
 
 
@@ -480,7 +479,7 @@ def _seed_states(seeds) -> np.ndarray:
 
 
 def _random_unitaries(dim: int, seeds, columns: int | None = None) -> np.ndarray:
-    """``random_unitary(dim, seed)`` for every seed below 2**64, or its first
+    """``random_unitary(dim, seed)`` at a checked dim, every seed below 2**64, or its first
     ``columns`` columns: an (N, dim, columns) stack from one stacked QR and phase
     fix, all ``dim`` columns by default.  Each seed's ``default_rng`` stream fills
     its real parts, then its imaginary parts, with one ``standard_normal`` call.
@@ -491,7 +490,6 @@ def _random_unitaries(dim: int, seeds, columns: int | None = None) -> np.ndarray
     first k Gaussian columns, so only those are factored; on numpy's LAPACK they
     come out bit for bit as the leading columns of the full unitary.
     """
-    dim = _dimension(dim)
     parts = np.empty((len(seeds), 2, dim, dim))
     bits = np.random.PCG64(0)  # its state is replaced before each draw
     seeded = bits.state  # as after seeding: no buffered 32-bit word
@@ -514,17 +512,14 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     distribution does not depend on the QR sign convention.  The one-row call
     of ``_random_unitaries``; ``seed`` must be an integer in [0, 2**64).
     """
-    seed = _at_least(seed, 0, "seed")
-    if seed >= 1 << 64:
-        raise ValueError(f"seed must be an integer below 2**64, got {seed}")
-    return _random_unitaries(dim, (seed,))[0]
+    dim = _count(dim, "dimension", 1, MAX_DIMENSION)
+    return _random_unitaries(dim, (_count(seed, "seed", 0, 2**64 - 1),))[0]
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] | None = None) -> PureState:
     """Computational basis vector |index> of the given dimension."""
-    dim, index = _dimension(dim), _as_count(index, "basis index")
-    if not 0 <= index < dim:
-        raise ValueError(f"bad basis index {index} for dimension {dim}")
+    dim = _count(dim, "dimension", 1, MAX_DIMENSION)
+    index = _count(index, "basis index", 0, dim - 1)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return PureState(amps, dims if dims is not None else (dim,))

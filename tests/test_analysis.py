@@ -918,7 +918,7 @@ class TestAsymptoticConsistency:
             assert diffs[-1] < 0.05
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="strictly inside"):
+        with pytest.raises(ValueError, match=r"^p must be a real number in \(0, 1\)"):
             asymptotic_consistency(0.0, [100], "classical")
         with pytest.raises(ValueError, match="block length"):
             asymptotic_consistency(0.1, [5], "classical")

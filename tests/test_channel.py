@@ -241,7 +241,8 @@ class TestRepresentationConversion:
     def test_dilation_shape_refusals(self):
         u = random_unitary(8, 13)
         for env_dim in (0, 3):
-            with pytest.raises(ValueError, match=f"environment dimension {env_dim} does not divide 8"):
+            refusal = f"({env_dim} does not divide 8|must be an integer >= 1)"
+            with pytest.raises(ValueError, match=f"^environment dimension {refusal}"):
                 dilation_channel(u, env_dim, basis_state(4, 0))
         with pytest.raises(ValueError, match="environment state is 2-dim, expected 4"):
             dilation_channel(u, 4, basis_state(2, 0))

@@ -411,6 +411,87 @@ def test_q_list_check_sees_each_kind_of_read():
     )
 
 
+# The one count reader, ``qmat._count``: only it reads a value through
+# ``operator.index``, and the count and tolerance readers it replaced are gone.
+COUNT_READER = "qmat._count"
+RETIRED_READERS = {"_as_count", "_at_least", "_dimension", "_check_tolerance"}
+
+
+def _index_uses(node: ast.AST, aliases: set[str]) -> bool:
+    """Whether ``node`` holds ``operator.index``, or a name imported as it, anywhere."""
+    spelled = ("operator", "index")
+    return any(
+        isinstance(n, ast.Attribute) and (getattr(n.value, "id", None), n.attr) == spelled
+        or isinstance(n, ast.Name) and n.id in aliases
+        for n in ast.walk(node)
+    )
+
+
+def count_reads(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(the functions that use ``operator.index``, spelled so or imported ``from operator``
+    under any name, as sorted ``module.function``, a nested function counting as the one
+    it is nested in and module-level code as ``module``; every ``module.name`` that
+    defines, imports or refers to one of ``RETIRED_READERS``, sorted)."""
+    aliases = {
+        module: {
+            alias.asname or alias.name
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+            for alias in node.names
+            if alias.name == "index"
+        }
+        for module, text in sources.items()
+    }
+    uses = {
+        name for name, func in _functions(sources) if _index_uses(func, aliases[name.split(".")[0]])
+    }
+    retired = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for stmt in tree.body:
+            top_level = not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            if top_level and _index_uses(stmt, aliases[module]):
+                uses.add(module)
+        for node in ast.walk(tree):
+            for field in ("name", "id", "attr"):  # a def or class, an import, a name, an attribute
+                if getattr(node, field, None) in RETIRED_READERS:
+                    retired.add(f"{module}.{getattr(node, field)}")
+    return sorted(uses), sorted(retired)
+
+
+def test_one_count_reader_in_src():
+    """Every count is read by ``qmat._count``, the one caller of ``operator.index``;
+    ``_as_count``, ``_at_least``, ``_dimension`` and ``_check_tolerance`` are gone."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert count_reads(sources) == ([COUNT_READER], [])
+
+
+def test_count_check_sees_each_kind_of_use():
+    sources = {
+        "qmat": "import operator\n"
+        "def _count(x): return operator.index(x)\n"
+        "def _as_count(x): return x\n",
+        "a": "from operator import index\n"
+        "from operator import index as as_int\n"
+        "def direct(x): return index(x)\n"
+        "def renamed(x): return as_int(x)\n"
+        "def listed(xs): return xs.index(3)\n"
+        "def added(a, b): return operator.add(a, b)\n",
+        "b": "import operator\n"
+        "class C:\n"
+        "    def method(self, x):\n"
+        "        def inner(): return operator.index(x)\n"
+        "        return inner()\n"
+        "READ = operator.index\n",
+        "c": "from .qmat import _at_least, _dimension\n"
+        "def _check_tolerance(tol): return qmat._as_count(tol)\n",
+    }
+    assert count_reads(sources) == (
+        ["a.direct", "a.renamed", "b", "b.C.method", "qmat._count"],
+        ["c._as_count", "c._at_least", "c._check_tolerance", "c._dimension", "qmat._as_count"],
+    )
+
+
 def number_formats(sources: dict[str, str]) -> list[str]:
     """``module:line`` of every string constant in ``sources`` that spells the output
     number format ``.12g``: a ``%`` template, a ``format`` spec or an f-string spec."""

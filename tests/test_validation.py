@@ -5,6 +5,7 @@ The property tests run a fixed, derandomized hypothesis profile so the suite
 stays deterministic and fast.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -12,6 +13,7 @@ import json
 import math
 import re
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -591,7 +593,8 @@ class TestLibraryRefusals:
     def test_dimensions_above_the_cap_are_refused_before_any_allocation(self, build, monkeypatch):
         for name in ("empty", "zeros", "eye"):
             monkeypatch.setattr(np, name, lambda *args, **kwargs: pytest.fail("allocated"))
-        with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_DIMENSION}"):
+        refusal = rf"^dimension must be an integer in \[1, {MAX_DIMENSION}\]"
+        with pytest.raises(ValueError, match=refusal):
             build()
 
     @FIXED
@@ -671,6 +674,13 @@ class TestLibraryRefusals:
         assert type(report.trials) is int and report.trials == 3
         assert report == audit(0, 3)
         json.dumps(dataclasses.asdict(report))  # an np.int64 would raise TypeError
+
+    @pytest.mark.parametrize(
+        "audit", [audit_inequalities, audit_axioms, search_coherent_info_violations]
+    )
+    def test_audits_read_an_unsigned_tolerance_as_its_number(self, audit):
+        """The audits compare slacks with -tol, which wraps to 254 for np.uint8(2)."""
+        assert audit(1, 3, np.uint8(2)) == audit(1, 3, 2.0)
 
     @pytest.mark.parametrize("weight", [1.5, -0.2, math.nan, math.inf])
     def test_mixture_weight_is_checked(self, weight):
@@ -847,6 +857,50 @@ class TestLibraryRefusals:
         # numpy reals are read as floats, to the same slacks
         as_numpy = ChannelTranscript(*map(np.float64, fields))
         assert transcript_slacks(as_numpy) == transcript_slacks(ChannelTranscript(*fields))
+
+
+def _column_bytes(result) -> list[bytes]:
+    """The bytes of each column of a row function's result, a transcript or a tuple."""
+    columns = vars(result).values() if dataclasses.is_dataclass(result) else result
+    return [np.asarray(column, dtype=np.float64).tobytes() for column in columns]
+
+
+NOT_ZERO_D_SLOTS = ("shannon_entropy", "analytic_transcript_rows.q list")
+
+
+class TestZeroDimensionalNumbers:
+    """A 0-d real array is one number, read as the float or int it holds, as a 0-d
+    integer array is read as a count; 0-d arrays of other kinds are refused."""
+
+    @pytest.mark.parametrize("rows", ROW_FUNCTIONS, ids=lambda rows: rows.__name__)
+    @pytest.mark.parametrize("p", [0.3, 0.0, 1.0, 1, 0.75])
+    def test_row_functions_read_a_0d_p_as_its_number(self, rows, p):
+        qs = [0.0, 1e-12, 0.2, 0.5, 1.0]
+        assert _column_bytes(rows(np.array(p), qs)) == _column_bytes(rows(p, qs))
+
+    def test_capacity_reads_a_0d_p_as_its_number(self):
+        for p in (0.3, 0.0, 0.75, 1.0):
+            assert quantum_capacity(np.array(p)).hex() == quantum_capacity(p).hex()
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+    def test_scalar_entry_points_read_a_0d_real(self, name):
+        call = SCALAR_ENTRY_POINTS[name]
+        assert repr(call(np.array(0.3))) == repr(call(0.3))
+        assert repr(call(np.array(np.float32(0.5)))) == repr(call(np.float32(0.5)))
+
+    @pytest.mark.parametrize("bad", [np.array(True), np.array(0.3 + 0j), np.array("0.3")], ids=repr)
+    # shannon_entropy's entry computes 1 - x itself; a q list is read by _numbers
+    @pytest.mark.parametrize("name", sorted(set(SCALAR_ENTRY_POINTS) - {*NOT_ZERO_D_SLOTS}))
+    def test_other_0d_arrays_are_refused(self, name, bad):
+        with pytest.raises(ValueError, match="real number"):
+            SCALAR_ENTRY_POINTS[name](bad)
+
+    def test_counts_read_a_0d_integer_array(self):
+        assert basis_state(np.array(2), np.array(1)).amplitudes[1] == 1.0
+        assert audit_axioms(np.array(0), np.array(2)) == audit_axioms(0, 2)
+        for bad in (np.array(2.0), np.array(True)):
+            with pytest.raises(ValueError, match="^dimension must be an integer"):
+                identity_channel(bad)
 
 
 class TestInRangeValuesUnchanged:
@@ -1038,6 +1092,92 @@ class TestCliRefusals:
         )
         assert code == 0 and out.count("\n") == 3
         assert 16 * 51 <= cli.MAX_SWEEP_ROWS and 200 <= MAX_TRIALS
+
+
+THIRTY_DIGITS = "123456789012345678901234567890"
+# Values bad for any number flag: argparse refuses "" and "x", and all of them for an
+# integer flag; the library refuses the others.
+NOT_NUMBERS = ["nan", "inf", "-inf", "1e400", "", "x"]
+BAD_RANGES = [
+    *NOT_NUMBERS, "0:1", "0:1:0.1:1", "x:1:0.1", "nan:1:0.1", "0:inf:0.1", "0:1:nan",
+    "0:1:inf", "0:1:-inf", "0:1:1e400", "-0.1:1:0.1", "0:1.5:0.1", "0.5:0.4:0.1",
+    "0:1:0", "0:1:-0.1", "0:1:1e-320", "0:1:1e-6", f"0:{THIRTY_DIGITS}:1",
+]
+NOT_CHOICES = ["", "x", "nan", "Quantum", THIRTY_DIGITS]
+CAPACITY, AUDIT = ("capacity", "--p", "0.3"), ("audit", "--trials", "1")
+# Every flag of the five commands: "command flag" -> (an accepted command line without
+# the flag, or with it where the flag is required, and values bad for the flag).
+CLI_FLAG_FUZZ = {
+    "capacity --channel": (CAPACITY, NOT_CHOICES),
+    "capacity --use": (CAPACITY, NOT_CHOICES),
+    "capacity --p": (("capacity",), [*NOT_NUMBERS, "-0.1", "1.5", "-5e-324", THIRTY_DIGITS]),
+    "capacity --tol": (CAPACITY, [*NOT_NUMBERS, "0", "-1e-3", "1e-17", f"-{THIRTY_DIGITS}"]),
+    "sweep --channel": (("sweep",), NOT_CHOICES),
+    "sweep --use": (("sweep",), NOT_CHOICES),
+    "sweep --p-range": (("sweep",), BAD_RANGES),
+    "sweep --q-range": (("sweep",), BAD_RANGES),
+    "audit --trials": (
+        ("audit",), [*NOT_NUMBERS, "0", "-1", "2.0", str(MAX_TRIALS + 1), THIRTY_DIGITS]
+    ),
+    "audit --seed": (AUDIT, [*NOT_NUMBERS, "-1", "1.0", "1e3", f"-{THIRTY_DIGITS}"]),
+    "audit --tol": (AUDIT, [*NOT_NUMBERS, "0", "-1e-3", "-5e-324", f"-{THIRTY_DIGITS}"]),
+    "hamming --mode": (("hamming", "--p", "0.1"), NOT_CHOICES),
+    "hamming --p": (
+        ("hamming", "--mode", "quantum"), [*NOT_NUMBERS, "0", "1", "-0.1", "1.5", THIRTY_DIGITS]
+    ),
+    "hamming --n": (
+        ("hamming", "--mode", "quantum", "--k", "1", "--t", "1"),
+        [*NOT_NUMBERS, "0", "-7", "7.0", str(MAX_BLOCK_LENGTH + 1), THIRTY_DIGITS],
+    ),
+    "hamming --k": (
+        ("hamming", "--mode", "quantum", "--n", "7", "--t", "1"),
+        [*NOT_NUMBERS, "0", "-1", "4.0", str(2 * MAX_BLOCK_LENGTH + 1), THIRTY_DIGITS],
+    ),
+    "hamming --t": (
+        ("hamming", "--mode", "quantum", "--n", "7", "--k", "1"),
+        [*NOT_NUMBERS, "-1", "8", "1.0", THIRTY_DIGITS],
+    ),
+    "hamming --n-list": (
+        ("hamming", "--mode", "quantum", "--p", "0.1"),
+        [*NOT_NUMBERS, "9", "-25", "25.0", "25,,50", "25,", ",".join(["25"] * (MAX_N_LIST + 1)),
+         str(MAX_BLOCK_LENGTH + 1), THIRTY_DIGITS, "25,x"],
+    ),
+    "superdense --p": (("superdense",), [*NOT_NUMBERS, "-0.1", "1.5", THIRTY_DIGITS]),
+    "superdense --threshold": (("superdense",), ["", "x", "nan", "1", THIRTY_DIGITS]),
+}
+
+
+class TestCliFuzz:
+    """Every flag of the five commands, fed values bad for it, in process through
+    ``cli.main``: each call exits 2 (argparse's SystemExit counted), prints nothing
+    to stdout and no traceback, and returns within a second."""
+
+    def test_every_flag_is_fuzzed(self):
+        commands = next(
+            action.choices
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            f"{command} {option}"
+            for command, parser in commands.items()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert flags == set(CLI_FLAG_FUZZ)
+
+    @pytest.mark.parametrize("name", sorted(CLI_FLAG_FUZZ))
+    def test_bad_values_are_refused_quietly(self, name):
+        command, values = CLI_FLAG_FUZZ[name]
+        flag = name.split()[1]
+        for value in values:
+            start = time.perf_counter()
+            code, out, err = run_cli(*command, f"{flag}={value}")
+            elapsed = time.perf_counter() - start
+            assert (code, out) == (2, ""), (value, err)
+            assert "Traceback" not in err and err, value
+            assert elapsed < 1.0, (value, elapsed)
 
 
 def _near_complete(residual: float) -> KrausChannel:
